@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json ci serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race vet lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,17 @@ race:
 
 # ci is the gate: static checks, the full suite under the race
 # detector (the server/coalescer/router tests are written to be
-# hammered), and a bounded fuzz pass over the request-decoding and
-# cache-key canonicalization surfaces.
-ci: vet lint race fuzz-smoke
+# hammered), a bounded fuzz pass over the request-decoding,
+# cache-key canonicalization and /metrics parsing surfaces, and the
+# serving benchmark's own module.
+ci: vet lint race fuzz-smoke perfbench-check
+
+# perfbench-check vets and tests the serving benchmark. perfbench is its
+# own Go module, so ./... above does not reach it, though it imports
+# server, router, core and metrics.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME on top of its
 # checked-in seed corpus (testdata/fuzz/). 30s per target is the CI
@@ -47,7 +55,8 @@ FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/server/:FuzzCacheKey \
 	./internal/server/:FuzzLatticeRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
-	./internal/benchfleet/:FuzzScenarioDecode
+	./internal/benchfleet/:FuzzScenarioDecode \
+	./internal/metrics/:FuzzParseText
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/benchjson"
+	"repro/internal/router"
 	"repro/internal/server"
 )
 
@@ -315,5 +318,32 @@ func TestLatticeLoadSmoke(t *testing.T) {
 	}
 	if st.LatticePrefixHits == 0 {
 		t.Errorf("no prefix-cache hits across %d repeated utterances:\n%s", 24, report)
+	}
+}
+
+// TestServerSideReadsLargeCountersThroughRouter is the regression test
+// for fleet counters past 10⁶: parsecrouter sums two shards' 600,000
+// result-cache hits, and the end-of-run report must read 1,200,000,
+// not 0.
+func TestServerSideReadsLargeCountersThroughRouter(t *testing.T) {
+	var shards []string
+	for i := 0; i < 2; i++ {
+		shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "# TYPE parsecd_result_cache_hits_total counter\nparsecd_result_cache_hits_total 600000\n"+ //nolint:errcheck
+				"# TYPE parsecd_result_cache_misses_total counter\nparsecd_result_cache_misses_total 1\n")
+		}))
+		defer shard.Close()
+		shards = append(shards, shard.URL)
+	}
+	rt, err := router.New(router.Config{Shards: shards, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	ss := serverSideFrom(ts.Client(), ts.URL)
+	if ss == nil || ss.CacheHits != 1200000 || ss.CacheMisses != 2 {
+		t.Fatalf("server side read through the router = %+v, want 1200000 hits and 2 misses", ss)
 	}
 }

@@ -109,6 +109,16 @@ func DecodeScenario(data []byte) (*Scenario, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("benchfleet: trailing data after scenario object")
 	}
+	// An empty list decodes like an absent one, so that Encode, which
+	// omits both, round-trips the scenario.
+	if len(sc.Faults) == 0 {
+		sc.Faults = nil
+	}
+	for i := range sc.Phases {
+		if len(sc.Phases[i].Grammars) == 0 {
+			sc.Phases[i].Grammars = nil
+		}
+	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}

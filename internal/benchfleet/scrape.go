@@ -1,84 +1,19 @@
 package benchfleet
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
-// ParsePrometheus reads one Prometheus text exposition into a flat
-// family → value map:
-//
-//   - unlabeled series keep their name;
-//   - labeled series are summed across label sets under the bare name
-//     (parsecrouter_sheds_total{class="bulk"} + {class="interactive"}
-//     → parsecrouter_sheds_total), matching how the router itself
-//     aggregates fleet metrics;
-//   - histogram buckets are the exception: each bound stays its own
-//     key, "<base>|le=<bound>" with the _bucket suffix dropped, so
-//     quantiles can be re-derived from bucket deltas later.
-func ParsePrometheus(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// "name{labels} value" or "name value".
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		series, valStr := line[:sp], strings.TrimSpace(line[sp+1:])
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			continue
-		}
-		name, labels := series, ""
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			if !strings.HasSuffix(series, "}") {
-				continue
-			}
-			name, labels = series[:i], series[i+1:len(series)-1]
-		}
-		if base, isBucket := strings.CutSuffix(name, "_bucket"); isBucket {
-			le, ok := labelValue(labels, "le")
-			if !ok {
-				continue
-			}
-			out[base+bucketKeySep+le] += v
-			continue
-		}
-		out[name] += v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// labelValue extracts one label's (unescaped-enough) value from a
-// label-pair list: `le="0.05",shard="s0"`.
-func labelValue(labels, key string) (string, bool) {
-	for _, pair := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok || strings.TrimSpace(k) != key {
-			continue
-		}
-		return strings.Trim(strings.TrimSpace(v), `"`), true
-	}
-	return "", false
-}
-
-// ScrapeInto fetches source's /metrics and stores every family into
-// window w of the store. Scrape failures are returned, not fatal: a
-// killed shard simply contributes no samples for the window.
+// ScrapeInto fetches source's /metrics and stores it into window w of
+// the store, one column per sample name (see columns). Scrape failures
+// are returned, not fatal: a killed shard simply contributes no
+// samples for the window.
 func ScrapeInto(client *http.Client, st *Store, w int, source, baseURL string) error {
 	resp, err := client.Get(baseURL + "/metrics")
 	if err != nil {
@@ -89,20 +24,49 @@ func ScrapeInto(client *http.Client, st *Store, w int, source, baseURL string) e
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return fmt.Errorf("scrape %s: status %d", source, resp.StatusCode)
 	}
-	fams, err := ParsePrometheus(resp.Body)
+	fams, err := metrics.ParseText(resp.Body)
 	if err != nil {
 		return fmt.Errorf("scrape %s: %w", source, err)
 	}
+	cols := columns(fams)
 	// Sorted iteration: SetSample appends columns on first sight, and
 	// deterministic column-creation order keeps run artifacts
 	// byte-stable for identical inputs.
-	names := make([]string, 0, len(fams))
-	for name := range fams {
+	names := make([]string, 0, len(cols))
+	for name := range cols {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st.SetSample(w, source, name, fams[name])
+		st.SetSample(w, source, name, cols[name])
 	}
 	return nil
+}
+
+// columns flattens parsed families into the store's column → value
+// map:
+//
+//   - labeled series are summed across label sets under the bare name
+//     (parsecrouter_sheds_total{class="bulk"} + {class="interactive"}
+//     → parsecrouter_sheds_total), matching how the router itself
+//     aggregates fleet metrics;
+//   - histogram buckets are the exception: each bound stays its own
+//     column, "<base>|le=<bound>" with the _bucket suffix dropped, so
+//     quantiles can be re-derived from bucket deltas later.
+func columns(fams []*metrics.Family) map[string]float64 {
+	cols := make(map[string]float64)
+	for _, f := range fams {
+		for _, s := range f.Series {
+			name := s.Name
+			if base, isBucket := strings.CutSuffix(name, "_bucket"); isBucket {
+				le, ok := s.Label("le")
+				if !ok {
+					continue
+				}
+				name = base + bucketKeySep + le
+			}
+			cols[name] += s.Value
+		}
+	}
+	return cols
 }

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 const promFixture = `# HELP parsecd_requests_total requests served
@@ -22,10 +24,11 @@ garbage line without a value x
 `
 
 func TestParsePrometheus(t *testing.T) {
-	fams, err := ParsePrometheus(strings.NewReader(promFixture))
+	parsed, err := metrics.ParseText(strings.NewReader(promFixture))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fams := columns(parsed)
 	cases := map[string]float64{
 		"parsecd_requests_total":                42,
 		"parsecrouter_sheds_total":              7, // summed across label sets
@@ -61,6 +64,25 @@ func TestScrapeInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.CloseWindow(w, 0)
+	// One column per sample name: labeled series summed under the bare
+	// name, one column per histogram bound, malformed lines skipped.
+	cases := map[string]float64{
+		"parsecd_requests_total":                42,
+		"parsecrouter_sheds_total":              7, // summed across label sets
+		"parsecd_parse_latency_seconds|le=0.01": 5,
+		"parsecd_parse_latency_seconds|le=0.05": 9,
+		"parsecd_parse_latency_seconds|le=+Inf": 10,
+		"parsecd_parse_latency_seconds_sum":     0.31,
+		"parsecd_parse_latency_seconds_count":   10,
+	}
+	for name, want := range cases {
+		if vals, present := st.Series(name, "s0"); len(vals) != 1 || !present[0] || vals[0] != want {
+			t.Errorf("%s = %v (present=%v), want %g", name, vals, present, want)
+		}
+	}
+	if fams := st.Families(); len(fams) != len(cases) {
+		t.Errorf("columns %q, want exactly the %d above (malformed lines skipped)", fams, len(cases))
+	}
 	if d, ok := st.Delta("parsecd_requests_total", "s0", Query{Phase: "p"}); !ok || d != 42 {
 		t.Fatalf("scraped requests delta = %g,%v want 42", d, ok)
 	}

@@ -1,6 +1,9 @@
 package maspar
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 func TestAllChecksAccounting(t *testing.T) {
 	m := newTestMachine(t, 64, 128) // 2 layers
@@ -52,10 +55,10 @@ func TestEnableAllChargesElemental(t *testing.T) {
 	if m.Cycles == c0 {
 		t.Error("EnableAll should cost a cycle charge")
 	}
-	count := 0
-	m.All(func(pe int) { count++ })
-	if count != 16 {
-		t.Errorf("after EnableAll, %d PEs ran, want 16", count)
+	var count atomic.Int32 // All runs PEs on several goroutines
+	m.All(func(pe int) { count.Add(1) })
+	if n := count.Load(); n != 16 {
+		t.Errorf("after EnableAll, %d PEs ran, want 16", n)
 	}
 }
 

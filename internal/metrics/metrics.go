@@ -1,6 +1,8 @@
 // Package metrics provides the operation accounting shared by all
-// parsing engines and the growth-rate estimation used by the Figure-8
-// reproduction harness.
+// parsing engines, the growth-rate estimation used by the Figure-8
+// reproduction harness, and the one metrics layer of the serving
+// stack: the latency Histogram and the Prometheus text format's parser
+// (ParseText) and writer (Writer).
 //
 // Each engine charges abstract units that correspond to the quantities
 // the paper reasons about: elementary constraint checks for the serial

@@ -1,140 +1,59 @@
 package router
 
 import (
-	"bufio"
-	"io"
+	"bytes"
 	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/metrics"
 )
 
-// /metrics aggregation: the router scrapes every eligible shard's
-// Prometheus exposition and re-emits the parsecd_* families with every
-// sample summed across shards — counters and histogram
-// buckets/sums/counts add cleanly, so the fleet's exposition reads
-// exactly like one big parsecd. Gauge families (uptime, queue depth)
-// cannot be summed — a point-in-time value added across nodes is
-// meaningless — so they are re-emitted as the max across shards under
-// a `_max`-suffixed name: the hottest node's queue depth is exactly
-// the backpressure signal a fleet operator needs, and the rename keeps
-// the series honest about not being the one-node gauge.
-
-// promFamily is one metric family accumulated across scrapes.
-type promFamily struct {
-	name    string
-	help    string
-	typ     string
-	samples map[string]float64 // full series id (name + label set) → summed value
-	maxs    map[string]float64 // per-series max across scrapes (gauges)
-}
-
-// parsePromText folds one exposition into families. Lines it cannot
-// parse are ignored (the scrape is a best-effort aggregation, not a
-// validator).
-func parsePromText(r io.Reader, families map[string]*promFamily) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	family := func(name string) *promFamily {
-		f, ok := families[name]
-		if !ok {
-			f = &promFamily{name: name, samples: make(map[string]float64), maxs: make(map[string]float64)}
-			families[name] = f
-		}
-		return f
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			if name, help, ok := strings.Cut(rest, " "); ok {
-				if f := family(name); f.help == "" {
-					f.help = help
-				}
+// aggregate folds the shards' /metrics bodies into the fleet's
+// exposition, which reads like one big parsecd: counter and histogram
+// series are summed across shards. Gauge families (uptime, queue
+// depth) cannot be summed — a point-in-time value added across nodes
+// is meaningless — so they become the max across shards under a
+// `_max`-suffixed name: the hottest node's value is the backpressure
+// signal a fleet operator needs, and the rename keeps the series
+// honest about not being the one-node gauge. Families come out sorted
+// by name; a histogram keeps its series order (buckets ascending, then
+// _sum and _count), other families sort theirs by id. Lines a shard's
+// body cannot parse are skipped.
+func aggregate(bodies [][]byte) []*metrics.Family {
+	fams, _ := metrics.ParseText(bytes.NewReader(bytes.Join(bodies, []byte("\n")))) // best-effort
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
+	out := fams[:0]
+	for _, f := range fams {
+		at := make(map[string]int) // series id → index in merged
+		var merged []metrics.Series
+		for _, s := range f.Series {
+			i, seen := at[s.ID()]
+			switch {
+			case !seen:
+				at[s.ID()] = len(merged)
+				merged = append(merged, s)
+			case f.Type == "gauge":
+				merged[i].Value = max(merged[i].Value, s.Value)
+			default:
+				merged[i].Value += s.Value
 			}
+		}
+		if len(merged) == 0 {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			if name, typ, ok := strings.Cut(rest, " "); ok {
-				if f := family(name); f.typ == "" {
-					f.typ = typ
-				}
+		if f.Type != "histogram" {
+			sort.SliceStable(merged, func(i, j int) bool { return merged[i].ID() < merged[j].ID() })
+		}
+		if f.Type == "gauge" {
+			for i := range merged {
+				merged[i].Name = f.Name + "_max" + merged[i].Name[len(f.Name):]
 			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		// A sample: "<name>{labels} <value>" or "<name> <value>". The
-		// value is the text after the last space (label values never
-		// contain unescaped spaces in our expositions).
-		idx := strings.LastIndexByte(line, ' ')
-		if idx <= 0 {
-			continue
-		}
-		series, valText := line[:idx], line[idx+1:]
-		v, err := strconv.ParseFloat(valText, 64)
-		if err != nil {
-			continue
-		}
-		name := series
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			name = series[:i]
-		}
-		f := family(name)
-		f.samples[series] += v
-		// Track the per-series max alongside the sum; writeFamilies picks
-		// which one to emit once the family's TYPE is known (our
-		// expositions emit TYPE before samples, but tracking both keeps
-		// the fold order-independent).
-		if cur, ok := f.maxs[series]; !ok || v > cur {
-			f.maxs[series] = v
-		}
-	}
-	return sc.Err()
-}
-
-// writeFamilies emits the accumulated families in sorted order:
-// counters and histograms summed under their own names, gauges as the
-// max across shards under the `_max`-suffixed name.
-func writeFamilies(w io.Writer, families map[string]*promFamily) {
-	names := make([]string, 0, len(families))
-	for n := range families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	for _, n := range names {
-		f := families[n]
-		if len(f.samples) == 0 {
-			continue
-		}
-		outName, values := f.name, f.samples
-		if f.typ == "gauge" {
-			outName, values = f.name+"_max", f.maxs
-		}
-		if f.help != "" {
-			help := f.help
-			if f.typ == "gauge" {
-				help = "max across shards: " + help
+			f.Name += "_max"
+			if f.Help != "" {
+				f.Help = "max across shards: " + f.Help
 			}
-			bw.WriteString("# HELP " + outName + " " + help + "\n")
 		}
-		if f.typ != "" {
-			bw.WriteString("# TYPE " + outName + " " + f.typ + "\n")
-		}
-		series := make([]string, 0, len(values))
-		for s := range values {
-			series = append(series, s)
-		}
-		sort.Strings(series)
-		for _, s := range series {
-			// Rename the series in place: the family name is the prefix of
-			// every series id (bare or followed by its label set).
-			out := outName + s[len(f.name):]
-			bw.WriteString(out + " " + strconv.FormatFloat(values[s], 'g', -1, 64) + "\n")
-		}
+		f.Series = merged
+		out = append(out, f)
 	}
+	return out
 }

@@ -1,14 +1,13 @@
 package clustertest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -292,12 +291,13 @@ func TestMetricsAggregationSumsMatchPerShardScrapes(t *testing.T) {
 	want := make(map[string]float64)
 	for _, sh := range c.Shards {
 		_, body := Get(t, sh.URL+"/metrics")
-		for k, v := range promValues(t, body, keys) {
-			want[k] += v
+		shard := totals(t, body)
+		for _, k := range keys {
+			want[k] += shard[k]
 		}
 	}
 	_, routerBody := Get(t, c.URL+"/metrics")
-	got := promValues(t, routerBody, keys)
+	got := totals(t, routerBody)
 	for _, k := range keys {
 		if got[k] != want[k] {
 			t.Errorf("aggregated %s = %g, per-shard sum = %g", k, got[k], want[k])
@@ -327,11 +327,11 @@ func TestMetricsAggregationSumsMatchPerShardScrapes(t *testing.T) {
 	if !strings.Contains(routerBody, maxSeries+" ") {
 		t.Errorf("router exposition missing gauge max series %s", maxSeries)
 	}
-	uptimeMax := promValues(t, routerBody, []string{maxSeries})[maxSeries]
+	uptimeMax := got[maxSeries]
 	var shardMax float64
 	for _, sh := range c.Shards {
 		_, body := Get(t, sh.URL+"/metrics")
-		if v := promValues(t, body, []string{"parsecd_uptime_seconds"})["parsecd_uptime_seconds"]; v > shardMax {
+		if v := totals(t, body)["parsecd_uptime_seconds"]; v > shardMax {
 			shardMax = v
 		}
 	}
@@ -343,24 +343,14 @@ func TestMetricsAggregationSumsMatchPerShardScrapes(t *testing.T) {
 	}
 }
 
-// promValues extracts exact series values from a Prometheus text body.
-func promValues(t testing.TB, body string, series []string) map[string]float64 {
+// totals reads a Prometheus text body into per-name totals.
+func totals(t testing.TB, body string) map[string]float64 {
 	t.Helper()
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		line := sc.Text()
-		for _, s := range series {
-			if rest, ok := strings.CutPrefix(line, s+" "); ok {
-				v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-				if err != nil {
-					t.Fatalf("bad value in %q: %v", line, err)
-				}
-				out[s] = v
-			}
-		}
+	fams, err := metrics.ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return metrics.Totals(fams)
 }
 
 // Test4xxNeverFailsOverNorPollutesCaches is the regression test for

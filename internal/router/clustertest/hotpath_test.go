@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +44,27 @@ func waitUntil(t testing.TB, what string, cond func() bool) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// gatedTransport carries the router's forwards in tests that must order
+// attempts across shards without sleeping: while a gate is set, each
+// request waits until the gate admits it or its context ends.
+type gatedTransport struct {
+	gate atomic.Pointer[func(*http.Request) bool]
+}
+
+func (g *gatedTransport) holdUntil(gate func(*http.Request) bool) { g.gate.Store(&gate) }
+
+func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if gate := g.gate.Load(); gate != nil && *gate != nil {
+		for !(*gate)(req) {
+			if err := req.Context().Err(); err != nil {
+				return nil, err
+			}
+			runtime.Gosched()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // postClass posts one parse through the router with an explicit
@@ -163,10 +185,12 @@ func TestHotKeyReplicationSpreadsPrefixKeepsHitRate(t *testing.T) {
 // is context-cancelled at the shard, and the request is counted served
 // exactly once.
 func TestHedgeFiresOnceCancelsLoserCountsOnce(t *testing.T) {
+	gated := &gatedTransport{}
 	c := New(t, 3, server.Config{}, router.Config{
 		ReplicateTop: 1, ReplicaFactor: 2, HotKeyShare: hotShare, HotKeyWindow: hotWindow,
 		Hedge:      true,
 		HedgeDelay: -1, // hedge immediately: the deterministic-test setting
+		Client:     &http.Client{Transport: gated},
 	})
 	hot := serialReq(workload.DemoSentence(5))
 	var owner string
@@ -189,6 +213,13 @@ func TestHedgeFiresOnceCancelsLoserCountsOnce(t *testing.T) {
 	ownerShard := c.shardByName(t, owner)
 	ownerShard.ForceDelay(time.Hour)
 	defer ownerShard.ForceDelay(0)
+	// Hold forwards to the other shards until the primary attempt has
+	// reached the stalled owner: otherwise the hedge can win, and the
+	// loser be cancelled, before there is any attempt at the shard to
+	// cancel.
+	ownerHost := strings.TrimPrefix(ownerShard.URL, "http://")
+	gated.holdUntil(func(req *http.Request) bool { return req.URL.Host == ownerHost || ownerShard.DelayHits() >= 1 })
+	defer gated.holdUntil(nil)
 
 	before := c.Router.Stats()
 	status, res, shard := c.Parse(t, hot)

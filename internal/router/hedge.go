@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -129,20 +130,15 @@ func (a *attemptOut) terminal() bool {
 // first, duplicates it to next. The first terminal response wins and
 // is counted served; the loser's context is cancelled and its
 // completion awaited (so admission slots and counters are settled when
-// hedgedDo returns), counted in parsecrouter_hedge_cancels_total.
-// Returns ok=false when no attempt terminated (the caller falls back
-// to ordinary failover) and shed=true when every attempt was refused
-// by admission control.
+// hedgedDo returns), counted in parsecrouter_hedge_cancels_total. The
+// winner's context lives until the caller closes its body: ending it
+// earlier can cut the reply off mid-relay. Returns ok=false when no
+// attempt terminated (the caller falls back to ordinary failover) and
+// shed=true when every attempt was refused by admission control.
 func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []byte, primary, next string, class reqClass) (forwardResult, bool, bool) {
 	results := make(chan attemptOut, 2)
 	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	var scancel context.CancelFunc
-	defer func() {
-		if scancel != nil {
-			scancel()
-		}
-	}()
+	sctx, scancel := context.WithCancel(ctx)
 	launch := func(actx context.Context, shard string, hedge bool) {
 		resp, shed, err := r.forwardOnce(actx, shard, path, contentType, body, class)
 		results <- attemptOut{resp: resp, shard: shard, err: err, shed: shed, hedge: hedge}
@@ -160,8 +156,6 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 		}
 		hedged = true
 		r.m.countHedge()
-		var sctx context.Context
-		sctx, scancel = context.WithCancel(ctx)
 		go launch(sctx, next, true)
 		pending++
 	}
@@ -206,18 +200,21 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 		}
 	}
 	if winner == nil {
+		pcancel()
+		scancel()
 		// Both attempts failed. All-shed means admission refused the
 		// request outright.
 		return forwardResult{shard: last.shard, err: last.err}, false, shedCount == pendingAttempts(hedged)
 	}
+	winCancel, loseCancel := pcancel, scancel
+	if winner.hedge {
+		winCancel, loseCancel = scancel, pcancel
+	}
+	winner.resp.Body = cancelOnClose{winner.resp.Body, winCancel}
 	// Cancel the loser and wait for it so its slot and counters are
 	// settled before the winner is relayed.
+	loseCancel()
 	if pending > 0 {
-		if winner.hedge {
-			pcancel()
-		} else if scancel != nil {
-			scancel()
-		}
 		out := <-results
 		if out.resp != nil {
 			drain(out.resp.Body)
@@ -240,4 +237,17 @@ func pendingAttempts(hedged bool) int {
 		return 2
 	}
 	return 1
+}
+
+// cancelOnClose ends a winning attempt's context once its body is
+// closed.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }

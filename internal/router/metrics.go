@@ -1,11 +1,12 @@
 package router
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // shardCounters is one shard's routing accounting.
@@ -255,8 +256,8 @@ func (m *routerMetrics) stats() Stats {
 // writePrometheus emits the parsecrouter_* series in deterministic
 // (sorted) order. statuses is the fleet snapshot for the liveness
 // gauge.
-func (m *routerMetrics) writePrometheus(w io.Writer, statuses []ShardStatus) {
-	// Snapshot under mu, write after: w is the scraper's connection,
+func (m *routerMetrics) writePrometheus(out io.Writer, statuses []ShardStatus) {
+	// Snapshot under mu, write after: out is the scraper's connection,
 	// and holding the routing-path mutex across it would let a slow
 	// scraper stall countServed on every proxied request (lockorder
 	// enforces this).
@@ -278,10 +279,11 @@ func (m *routerMetrics) writePrometheus(w io.Writer, statuses []ShardStatus) {
 	started := m.started
 	m.mu.Unlock()
 
+	w := metrics.NewWriter(out)
 	perShard := func(name, help string, get func(*shardCounters) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		w.Header(name, "counter", help)
 		for i, u := range urls {
-			fmt.Fprintf(w, "%s{shard=%q} %d\n", name, u, get(&rows[i]))
+			w.Sample(name, float64(get(&rows[i])), "shard", u)
 		}
 	}
 	perShard("parsecrouter_shard_requests_total", "requests answered by each shard", func(sc *shardCounters) uint64 { return sc.requests })
@@ -290,37 +292,33 @@ func (m *routerMetrics) writePrometheus(w io.Writer, statuses []ShardStatus) {
 	perShard("parsecrouter_shard_probations_total", "times each shard entered probation after ejection", func(sc *shardCounters) uint64 { return sc.probations })
 	perShard("parsecrouter_shard_readmissions_total", "times each shard was promoted from probation back to live", func(sc *shardCounters) uint64 { return sc.readmission })
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("parsecrouter_failovers_total", "requests retried on a lower-ranked shard", failovers)
-	counter("parsecrouter_empty_fleet_total", "requests refused because no shard was eligible", emptyFleet)
-	counter("parsecrouter_probes_total", "health probes sent", probes)
-	counter("parsecrouter_probe_failures_total", "health probes that failed", probeFailures)
-	counter("parsecrouter_scrape_errors_total", "per-shard /metrics scrapes that failed during aggregation", scrapeErrors)
-	counter("parsecrouter_hotkey_promotions_total", "keys promoted to replicated across their HRW prefix", promotions)
-	counter("parsecrouter_hotkey_demotions_total", "promoted keys demoted back to their primary shard", demotions)
-	counter("parsecrouter_hotkey_warms_total", "replica warm-up requests completed after promotion", warms)
-	counter("parsecrouter_hedges_total", "duplicate requests fired at the next replica", hedges)
-	counter("parsecrouter_hedge_wins_total", "hedged duplicates that answered before the primary", hedgeWins)
-	counter("parsecrouter_hedge_cancels_total", "losing hedge attempts observed context-cancelled", hedgeCancels)
-	fmt.Fprintf(w, "# HELP parsecrouter_sheds_total requests refused by admission control per class\n# TYPE parsecrouter_sheds_total counter\n")
-	fmt.Fprintf(w, "parsecrouter_sheds_total{class=\"interactive\"} %d\n", shedInteractive)
-	fmt.Fprintf(w, "parsecrouter_sheds_total{class=\"bulk\"} %d\n", shedBulk)
+	w.Counter("parsecrouter_failovers_total", "requests retried on a lower-ranked shard", failovers)
+	w.Counter("parsecrouter_empty_fleet_total", "requests refused because no shard was eligible", emptyFleet)
+	w.Counter("parsecrouter_probes_total", "health probes sent", probes)
+	w.Counter("parsecrouter_probe_failures_total", "health probes that failed", probeFailures)
+	w.Counter("parsecrouter_scrape_errors_total", "per-shard /metrics scrapes that failed during aggregation", scrapeErrors)
+	w.Counter("parsecrouter_hotkey_promotions_total", "keys promoted to replicated across their HRW prefix", promotions)
+	w.Counter("parsecrouter_hotkey_demotions_total", "promoted keys demoted back to their primary shard", demotions)
+	w.Counter("parsecrouter_hotkey_warms_total", "replica warm-up requests completed after promotion", warms)
+	w.Counter("parsecrouter_hedges_total", "duplicate requests fired at the next replica", hedges)
+	w.Counter("parsecrouter_hedge_wins_total", "hedged duplicates that answered before the primary", hedgeWins)
+	w.Counter("parsecrouter_hedge_cancels_total", "losing hedge attempts observed context-cancelled", hedgeCancels)
+	w.Header("parsecrouter_sheds_total", "counter", "requests refused by admission control per class")
+	w.Sample("parsecrouter_sheds_total", float64(shedInteractive), "class", "interactive")
+	w.Sample("parsecrouter_sheds_total", float64(shedBulk), "class", "bulk")
 
-	fmt.Fprintf(w, "# HELP parsecrouter_shard_inflight forwards currently in flight per shard (admission control)\n# TYPE parsecrouter_shard_inflight gauge\n")
+	w.Header("parsecrouter_shard_inflight", "gauge", "forwards currently in flight per shard (admission control)")
 	for i, u := range urls {
-		fmt.Fprintf(w, "parsecrouter_shard_inflight{shard=%q} %d\n", u, rows[i].inflight)
+		w.Sample("parsecrouter_shard_inflight", float64(rows[i].inflight), "shard", u)
 	}
 
-	fmt.Fprintf(w, "# HELP parsecrouter_shard_eligible whether each shard currently receives traffic (live or probation)\n# TYPE parsecrouter_shard_eligible gauge\n")
+	w.Header("parsecrouter_shard_eligible", "gauge", "whether each shard currently receives traffic (live or probation)")
 	for _, st := range statuses {
-		v := 0
+		v := 0.0
 		if st.State != StateEjected {
 			v = 1
 		}
-		fmt.Fprintf(w, "parsecrouter_shard_eligible{shard=%q,state=%q} %d\n", st.URL, st.StateName, v)
+		w.Sample("parsecrouter_shard_eligible", v, "shard", st.URL, "state", st.StateName)
 	}
-	fmt.Fprintf(w, "# HELP parsecrouter_uptime_seconds seconds since the router started\n# TYPE parsecrouter_uptime_seconds gauge\nparsecrouter_uptime_seconds %.3f\n",
-		time.Since(started).Seconds())
+	w.Uptime("parsecrouter_uptime_seconds", "seconds since the router started", started)
 }

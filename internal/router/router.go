@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -676,7 +677,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	families := make(map[string]*promFamily)
 	eligible := r.fleet.eligible()
 	type scrape struct {
 		body []byte
@@ -707,13 +707,14 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		}(i, shard)
 	}
 	wg.Wait()
+	var bodies [][]byte
 	for i := range scrapes {
 		if scrapes[i].err != nil {
 			r.m.countScrapeError()
 			continue
 		}
-		parsePromText(bytes.NewReader(scrapes[i].body), families) //nolint:errcheck // best-effort
+		bodies = append(bodies, scrapes[i].body)
 	}
-	writeFamilies(w, families)
+	metrics.NewWriter(w).Families(aggregate(bodies))
 	r.m.writePrometheus(w, r.fleet.snapshot())
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -143,7 +144,7 @@ func TestAffinityKeyMatchesServerCacheKey(t *testing.T) {
 	}
 }
 
-func TestParsePromTextSumsAcrossScrapes(t *testing.T) {
+func TestAggregateSumsAcrossScrapes(t *testing.T) {
 	a := `# HELP parsecd_parses_total parses executed
 # TYPE parsecd_parses_total counter
 parsecd_parses_total 5
@@ -161,14 +162,8 @@ parsecd_requests_total{code="200"} 2
 parsecd_uptime_seconds 9.5
 garbage line without a number x
 `
-	families := make(map[string]*promFamily)
-	for _, body := range []string{a, b} {
-		if err := parsePromText(strings.NewReader(body), families); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var out strings.Builder
-	writeFamilies(&out, families)
+	metrics.NewWriter(&out).Families(aggregate([][]byte{[]byte(a), []byte(b)}))
 	text := out.String()
 	for _, w := range []string{
 		"parsecd_parses_total 8",

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,18 +39,18 @@ type serverMetrics struct {
 	latticeTruncations atomic.Uint64 // lattice decodes that hit the path budget
 	latticeStreamSlots atomic.Uint64 // slots appended over streaming connections
 
-	queueWait    *Histogram // seconds
-	parseLatency *Histogram // seconds
-	batchSize    *Histogram
+	queueWait    *metrics.Histogram // seconds
+	parseLatency *metrics.Histogram // seconds
+	batchSize    *metrics.Histogram
 }
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
 		started:      time.Now(),
 		requests:     make(map[int]uint64),
-		queueWait:    NewHistogram(LatencyBuckets()...),
-		parseLatency: NewHistogram(LatencyBuckets()...),
-		batchSize:    NewHistogram(BatchSizeBuckets()...),
+		queueWait:    metrics.NewHistogram(metrics.LatencyBuckets()...),
+		parseLatency: metrics.NewHistogram(metrics.LatencyBuckets()...),
+		batchSize:    metrics.NewHistogram(metrics.BatchSizeBuckets()...),
 	}
 }
 
@@ -135,12 +135,8 @@ func (m *serverMetrics) snapshot(cache *Cache, rc *resultCache, ls latticeserve.
 
 // writePrometheus renders every metric in Prometheus text exposition
 // format (version 0.0.4).
-func (m *serverMetrics) writePrometheus(w io.Writer, cache *Cache, rc *resultCache, ls latticeserve.CacheStats) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	// Snapshot everything mu guards before writing: w is the scraper's
+func (m *serverMetrics) writePrometheus(out io.Writer, cache *Cache, rc *resultCache, ls latticeserve.CacheStats) {
+	// Snapshot everything mu guards before writing: out is the scraper's
 	// connection, and a write to it must never pace the request-count
 	// hot path (lockorder enforces this).
 	m.mu.Lock()
@@ -156,76 +152,68 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *Cache, rc *resultCac
 	work := m.work
 	m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP parsecd_requests_total HTTP requests by status code\n# TYPE parsecd_requests_total counter\n")
+	w := metrics.NewWriter(out)
+	w.Header("parsecd_requests_total", "counter", "HTTP requests by status code")
 	for i, s := range statuses {
-		fmt.Fprintf(w, "parsecd_requests_total{code=%q} %d\n", fmt.Sprint(s), statusCounts[i])
+		w.Sample("parsecd_requests_total", float64(statusCounts[i]), "code", strconv.Itoa(s))
 	}
 
-	counter("parsecd_parses_total", "parses executed by the worker pool", m.parses.Load())
-	counter("parsecd_batches_total", "coalesced batches executed", m.batches.Load())
-	counter("parsecd_coalesced_jobs_total", "jobs that shared a batch with another request", m.coalesced.Load())
-	counter("parsecd_gang_runs_total", "ganged simulator runs (several sentences on one PE array)", m.gangRuns.Load())
-	counter("parsecd_gang_jobs_total", "jobs served by a ganged simulator run", m.gangJobs.Load())
-	counter("parsecd_timeouts_total", "requests that exceeded their deadline", m.timeouts.Load())
-	counter("parsecd_queue_rejections_total", "requests rejected because a backend queue was full", m.rejected.Load())
-	counter("parsecd_panics_total", "panics recovered during parsing", m.panics.Load())
+	w.Counter("parsecd_parses_total", "parses executed by the worker pool", m.parses.Load())
+	w.Counter("parsecd_batches_total", "coalesced batches executed", m.batches.Load())
+	w.Counter("parsecd_coalesced_jobs_total", "jobs that shared a batch with another request", m.coalesced.Load())
+	w.Counter("parsecd_gang_runs_total", "ganged simulator runs (several sentences on one PE array)", m.gangRuns.Load())
+	w.Counter("parsecd_gang_jobs_total", "jobs served by a ganged simulator run", m.gangJobs.Load())
+	w.Counter("parsecd_timeouts_total", "requests that exceeded their deadline", m.timeouts.Load())
+	w.Counter("parsecd_queue_rejections_total", "requests rejected because a backend queue was full", m.rejected.Load())
+	w.Counter("parsecd_panics_total", "panics recovered during parsing", m.panics.Load())
 
 	hits, misses := cache.Stats()
-	counter("parsecd_grammar_cache_hits_total", "grammar cache hits", hits)
-	counter("parsecd_grammar_cache_misses_total", "grammar cache misses (compiles)", misses)
+	w.Counter("parsecd_grammar_cache_hits_total", "grammar cache hits", hits)
+	w.Counter("parsecd_grammar_cache_misses_total", "grammar cache misses (compiles)", misses)
 
 	rs := rc.stats()
-	counter("parsecd_result_cache_hits_total", "memoized parse results served without re-parsing", rs.Hits)
-	counter("parsecd_result_cache_misses_total", "parse requests that executed (not served from the result cache)", rs.Misses)
-	counter("parsecd_result_cache_evictions_total", "result-cache entries evicted at capacity", rs.Evictions)
-	counter("parsecd_result_cache_expirations_total", "result-cache entries dropped past their TTL", rs.Expirations)
-	counter("parsecd_result_cache_coalesced_inflight_total", "requests served by another request's in-flight parse", rs.Coalesced)
+	w.Counter("parsecd_result_cache_hits_total", "memoized parse results served without re-parsing", rs.Hits)
+	w.Counter("parsecd_result_cache_misses_total", "parse requests that executed (not served from the result cache)", rs.Misses)
+	w.Counter("parsecd_result_cache_evictions_total", "result-cache entries evicted at capacity", rs.Evictions)
+	w.Counter("parsecd_result_cache_expirations_total", "result-cache entries dropped past their TTL", rs.Expirations)
+	w.Counter("parsecd_result_cache_coalesced_inflight_total", "requests served by another request's in-flight parse", rs.Coalesced)
 
 	lhits, lmisses := core.LayoutCacheStats()
-	counter("parsecd_layout_cache_hits_total", "PE-map plan cache hits (layouts reused)", lhits)
-	counter("parsecd_layout_cache_misses_total", "PE-map plan cache misses (layouts built)", lmisses)
+	w.Counter("parsecd_layout_cache_hits_total", "PE-map plan cache hits (layouts reused)", lhits)
+	w.Counter("parsecd_layout_cache_misses_total", "PE-map plan cache misses (layouts built)", lmisses)
 
 	ehits, emisses, ecompiled := cdg.EvalCacheStats()
-	counter("parsecd_eval_compile_hits_total", "constraint bytecode compilations served from the memo", ehits)
-	counter("parsecd_eval_compile_misses_total", "constraint bytecode compilations performed", emisses)
-	counter("parsecd_eval_compiled_total", "constraints whose evaluation runs on the bytecode VM (vs the AST fallback)", ecompiled)
+	w.Counter("parsecd_eval_compile_hits_total", "constraint bytecode compilations served from the memo", ehits)
+	w.Counter("parsecd_eval_compile_misses_total", "constraint bytecode compilations performed", emisses)
+	w.Counter("parsecd_eval_compiled_total", "constraints whose evaluation runs on the bytecode VM (vs the AST fallback)", ecompiled)
 
-	counter("parsecd_lattice_requests_total", "lattice decodes completed (batch and final stream updates)", m.latticeRequests.Load())
-	counter("parsecd_lattice_paths_expanded_total", "candidate paths expanded across lattice decodes", m.latticePaths.Load())
-	counter("parsecd_lattice_truncations_total", "lattice decodes truncated by the path budget", m.latticeTruncations.Load())
-	counter("parsecd_lattice_stream_slots_total", "slots appended over word-synchronous streaming connections", m.latticeStreamSlots.Load())
-	counter("parsecd_lattice_prefix_cache_hits_total", "prefix slots served from cached snapshots", ls.Hits)
-	counter("parsecd_lattice_prefix_cache_misses_total", "prefix snapshots computed", ls.Misses)
-	counter("parsecd_lattice_prefix_cache_evictions_total", "prefix snapshots evicted at capacity", ls.Evictions)
-	counter("parsecd_lattice_fallback_parses_total", "lattice paths parsed from scratch (extension-unstable grammar)", ls.Fallbacks)
+	w.Counter("parsecd_lattice_requests_total", "lattice decodes completed (batch and final stream updates)", m.latticeRequests.Load())
+	w.Counter("parsecd_lattice_paths_expanded_total", "candidate paths expanded across lattice decodes", m.latticePaths.Load())
+	w.Counter("parsecd_lattice_truncations_total", "lattice decodes truncated by the path budget", m.latticeTruncations.Load())
+	w.Counter("parsecd_lattice_stream_slots_total", "slots appended over word-synchronous streaming connections", m.latticeStreamSlots.Load())
+	w.Counter("parsecd_lattice_prefix_cache_hits_total", "prefix slots served from cached snapshots", ls.Hits)
+	w.Counter("parsecd_lattice_prefix_cache_misses_total", "prefix snapshots computed", ls.Misses)
+	w.Counter("parsecd_lattice_prefix_cache_evictions_total", "prefix snapshots evicted at capacity", ls.Evictions)
+	w.Counter("parsecd_lattice_fallback_parses_total", "lattice paths parsed from scratch (extension-unstable grammar)", ls.Fallbacks)
 
 	// The machine-work accounting every engine shares (internal/metrics),
 	// summed over all parses served. Full literal names: metricflow
 	// requires every exposed name to be statically constant so the
 	// registry (and grep) can find it.
-	workCounters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"parsecd_work_constraint_checks_total", "elementary constraint evaluations", work.ConstraintChecks},
-		{"parsecd_work_matrix_writes_total", "arc-matrix bit writes", work.MatrixWrites},
-		{"parsecd_work_support_checks_total", "role-value support tests", work.SupportChecks},
-		{"parsecd_work_eliminations_total", "role values eliminated", work.Eliminations},
-		{"parsecd_work_filter_iterations_total", "consistency-maintenance passes", work.FilterIterations},
-		{"parsecd_work_pram_steps_total", "synchronous P-RAM steps", work.Steps},
-		{"parsecd_work_maspar_cycles_total", "simulated MasPar cycles", work.Cycles},
-		{"parsecd_work_maspar_scans_total", "segmented scan invocations", work.ScanOps},
-		{"parsecd_work_maspar_router_ops_total", "router point-to-point sends", work.RouterOps},
-		{"parsecd_work_maspar_broadcasts_total", "ACU broadcasts", work.Broadcasts},
-	}
-	for _, c := range workCounters {
-		counter(c.name, c.help, c.v)
-	}
+	w.Counter("parsecd_work_constraint_checks_total", "elementary constraint evaluations", work.ConstraintChecks)
+	w.Counter("parsecd_work_matrix_writes_total", "arc-matrix bit writes", work.MatrixWrites)
+	w.Counter("parsecd_work_support_checks_total", "role-value support tests", work.SupportChecks)
+	w.Counter("parsecd_work_eliminations_total", "role values eliminated", work.Eliminations)
+	w.Counter("parsecd_work_filter_iterations_total", "consistency-maintenance passes", work.FilterIterations)
+	w.Counter("parsecd_work_pram_steps_total", "synchronous P-RAM steps", work.Steps)
+	w.Counter("parsecd_work_maspar_cycles_total", "simulated MasPar cycles", work.Cycles)
+	w.Counter("parsecd_work_maspar_scans_total", "segmented scan invocations", work.ScanOps)
+	w.Counter("parsecd_work_maspar_router_ops_total", "router point-to-point sends", work.RouterOps)
+	w.Counter("parsecd_work_maspar_broadcasts_total", "ACU broadcasts", work.Broadcasts)
 
-	m.queueWait.WritePrometheus(w, "parsecd_queue_wait_seconds", "time requests spent queued before a worker picked them up")
-	m.parseLatency.WritePrometheus(w, "parsecd_parse_latency_seconds", "parse execution time per request")
-	m.batchSize.WritePrometheus(w, "parsecd_batch_size", "requests coalesced per simulator run")
+	w.Histogram("parsecd_queue_wait_seconds", "time requests spent queued before a worker picked them up", m.queueWait)
+	w.Histogram("parsecd_parse_latency_seconds", "parse execution time per request", m.parseLatency)
+	w.Histogram("parsecd_batch_size", "requests coalesced per simulator run", m.batchSize)
 
-	fmt.Fprintf(w, "# HELP parsecd_uptime_seconds seconds since the server started\n# TYPE parsecd_uptime_seconds gauge\nparsecd_uptime_seconds %.3f\n",
-		time.Since(m.started).Seconds())
+	w.Uptime("parsecd_uptime_seconds", "seconds since the server started", m.started)
 }
