@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file (the perfbench module's
+# included) is not gofmt-clean, and lists the offenders.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the project analyzers (determinism, map ordering, context
 # flow, lock discipline) over the whole module. parseclint is a
@@ -30,12 +36,12 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# ci is the gate: static checks, the full suite under the race
-# detector (the server/coalescer/router tests are written to be
+# ci is the gate: formatting and static checks, the full suite under
+# the race detector (the server/coalescer/router tests are written to be
 # hammered), a bounded fuzz pass over the request-decoding,
 # cache-key canonicalization and /metrics parsing surfaces, and the
 # serving benchmark's own module.
-ci: vet lint race fuzz-smoke perfbench-check
+ci: fmt-check vet lint race fuzz-smoke perfbench-check
 
 # perfbench-check vets and tests the serving benchmark. perfbench is its
 # own Go module, so ./... above does not reach it, though it imports

@@ -18,11 +18,11 @@ import (
 //     first blank line) are guarded by that mutex — the comment-free
 //     layout convention this codebase uses, e.g.:
 //
-//	mu       sync.Mutex
-//	requests map[int]uint64 // guarded
-//	work     metrics.Counters // guarded
+//     mu       sync.Mutex
+//     requests map[int]uint64 // guarded
+//     work     metrics.Counters // guarded
 //
-//	batches atomic.Uint64 // NOT guarded (blank line above)
+//     batches atomic.Uint64 // NOT guarded (blank line above)
 //
 //     A guarded field may only be read or written in a function that
 //     has already called <recv>.mu.Lock() or RLock() (lexically

@@ -6,7 +6,7 @@ import (
 )
 
 // Attribution accumulates host wall-clock time by pipeline stage across
-// MasPar runs: constraint evaluation (the per-lane Check1/Check2 work of
+// MasPar runs: constraint evaluation (the Check1/Check2 work of
 // the propagation phases), the segmented scans of consistency
 // maintenance, and the router transposes. It answers "where does an
 // end-to-end parse spend its time" — the attribution BenchmarkEndToEndParse

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cdg"
 	"repro/internal/maspar"
 )
@@ -28,35 +30,42 @@ import (
 // what lets every role value's support be computed entirely inside its
 // own column block.
 type Layout struct {
-	g *cdg.Grammar
-
 	n int // words
 	q int // roles per word
 	l int // max labels per role (padded slots above a role's count are dead)
 	s int // S = q·n·n groups
 	v int // S² virtual PEs
 
-	// baseMask marks PEs that are not on a self-arc (Figure 11: "PEs
-	// disabled from the beginning of parsing" are the role-to-itself
-	// blocks).
-	baseMask []bool
-	// arcSegHead marks the first PE of each arc segment inside a
-	// column block (rowGroup divisible by n).
-	arcSegHead []bool
-	// blockFirstActive marks, per column block, its first non-self-arc
-	// PE: the scanAnd segment head and the copy-scan source.
-	blockFirstActive []bool
-	// transposeSrc[v] is the mirror PE rowGroup·S + colGroup, the
-	// router gather pattern that converts column-liveness into
-	// row-liveness. The packed backend runs this permutation with the
-	// word-parallel RouterTransposeV kernel; the explicit index form is
-	// kept as the reference statement of the pattern (and for tests).
-	transposeSrc []int32
+	// refs lists the evaluation view of every real role value, group-
+	// major: group g's label slots 0..k−1 are refs[refOff[g]:refOff[g+1]]
+	// (k is the group's role's label count; slots at or above it are
+	// padding and have no entry). Every PE of column block g, and every
+	// PE of row stripe g, evaluates exactly these values, so the hot
+	// loops read them here instead of decoding their PE id.
+	refs   []cdg.RVRef
+	refOff []int32
 
-	// Packed (64 PEs/word) images of the masks above, precomputed once
-	// so the hot loop issues SetMaskWords and packed scans without any
-	// per-parse planning. scanAndMaskW is baseMask ∧ arcSegHead — the
-	// mask of Figure 12's "PE disabled only during the scanAnd".
+	// allowed[role][cat][ls] is table T's slice for the ACU to
+	// broadcast: label slot ls of role is legal for a word of category
+	// cat.
+	allowed [][][]bool
+
+	// Packed (64 PEs/word) activity masks, precomputed once so the hot
+	// loop issues SetMaskWords and packed scans without any per-parse
+	// planning:
+	//   - baseMaskW marks PEs that are not on a self-arc (Figure 11:
+	//     "PEs disabled from the beginning of parsing" are the
+	//     role-to-itself blocks);
+	//   - arcSegHeadW marks the first PE of each arc segment inside a
+	//     column block (rowGroup divisible by n);
+	//   - blockFirstActiveW marks, per column block, its first
+	//     non-self-arc PE: the scanAnd segment head and the copy-scan
+	//     source;
+	//   - scanAndMaskW is baseMask ∧ arcSegHead — the mask of Figure
+	//     12's "PE disabled only during the scanAnd".
+	// The router pattern that mirrors column liveness to the row side is
+	// the transpose v = col·S+row ↦ row·S+col, which RouterTransposeV
+	// runs directly.
 	baseMaskW         []uint64
 	arcSegHeadW       []uint64
 	blockFirstActiveW []uint64
@@ -74,29 +83,25 @@ func NewLayout(sp *cdg.Space) *Layout {
 func buildLayout(g *cdg.Grammar, n, q int) *Layout {
 	l := g.MaxLabelsPerRole()
 	s := q * n * n
-	ly := &Layout{g: g, n: n, q: q, l: l, s: s, v: s * s}
-	ly.baseMask = make([]bool, ly.v)
-	ly.arcSegHead = make([]bool, ly.v)
-	ly.blockFirstActive = make([]bool, ly.v)
-	ly.transposeSrc = make([]int32, ly.v)
-	for v := 0; v < ly.v; v++ {
-		col := v / s
-		row := v % s
-		ly.transposeSrc[v] = int32(row*s + col)
-		selfArc := ly.roleInstanceOfGroup(col) == ly.roleInstanceOfGroup(row)
-		ly.baseMask[v] = !selfArc
-		ly.arcSegHead[v] = row%n == 0
-	}
-	// First active PE of each column block: row group 0 unless the
-	// block's own role sits first, in which case the next arc (row
-	// group n) leads.
-	for col := 0; col < s; col++ {
-		first := 0
-		if ly.roleInstanceOfGroup(col) == ly.roleInstanceOfGroup(0) {
-			first = n
+	ly := &Layout{n: n, q: q, l: l, s: s, v: s * s}
+	ly.refOff = make([]int32, s+1)
+	for grp := 0; grp < s; grp++ {
+		pos, role, mod := ly.Group(grp)
+		for _, lab := range g.RoleLabels(role) {
+			ly.refs = append(ly.refs, cdg.RVRef{Pos: pos, Role: role, Lab: lab, Mod: mod})
 		}
-		if first < s {
-			ly.blockFirstActive[col*s+first] = true
+		ly.refOff[grp+1] = int32(len(ly.refs))
+	}
+	ly.allowed = make([][][]bool, g.NumRoles())
+	for r := range ly.allowed {
+		role := cdg.RoleID(r)
+		ly.allowed[r] = make([][]bool, g.NumCats())
+		for c := range ly.allowed[r] {
+			row := make([]bool, l)
+			for ls, lab := range g.RoleLabels(role) {
+				row[ls] = slices.Contains(g.AllowedLabels(role, cdg.CatID(c)), lab)
+			}
+			ly.allowed[r][c] = row
 		}
 	}
 	nw := maspar.WordsFor(ly.v)
@@ -104,9 +109,21 @@ func buildLayout(g *cdg.Grammar, n, q int) *Layout {
 	ly.arcSegHeadW = make([]uint64, nw)
 	ly.blockFirstActiveW = make([]uint64, nw)
 	ly.scanAndMaskW = make([]uint64, nw)
-	maspar.PackBools(ly.baseMaskW, ly.baseMask)
-	maspar.PackBools(ly.arcSegHeadW, ly.arcSegHead)
-	maspar.PackBools(ly.blockFirstActiveW, ly.blockFirstActive)
+	for v := 0; v < ly.v; v++ {
+		col, row := v/s, v%s
+		bit := uint64(1) << (uint(v) & 63)
+		if ly.roleInstanceOfGroup(col) != ly.roleInstanceOfGroup(row) {
+			ly.baseMaskW[v>>6] |= bit
+		}
+		if row%n == 0 {
+			ly.arcSegHeadW[v>>6] |= bit
+		}
+	}
+	for col := 0; col < s; col++ {
+		if v := ly.blockHead(col); v < (col+1)*s {
+			ly.blockFirstActiveW[v>>6] |= uint64(1) << (uint(v) & 63)
+		}
+	}
 	for w := 0; w < nw; w++ {
 		ly.scanAndMaskW[w] = ly.baseMaskW[w] & ly.arcSegHeadW[w]
 	}
@@ -150,15 +167,14 @@ func (ly *Layout) GroupOf(pos int, role cdg.RoleID, mod int) int {
 	return ((pos-1)*ly.q+int(role))*ly.n + ms
 }
 
-// RVRef materializes the evaluation view of label slot ls of group g.
-// ok is false for padding slots (ls beyond the role's label count).
+// RVRef returns the evaluation view of label slot ls of group g. ok is
+// false for padding slots (ls beyond the role's label count).
 func (ly *Layout) RVRef(g, ls int) (ref cdg.RVRef, ok bool) {
-	pos, role, mod := ly.Group(g)
-	labels := ly.g.RoleLabels(role)
-	if ls >= len(labels) {
+	i := int(ly.refOff[g]) + ls
+	if i >= int(ly.refOff[g+1]) {
 		return cdg.RVRef{}, false
 	}
-	return cdg.RVRef{Pos: pos, Role: role, Lab: labels[ls], Mod: mod}, true
+	return ly.refs[i], true
 }
 
 // ColGroup returns the column group of PE v.
@@ -167,10 +183,71 @@ func (ly *Layout) ColGroup(v int) int { return v / ly.s }
 // RowGroup returns the row group of PE v.
 func (ly *Layout) RowGroup(v int) int { return v % ly.s }
 
-// BitIndex addresses the plural bit store: PE v's label-submatrix entry
-// (column label slot lc, row label slot lr).
-func (ly *Layout) BitIndex(v, lc, lr int) int { return v*ly.l*ly.l + lc*ly.l + lr }
+// blockHead returns the first active PE of column block col: row group
+// 0, unless the block's own role instance sits first, in which case the
+// next arc (row group n) leads. It lies outside the block only in the
+// degenerate one-role, one-word layout, where the whole block is a
+// self-arc.
+func (ly *Layout) blockHead(col int) int {
+	first := 0
+	if ly.roleInstanceOfGroup(col) == ly.roleInstanceOfGroup(0) {
+		first = ly.n
+	}
+	return col*ly.s + first
+}
 
-// AliveIndex addresses the plural liveness store for label slot ls on
-// PE v (used for both column- and row-liveness arrays).
-func (ly *Layout) AliveIndex(v, ls int) int { return v*ly.l + ls }
+// enabled reports whether PE v is on in the base mask, i.e. not on a
+// self-arc.
+func (ly *Layout) enabled(v int) bool { return packedBit(ly.baseMaskW, v) }
+
+func packedBit(words []uint64, v int) bool { return words[v>>6]>>(uint(v)&63)&1 == 1 }
+
+// A group set is a packed bit set over the layout's S groups, stored
+// periodically extended: bit i holds group i mod S for every bit of
+// its groupSetWords words. The row groups of 64 consecutive lanes run
+// through the groups cyclically, so the extension turns them into one
+// unaligned 64-bit read (rowLanes); column groups are runs of S lanes
+// (colLanes). Build one by setting groups 0..S−1 in a zeroed set, then
+// calling extendGroupSet.
+
+// groupSetWords returns the length of a group set: enough words that a
+// 64-bit read at any offset below S stays inside it.
+func (ly *Layout) groupSetWords() int { return maspar.WordsFor(ly.s) + 1 }
+
+// extendGroupSet copies groups 0..S−1 of set periodically into its
+// higher bits, which must be zero.
+func (ly *Layout) extendGroupSet(set []uint64) {
+	for i := ly.s; i < len(set)*64; i++ {
+		if j := i - ly.s; set[j>>6]>>(uint(j)&63)&1 == 1 {
+			set[i>>6] |= uint64(1) << (uint(i) & 63)
+		}
+	}
+}
+
+// colLanes returns the lanes, of the 64 starting at segment lane a,
+// whose column group is in set.
+func (ly *Layout) colLanes(set []uint64, a int) uint64 {
+	var m uint64
+	for c, lo := a/ly.s, 0; lo < 64 && c < ly.s; c++ {
+		hi := (c+1)*ly.s - a
+		if hi > 64 {
+			hi = 64
+		}
+		if set[c>>6]>>(uint(c)&63)&1 == 1 {
+			m |= (^uint64(0) >> uint(64-hi)) &^ (uint64(1)<<uint(lo) - 1)
+		}
+		lo = hi
+	}
+	return m
+}
+
+// rowLanes returns the lanes, of the 64 starting at a segment lane a
+// with a mod S == off, whose row group is in set.
+func rowLanes(set []uint64, off int) uint64 {
+	i, sh := off>>6, uint(off&63)
+	x := set[i] >> sh
+	if sh != 0 {
+		x |= set[i+1] << (64 - sh)
+	}
+	return x
+}

@@ -45,18 +45,18 @@ func TestFigure11PECounts(t *testing.T) {
 	// Figure 11: "processors 0, 1, and 2 are disabled. This is because
 	// they represent an arc from a role to itself."
 	for v := 0; v < 3; v++ {
-		if ly.baseMask[v] {
+		if ly.enabled(v) {
 			t.Errorf("PE %d should be disabled (self arc)", v)
 		}
 	}
 	// PE 3 begins the arc to the word's needs role: enabled.
-	if !ly.baseMask[3] {
+	if !ly.enabled(3) {
 		t.Error("PE 3 should be enabled")
 	}
 	// Total disabled PEs: S column blocks × n self-arc rows each.
 	disabled := 0
-	for _, ok := range ly.baseMask {
-		if !ok {
+	for v := 0; v < ly.V(); v++ {
+		if !ly.enabled(v) {
 			disabled++
 		}
 	}
@@ -88,18 +88,22 @@ func TestGroupRoundTrip(t *testing.T) {
 	}
 }
 
+// transposeOf is the mirror PE of v: the router pattern row·S+col that
+// converts column liveness into row liveness.
+func transposeOf(ly *Layout, v int) int { return ly.RowGroup(v)*ly.S() + ly.ColGroup(v) }
+
 func TestTransposeInvolution(t *testing.T) {
 	ly := demoLayout(t, 4)
 	for v := 0; v < ly.V(); v++ {
-		tr := int(ly.transposeSrc[v])
-		if int(ly.transposeSrc[tr]) != v {
+		tr := transposeOf(ly, v)
+		if transposeOf(ly, tr) != v {
 			t.Fatalf("transpose not an involution at %d", v)
 		}
 		if ly.ColGroup(v) != ly.RowGroup(tr) || ly.RowGroup(v) != ly.ColGroup(tr) {
 			t.Fatalf("transpose mismatch at %d", v)
 		}
 		// Mirror of a self-arc PE is a self-arc PE.
-		if ly.baseMask[v] != ly.baseMask[tr] {
+		if ly.enabled(v) != ly.enabled(tr) {
 			t.Fatalf("mask asymmetry at %d", v)
 		}
 	}
@@ -112,13 +116,13 @@ func TestBlockFirstActiveInvariants(t *testing.T) {
 		firstActive := -1
 		for r := 0; r < ly.S(); r++ {
 			v := c*ly.S() + r
-			if ly.blockFirstActive[v] {
+			if packedBit(ly.blockFirstActiveW, v) {
 				if firstMarked >= 0 {
 					t.Fatalf("block %d has two first-active marks", c)
 				}
 				firstMarked = v
 			}
-			if firstActive < 0 && ly.baseMask[v] {
+			if firstActive < 0 && ly.enabled(v) {
 				firstActive = v
 			}
 		}
@@ -126,7 +130,7 @@ func TestBlockFirstActiveInvariants(t *testing.T) {
 			t.Fatalf("block %d: marked %d, actual first active %d", c, firstMarked, firstActive)
 		}
 		// The first active PE is always an arc-segment head.
-		if !ly.arcSegHead[firstMarked] {
+		if !packedBit(ly.arcSegHeadW, firstMarked) {
 			t.Fatalf("block %d first active is not an arc head", c)
 		}
 	}

@@ -91,9 +91,15 @@ type masparRun struct {
 	aliveColV [][]uint64
 	aliveRowV [][]uint64
 
-	// allowed[role][cat][ls] is the broadcast table-T slice: label slot
-	// ls of role legal for a word of category cat.
-	allowed [][][]bool
+	// sets holds a group set (see Layout) per class representative b and
+	// label slot ls, setWords words each at groupSet(b, ls): the groups
+	// whose value is live after initAlive's table-T lookup, then each
+	// unary constraint's violators. verdicts is the Check1Span output
+	// over the layout's refs. Both are host buffers reused across
+	// constraints.
+	sets     []uint64
+	setWords int
+	verdicts []bool
 
 	// Gang-width images of the layout's packed masks: one copy per
 	// segment (a gang of one aliases the layout's own vectors).
@@ -106,10 +112,11 @@ type masparRun struct {
 	// identical (words and categories) to member b's; hasDups is true
 	// when any member is a duplicate. Identical sentences produce
 	// identical per-lane constraint verdicts, so the host evaluates the
-	// propagation checks once per class and copies the representative's
-	// packed words into its duplicates — the machine still charges every
-	// segment as if it ran them (a real SIMD array would), so counters
-	// are unaffected.
+	// propagation checks once per class: unary verdicts and initial
+	// liveness come from the representative's group sets, and binary
+	// passes copy the representative's packed words into its duplicates
+	// — the machine still charges every segment as if it ran them (a
+	// real SIMD array would), so counters are unaffected.
 	classRep []int
 	hasDups  bool
 
@@ -149,7 +156,7 @@ func (run *masparRun) dupSeg(seg int) bool {
 // class representative into that class's duplicate segments. Segments
 // are word-aligned with identical replicated masks, so the word images
 // are equal by construction.
-func (run *masparRun) copyDupSegs(groups ...[][]uint64) {
+func (run *masparRun) copyDupSegs(vecs [][]uint64) {
 	if !run.hasDups {
 		return
 	}
@@ -158,11 +165,44 @@ func (run *masparRun) copyDupSegs(groups ...[][]uint64) {
 			continue
 		}
 		db, rb := b*run.segWords, rep*run.segWords
-		for _, vecs := range groups {
-			for _, v := range vecs {
-				copy(v[db:db+run.segWords], v[rb:rb+run.segWords])
+		for _, v := range vecs {
+			copy(v[db:db+run.segWords], v[rb:rb+run.segWords])
+		}
+	}
+}
+
+// groupSet returns class representative b's group set for label slot
+// ls.
+func (run *masparRun) groupSet(b, ls int) []uint64 {
+	i := (b*run.ly.l + ls) * run.setWords
+	return run.sets[i : i+run.setWords : i+run.setWords]
+}
+
+// wordSegment locates packed word w for the hoisted loops: the class
+// representative of its segment, the segment lane a of the word's bit
+// 0, and a mod S.
+func (run *masparRun) wordSegment(w int) (rep, a, off int) {
+	seg := w / run.segWords
+	a = (w - seg*run.segWords) << 6
+	return run.classRep[seg], a, a % run.ly.s
+}
+
+// fillSets rebuilds class representative b's group sets: group g joins
+// slot ls's set when in(i, ls) holds for the group's role value
+// ly.refs[i].
+func (run *masparRun) fillSets(b int, in func(i, ls int) bool) {
+	ly := run.ly
+	clearVec(run.sets[b*ly.l*run.setWords : (b+1)*ly.l*run.setWords])
+	for g := 0; g < ly.s; g++ {
+		lo := int(ly.refOff[g])
+		for i := lo; i < int(ly.refOff[g+1]); i++ {
+			if in(i, i-lo) {
+				run.groupSet(b, i-lo)[g>>6] |= uint64(1) << (uint(g) & 63)
 			}
 		}
+	}
+	for ls := 0; ls < ly.l; ls++ {
+		ly.extendGroupSet(run.groupSet(b, ls))
 	}
 }
 
@@ -221,96 +261,12 @@ func runMasPar(ctx context.Context, sp *cdg.Space, m *maspar.Machine, consistenc
 // stream serves every sentence, and counters are attributed per
 // sentence exactly as a solo run would charge them.
 func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, consistencyPerConstraint bool, filter bool, maxIters int, attr *Attribution) (*masparRun, []*cn.Network, error) {
-	if len(sps) == 0 {
-		return nil, nil, fmt.Errorf("core: a gang needs at least one sentence")
-	}
-	g := sps[0].Grammar()
-	n := sps[0].N()
-	for _, sp := range sps[1:] {
-		if sp.Grammar() != g || sp.N() != n {
-			return nil, nil, fmt.Errorf("core: gang members must share one grammar and sentence length (got n=%d vs n=%d)", sp.N(), n)
-		}
-	}
-	if sps[0].NumRoles() < 2 {
-		return nil, nil, fmt.Errorf("core: the MasPar layout needs at least two roles in the network (got %d)", sps[0].NumRoles())
-	}
-	ly := layoutFor(sps[0])
-	if _, err := m.SetupGang(ly.V(), len(sps)); err != nil {
+	run, err := newMasParRun(sps, m, attr)
+	if err != nil {
 		return nil, nil, err
 	}
-	l := ly.L()
+	g := run.gr
 	B := len(sps)
-	run := &masparRun{
-		ly:         ly,
-		m:          m,
-		gr:         g,
-		sps:        sps,
-		sents:      make([]*cdg.Sentence, B),
-		segWords:   m.SegWords(),
-		stride:     m.SegStride(),
-		cks:        make([]cdg.Checker, B),
-		attr:       attr,
-		bitsV:      make([][]uint64, l*l),
-		aliveColV:  make([][]uint64, l),
-		aliveRowV:  make([][]uint64, l),
-		rounds:     make([]int, B),
-		done:       make([]bool, B),
-		snaps:      make([]metrics.Counters, B),
-		segChanged: make([]maspar.Bit, B),
-	}
-	for b, sp := range sps {
-		run.sents[b] = sp.Sentence()
-	}
-	run.classRep = make([]int, B)
-	seen := make(map[string]int, B)
-	for b, sent := range run.sents {
-		k := sentenceKey(sent)
-		if rep, ok := seen[k]; ok {
-			run.classRep[b] = rep
-			run.hasDups = true
-		} else {
-			seen[k] = b
-			run.classRep[b] = b
-		}
-	}
-	run.baseMaskW = gangMaskW(ly.baseMaskW, run.segWords, B)
-	run.arcSegHeadW = gangMaskW(ly.arcSegHeadW, run.segWords, B)
-	run.blockFirstActiveW = gangMaskW(ly.blockFirstActiveW, run.segWords, B)
-	run.scanAndMaskW = gangMaskW(ly.scanAndMaskW, run.segWords, B)
-	for i := range run.bitsV {
-		run.bitsV[i] = m.GetVec()
-		clearVec(run.bitsV[i])
-	}
-	for ls := 0; ls < l; ls++ {
-		run.aliveColV[ls] = m.GetVec()
-		run.aliveRowV[ls] = m.GetVec()
-		clearVec(run.aliveColV[ls])
-		clearVec(run.aliveRowV[ls])
-	}
-
-	// ACU broadcast: sentence words/categories and the table-T slices
-	// every PE needs to interpret its PE id.
-	run.allowed = make([][][]bool, g.NumRoles())
-	for r := 0; r < g.NumRoles(); r++ {
-		run.allowed[r] = make([][]bool, g.NumCats())
-		labels := g.RoleLabels(cdg.RoleID(r))
-		for c := 0; c < g.NumCats(); c++ {
-			row := make([]bool, ly.L())
-			for ls, lab := range labels {
-				for _, ok := range g.AllowedLabels(cdg.RoleID(r), cdg.CatID(c)) {
-					if ok == lab {
-						row[ls] = true
-					}
-				}
-			}
-			run.allowed[r][c] = row
-		}
-	}
-	m.BroadcastData()
-
-	// Disable the role-to-itself blocks for the whole parse.
-	m.SetMaskWords(run.baseMaskW)
-
 	run.initAlive()
 	run.initBits()
 
@@ -367,57 +323,124 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 	return run, nws, nil
 }
 
-// aliveInit computes the initial liveness of (group g, label slot ls)
-// for one gang member's sentence: the slot must be a real label of the
-// role, and table T (with the per-category restriction) must admit it
-// for the word's category.
-func (run *masparRun) aliveInit(sent *cdg.Sentence, g, ls int) maspar.Bit {
-	pos, role, _ := run.ly.Group(g)
-	labels := run.gr.RoleLabels(role)
-	if ls >= len(labels) {
-		return 0
+// newMasParRun sets the machine up for a gang of same-length sentences
+// sharing one grammar and loads the plural program's fixed state: the
+// layout's masks, the ACU's table-T broadcast, and zeroed plural
+// vectors. Propagation starts with initAlive.
+func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masparRun, error) {
+	if len(sps) == 0 {
+		return nil, fmt.Errorf("core: a gang needs at least one sentence")
 	}
-	cat, ok := sent.Cat(pos)
-	if !ok {
-		return 0
+	g := sps[0].Grammar()
+	n := sps[0].N()
+	for _, sp := range sps[1:] {
+		if sp.Grammar() != g || sp.N() != n {
+			return nil, fmt.Errorf("core: gang members must share one grammar and sentence length (got n=%d vs n=%d)", sp.N(), n)
+		}
 	}
-	if run.allowed[role][cat][ls] {
-		return 1
+	if sps[0].NumRoles() < 2 {
+		return nil, fmt.Errorf("core: the MasPar layout needs at least two roles in the network (got %d)", sps[0].NumRoles())
 	}
-	return 0
+	ly := layoutFor(sps[0])
+	if _, err := m.SetupGang(ly.V(), len(sps)); err != nil {
+		return nil, err
+	}
+	l := ly.L()
+	B := len(sps)
+	run := &masparRun{
+		ly:         ly,
+		m:          m,
+		gr:         g,
+		sps:        sps,
+		sents:      make([]*cdg.Sentence, B),
+		segWords:   m.SegWords(),
+		stride:     m.SegStride(),
+		cks:        make([]cdg.Checker, B),
+		attr:       attr,
+		bitsV:      make([][]uint64, l*l),
+		aliveColV:  make([][]uint64, l),
+		aliveRowV:  make([][]uint64, l),
+		sets:       make([]uint64, B*l*ly.groupSetWords()),
+		setWords:   ly.groupSetWords(),
+		verdicts:   make([]bool, len(ly.refs)),
+		rounds:     make([]int, B),
+		done:       make([]bool, B),
+		snaps:      make([]metrics.Counters, B),
+		segChanged: make([]maspar.Bit, B),
+	}
+	for b, sp := range sps {
+		run.sents[b] = sp.Sentence()
+	}
+	run.classRep = make([]int, B)
+	seen := make(map[string]int, B)
+	for b, sent := range run.sents {
+		k := sentenceKey(sent)
+		if rep, ok := seen[k]; ok {
+			run.classRep[b] = rep
+			run.hasDups = true
+		} else {
+			seen[k] = b
+			run.classRep[b] = b
+		}
+	}
+	run.baseMaskW = gangMaskW(ly.baseMaskW, run.segWords, B)
+	run.arcSegHeadW = gangMaskW(ly.arcSegHeadW, run.segWords, B)
+	run.blockFirstActiveW = gangMaskW(ly.blockFirstActiveW, run.segWords, B)
+	run.scanAndMaskW = gangMaskW(ly.scanAndMaskW, run.segWords, B)
+	for i := range run.bitsV {
+		run.bitsV[i] = m.GetVec()
+		clearVec(run.bitsV[i])
+	}
+	for ls := 0; ls < l; ls++ {
+		run.aliveColV[ls] = m.GetVec()
+		run.aliveRowV[ls] = m.GetVec()
+		clearVec(run.aliveColV[ls])
+		clearVec(run.aliveRowV[ls])
+	}
+
+	// ACU broadcast: sentence words/categories and the table-T slices
+	// (Layout.allowed) every PE needs to interpret its PE id.
+	m.BroadcastData()
+
+	// Disable the role-to-itself blocks for the whole parse.
+	m.SetMaskWords(run.baseMaskW)
+	return run, nil
 }
 
-// initAlive fills aliveColV and aliveRowV. Each PE computes both sides
-// locally from its id — no communication (design decision #2). One
-// elemental instruction; word granularity keeps every packed word
-// written by a single worker, and each word belongs to exactly one
-// gang segment (segments are word-aligned), so the segment's sentence
-// is resolved once per word.
+// The propagation steps below evaluate per (member, group, label slot)
+// rather than per PE. A role value's verdict depends only on its group,
+// label slot and sentence, and every PE of its column block (and of its
+// row stripe) reaches that same verdict — the redundancy by which the
+// SIMD array avoids communication. The host therefore evaluates each
+// verdict once and writes the result into whole packed words; the ACU
+// instruction each step issues, and so every cycle, check and counter,
+// is unchanged. The per-PE formulation is kept in hoist_test.go as the
+// reference these steps are held bit-identical to.
+
+// initAlive fills aliveColV and aliveRowV: a value is live when its
+// slot is a real label of the role and table T (with the per-category
+// restriction) admits it for the word's category. Each PE computes both
+// sides locally from its id — no communication (design decision #2) —
+// in one elemental instruction.
 func (run *masparRun) initAlive() {
 	ly := run.ly
-	run.m.AllWords(func(w int, active uint64) {
-		seg := w / run.segWords
-		if run.dupSeg(seg) {
-			return // copied from the class representative below
+	for b, sent := range run.sents {
+		if run.dupSeg(b) {
+			continue
 		}
-		base := seg * run.stride
-		sent := run.sents[seg]
-		for bset := active; bset != 0; bset &= bset - 1 {
-			pe := w<<6 + bits.TrailingZeros64(bset)
-			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
-			for ls := 0; ls < ly.l; ls++ {
-				if run.aliveInit(sent, col, ls) == 1 {
-					run.aliveColV[ls][w] |= bit
-				}
-				if run.aliveInit(sent, row, ls) == 1 {
-					run.aliveRowV[ls][w] |= bit
-				}
-			}
+		run.fillSets(b, func(i, ls int) bool {
+			cat, ok := sent.Cat(ly.refs[i].Pos)
+			return ok && ly.allowed[ly.refs[i].Role][cat][ls]
+		})
+	}
+	run.m.AllWords(func(w int, active uint64) {
+		rep, a, off := run.wordSegment(w)
+		for ls := 0; ls < ly.l; ls++ {
+			set := run.groupSet(rep, ls)
+			run.aliveColV[ls][w] = ly.colLanes(set, a) & active
+			run.aliveRowV[ls][w] = rowLanes(set, off) & active
 		}
 	})
-	run.copyDupSegs(run.aliveColV, run.aliveRowV)
 }
 
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
@@ -438,45 +461,27 @@ func (run *masparRun) initBits() {
 
 // applyUnary propagates one unary constraint: every PE checks its
 // column-side and row-side role values locally and zeroes the liveness
-// and arc elements of violators. Pure elemental work; PEs in the same
-// column block reach identical verdicts redundantly, which is exactly
-// how a SIMD machine avoids communication here. The constraint checks
-// are per-lane (they evaluate grammar predicates against the lane's
-// segment's sentence); the arc-element masking that follows is
-// word-parallel.
+// and arc elements of violators. Pure elemental work; the verdicts are
+// evaluated once per (member, group, slot) and cleared from whole
+// words, and the arc-element masking that follows is word-parallel.
 func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
-	run.m.AllChecksWords(2*ly.l, func(w int, active uint64) {
-		seg := w / run.segWords
-		if run.dupSeg(seg) {
-			return // copied from the class representative below
+	for b := range run.sents {
+		if run.dupSeg(b) {
+			continue
 		}
-		base := seg * run.stride
-		ck := &run.cks[seg]
-		for bset := active; bset != 0; bset &= bset - 1 {
-			pe := w<<6 + bits.TrailingZeros64(bset)
-			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
-			for ls := 0; ls < ly.l; ls++ {
-				if run.aliveColV[ls][w]&bit != 0 {
-					if ref, ok := ly.RVRef(col, ls); ok {
-						if !ck.Check1(ref) {
-							run.aliveColV[ls][w] &^= bit
-						}
-					}
-				}
-				if run.aliveRowV[ls][w]&bit != 0 {
-					if ref, ok := ly.RVRef(row, ls); ok {
-						if !ck.Check1(ref) {
-							run.aliveRowV[ls][w] &^= bit
-						}
-					}
-				}
-			}
+		run.cks[b].Check1Span(ly.refs, run.verdicts)
+		run.fillSets(b, func(i, _ int) bool { return !run.verdicts[i] })
+	}
+	run.m.AllChecksWords(2*ly.l, func(w int, active uint64) {
+		rep, a, off := run.wordSegment(w)
+		for ls := 0; ls < ly.l; ls++ {
+			set := run.groupSet(rep, ls)
+			run.aliveColV[ls][w] &^= ly.colLanes(set, a) & active
+			run.aliveRowV[ls][w] &^= rowLanes(set, off) & active
 		}
 		for lc := 0; lc < ly.l; lc++ {
 			ac := run.aliveColV[lc][w]
@@ -485,13 +490,14 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 			}
 		}
 	})
-	run.copyDupSegs(run.aliveColV, run.aliveRowV, run.bitsV)
 }
 
 // applyBinary propagates one binary constraint: every PE tests its l×l
 // surviving pairs in both variable orientations. The mirrored storage
 // means the pair (A,B) is checked at both PE(v) and PE(transpose v)
-// with identical outcomes.
+// with identical outcomes. Each packed (lc, lr) word is walked by its
+// set bits only: unary propagation leaves few pairs alive, and a
+// cleared element needs no check.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
@@ -502,33 +508,17 @@ func (run *masparRun) applyBinary(c *cdg.Constraint) {
 		if run.dupSeg(seg) {
 			return // copied from the class representative below
 		}
-		base := seg * run.stride
+		a := (w - seg*run.segWords) << 6
 		ck := &run.cks[seg]
-		for bset := active; bset != 0; bset &= bset - 1 {
-			pe := w<<6 + bits.TrailingZeros64(bset)
-			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
-			for lc := 0; lc < ly.l; lc++ {
-				refC, okC := ly.RVRef(col, lc)
-				if !okC {
-					continue
-				}
-				for lr := 0; lr < ly.l; lr++ {
-					bv := run.bitsV[lc*ly.l+lr]
-					if bv[w]&bit == 0 {
-						continue
-					}
-					refR, okR := ly.RVRef(row, lr)
-					if !okR {
-						continue
-					}
-					ok := ck.Check2(refC, refR)
-					if ok {
-						ok = ck.Check2(refR, refC)
-					}
-					if !ok {
-						bv[w] &^= bit
+		for lc := 0; lc < ly.l; lc++ {
+			for lr := 0; lr < ly.l; lr++ {
+				bv := run.bitsV[lc*ly.l+lr]
+				for x := bv[w] & active; x != 0; x &= x - 1 {
+					j := bits.TrailingZeros64(x)
+					refC, okC := ly.RVRef((a+j)/ly.s, lc)
+					refR, okR := ly.RVRef((a+j)%ly.s, lr)
+					if okC && okR && !(ck.Check2(refC, refR) && ck.Check2(refR, refC)) {
+						bv[w] &^= uint64(1) << uint(j)
 					}
 				}
 			}
@@ -704,16 +694,11 @@ func (run *masparRun) readBack(b int) *cn.Network {
 		gr := sp.GlobalRole(pos, role)
 		// The block's first active PE carries the authoritative
 		// liveness for the column group.
-		first := -1
-		for v := g * ly.s; v < g*ly.s+ly.s; v++ {
-			if ly.baseMask[v] {
-				first = base + v
-				break
-			}
-		}
-		if first < 0 {
+		first := ly.blockHead(g)
+		if first >= (g+1)*ly.s {
 			continue
 		}
+		first += base
 		labels := sp.Grammar().RoleLabels(role)
 		for ls := range labels {
 			if run.aliveColAt(first, ls) == 1 {

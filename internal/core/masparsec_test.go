@@ -36,10 +36,10 @@ func TestMirrorInvariant(t *testing.T) {
 	run := runDemo(t, []string{"the", "program", "runs"})
 	ly := run.ly
 	for v := 0; v < ly.V(); v++ {
-		if !ly.baseMask[v] {
+		if !ly.enabled(v) {
 			continue
 		}
-		tr := int(ly.transposeSrc[v])
+		tr := transposeOf(ly, v)
 		for lc := 0; lc < ly.L(); lc++ {
 			for lr := 0; lr < ly.L(); lr++ {
 				a := run.bitAt(v, lc, lr)
@@ -59,10 +59,10 @@ func TestAliveConsistency(t *testing.T) {
 	run := runDemo(t, []string{"the", "program", "runs", "the", "machine"})
 	ly := run.ly
 	for v := 0; v < ly.V(); v++ {
-		if !ly.baseMask[v] {
+		if !ly.enabled(v) {
 			continue
 		}
-		tr := int(ly.transposeSrc[v])
+		tr := transposeOf(ly, v)
 		for ls := 0; ls < ly.L(); ls++ {
 			if run.aliveRowAt(v, ls) != run.aliveColAt(tr, ls) {
 				t.Fatalf("aliveRow is not the transpose of aliveCol at PE %d slot %d", v, ls)
@@ -90,7 +90,7 @@ func TestAliveColUniformWithinBlock(t *testing.T) {
 		ref := -1
 		for r := 0; r < ly.S(); r++ {
 			v := c*ly.S() + r
-			if !ly.baseMask[v] {
+			if !ly.enabled(v) {
 				continue
 			}
 			if ref < 0 {

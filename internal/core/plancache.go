@@ -15,9 +15,9 @@ import (
 // amortizes the planning across the batch and across requests.
 //
 // Grammars are compared by pointer identity: a *cdg.Grammar is
-// immutable once built and the grammar registry hands out one instance
-// per name, so pointer equality is exactly "same grammar". A reloaded
-// grammar is a new pointer and misses cleanly.
+// immutable once built and the grammar registry (grammars.ByName) hands
+// out one instance per name, so pointer equality is exactly "same
+// grammar". A reloaded grammar is a new pointer and misses cleanly.
 
 type layoutKey struct {
 	g *cdg.Grammar

@@ -38,7 +38,7 @@ func (ly *Layout) RenderAllocation(sp *cdg.Space) string {
 		lo := c * ly.s
 		disabled := 0
 		for v := lo; v < lo+ly.s; v++ {
-			if !ly.baseMask[v] {
+			if !ly.enabled(v) {
 				disabled++
 			}
 		}
@@ -70,13 +70,13 @@ func (ly *Layout) RenderScanSegments(sp *cdg.Space, colGroup int) string {
 		rPos := inst/ly.q + 1
 		rRole := cdg.RoleID(inst % ly.q)
 		label := fmt.Sprintf("arc to %s/%d.%s", sp.Sentence().Word(rPos), rPos, g.RoleName(rRole))
-		if !ly.baseMask[peLo] {
+		if !ly.enabled(peLo) {
 			fmt.Fprintf(&b, "  PEs %6d..%6d  %-28s DISABLED (arc from the role to itself)\n",
 				peLo, peLo+ly.n-1, label)
 			continue
 		}
 		marks := "scanOr segment; boundary PE " + fmt.Sprintf("%d", peLo)
-		if ly.blockFirstActive[peLo] {
+		if packedBit(ly.blockFirstActiveW, peLo) {
 			marks += "; block head (scanAnd result + copy-scan source)"
 		}
 		fmt.Fprintf(&b, "  PEs %6d..%6d  %-28s %s\n", peLo, peLo+ly.n-1, label, marks)
@@ -100,7 +100,7 @@ func (ly *Layout) RenderPE(sp *cdg.Space, v int) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "PE %d (col group %d, row group %d)", v, col, row)
-	if !ly.baseMask[v] {
+	if !ly.enabled(v) {
 		b.WriteString(" [disabled: arc from a role to itself]\n")
 		return b.String()
 	}

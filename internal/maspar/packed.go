@@ -289,7 +289,7 @@ func (m *Machine) RouterCopyV(dst, data []uint64) {
 // (i,j) receives data's lane (j,i) of the same segment; inactive lanes
 // get 0. On a solo program (gang of one) this is the plain whole-array
 // transpose. The scalar backend ran this as a per-lane RouterFetch
-// along transposeSrc; here it is word-parallel: the packed vector is
+// from lane j·s+i; here it is word-parallel: the packed vector is
 // cut into 64×64 bit tiles, each tile is transposed with the classic
 // in-register bit-matrix transpose, and tiles land at their mirrored
 // position. Funnel shifts handle rows that straddle word boundaries (s

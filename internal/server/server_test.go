@@ -404,3 +404,24 @@ func TestGrammarsResponseByteStable(t *testing.T) {
 		}
 	}
 }
+
+// TestServersShareBuiltinGrammar: every server resolves a built-in name
+// to the registry's one shared instance, so the process-global layout
+// cache (keyed by grammar pointer) builds one layout per sentence length,
+// however many servers parse it. No other test parses "chain" here, so
+// the first of the five parses is the one miss.
+func TestServersShareBuiltinGrammar(t *testing.T) {
+	hits0, misses0 := core.LayoutCacheStats()
+	for i := 0; i < 5; i++ {
+		_, ts := newTestServer(t, Config{})
+		status, data := postJSON(t, ts.URL+"/v1/parse", ParseRequest{Grammar: "chain", Backend: "maspar", Text: "w w w w"})
+		if status != http.StatusOK {
+			t.Fatalf("server %d: status %d: %s", i, status, data)
+		}
+	}
+	hits1, misses1 := core.LayoutCacheStats()
+	if misses1-misses0 != 1 || hits1-hits0 != 4 {
+		t.Fatalf("five servers parsing one length: layout cache +%d misses, +%d hits; want +1, +4",
+			misses1-misses0, hits1-hits0)
+	}
+}
