@@ -85,12 +85,13 @@ serve:
 load:
 	$(GO) run ./cmd/parsecload -c 16 -n 400
 
-# bench runs the simulator, network, constraint-eval, end-to-end,
-# serving-path, and hedged-fleet benchmarks with allocation accounting
-# and writes the machine-readable report the perf work tracks (ns/op,
-# B/op, allocs/op, simulated cycles/op, sents/s, p99-ns/op, and the
-# end-to-end parse's eval/scan/router stage attribution).
-BENCH_PKGS = ./internal/maspar/ ./internal/cn/ ./internal/cdg/ ./internal/core/ ./internal/latticeserve/ ./internal/server/ ./internal/router/clustertest/
+# bench runs the paper-figure (Fig. 8, E3–E9: the root package), simulator,
+# network, constraint-eval, end-to-end, serving-path, and hedged-fleet
+# benchmarks with allocation accounting and writes the machine-readable
+# report the perf work tracks (ns/op, B/op, allocs/op, simulated
+# cycles/op, sents/s, p99-ns/op, and the end-to-end parse's
+# eval/scan/router stage attribution), each row tagged with its package.
+BENCH_PKGS = . ./internal/maspar/ ./internal/cn/ ./internal/cdg/ ./internal/core/ ./internal/latticeserve/ ./internal/server/ ./internal/router/clustertest/
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_scan.json
 	@echo wrote BENCH_scan.json

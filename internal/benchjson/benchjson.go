@@ -20,9 +20,11 @@ import (
 
 // Result is one benchmark line. Zero-valued metrics the line did not
 // report (e.g. cycles/op on a benchmark without ReportMetric) are
-// omitted from the JSON.
+// omitted from the JSON. Pkg is the package the line was run in (the
+// `pkg:` header above it).
 type Result struct {
 	Name       string  `json:"name"`
+	Pkg        string  `json:"pkg,omitempty"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	BytesPerOp float64 `json:"bytes_per_op"`
@@ -44,7 +46,8 @@ type Result struct {
 	Sheds     float64 `json:"sheds,omitempty"`
 }
 
-// Report is the top-level JSON document.
+// Report is the top-level JSON document. Pkg is the last package
+// header read; in a multi-package run each Result.Pkg names its own.
 type Report struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
@@ -73,9 +76,8 @@ func Parse(r io.Reader) (*Report, error) {
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			// Multi-package runs keep the last pkg header per result
-			// block; the per-result names stay unambiguous because
-			// benchmark names are distinct across our packages.
+			// A multi-package run prints one header per package; the
+			// result lines below it belong to it.
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
@@ -83,6 +85,7 @@ func Parse(r io.Reader) (*Report, error) {
 		}
 		res, ok := ParseLine(line)
 		if ok {
+			res.Pkg = rep.Pkg
 			rep.Results = append(rep.Results, res)
 		}
 	}

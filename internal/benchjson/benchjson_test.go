@@ -47,6 +47,35 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// A multi-package run (`go test -bench . ./a ./b`) prints a pkg header
+// per package; each row keeps the package it ran in.
+func TestParseMultiPackage(t *testing.T) {
+	rep, err := Parse(strings.NewReader(`goos: linux
+goarch: amd64
+pkg: repro
+BenchmarkFig8_MasParCDG/n=5-2   1   1706187 ns/op   118400 cycles/op
+PASS
+ok  	repro	0.412s
+goos: linux
+goarch: amd64
+pkg: repro/internal/core
+BenchmarkEndToEndParse/batch=1-2   1   20404258 ns/op   12649532 eval-ns/op   49.01 sents/s
+PASS
+ok  	repro/internal/core	0.9s
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 2 {
+		t.Fatalf("got %d results, want 2", len(rep.Results))
+	}
+	for i, want := range []string{"repro", "repro/internal/core"} {
+		if got := rep.Results[i].Pkg; got != want {
+			t.Errorf("result %d (%s): pkg %q, want %q", i, rep.Results[i].Name, got, want)
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("expected an error for input with no benchmark lines")

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cdg"
+	"repro/internal/cn"
 	"repro/internal/grammars"
 	"repro/internal/maspar"
 )
@@ -16,10 +18,12 @@ import (
 // column and row groups from its id and evaluates each of its role
 // values (and each of its l×l pairs) itself, exactly as the SIMD array
 // does. masparsec.go evaluates each verdict once per (member, group,
-// slot) instead; TestHoistedEvalMatchesPerPE holds the two to the same
-// plural state after every step. The reference evaluates every gang
-// segment, duplicates included, so it also pins the duplicate-class
-// shortcut.
+// slot) instead, and sweeps only live label slots; the dense
+// consistency round and read-back below visit every slot.
+// TestHoistedEvalMatchesPerPE holds the two to the same plural state
+// after every step and to the same read-back networks. The reference
+// evaluates every gang segment, duplicates included, so it also pins
+// the duplicate-class shortcut.
 
 // aliveInitRef computes the initial liveness of (group g, label slot
 // ls) for one gang member's sentence: the slot must be a real label of
@@ -126,6 +130,155 @@ func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 	})
 }
 
+// consistencyRoundRef is consistencyRound with every host sweep dense:
+// each word ORs all l² arc-element vectors and is re-masked whether or
+// not its liveness changed. It issues the same machine calls.
+func (run *masparRun) consistencyRoundRef() bool {
+	ly, m := run.ly, run.m
+	run.roundsRun++
+	changed := m.GetVec()
+	tmp := m.GetVec()
+	perArc := m.GetVec()
+	blockSup := m.GetVec()
+	dist := m.GetVec()
+	defer func() {
+		m.PutVec(changed)
+		m.PutVec(tmp)
+		m.PutVec(perArc)
+		m.PutVec(blockSup)
+		m.PutVec(dist)
+	}()
+	clearVec(changed)
+
+	for lc := 0; lc < ly.l; lc++ {
+		m.AllWords(func(w int, active uint64) {
+			var t uint64
+			for lr := 0; lr < ly.l; lr++ {
+				t |= run.bitsV[lc*ly.l+lr][w]
+			}
+			tmp[w] = t & active
+		})
+		m.SegReduceOrToHeadV(perArc, tmp, run.arcSegHeadW)
+		m.SetMaskWords(run.scanAndMaskW)
+		m.SegReduceAndToHeadV(blockSup, perArc, run.blockFirstActiveW)
+		m.SetMaskWords(run.baseMaskW)
+		m.CopySegHeadV(dist, blockSup, run.blockFirstActiveW)
+		ac := run.aliveColV[lc]
+		m.AllWords(func(w int, active uint64) {
+			old := ac[w]
+			now := old & (dist[w] | ^active)
+			ac[w] = now
+			changed[w] |= old ^ now
+		})
+	}
+	for ls := 0; ls < ly.l; ls++ {
+		acv, arv := run.aliveColV[ls], run.aliveRowV[ls]
+		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
+		m.RouterTransposeV(dist, tmp, ly.s)
+		m.AllWords(func(w int, active uint64) {
+			arv[w] = (dist[w] & active) | (arv[w] &^ active)
+		})
+	}
+	m.AllWords(func(w int, active uint64) {
+		for lc := 0; lc < ly.l; lc++ {
+			ac := run.aliveColV[lc][w]
+			for lr := 0; lr < ly.l; lr++ {
+				run.bitsV[lc*ly.l+lr][w] &= (ac & run.aliveRowV[lr][w]) | ^active
+			}
+		}
+	})
+	m.SegmentOrV(changed, run.segChanged)
+	for _, ch := range run.segChanged {
+		if ch == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// readBackRef is readBack reading every (modifiee, modifiee, slot,
+// slot) matrix bit of every arc from the PE owning its group pair.
+func (run *masparRun) readBackRef(b int) *cn.Network {
+	ly, sp := run.ly, run.sps[b]
+	base := b * run.stride
+	nw := cn.NewShell(sp)
+	n := sp.N()
+	for g := 0; g < ly.s; g++ {
+		pos, role, mod := ly.Group(g)
+		gr := sp.GlobalRole(pos, role)
+		first := ly.blockHead(g)
+		if first >= (g+1)*ly.s {
+			continue
+		}
+		first += base
+		for ls := range sp.Grammar().RoleLabels(role) {
+			if run.aliveColAt(first, ls) == 1 {
+				nw.Domain(gr).SetBit(ls*(n+1) + mod)
+			}
+		}
+	}
+	for _, arc := range nw.Arcs() {
+		posA, ra := sp.RoleAt(arc.A)
+		posB, rb := sp.RoleAt(arc.B)
+		labsA := sp.Grammar().RoleLabels(ra)
+		labsB := sp.Grammar().RoleLabels(rb)
+		for modA := 0; modA <= n; modA++ {
+			if modA == posA {
+				continue
+			}
+			colG := ly.GroupOf(posA, ra, modA)
+			for modB := 0; modB <= n; modB++ {
+				if modB == posB {
+					continue
+				}
+				pe := base + colG*ly.s + ly.GroupOf(posB, rb, modB)
+				for lsA := range labsA {
+					for lsB := range labsB {
+						if run.bitAt(pe, lsA, lsB) == 1 {
+							arc.M.SetBit(lsA*(n+1)+modA, lsB*(n+1)+modB)
+						}
+					}
+				}
+			}
+		}
+	}
+	return nw
+}
+
+// liveSlotViolation reports the first word where an arc element is set
+// outside aliveCol ∧ aliveRow ∧ mask, the invariant the live-slot skips
+// rely on ("" when it holds).
+func liveSlotViolation(run *masparRun) string {
+	l := run.ly.l
+	for lc := 0; lc < l; lc++ {
+		for lr := 0; lr < l; lr++ {
+			for w, x := range run.bitsV[lc*l+lr] {
+				if stray := x &^ (run.aliveColV[lc][w] & run.aliveRowV[lr][w] & run.baseMaskW[w]); stray != 0 {
+					return fmt.Sprintf("bitsV[%d·l+%d] word %d has %#x outside aliveCol ∧ aliveRow ∧ mask", lc, lr, w, stray)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// sameNetwork compares two read-back networks exactly: domains and
+// every matrix bit, including bits under dead values that EqualState
+// ignores ("" when they are equal).
+func sameNetwork(got, want *cn.Network) string {
+	for gr := 0; gr < want.Space().NumRoles(); gr++ {
+		if !got.Domain(gr).Equal(want.Domain(gr)) {
+			return fmt.Sprintf("domain %d: %v, dense %v", gr, got.Domain(gr), want.Domain(gr))
+		}
+	}
+	for i, arc := range want.Arcs() {
+		if !got.Arcs()[i].M.Equal(arc.M) {
+			return fmt.Sprintf("arc %d-%d matrix differs", arc.A, arc.B)
+		}
+	}
+	return ""
+}
+
 // samePluralState reports the first packed word where the two runs'
 // liveness or arc-element vectors differ ("" when they are equal).
 func samePluralState(got, want *masparRun) string {
@@ -148,12 +301,15 @@ func samePluralState(got, want *masparRun) string {
 	return ""
 }
 
-// checkHoistedMatchesPerPE runs the propagation phase of one gang twice,
-// hoisted and per-PE, on two identically set-up machines, and compares
-// the plural state after every step. With perConstraint, a consistency
-// round follows each constraint (the same code on both sides), so
-// later constraints meet states with dead values too. Both machines
-// must end with equal counters: the hoisting changes host work only.
+// checkHoistedMatchesPerPE runs one gang twice, hoisted and per-PE, on
+// two identically set-up machines: propagation, then filtering to
+// fixpoint. The per-PE side uses the dense consistency round. The
+// plural state is compared, and the live-slot invariant asserted, after
+// every step and every round; then each member's read-back networks are
+// compared exactly. With perConstraint, a consistency round follows
+// each constraint, so later constraints meet states with dead values
+// too. Both machines must end with equal counters: the hoisting and the
+// skips change host work only.
 func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, perConstraint bool) {
 	t.Helper()
 	var sps []*cdg.Space
@@ -172,28 +328,57 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 		return run
 	}
 	hot, ref := newRun(), newRun()
-	step := func(name string, hoisted, perPE func(), round bool) {
+	compare := func(name string) {
 		t.Helper()
-		hoisted()
-		perPE()
-		if round {
-			hot.consistencyRound()
-			ref.consistencyRound()
-		}
 		if diff := samePluralState(hot, ref); diff != "" {
 			t.Fatalf("after %s: %s", name, diff)
 		}
+		if bad := liveSlotViolation(hot); bad != "" {
+			t.Fatalf("after %s: %s", name, bad)
+		}
 	}
-	step("initAlive", hot.initAlive, ref.initAliveRef, false)
-	step("initBits", hot.initBits, ref.initBits, false)
+	round := func(name string) bool {
+		t.Helper()
+		anyHot, anyRef := hot.consistencyRound(), ref.consistencyRoundRef()
+		compare(name)
+		if anyHot != anyRef || !slices.Equal(hot.segChanged, ref.segChanged) {
+			t.Fatalf("after %s: changed segments %v, dense %v", name, hot.segChanged, ref.segChanged)
+		}
+		return anyHot
+	}
+	step := func(name string, hoisted, perPE func()) {
+		t.Helper()
+		hoisted()
+		perPE()
+		compare(name)
+		if perConstraint {
+			round(name + " round")
+		}
+	}
+	hot.initAlive()
+	ref.initAliveRef()
+	compare("initAlive")
+	hot.initBits()
+	ref.initBits()
+	compare("initBits")
 	for _, c := range g.Unary() {
-		step("unary "+c.Name, func() { hot.applyUnary(c) }, func() { ref.applyUnaryRef(c) }, perConstraint)
+		step("unary "+c.Name, func() { hot.applyUnary(c) }, func() { ref.applyUnaryRef(c) })
 	}
 	for _, c := range g.Binary() {
-		step("binary "+c.Name, func() { hot.applyBinary(c) }, func() { ref.applyBinaryRef(c) }, perConstraint)
+		step("binary "+c.Name, func() { hot.applyBinary(c) }, func() { ref.applyBinaryRef(c) })
 	}
 	if bitsAlive(hot) == 0 {
 		t.Fatal("no arc element survived propagation; the comparison is vacuous")
+	}
+	for i := 1; ; i++ {
+		if !round(fmt.Sprintf("filter round %d", i)) {
+			break
+		}
+	}
+	for b := range sps {
+		if diff := sameNetwork(hot.readBack(b), ref.readBackRef(b)); diff != "" {
+			t.Fatalf("member %d read-back: %s", b, diff)
+		}
 	}
 	hm, rm := hot.m, ref.m
 	if hm.Cycles != rm.Cycles || hm.ScanOps != rm.ScanOps || hm.RouterOps != rm.RouterOps ||
@@ -225,9 +410,10 @@ func gangOf(distinct []string, size int) []string {
 	return out
 }
 
-// TestHoistedEvalMatchesPerPE holds initAlive, applyUnary and
-// applyBinary bit-identical to the per-PE reference after every
-// propagation step, on the demo and English grammars and on the random
+// TestHoistedEvalMatchesPerPE holds initAlive, applyUnary,
+// applyBinary, consistencyRound and readBack bit-identical to the
+// per-PE and dense references after every step, and the live-slot
+// invariant true, on the demo and English grammars and on the random
 // grammars of TestQuickDifferentialRandomGrammars, for gangs of 1, 3
 // and 8 (duplicates included), with and without per-constraint
 // consistency rounds, at several worker-pool sizes.

@@ -228,6 +228,24 @@ func clearVec(v []uint64) {
 	}
 }
 
+// Live-slot skips. Every step keeps the arc-element store inside the
+// liveness it was derived from:
+//
+//	bitsV[lc·l+lr][w] ⊆ aliveColV[lc][w] ∧ aliveRowV[lr][w] ∧ mask[w]
+//
+// initBits establishes it, the unary mask and the consistency zeroing
+// re-establish it whenever liveness shrinks, and binary passes only
+// clear bits. So a (lc, lr) word whose column or row slot is dead in
+// word w is zero there, and a word whose liveness did not change needs
+// no re-masking. The host sweeps skip both; the ACU instructions, and
+// so every counter, are unchanged. hoist_test.go asserts the invariant
+// after every step.
+
+// slotBit is label slot ls's bit in a per-word slot mask. Slots alias
+// mod 64 (a role has at most 255 labels): an aliased mask only adds
+// slots, and sweeping a slot the mask adds is a no-op by the invariant.
+func slotBit(ls int) uint64 { return uint64(1) << (uint(ls) & 63) }
+
 // gangMaskW replicates one segment's packed mask across the gang's
 // word space. A gang of one returns the source unchanged (the solo
 // path allocates nothing here).
@@ -446,12 +464,16 @@ func (run *masparRun) initAlive() {
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
 // all entries in the matrices are set to 1" (for live role values).
 // Word-parallel: each (lc,lr) vector is the AND of two liveness
-// vectors under the activity mask.
+// vectors under the activity mask. Dead column slots keep the zeros
+// newMasParRun cleared them to.
 func (run *masparRun) initBits() {
 	ly := run.ly
 	run.m.AllWords(func(w int, active uint64) {
 		for lc := 0; lc < ly.l; lc++ {
 			ac := run.aliveColV[lc][w]
+			if ac == 0 {
+				continue
+			}
 			for lr := 0; lr < ly.l; lr++ {
 				run.bitsV[lc*ly.l+lr][w] = ac & run.aliveRowV[lr][w] & active
 			}
@@ -464,6 +486,8 @@ func (run *masparRun) initBits() {
 // and arc elements of violators. Pure elemental work; the verdicts are
 // evaluated once per (member, group, slot) and cleared from whole
 // words, and the arc-element masking that follows is word-parallel.
+// Only live slots are swept, and a (lc, lr) word is re-masked only when
+// its column or row slot lost a lane.
 func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
@@ -478,15 +502,37 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	}
 	run.m.AllChecksWords(2*ly.l, func(w int, active uint64) {
 		rep, a, off := run.wordSegment(w)
-		for ls := 0; ls < ly.l; ls++ {
-			set := run.groupSet(rep, ls)
-			run.aliveColV[ls][w] &^= ly.colLanes(set, a) & active
-			run.aliveRowV[ls][w] &^= rowLanes(set, off) & active
+		var rowLive, rowLost uint64
+		for lr := 0; lr < ly.l; lr++ {
+			ar := run.aliveRowV[lr][w]
+			if ar == 0 {
+				continue
+			}
+			rowLive |= slotBit(lr)
+			if lost := rowLanes(run.groupSet(rep, lr), off) & ar & active; lost != 0 {
+				run.aliveRowV[lr][w] = ar &^ lost
+				rowLost |= slotBit(lr)
+			}
 		}
 		for lc := 0; lc < ly.l; lc++ {
 			ac := run.aliveColV[lc][w]
+			if ac == 0 {
+				continue
+			}
+			lost := ly.colLanes(run.groupSet(rep, lc), a) & ac & active
+			remask := rowLost
+			if lost != 0 {
+				ac &^= lost
+				run.aliveColV[lc][w] = ac
+				remask = rowLive
+			}
+			if remask == 0 {
+				continue
+			}
 			for lr := 0; lr < ly.l; lr++ {
-				run.bitsV[lc*ly.l+lr][w] &= (ac & run.aliveRowV[lr][w]) | ^active
+				if remask&slotBit(lr) != 0 {
+					run.bitsV[lc*ly.l+lr][w] &= (ac & run.aliveRowV[lr][w]) | ^active
+				}
 			}
 		}
 	})
@@ -495,9 +541,10 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 // applyBinary propagates one binary constraint: every PE tests its l×l
 // surviving pairs in both variable orientations. The mirrored storage
 // means the pair (A,B) is checked at both PE(v) and PE(transpose v)
-// with identical outcomes. Each packed (lc, lr) word is walked by its
-// set bits only: unary propagation leaves few pairs alive, and a
-// cleared element needs no check.
+// with identical outcomes. Only (lc, lr) words whose column and row
+// slots are both live in the word are read, each walked by its set
+// bits: unary propagation leaves few pairs alive, and a cleared
+// element needs no check.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
@@ -508,10 +555,25 @@ func (run *masparRun) applyBinary(c *cdg.Constraint) {
 		if run.dupSeg(seg) {
 			return // copied from the class representative below
 		}
+		var rows uint64
+		for lr, ar := range run.aliveRowV {
+			if ar[w] != 0 {
+				rows |= slotBit(lr)
+			}
+		}
+		if rows == 0 {
+			return
+		}
 		a := (w - seg*run.segWords) << 6
 		ck := &run.cks[seg]
 		for lc := 0; lc < ly.l; lc++ {
+			if run.aliveColV[lc][w] == 0 {
+				continue
+			}
 			for lr := 0; lr < ly.l; lr++ {
+				if rows&slotBit(lr) == 0 {
+					continue
+				}
 				bv := run.bitsV[lc*ly.l+lr]
 				for x := bv[w] & active; x != 0; x &= x - 1 {
 					j := bits.TrailingZeros64(x)
@@ -550,7 +612,8 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // counts 6l+1 elementals, 3l+1 scans, and l routers per round): every
 // charged operation below corresponds one-to-one to an operation of the
 // scalar formulation. Scratch vectors come from the machine's arena, so
-// a round allocates nothing in steady state.
+// a round allocates nothing in steady state. The host skips the ORs of
+// dead column slots and re-masks only words whose liveness changed.
 func (run *masparRun) consistencyRound() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
@@ -570,7 +633,12 @@ func (run *masparRun) consistencyRound() bool {
 
 	for lc := 0; lc < ly.l; lc++ {
 		// Per-PE OR over the row label slots of this column value.
+		ac := run.aliveColV[lc]
 		m.AllWords(func(w int, active uint64) {
+			if ac[w] == 0 {
+				tmp[w] = 0
+				return
+			}
 			var t uint64
 			for lr := 0; lr < ly.l; lr++ {
 				t |= run.bitsV[lc*ly.l+lr][w]
@@ -590,7 +658,6 @@ func (run *masparRun) consistencyRound() bool {
 		m.CopySegHeadV(dist, blockSup, run.blockFirstActiveW)
 		run.attr.scan(t0)
 		// A value stays alive only if it was alive and is supported.
-		ac := run.aliveColV[lc]
 		m.AllWords(func(w int, active uint64) {
 			old := ac[w]
 			now := old & (dist[w] | ^active)
@@ -601,7 +668,10 @@ func (run *masparRun) consistencyRound() bool {
 
 	// Mirror column liveness to the row side through the global router
 	// (one transpose permutation per label slot, word-parallel and
-	// segment-local).
+	// segment-local). rowChanged records the lanes whose row liveness
+	// changed, in perArc's storage (free once the column loop is done).
+	rowChanged := perArc
+	clearVec(rowChanged)
 	for ls := 0; ls < ly.l; ls++ {
 		acv, arv := run.aliveColV[ls], run.aliveRowV[ls]
 		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
@@ -609,13 +679,19 @@ func (run *masparRun) consistencyRound() bool {
 		m.RouterTransposeV(dist, tmp, ly.s)
 		run.attr.router(t0)
 		m.AllWords(func(w int, active uint64) {
-			arv[w] = (dist[w] & active) | (arv[w] &^ active)
+			old := arv[w]
+			now := (dist[w] & active) | (old &^ active)
+			arv[w] = now
+			rowChanged[w] |= old ^ now
 		})
 	}
 
 	// Zero rows/columns of the newly dead (decision #4: dimensions are
 	// never reduced, entries are zeroed).
 	m.AllWords(func(w int, active uint64) {
+		if changed[w]|rowChanged[w] == 0 {
+			return
+		}
 		for lc := 0; lc < ly.l; lc++ {
 			ac := run.aliveColV[lc][w]
 			for lr := 0; lr < ly.l; lr++ {
@@ -681,7 +757,12 @@ func (run *masparRun) settle(b int) {
 // readBack materializes gang member b's PE state as a cn.Network
 // (domains read at each column block's first active PE; matrix bits
 // read from the PE owning each (column, row) group pair — all offset
-// into segment b's lanes).
+// into segment b's lanes). Only pairs of live domain entries are read:
+// column liveness is uniform across a block, and each PE's row
+// liveness is its row group's (unary steps clear both sides from the
+// same verdicts, and every consistency round ends by mirroring the
+// column side), so by the live-slot invariant every other matrix bit
+// is zero.
 func (run *masparRun) readBack(b int) *cn.Network {
 	ly, sp := run.ly, run.sps[b]
 	base := b * run.stride
@@ -707,32 +788,20 @@ func (run *masparRun) readBack(b int) *cn.Network {
 		}
 	}
 
-	// Arc matrices.
+	// Arc matrices. Domain entry i is label slot i/(n+1), modifiee
+	// i mod (n+1).
 	for _, arc := range nw.Arcs() {
 		posA, ra := sp.RoleAt(arc.A)
 		posB, rb := sp.RoleAt(arc.B)
-		labsA := sp.Grammar().RoleLabels(ra)
-		labsB := sp.Grammar().RoleLabels(rb)
-		for modA := 0; modA <= n; modA++ {
-			if modA == posA {
-				continue
-			}
-			colG := ly.GroupOf(posA, ra, modA)
-			for modB := 0; modB <= n; modB++ {
-				if modB == posB {
-					continue
+		domB := nw.Domain(arc.B)
+		nw.Domain(arc.A).ForEach(func(i int) {
+			col := base + ly.GroupOf(posA, ra, i%(n+1))*ly.s
+			domB.ForEach(func(j int) {
+				if run.bitAt(col+ly.GroupOf(posB, rb, j%(n+1)), i/(n+1), j/(n+1)) == 1 {
+					arc.M.SetBit(i, j)
 				}
-				rowG := ly.GroupOf(posB, rb, modB)
-				pe := base + colG*ly.s + rowG
-				for lsA := range labsA {
-					for lsB := range labsB {
-						if run.bitAt(pe, lsA, lsB) == 1 {
-							arc.M.SetBit(lsA*(n+1)+modA, lsB*(n+1)+modB)
-						}
-					}
-				}
-			}
-		}
+			})
+		})
 	}
 	return nw
 }
