@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race race-pool vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -36,12 +36,21 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
+# race-pool hammers the parse pool's concurrency under the race
+# detector ten times over, where race runs each test once: the pool's
+# queues and workers, /v1/batch units and gangs, the lattice pool
+# engine, and the result cache's flights.
+POOL_TESTS = ^Test(Gang|WorkerGangs|Batch|Deadline|QueueFull|Shutdown|SerialJobs|OppositeOrder|ConcurrentHammer|LatticePool|LatticeUnknownWord|ResultCache|CachedResult)
+race-pool:
+	$(GO) test -race -count=10 -run '$(POOL_TESTS)' ./internal/server/
+
 # ci is the gate: formatting and static checks, the full suite under
-# the race detector (the server/coalescer/router tests are written to be
-# hammered), a bounded fuzz pass over the request-decoding,
+# the race detector (the server/pool/router tests are written to be
+# hammered) plus ten more rounds of the pool tests, a bounded fuzz pass
+# over the request-decoding,
 # cache-key canonicalization and /metrics parsing surfaces, and the
 # serving benchmark's own module.
-ci: fmt-check vet lint race fuzz-smoke perfbench-check
+ci: fmt-check vet lint race race-pool fuzz-smoke perfbench-check
 
 # perfbench-check vets and tests the serving benchmark. perfbench is its
 # own Go module, so ./... above does not reach it, though it imports

@@ -1,7 +1,8 @@
 // Command parsecd serves CDG parsing over HTTP/JSON: POST /v1/parse and
 // /v1/batch run sentences through the PARSEC backends with a
-// compiled-grammar cache and a micro-batching coalescer that groups
-// same-grammar requests into one simulator run; GET /metrics exposes
+// compiled-grammar cache and per-backend worker queues, where a free
+// MasPar worker gangs the same-configuration jobs queued for it into
+// one simulator run; GET /metrics exposes
 // Prometheus text metrics (machine-work counters, queue wait, parse
 // latency, batch size), /healthz liveness, and /v1/grammars the grammar
 // inventory. SIGTERM/SIGINT drain gracefully: accepted requests finish,
@@ -43,8 +44,7 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		addr        = fs.String("addr", "127.0.0.1:8723", "listen address (use :0 for an ephemeral port)")
 		workers     = fs.Int("workers", 2, "workers per backend queue")
 		queueDepth  = fs.Int("queue", 256, "max queued requests per backend before 429s")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "micro-batching window (0 disables coalescing)")
-		maxBatch    = fs.Int("max-batch", 16, "max requests coalesced into one run")
+		maxBatch    = fs.Int("max-batch", 16, "max queued maspar requests ganged into one run")
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 		drain       = fs.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
 		cacheSize   = fs.Int("cache-entries", 4096, "result cache capacity in entries (-1 disables the result cache)")
@@ -63,7 +63,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		Addr:           *addr,
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
-		BatchWindow:    *batchWindow,
 		MaxBatch:       *maxBatch,
 		DefaultTimeout: *timeout,
 
@@ -79,8 +78,8 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	logger.Printf("listening on http://%s (workers=%d/backend queue=%d batch-window=%v max-batch=%d)",
-		bound, *workers, *queueDepth, *batchWindow, *maxBatch)
+	logger.Printf("listening on http://%s (workers=%d/backend queue=%d max-batch=%d)",
+		bound, *workers, *queueDepth, *maxBatch)
 	if ready != nil {
 		ready <- bound
 	}

@@ -24,7 +24,8 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 		// -cache-entries -1: the identical in-flight requests below must
 		// each reach the pool; the result cache would singleflight them
 		// into one parse and the drain accounting below counts all 4.
-		runErr <- run([]string{"-addr", "127.0.0.1:0", "-batch-window", "150ms", "-max-batch", "64", "-cache-entries", "-1"}, &logbuf, ready)
+		// -debug-faults lets the test stall them in flight.
+		runErr <- run([]string{"-addr", "127.0.0.1:0", "-debug-faults", "-max-batch", "64", "-cache-entries", "-1"}, &logbuf, ready)
 	}()
 	var base string
 	select {
@@ -44,8 +45,17 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
 
-	// Launch requests that will still be inside the 150ms batch window
-	// when the signal lands.
+	// Stall every /v1/* request by 150ms, so the requests launched
+	// below are still in flight when the signal lands.
+	resp, err = http.Post(base+"/debug/fault", "application/json", strings.NewReader(`{"delay_ms":150}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("debug/fault: %d", resp.StatusCode)
+	}
+
 	const n = 4
 	statuses := make(chan int, n)
 	var started sync.WaitGroup

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/benchjson"
 	"repro/internal/router"
@@ -19,7 +18,7 @@ import (
 // tier-1: an in-process parsecd handler, the -smoke request mix, and
 // the /metrics scrape at the end of the run.
 func TestSmokeLoadAgainstInProcessServer(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: 5 * time.Millisecond})
+	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -82,7 +81,7 @@ func TestHistReportsShardAttribution(t *testing.T) {
 // the decoded summary must re-encode to the same bytes (the decode
 // round trip cmd/parsecbench depends on).
 func TestJSONSummaryRoundTrip(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: time.Millisecond, ShardName: "s0"})
+	s := server.New(server.Config{Workers: 4, ShardName: "s0"})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -138,7 +137,7 @@ func TestJSONSummaryRoundTrip(t *testing.T) {
 // TestJSONRampSummary: ramp mode with -json records every step and the
 // best sustained concurrency in the ramp section.
 func TestJSONRampSummary(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: time.Millisecond})
+	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -182,7 +181,7 @@ func TestLoadReportsNon200s(t *testing.T) {
 // must produce a majority of result-cache hits, and the report must
 // surface the scraped hit rate.
 func TestZipfModeHitsResultCache(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: time.Millisecond})
+	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -235,7 +234,7 @@ func TestZipfValidation(t *testing.T) {
 // pass until the step cap, and the report must carry the per-step lines
 // and the final verdict.
 func TestRampModeStepsAndReports(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: time.Millisecond})
+	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -44,6 +44,7 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close() //nolint:errcheck
+	placeKeys(t, sc, fleet)
 
 	res, err := Run(context.Background(), fleet, sc, Options{})
 	if err != nil {
@@ -128,6 +129,54 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 	if got := st2.QuantileByShard("kill", 0.99); len(got) != 2 {
 		t.Fatalf("round-tripped kill p99 by shard = %v", got)
 	}
+}
+
+// placeKeys bounds the kill and recover phases' sentence lengths so
+// that both survivors own a kill-phase key and the revived shard owns
+// a recover-phase key. Demo sentences depend on length only, so a
+// phase's keys are at most MaxLen distinct sentences, and the router
+// places each by its HRW ranking of the shard URLs, which are random
+// loopback ports: with the default bound of 7, some runs leave a
+// checked shard with no key. The ranking is the router's own.
+func placeKeys(t *testing.T, sc *Scenario, fleet *HarnessFleet) {
+	t.Helper()
+	var urls []string
+	for i := 0; i < sc.Shards; i++ {
+		urls = append(urls, fleet.ShardURL(i))
+	}
+	place := func(pi int, eligible []string, owners ...string) {
+		p := &sc.Phases[pi]
+		for maxLen := 7; maxLen <= 40; maxLen++ {
+			p.MaxLen = maxLen
+			// Phase pi runs on seed Seed+pi.
+			bodies, err := buildRequests(*p, sc.BackendOrDefault(), sc.Seed+int64(pi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := map[string]bool{}
+			for _, body := range bodies {
+				var req server.ParseRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Fatal(err)
+				}
+				key, err := router.AffinityKey(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owned[router.RankShards(eligible, key)[0]] = true
+			}
+			missing := false
+			for _, u := range owners {
+				missing = missing || !owned[u]
+			}
+			if !missing {
+				return
+			}
+		}
+		t.Fatalf("phase %s: no length bound up to 40 gives every checked shard a key", sc.Phases[pi].Name)
+	}
+	place(1, urls[:2], urls[0], urls[1]) // shard2 is dead through the kill phase
+	place(2, urls, urls[2])              // and serves again in the recover phase
 }
 
 // TestRunDelayScenarioInProcess exercises the delay/clear-delay fault

@@ -146,7 +146,7 @@ func TestGangOfOneIsSolo(t *testing.T) {
 }
 
 // TestGangMixedLengthsRejected: the gang API requires one sentence
-// length (the coalescer groups by length before dispatch).
+// length (the server's pool groups by length before calling it).
 func TestGangMixedLengthsRejected(t *testing.T) {
 	g := grammars.English()
 	p := NewParser(g)

@@ -50,10 +50,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rankShards orders shard IDs by descending rendezvous score for key,
+// RankShards orders shard IDs by descending rendezvous score for key,
 // breaking score ties by ID so the order is total and deterministic.
-// The input slice is not modified.
-func rankShards(shards []string, key string) []string {
+// The input slice is not modified. It is the router's placement, so a
+// fleet harness can tell which shard will own a key.
+func RankShards(shards []string, key string) []string {
 	type scored struct {
 		id    string
 		score uint64

@@ -47,7 +47,7 @@ func (r *Router) handleLattice(w http.ResponseWriter, req *http.Request) {
 		r.writeJSON(w, http.StatusBadRequest, latticeError(lreq, "malformed request: "+err.Error()))
 		return
 	}
-	order := rankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
+	order := RankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
 	if len(order) == 0 {
 		r.m.countEmptyFleet()
 		r.writeJSON(w, http.StatusServiceUnavailable, latticeError(lreq, "no live shards"))
@@ -111,7 +111,7 @@ func (r *Router) handleLatticeStream(w http.ResponseWriter, req *http.Request) {
 		r.writeJSON(w, http.StatusBadRequest, latticeError(lreq, "malformed header: "+err.Error()))
 		return
 	}
-	order := rankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
+	order := RankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
 	if len(order) == 0 {
 		r.m.countEmptyFleet()
 		r.writeJSON(w, http.StatusServiceUnavailable, latticeError(lreq, "no live shards"))

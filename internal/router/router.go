@@ -390,7 +390,7 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 		r.writeJSON(w, http.StatusBadRequest, errorResult(preq, err.Error()))
 		return
 	}
-	order := rankShards(r.fleet.eligible(), key)
+	order := RankShards(r.fleet.eligible(), key)
 	if len(order) == 0 {
 		r.m.countEmptyFleet()
 		r.writeJSON(w, http.StatusServiceUnavailable, errorResult(preq, "no live shards"))
@@ -505,8 +505,8 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Partition the batch by each request's top-ranked shard, so every
-	// sub-batch keeps its members' cache affinity and the shard's
-	// coalescer still sees them together.
+	// sub-batch keeps its members' cache affinity and reaches the
+	// shard's pool as one unit it can gang.
 	groups := make(map[string][]int)
 	orders := make(map[string][]string) // failover order per group, from its first member's key
 	for i, preq := range breq.Requests {
@@ -514,7 +514,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			key = "" // invalid backend: any shard rejects it identically
 		}
-		order := rankShards(eligible, key)
+		order := RankShards(eligible, key)
 		top := order[0]
 		if _, ok := orders[top]; !ok {
 			orders[top] = order

@@ -12,8 +12,8 @@ func TestRankShardsDeterministicAndComplete(t *testing.T) {
 	shards := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	seenTop := make(map[string]bool)
 	for _, key := range []string{"k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10"} {
-		r1 := rankShards(shards, key)
-		r2 := rankShards(shards, key)
+		r1 := RankShards(shards, key)
+		r2 := RankShards(shards, key)
 		if strings.Join(r1, ",") != strings.Join(r2, ",") {
 			t.Fatalf("ranking for %q not deterministic: %v vs %v", key, r1, r2)
 		}
@@ -46,8 +46,8 @@ func TestRankShardsMinimalDisruption(t *testing.T) {
 	removed := shards[1]
 	survivors := []string{shards[0], shards[2]}
 	for _, key := range keys {
-		before := rankShards(shards, key)
-		after := rankShards(survivors, key)
+		before := RankShards(shards, key)
+		after := RankShards(survivors, key)
 		if before[0] != removed {
 			if after[0] != before[0] {
 				t.Errorf("key %q moved from %s to %s though its owner survived", key, before[0], after[0])
@@ -91,9 +91,9 @@ func TestReplicaPrefixChurnStable(t *testing.T) {
 		}
 		moved := 0
 		for _, key := range keys {
-			full := rankShards(shards, key)
+			full := RankShards(shards, key)
 			before := replicaPrefix(full, r)
-			after := replicaPrefix(rankShards(survivors, key), r)
+			after := replicaPrefix(RankShards(survivors, key), r)
 			// Strong form: the survivor ranking is the full ranking with
 			// the ejected shard deleted in place.
 			want := make([]string, 0, r)

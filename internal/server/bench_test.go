@@ -62,19 +62,19 @@ func BenchmarkGangThroughput(b *testing.B) {
 // per request (no_cache), warm serves the memoized result.
 func BenchmarkResultCacheServing(b *testing.B) {
 	run := func(b *testing.B, req ParseRequest, prime bool) {
-		s := New(Config{Workers: 4, BatchWindow: -1})
+		s := New(Config{Workers: 4})
 		defer s.pool.Close()
 		ctx := context.Background()
 		if prime {
-			if _, status := s.do(ctx, req); status != http.StatusOK {
-				b.Fatalf("prime: status %d", status)
+			if jr := s.serve(ctx, []ParseRequest{req}, false)[0]; jr.status != http.StatusOK {
+				b.Fatalf("prime: status %d", jr.status)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, status := s.do(ctx, req); status != http.StatusOK {
-				b.Fatalf("status %d", status)
+			if jr := s.serve(ctx, []ParseRequest{req}, false)[0]; jr.status != http.StatusOK {
+				b.Fatalf("status %d", jr.status)
 			}
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sents/s")

@@ -52,8 +52,8 @@ var sharedFuzzCache = NewCache()
 // router-side canonical key (server.CacheKey, which router.AffinityKey
 // delegates to and rendezvous-hashes) must agree byte-for-byte with
 // the key the server's own request path memoizes under — the grammar
-// key as resolved by the grammar cache (Cache.Get) plus the coalescing
-// key and sentence, exactly as do() composes them. If these ever
+// key as resolved by the grammar cache (Cache.Get) plus the batching
+// key and sentence, exactly as serve composes them. If these ever
 // drift, repeated sentences hash to one shard but miss its cache.
 // Seed corpus: testdata/fuzz/FuzzCacheKey.
 func FuzzCacheKey(f *testing.F) {
@@ -85,7 +85,7 @@ func FuzzCacheKey(f *testing.F) {
 		if err != nil {
 			return // both sides reject the request with a 400
 		}
-		// The server side: do() resolves the grammar key through the
+		// The server side: serve resolves the grammar key through the
 		// grammar cache (Get returns the key even when compilation
 		// fails) and composes cfgKeyOf + cacheKeyOf.
 		_, gkey, _ := sharedFuzzCache.Get(req.Grammar, req.GrammarSource)
@@ -100,7 +100,7 @@ func FuzzCacheKey(f *testing.F) {
 // sequence that json-decodes into a LatticeRequest must build (or
 // cleanly reject) a lattice, produce a deterministic routing key with
 // the documented shape, and survive a marshal round-trip with the same
-// key — the invariant lattice affinity (router.rankShards over
+// key — the invariant lattice affinity (router.RankShards over
 // LatticeAffinityKey) depends on. Seed corpus:
 // testdata/fuzz/FuzzLatticeRequestDecode.
 func FuzzLatticeRequestDecode(f *testing.F) {

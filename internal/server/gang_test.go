@@ -14,7 +14,7 @@ import (
 )
 
 // gangTestJob builds a resolved job bound to ctx with a buffered
-// result channel, the shape the coalescer hands the worker.
+// result channel, the shape a worker takes from its queue.
 func gangTestJob(t *testing.T, g *cdg.Grammar, ctx context.Context, sentence string) *job {
 	t.Helper()
 	words := strings.Fields(sentence)
@@ -46,7 +46,7 @@ func normalizeVolatile(r ParseResult) ParseResult {
 	return r
 }
 
-// TestGangMemberDeadlineDoesNotPoisonBatch is the coalescer-deadline
+// TestGangMemberDeadlineDoesNotPoisonBatch is the gang-deadline
 // regression test: when one member of a ganged batch has hit its
 // deadline, it must be answered 504 while every other member still
 // gets a 200 whose payload is identical to a solo parse of the same
@@ -149,12 +149,12 @@ func TestGangPanicFallsBackToSolo(t *testing.T) {
 }
 
 // TestWorkerGangsSameLengthJobs: end to end through the HTTP surface —
-// a /v1/batch of same-length maspar sentences with a coalescing window
-// is served by ganged runs, visible on the gang counters, and every
-// result matches its solo parse.
+// a /v1/batch of same-length maspar sentences is served by ganged runs,
+// visible on the gang counters, and every result matches its solo
+// parse.
 func TestWorkerGangsSameLengthJobs(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 64, MaxBatch: 8, BatchWindow: 20 * time.Millisecond,
+		Workers: 1, QueueDepth: 64, MaxBatch: 8,
 	})
 
 	breq := BatchRequest{}
@@ -183,5 +183,63 @@ func TestWorkerGangsSameLengthJobs(t *testing.T) {
 	if st.GangJobs < 2 {
 		t.Errorf("expected ≥2 ganged jobs after a coalesced same-length batch, got runs=%d jobs=%d",
 			st.GangRuns, st.GangJobs)
+	}
+}
+
+// TestBatchRunsAsOneGang: a /v1/batch is one submitted unit, so with
+// two workers and the result cache on, its 8 distinct uncached
+// same-length maspar sentences still run as exactly one gang. The
+// batch also carries a duplicate entry, which follows its twin's
+// flight, and an entry already cached, which never reaches the pool.
+func TestBatchRunsAsOneGang(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	var texts []string
+	for _, det := range []string{"the", "a", "every"} {
+		for _, noun := range []string{"dog", "man", "cat"} {
+			texts = append(texts, det+" "+noun+" walked")
+		}
+	}
+	req := func(text string) ParseRequest {
+		return ParseRequest{Grammar: "english", Backend: "maspar", Text: text}
+	}
+	cached := texts[8]
+	if status, data := postJSON(t, ts.URL+"/v1/parse", req(cached)); status != http.StatusOK {
+		t.Fatalf("priming %q: status %d: %s", cached, status, data)
+	}
+	before := s.Stats()
+
+	var breq BatchRequest
+	for _, text := range texts[:8] {
+		breq.Requests = append(breq.Requests, req(text))
+	}
+	breq.Requests = append(breq.Requests, req(texts[3]), req(cached))
+	status, data := postJSON(t, ts.URL+"/v1/batch", breq)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	var out BatchResult
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(breq.Requests) {
+		t.Fatalf("got %d results, want %d", len(out.Results), len(breq.Requests))
+	}
+	for i, r := range out.Results {
+		if r.Error != "" || strings.Join(r.Sentence, " ") != breq.Requests[i].Text {
+			t.Errorf("entry %d: sentence %v error %q", i, r.Sentence, r.Error)
+		}
+	}
+	if !out.Results[9].Cached {
+		t.Error("the primed entry was not served from the cache")
+	}
+	dup, _ := json.Marshal(normalizeVolatile(out.Results[8]))
+	twin, _ := json.Marshal(normalizeVolatile(out.Results[3]))
+	if string(dup) != string(twin) {
+		t.Errorf("duplicate entry differs from its twin:\n got: %s\nwant: %s", dup, twin)
+	}
+
+	after := s.Stats()
+	if runs, jobs := after.GangRuns-before.GangRuns, after.GangJobs-before.GangJobs; runs != 1 || jobs != 8 {
+		t.Errorf("gang runs +%d, jobs +%d; want +1, +8", runs, jobs)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the single source of truth for request canonicalization:
-// the grammar key, the pool's coalescing key (cfgKey), and the
+// the grammar key, the pool's batching key (cfgKey), and the
 // result-cache key are all derived here, and both the server's request
-// path (do) and the sharding router (internal/router) call these
+// path (serve) and the sharding router (internal/router) call these
 // functions. The router rendezvous-hashes CacheKey to pick a shard, so
 // any drift between the router's notion of a request's identity and the
 // server's would silently destroy cache affinity — FuzzCacheKey pins
@@ -31,7 +31,7 @@ func GrammarKey(req ParseRequest) string {
 	return req.Grammar
 }
 
-// cfgKeyOf is the pool's coalescing key: the grammar key plus every
+// cfgKeyOf is the pool's batching key: the grammar key plus every
 // option that changes what the simulator computes.
 func cfgKeyOf(grammarKey string, backend core.Backend, req ParseRequest) string {
 	return fmt.Sprintf("%s|%s|filter=%v|iters=%d|pes=%d",

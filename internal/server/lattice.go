@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cdg"
@@ -269,41 +268,41 @@ func (s *Server) latticeViaPrefix(ctx context.Context, req LatticeRequest, g *cd
 }
 
 // latticeViaPool parses every expanded candidate as an ordinary parse
-// job through the batching worker pool — same-length candidates gang
-// onto one PE array and the result cache elides repeats. It exists as
-// the cross-check and any-backend path; the prefix engine is the
-// incremental default.
+// job through the worker pool — the candidates go in as one unit, so
+// same-length candidates gang onto one PE array, and the result cache
+// elides repeats. It exists as the cross-check and any-backend path;
+// the prefix engine is the incremental default.
 func (s *Server) latticeViaPool(ctx context.Context, req LatticeRequest, g *cdg.Grammar, l *lattice.Lattice, maxPaths int, res *LatticeResult) int {
 	paths, truncated := l.Expand(maxPaths)
 	res.Expanded, res.Truncated = len(paths), truncated
 	hyps := make([]LatticeHypothesis, len(paths))
-	var wg sync.WaitGroup
+	var reqs []ParseRequest
+	var at []int
 	for i, p := range paths {
 		hyps[i] = LatticeHypothesis{Words: p.Words, Score: p.Score}
 		if w, bad := latticeUnknownWord(g, p.Words); bad {
 			hyps[i].Unknown = w
 			continue
 		}
-		wg.Add(1)
-		go func(i int, p lattice.Path) {
-			defer wg.Done()
-			pr, _ := s.do(ctx, ParseRequest{
-				Grammar:       req.Grammar,
-				GrammarSource: req.GrammarSource,
-				Backend:       req.Backend,
-				Sentence:      p.Words,
-				MaxParses:     req.MaxParses,
-				NoCache:       req.NoCache,
-			})
-			hyps[i].Accepted = pr.Accepted
-			hyps[i].Ambiguous = pr.Ambiguous
-			hyps[i].NumParses = pr.NumParses
-			hyps[i].Parses = pr.Parses
-			hyps[i].Counters = pr.Counters
-			hyps[i].Error = pr.Error
-		}(i, p)
+		reqs = append(reqs, ParseRequest{
+			Grammar:       req.Grammar,
+			GrammarSource: req.GrammarSource,
+			Backend:       req.Backend,
+			Sentence:      p.Words,
+			MaxParses:     req.MaxParses,
+			NoCache:       req.NoCache,
+		})
+		at = append(at, i)
 	}
-	wg.Wait()
+	for k, jr := range s.serve(ctx, reqs, false) {
+		h, pr := &hyps[at[k]], &jr.resp
+		h.Accepted = pr.Accepted
+		h.Ambiguous = pr.Ambiguous
+		h.NumParses = pr.NumParses
+		h.Parses = pr.Parses
+		h.Counters = pr.Counters
+		h.Error = pr.Error
+	}
 	if ctx.Err() != nil {
 		res.TimedOut = true
 		res.Error = ctx.Err().Error()

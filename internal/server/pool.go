@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,15 +23,15 @@ type job struct {
 	g       *cdg.Grammar
 	gkey    string
 	backend core.Backend
-	// cfgKey is the coalescing key: grammar key + backend + every
-	// parser option that affects the run. Jobs coalesce into one batch
-	// (one compiled parser, one simulator configuration) only when the
-	// whole key matches.
+	// cfgKey is the batching key: grammar key + backend + every parser
+	// option that affects the run. MasPar jobs share a batch (one
+	// compiled parser, one simulator configuration) only when the whole
+	// key matches.
 	cfgKey    string
 	opts      []core.Option
 	maxParses int
 	ctx       context.Context
-	enq       time.Time
+	enq       time.Time // stamped by Submit
 	result    chan jobResult
 }
 
@@ -42,31 +41,28 @@ type jobResult struct {
 	resp   ParseResult
 }
 
-// batch is a group of same-configuration jobs executed as one run.
-type batch struct {
-	cfgKey string
-	jobs   []*job
-	timer  *time.Timer
-}
-
-// backendQueue is the bounded queue and coalescer state of one machine
-// model. Each backend gets its own queue so a pile-up of slow maspar
-// simulations cannot starve cheap serial parses.
+// backendQueue is the bounded FIFO of one machine model. Each backend
+// gets its own queue so a pile-up of slow maspar simulations cannot
+// starve cheap serial parses.
 type backendQueue struct {
 	backend core.Backend
-	submit  chan *job
-	batches chan *batch
-	flush   chan *batch
-	done    chan struct{}
-	// queued counts jobs accepted but not yet picked up by a worker —
-	// the backpressure gauge behind 429s.
-	queued atomic.Int64
+	// wake holds at most one token per worker. Submit drops tokens in
+	// after queueing a unit; a worker that found the FIFO empty blocks
+	// on it. A stale token costs one more look at the FIFO. Close
+	// closes it.
+	wake chan struct{}
+
+	mu sync.Mutex
+	// jobs is the FIFO, guarded by mu. Submit appends a unit's jobs
+	// contiguously; workers take from the head.
+	jobs []*job
 }
 
-// Pool is the bounded worker pool: per-backend queues, a micro-batching
-// dispatcher per queue, and Workers workers per queue.
+// Pool is the bounded worker pool: per-backend FIFOs that Workers
+// workers per backend pull from directly. No job waits for anything
+// but a free worker.
 type Pool struct {
-	window   time.Duration
+	workers  int
 	maxBatch int
 	depth    int
 	m        *serverMetrics
@@ -75,38 +71,39 @@ type Pool struct {
 	closed bool
 
 	queues    map[core.Backend]*backendQueue
-	wg        sync.WaitGroup // dispatchers + workers
+	wg        sync.WaitGroup // workers
 	closeOnce sync.Once
 }
 
-// errQueueFull is returned (as a 429) when a backend's queue gauge is
-// at capacity.
+// errQueueFull is returned (as a 429) when a backend's queue has no
+// room for a whole unit.
 var errQueueFull = errors.New("queue full")
 
-func newPool(workers, depth, maxBatch int, window time.Duration, m *serverMetrics) *Pool {
+// newPool builds the queues; start launches the workers.
+func newPool(workers, depth, maxBatch int, m *serverMetrics) *Pool {
 	p := &Pool{
-		window:   window,
+		workers:  workers,
 		maxBatch: maxBatch,
 		depth:    depth,
 		m:        m,
 		queues:   make(map[core.Backend]*backendQueue),
 	}
 	for _, b := range Backends() {
-		q := &backendQueue{
-			backend: b,
-			submit:  make(chan *job, depth),
-			batches: make(chan *batch, workers),
-			flush:   make(chan *batch, depth),
-			done:    make(chan struct{}),
-		}
-		p.queues[b] = q
-		p.wg.Add(1 + workers)
-		go p.dispatch(q)
-		for i := 0; i < workers; i++ {
+		p.queues[b] = &backendQueue{backend: b, wake: make(chan struct{}, workers)}
+	}
+	return p
+}
+
+// start launches the workers of every backend. Close waits only for
+// workers started before it.
+func (p *Pool) start() {
+	for _, b := range Backends() {
+		q := p.queues[b]
+		p.wg.Add(p.workers)
+		for i := 0; i < p.workers; i++ {
 			go p.worker(q)
 		}
 	}
-	return p
 }
 
 // bulkDepth is the queue depth available to bulk-class submissions: a
@@ -126,10 +123,11 @@ func (p *Pool) bulkDepth() int {
 	return d
 }
 
-// Submit enqueues a job, rejecting with errQueueFull when the backend's
-// queue is at capacity — a lower capacity for bulk-class jobs — and
-// with an error after Close.
-func (p *Pool) Submit(j *job, bulk bool) error {
+// Submit enqueues a unit — one job, or every job one request sends to
+// one backend — all or nothing: when the backend's queue has no room
+// for the whole unit (less room for bulk-class jobs) it rejects with
+// errQueueFull, and after Close with an error.
+func (p *Pool) Submit(unit []*job, bulk bool) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -139,133 +137,110 @@ func (p *Pool) Submit(j *job, bulk bool) error {
 	if bulk {
 		limit = p.bulkDepth()
 	}
-	q := p.queues[j.backend]
-	if q.queued.Load() >= int64(limit) {
-		p.m.rejected.Add(1)
+	q := p.queues[unit[0].backend]
+	now := time.Now()
+	q.mu.Lock()
+	if len(q.jobs)+len(unit) > limit {
+		q.mu.Unlock()
+		p.m.rejected.Add(uint64(len(unit)))
 		return errQueueFull
 	}
-	q.queued.Add(1)
-	select {
-	case q.submit <- j:
-		return nil
-	default:
-		q.queued.Add(-1)
-		p.m.rejected.Add(1)
-		return errQueueFull
+	for _, j := range unit {
+		j.enq = now
 	}
-}
-
-// dispatch is the coalescer: it accumulates incoming jobs into
-// per-configuration pending batches and releases a batch to the workers
-// when it reaches maxBatch jobs or its window expires, whichever comes
-// first. A closed submit channel flushes everything and shuts the
-// worker feed.
-func (p *Pool) dispatch(q *backendQueue) {
-	defer p.wg.Done()
-	pending := make(map[string]*batch)
-	release := func(b *batch) {
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		delete(pending, b.cfgKey)
-		q.batches <- b
-	}
-	for {
+	q.jobs = append(q.jobs, unit...)
+	q.mu.Unlock()
+	for i := 0; i < min(len(unit), cap(q.wake)); i++ {
 		select {
-		case j, ok := <-q.submit:
-			if !ok {
-				// Flush in key order so the final drain releases
-				// batches deterministically.
-				keys := make([]string, 0, len(pending))
-				for k := range pending {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					b := pending[k]
-					if b.timer != nil {
-						b.timer.Stop()
-					}
-					q.batches <- b
-				}
-				close(q.batches)
-				return
-			}
-			b := pending[j.cfgKey]
-			if b == nil {
-				b = &batch{cfgKey: j.cfgKey}
-				pending[j.cfgKey] = b
-				if p.window > 0 {
-					bb := b
-					b.timer = time.AfterFunc(p.window, func() {
-						select {
-						case q.flush <- bb:
-						case <-q.done:
-						}
-					})
-				}
-			}
-			b.jobs = append(b.jobs, j)
-			if len(b.jobs) >= p.maxBatch || p.window <= 0 {
-				release(b)
-			}
-		case b := <-q.flush:
-			// A stale timer may fire for a batch already released by
-			// size; only flush if it is still the pending one.
-			if pending[b.cfgKey] == b {
-				release(b)
-			}
+		case q.wake <- struct{}{}:
+		default: // every worker already has a token to wake on
 		}
 	}
+	return nil
 }
 
-// worker executes released batches: one compiled parser per batch (the
-// coalesced "one simulator run"), jobs in arrival order. On the MasPar
-// backend, live same-length jobs of a batch run as ONE gang program —
-// a single instruction stream over one packed PE array — instead of
-// sequential solo simulations.
+// take removes what one free worker runs next: the FIFO head and, on
+// MasPar, every queued job sharing its cfgKey up to maxBatch, in queue
+// order — one gang program serves them all. On every other backend a
+// shared batch would only run parses back to back on one worker while
+// another idles, so the worker takes the head alone.
+func (q *backendQueue) take(maxBatch int) []*job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.jobs) == 0 {
+		return nil
+	}
+	head := q.jobs[0]
+	if q.backend != core.MasPar {
+		q.jobs[0] = nil
+		q.jobs = q.jobs[1:]
+		return []*job{head}
+	}
+	batch := []*job{head}
+	rest := q.jobs[:0]
+	for _, j := range q.jobs[1:] {
+		if len(batch) < maxBatch && j.cfgKey == head.cfgKey {
+			batch = append(batch, j)
+		} else {
+			rest = append(rest, j)
+		}
+	}
+	clear(q.jobs[len(rest):])
+	q.jobs = rest
+	return batch
+}
+
+// worker runs what it takes from its backend's FIFO until Close, then
+// drains what is left.
 func (p *Pool) worker(q *backendQueue) {
 	defer p.wg.Done()
-	for b := range q.batches {
-		p.m.batches.Add(1)
-		p.m.batchSize.Observe(float64(len(b.jobs)))
-		if len(b.jobs) > 1 {
-			p.m.coalesced.Add(uint64(len(b.jobs)))
+	for {
+		if jobs := q.take(p.maxBatch); jobs != nil {
+			p.run(jobs)
+		} else if _, open := <-q.wake; !open {
+			return
 		}
-		parser := core.NewParser(b.jobs[0].g, b.jobs[0].opts...)
-		q.queued.Add(int64(-len(b.jobs)))
-		if b.jobs[0].backend != core.MasPar {
-			for _, j := range b.jobs {
-				p.runJob(parser, j, len(b.jobs))
-			}
+	}
+}
+
+// run executes one taken batch with one compiled parser, jobs in queue
+// order. Live same-length MasPar jobs run as ONE gang program — a
+// single instruction stream over one packed PE array — instead of
+// sequential solo simulations.
+func (p *Pool) run(jobs []*job) {
+	p.m.batches.Add(1)
+	p.m.batchSize.Observe(float64(len(jobs)))
+	parser := core.NewParser(jobs[0].g, jobs[0].opts...)
+	if len(jobs) == 1 {
+		p.runJob(parser, jobs[0], 1)
+		return
+	}
+	p.m.coalesced.Add(uint64(len(jobs)))
+	// Partition: jobs whose deadline already expired in the queue
+	// answer 504 without occupying the simulator; the rest gang up by
+	// sentence length (a gang shares one PE layout).
+	var groups [][]*job
+	index := make(map[int]int)
+	for _, j := range jobs {
+		if j.ctx.Err() != nil {
+			p.deliverQueueExpired(j, len(jobs))
 			continue
 		}
-		// Partition: jobs whose deadline already expired in the queue
-		// answer 504 without occupying the simulator; the rest gang up
-		// by sentence length (a gang shares one PE layout).
-		var groups [][]*job
-		index := make(map[int]int)
-		for _, j := range b.jobs {
-			if j.ctx.Err() != nil {
-				p.deliverQueueExpired(j, len(b.jobs))
-				continue
-			}
-			n := len(j.words)
-			gi, ok := index[n]
-			if !ok {
-				gi = len(groups)
-				index[n] = gi
-				groups = append(groups, nil)
-			}
-			groups[gi] = append(groups[gi], j)
+		n := len(j.words)
+		gi, ok := index[n]
+		if !ok {
+			gi = len(groups)
+			index[n] = gi
+			groups = append(groups, nil)
 		}
-		for _, g := range groups {
-			if len(g) == 1 {
-				p.runJob(parser, g[0], len(b.jobs))
-				continue
-			}
-			p.runGang(parser, g, len(b.jobs))
+		groups[gi] = append(groups[gi], j)
+	}
+	for _, g := range groups {
+		if len(g) == 1 {
+			p.runJob(parser, g[0], len(jobs))
+			continue
 		}
+		p.runGang(parser, g, len(jobs))
 	}
 }
 
@@ -464,23 +439,25 @@ func (p *Pool) execute(parser *core.Parser, j *job) (jr jobResult) {
 	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), res, j.maxParses)}
 }
 
-// Close drains the pool: no new submits are accepted, pending batches
-// flush, queued jobs execute, and Close returns when every worker has
-// finished. Idempotent.
+// Close drains the pool: no new submits are accepted, queued jobs
+// execute, and Close returns when every worker has finished.
+// Idempotent.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closed = true
 		for _, q := range p.queues {
-			close(q.submit)
+			close(q.wake)
 		}
 		p.mu.Unlock()
 		p.wg.Wait()
-		for _, q := range p.queues {
-			close(q.done)
-		}
 	})
 }
 
-// Queued reports the backpressure gauge of one backend (tests).
-func (p *Pool) Queued(b core.Backend) int64 { return p.queues[b].queued.Load() }
+// Queued reports how many jobs one backend's FIFO holds (tests).
+func (p *Pool) Queued(b core.Backend) int {
+	q := p.queues[b]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.jobs)
+}

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentHammer drives the cache, coalescer, and metrics from
-// many goroutines at once. Run it under -race (make ci does): it exists
-// to surface data races in the grammar cache, the batch dispatcher, and
-// the metrics aggregation, not to assert throughput.
+// TestConcurrentHammer drives the cache, pool, and metrics from many
+// goroutines at once. Run it under -race (make ci does): it exists to
+// surface data races in the grammar cache, the pool's queues, and the
+// metrics aggregation, not to assert throughput.
 func TestConcurrentHammer(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 512})
 	const (

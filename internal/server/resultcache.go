@@ -57,11 +57,12 @@ type flight struct {
 	panicked any
 }
 
-// rcOutcome classifies how resultCache.do answered.
+// rcOutcome classifies how a request was answered through the cache.
 type rcOutcome int
 
 const (
-	// rcMiss: the caller's fn executed (leader or uncacheable outcome).
+	// rcMiss: the caller parses (it leads the flight, or the leader it
+	// followed failed).
 	rcMiss rcOutcome = iota
 	// rcHit: served from the memo, no parse ran.
 	rcHit
@@ -87,81 +88,92 @@ func newResultCache(capacity int, ttl time.Duration) *resultCache {
 	}
 }
 
-// do answers key from the memo, from an in-flight identical parse, or
-// by running fn as the flight leader. A leader's panic is recorded,
-// re-raised in the leader, and re-raised in every waiter — identical
-// requests see identical outcomes, and nothing wedges on the flight.
-func (rc *resultCache) do(ctx context.Context, key string, fn func() (ParseResult, int)) (ParseResult, int, rcOutcome) {
+// claim looks key up without blocking. A live memo entry answers at
+// once (f == nil). Otherwise the caller gets the key's flight: a parse
+// already in progress to follow with wait (leads == false), or a new
+// one it now leads and must end with finish or abandon. Leading counts
+// as a miss.
+func (rc *resultCache) claim(key string) (resp ParseResult, status int, f *flight, leads bool) {
 	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	if el, ok := rc.entries[key]; ok {
 		e := el.Value.(*rcEntry)
 		if rc.now().Before(e.expires) {
 			rc.order.MoveToFront(el)
-			resp, status := e.resp, e.status
-			rc.mu.Unlock()
 			rc.hits.Add(1)
-			return resp, status, rcHit
+			return e.resp, e.status, nil, false
 		}
 		rc.order.Remove(el)
 		delete(rc.entries, key)
 		rc.expirations.Add(1)
 	}
 	if f, ok := rc.flights[key]; ok {
-		rc.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return ParseResult{}, http.StatusGatewayTimeout, rcExpiredWait
-		}
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		if f.status == http.StatusOK {
-			rc.coalesced.Add(1)
-			return f.resp, f.status, rcCoalesced
-		}
-		// The leader failed (its deadline, a 500): its outcome may be
-		// specific to that request, so run our own parse instead of
-		// inheriting it.
-		rc.misses.Add(1)
-		resp, status := fn()
-		if status == http.StatusOK {
-			rc.mu.Lock()
-			rc.insertLocked(key, sanitizeCached(resp), status)
-			rc.mu.Unlock()
-		}
-		return resp, status, rcMiss
+		return ParseResult{}, 0, f, false
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{})}
 	rc.flights[key] = f
-	rc.mu.Unlock()
 	rc.misses.Add(1)
+	return ParseResult{}, 0, f, true
+}
 
-	defer func() {
-		if r := recover(); r != nil {
-			rc.mu.Lock()
-			delete(rc.flights, key)
-			rc.mu.Unlock()
-			f.panicked = r
-			close(f.done)
-			panic(r)
-		}
-	}()
-	resp, status := fn()
-
-	stored := resp
+// finish ends the flight the caller leads with its parse's outcome: a
+// 200 is memoized, and every follower is released with it.
+func (rc *resultCache) finish(key string, f *flight, resp ParseResult, status int) {
 	if status == http.StatusOK {
-		stored = sanitizeCached(stored)
+		resp = sanitizeCached(resp)
 	}
 	rc.mu.Lock()
 	delete(rc.flights, key)
 	if status == http.StatusOK {
-		rc.insertLocked(key, stored, status)
+		rc.insertLocked(key, resp, status)
 	}
 	rc.mu.Unlock()
-	f.resp, f.status = stored, status
+	f.resp, f.status = resp, status
 	close(f.done)
-	return resp, status, rcMiss
+}
+
+// abandon ends the flight the caller leads with a panic, which every
+// follower re-raises: identical requests see identical outcomes, and
+// nothing wedges on the flight.
+func (rc *resultCache) abandon(key string, f *flight, panicked any) {
+	rc.mu.Lock()
+	delete(rc.flights, key)
+	rc.mu.Unlock()
+	f.panicked = panicked
+	close(f.done)
+}
+
+// wait follows a flight to its end, or until ctx ends (rcExpiredWait).
+// A leader's 200 is the follower's answer (rcCoalesced). A leader's
+// failure — its deadline, a 500 — may be specific to that request, so
+// it is not inherited: wait returns rcMiss, and the caller runs its own
+// parse and offers the outcome to store.
+func (rc *resultCache) wait(ctx context.Context, f *flight) (ParseResult, int, rcOutcome) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return ParseResult{}, http.StatusGatewayTimeout, rcExpiredWait
+	}
+	if f.panicked != nil {
+		panic(f.panicked)
+	}
+	if f.status == http.StatusOK {
+		rc.coalesced.Add(1)
+		return f.resp, f.status, rcCoalesced
+	}
+	rc.misses.Add(1)
+	return ParseResult{}, f.status, rcMiss
+}
+
+// store memoizes the outcome of a parse run outside any flight (a
+// follower's own, after its leader failed) when it is a 200.
+func (rc *resultCache) store(key string, resp ParseResult, status int) {
+	if status != http.StatusOK {
+		return
+	}
+	rc.mu.Lock()
+	rc.insertLocked(key, sanitizeCached(resp), status)
+	rc.mu.Unlock()
 }
 
 // insertLocked stores one sanitized response, evicting from the LRU

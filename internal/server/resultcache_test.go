@@ -11,6 +11,35 @@ import (
 	"time"
 )
 
+// do is the claim/finish sequence serve runs for one entry, in one
+// blocking call, with fn standing in for submitting a job and awaiting
+// it: the tests below drive the cache's singleflight, panic and
+// leader-failure rules through it.
+func (rc *resultCache) do(ctx context.Context, key string, fn func() (ParseResult, int)) (ParseResult, int, rcOutcome) {
+	resp, status, f, leads := rc.claim(key)
+	switch {
+	case f == nil:
+		return resp, status, rcHit
+	case !leads:
+		resp, status, out := rc.wait(ctx, f)
+		if out != rcMiss {
+			return resp, status, out
+		}
+		resp, status = fn()
+		rc.store(key, resp, status)
+		return resp, status, rcMiss
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			rc.abandon(key, f, r)
+			panic(r)
+		}
+	}()
+	resp, status = fn()
+	rc.finish(key, f, resp, status)
+	return resp, status, rcMiss
+}
+
 func okResult(tag string) ParseResult {
 	return ParseResult{Sentence: []string{tag}, Accepted: true, HostTimeUS: 123, BatchSize: 7}
 }

@@ -25,12 +25,8 @@ type Config struct {
 	// QueueDepth bounds jobs accepted but not yet executing, per
 	// backend; beyond it requests get 429 (default 256).
 	QueueDepth int
-	// BatchWindow is how long the coalescer holds an open batch waiting
-	// for same-configuration requests (default 2ms; 0 disables
-	// coalescing).
-	BatchWindow time.Duration
-	// MaxBatch releases a batch early once it has this many jobs
-	// (default 16).
+	// MaxBatch caps the same-configuration MasPar jobs a free worker
+	// takes from its queue to run as one gang (default 16).
 	MaxBatch int
 	// DefaultTimeout is the per-request deadline when the request sets
 	// none (default 30s).
@@ -67,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
@@ -131,7 +124,8 @@ func New(cfg Config) *Server {
 	if cfg.ResultCacheEntries > 0 {
 		s.rcache = newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheTTL)
 	}
-	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, s.m)
+	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch, s.m)
+	s.pool.start()
 	s.lattice = latticeserve.New(latticeserve.Config{PrefixEntries: cfg.LatticePrefixEntries})
 	s.latticeGate = make(chan struct{}, cfg.Workers)
 	s.mux.HandleFunc("/v1/parse", s.handleParse)
@@ -250,24 +244,136 @@ func errResult(req ParseRequest, msg string, timedOut bool) ParseResult {
 	}
 }
 
-// do runs one interactive request end to end; see doClass.
-func (s *Server) do(ctx context.Context, req ParseRequest) (ParseResult, int) {
-	return s.doClass(ctx, req, false)
+// pending is one entry of serve between its phases.
+type pending struct {
+	j      *job // nil once the entry is answered without a parse
+	cancel context.CancelFunc
+	// key is the entry's result-cache key; f is the flight it leads,
+	// or follows when follows is set. Both are empty when the entry
+	// bypasses the cache.
+	key     string
+	f       *flight
+	follows bool
 }
 
-// doClass runs one request end to end: validate, resolve the grammar
-// and sentence, submit to the pool (bulk-class jobs get less queue
-// headroom), and wait for the result or the deadline — whichever comes
-// first, so an expired request answers 504 promptly even when the
-// queue behind it is long.
-func (s *Server) doClass(ctx context.Context, req ParseRequest, bulk bool) (ParseResult, int) {
+// serve answers reqs — one /v1/parse, a /v1/batch, or the candidates of
+// a pool-engine lattice — in three phases. Resolve: validate every entry
+// and claim its result-cache key without blocking, so each entry is
+// answered (an error or a hit), follows an identical parse already in
+// flight, or leads a new one. Submit: every leader and no_cache job goes
+// to the pool as one unit per backend (bulk-class units get less queue
+// headroom). Wait: leaders and no_cache jobs first, then followers.
+// Every leader has submitted before anything waits, and a leader waits
+// only for its own job, so no two requests can wait on each other.
+func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jobResult {
+	out := make([]jobResult, len(reqs))
+	ps := make([]pending, len(reqs))
+	defer func() {
+		// A panic must not strand the followers of a flight this call
+		// leads: they re-raise it, as the leader does.
+		r := recover()
+		for i := range ps {
+			if ps[i].cancel != nil {
+				ps[i].cancel()
+			}
+			if r != nil && ps[i].f != nil && !ps[i].follows {
+				s.rcache.abandon(ps[i].key, ps[i].f, r)
+			}
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
+
+	for i := range reqs {
+		req, p := &reqs[i], &ps[i]
+		p.j, p.cancel, out[i] = s.newJob(ctx, req)
+		if p.j == nil || s.rcache == nil || req.NoCache {
+			continue
+		}
+		// The cache key extends the pool's batching key with
+		// everything else the response bytes depend on: the sentence
+		// itself and the parse-rendering bound (see key.go — CacheKey
+		// derives the same string for the router).
+		p.key = cacheKeyOf(p.j.cfgKey, req.MaxParses, p.j.words)
+		resp, status, f, leads := s.rcache.claim(p.key)
+		if f == nil {
+			out[i], p.j = jobResult{status: status, resp: resp}, nil
+			continue
+		}
+		p.f, p.follows = f, !leads
+	}
+
+	for _, b := range Backends() {
+		var at []int
+		var unit []*job
+		for i := range ps {
+			if j := ps[i].j; j != nil && !ps[i].follows && j.backend == b {
+				at = append(at, i)
+				unit = append(unit, j)
+			}
+		}
+		if len(unit) == 0 {
+			continue
+		}
+		if err := s.pool.Submit(unit, bulk); err != nil {
+			for _, i := range at {
+				out[i] = refused(reqs[i], ps[i].j.gkey, err)
+			}
+		}
+	}
+
+	for i := range ps {
+		p := &ps[i]
+		if p.j == nil || p.follows {
+			continue
+		}
+		if out[i].status == 0 {
+			out[i] = s.await(reqs[i], p.j)
+		}
+		if p.f != nil {
+			s.rcache.finish(p.key, p.f, out[i].resp, out[i].status)
+			p.f = nil
+		}
+	}
+	for i := range ps {
+		p := &ps[i]
+		if !p.follows {
+			continue
+		}
+		resp, status, outcome := s.rcache.wait(p.j.ctx, p.f)
+		switch outcome {
+		case rcCoalesced:
+			out[i] = jobResult{status: status, resp: resp}
+		case rcExpiredWait:
+			// Our deadline ended while an identical parse was in flight.
+			s.m.timeouts.Add(1)
+			out[i] = timedOut(reqs[i], p.j)
+		default:
+			// The leader failed; its outcome may be specific to that
+			// request, so this entry parses on its own.
+			if err := s.pool.Submit([]*job{p.j}, bulk); err != nil {
+				out[i] = refused(reqs[i], p.j.gkey, err)
+			} else {
+				out[i] = s.await(reqs[i], p.j)
+			}
+			s.rcache.store(p.key, out[i].resp, out[i].status)
+		}
+	}
+	return out
+}
+
+// newJob validates req and resolves its grammar and sentence into a job
+// bound to the request's own deadline. A request that fails validation
+// gets its answer instead of a job.
+func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.CancelFunc, jobResult) {
 	words := req.Words()
 	if len(words) == 0 {
-		return errResult(req, "empty sentence: set \"sentence\" or \"text\"", false), http.StatusBadRequest
+		return nil, nil, jobResult{http.StatusBadRequest, errResult(*req, "empty sentence: set \"sentence\" or \"text\"", false)}
 	}
 	backend, err := ParseBackend(req.Backend)
 	if err != nil {
-		return errResult(req, err.Error(), false), http.StatusBadRequest
+		return nil, nil, jobResult{http.StatusBadRequest, errResult(*req, err.Error(), false)}
 	}
 	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
 	if err != nil {
@@ -275,13 +381,13 @@ func (s *Server) doClass(ctx context.Context, req ParseRequest, bulk bool) (Pars
 		if req.GrammarSource == "" {
 			status = http.StatusNotFound // unknown built-in name
 		}
-		return errResult(req, err.Error(), false), status
+		return nil, nil, jobResult{status, errResult(*req, err.Error(), false)}
 	}
 	sent, err := cdg.Resolve(g, words, nil)
 	if err != nil {
-		res := errResult(req, err.Error(), false)
+		res := errResult(*req, err.Error(), false)
 		res.Grammar = key
-		return res, http.StatusBadRequest
+		return nil, nil, jobResult{http.StatusBadRequest, res}
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -289,8 +395,6 @@ func (s *Server) doClass(ctx context.Context, req ParseRequest, bulk bool) (Pars
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	jctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
 	opts := []core.Option{
 		core.WithBackend(backend),
 		core.WithFilter(!req.NoFilter),
@@ -299,62 +403,52 @@ func (s *Server) doClass(ctx context.Context, req ParseRequest, bulk bool) (Pars
 	if req.PEs > 0 {
 		opts = append(opts, core.WithPEs(req.PEs))
 	}
-	cfgKey := cfgKeyOf(key, backend, req)
-	exec := func() (ParseResult, int) {
-		j := &job{
-			words:     words,
-			sent:      sent,
-			g:         g,
-			gkey:      key,
-			backend:   backend,
-			cfgKey:    cfgKey,
-			opts:      opts,
-			maxParses: req.MaxParses,
-			ctx:       jctx,
-			enq:       time.Now(),
-			result:    make(chan jobResult, 1),
-		}
-		if err := s.pool.Submit(j, bulk); err != nil {
-			res := errResult(req, err.Error(), false)
-			res.Grammar = key
-			if errors.Is(err, errQueueFull) {
-				return res, http.StatusTooManyRequests
-			}
-			return res, http.StatusServiceUnavailable
-		}
-		select {
-		case jr := <-j.result:
-			if jr.status == http.StatusGatewayTimeout {
-				s.m.timeouts.Add(1)
-			}
-			return jr.resp, jr.status
-		case <-jctx.Done():
-			// Answer now; the worker will notice the dead context and
-			// skip the parse (its late delivery lands in the buffered
-			// channel).
+	return &job{
+		words:     words,
+		sent:      sent,
+		g:         g,
+		gkey:      key,
+		backend:   backend,
+		cfgKey:    cfgKeyOf(key, backend, *req),
+		opts:      opts,
+		maxParses: req.MaxParses,
+		ctx:       jctx,
+		result:    make(chan jobResult, 1),
+	}, cancel, jobResult{}
+}
+
+// await waits for a submitted job's result or its deadline, whichever
+// comes first, so an expired request answers 504 promptly even when
+// the queue ahead of it is long. The worker notices the dead context
+// and skips the parse; its late delivery lands in the buffered channel.
+func (s *Server) await(req ParseRequest, j *job) jobResult {
+	select {
+	case jr := <-j.result:
+		if jr.status == http.StatusGatewayTimeout {
 			s.m.timeouts.Add(1)
-			res := errResult(req, jctx.Err().Error(), true)
-			res.Grammar = key
-			return res, http.StatusGatewayTimeout
 		}
-	}
-	if s.rcache == nil || req.NoCache {
-		return exec()
-	}
-	// The cache key extends the pool's coalescing key with everything
-	// else the response bytes depend on: the sentence itself and the
-	// parse-rendering bound (see key.go — CacheKey derives the same
-	// string for the router).
-	rcKey := cacheKeyOf(cfgKey, req.MaxParses, words)
-	resp, status, outcome := s.rcache.do(jctx, rcKey, exec)
-	if outcome == rcExpiredWait {
-		// Our deadline ended while an identical parse was in flight.
+		return jr
+	case <-j.ctx.Done():
 		s.m.timeouts.Add(1)
-		res := errResult(req, jctx.Err().Error(), true)
-		res.Grammar = key
-		return res, http.StatusGatewayTimeout
+		return timedOut(req, j)
 	}
-	return resp, status
+}
+
+// timedOut is the 504 of a request whose deadline ended while it waited.
+func timedOut(req ParseRequest, j *job) jobResult {
+	res := errResult(req, j.ctx.Err().Error(), true)
+	res.Grammar = j.gkey
+	return jobResult{http.StatusGatewayTimeout, res}
+}
+
+// refused maps a refused submit to 429 (queue full) or 503 (draining).
+func refused(req ParseRequest, gkey string, err error) jobResult {
+	res := errResult(req, err.Error(), false)
+	res.Grammar = gkey
+	if errors.Is(err, errQueueFull) {
+		return jobResult{http.StatusTooManyRequests, res}
+	}
+	return jobResult{http.StatusServiceUnavailable, res}
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
@@ -367,8 +461,8 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errResult(req, "malformed request: "+err.Error(), false))
 		return
 	}
-	res, status := s.doClass(r.Context(), req, r.Header.Get(ClassHeader) == "bulk")
-	s.writeJSON(w, status, res)
+	jr := s.serve(r.Context(), []ParseRequest{req}, r.Header.Get(ClassHeader) == "bulk")[0]
+	s.writeJSON(w, jr.status, jr.resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -385,20 +479,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, BatchResult{})
 		return
 	}
-	// Fan the batch out concurrently — this is what hands the coalescer
-	// same-configuration jobs inside one window. Batches are bulk-class
-	// unless the client explicitly marks them interactive.
-	bulk := r.Header.Get(ClassHeader) != "interactive"
-	results := make([]ParseResult, len(breq.Requests))
-	var wg sync.WaitGroup
-	for i, req := range breq.Requests {
-		wg.Add(1)
-		go func(i int, req ParseRequest) {
-			defer wg.Done()
-			results[i], _ = s.doClass(r.Context(), req, bulk)
-		}(i, req)
+	// Batches are bulk-class unless the client explicitly marks them
+	// interactive.
+	answers := s.serve(r.Context(), breq.Requests, r.Header.Get(ClassHeader) != "interactive")
+	results := make([]ParseResult, len(answers))
+	for i, jr := range answers {
+		results[i] = jr.resp
 	}
-	wg.Wait()
 	s.writeJSON(w, http.StatusOK, BatchResult{Results: results})
 }
 

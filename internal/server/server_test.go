@@ -176,11 +176,27 @@ func TestInlineGrammarCompiledOnceAndCached(t *testing.T) {
 	}
 }
 
+// holdPool swaps s's pool for one whose workers have not started:
+// submitted jobs stay queued until the test calls start.
+func holdPool(s *Server) *Pool {
+	s.pool.Close()
+	s.pool = newPool(s.cfg.Workers, s.cfg.QueueDepth, s.cfg.MaxBatch, s.m)
+	return s.pool
+}
+
+// awaitQueued blocks until backend b's queue holds at least n jobs,
+// waking on the tokens every submit leaves for the held pool's workers.
+func awaitQueued(p *Pool, b core.Backend, n int) {
+	for p.Queued(b) < n {
+		<-p.queues[b].wake
+	}
+}
+
 func TestDeadlineExceededReturns504Promptly(t *testing.T) {
-	// A long batch window guarantees the 1ms deadline fires while the
-	// job is still queued; the handler must answer without waiting for
-	// the worker to reach it.
-	_, ts := newTestServer(t, Config{BatchWindow: 200 * time.Millisecond})
+	// No worker runs, so the 1ms deadline fires while the job is still
+	// queued; the handler must answer without waiting for a worker.
+	s, ts := newTestServer(t, Config{})
+	holdPool(s)
 	start := time.Now()
 	status, data := postJSON(t, ts.URL+"/v1/parse", ParseRequest{
 		Text:      "the program runs",
@@ -194,37 +210,32 @@ func TestDeadlineExceededReturns504Promptly(t *testing.T) {
 		t.Errorf("timed_out not set: %s", data)
 	}
 	if elapsed > 150*time.Millisecond {
-		t.Errorf("504 took %v; should not wait out the batch window", elapsed)
+		t.Errorf("504 took %v; should not wait for a worker", elapsed)
 	}
 }
 
 func TestQueueFullReturns429(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers:     1,
-		QueueDepth:  1,
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    100,
+		Workers:    1,
+		QueueDepth: 1,
+		MaxBatch:   100,
 		// Identical requests must each hit the queue for this test;
 		// the result cache would coalesce them.
 		ResultCacheEntries: -1,
 	})
+	pool := holdPool(s)
 	done := make(chan int, 1)
 	go func() {
 		status, _ := postJSON(t, ts.URL+"/v1/parse", ParseRequest{Text: "the program runs", Backend: "serial"})
 		done <- status
 	}()
 	// Wait for the first request to occupy the queue slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Parses == 0 && s.pool.Queued(mustBackend(t, "serial")) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitQueued(pool, mustBackend(t, "serial"), 1)
 	status, data := postJSON(t, ts.URL+"/v1/parse", ParseRequest{Text: "the program runs", Backend: "serial"})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("second request: status %d want 429: %s", status, data)
 	}
+	pool.start()
 	if first := <-done; first != http.StatusOK {
 		t.Fatalf("first request: status %d", first)
 	}
@@ -245,7 +256,7 @@ func mustBackend(t *testing.T, name string) (b core.Backend) {
 func TestBatchEndpointCoalesces(t *testing.T) {
 	// Disable the result cache: this test asserts the pool coalesces
 	// identical jobs, which requires each request to submit one.
-	s, ts := newTestServer(t, Config{BatchWindow: 300 * time.Millisecond, MaxBatch: 16, ResultCacheEntries: -1})
+	s, ts := newTestServer(t, Config{MaxBatch: 16, ResultCacheEntries: -1})
 	breq := BatchRequest{}
 	for i := 0; i < 6; i++ {
 		breq.Requests = append(breq.Requests, ParseRequest{Text: "the program runs"})
@@ -272,7 +283,8 @@ func TestBatchEndpointCoalesces(t *testing.T) {
 }
 
 func TestShutdownDrainsInFlightRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: 400 * time.Millisecond, MaxBatch: 100, ResultCacheEntries: -1})
+	s, ts := newTestServer(t, Config{MaxBatch: 100, ResultCacheEntries: -1})
+	pool := holdPool(s)
 	const n = 5
 	statuses := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -281,16 +293,11 @@ func TestShutdownDrainsInFlightRequests(t *testing.T) {
 			statuses <- status
 		}()
 	}
-	// Let all five enqueue (still pending: the batch window is long).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.pool.Queued(mustBackend(t, "serial")) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d queued", s.pool.Queued(mustBackend(t, "serial")))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Drain: pending batches must flush and answer without waiting out
-	// the window.
+	// Let all five enqueue (still queued: no worker has started).
+	awaitQueued(pool, mustBackend(t, "serial"), n)
+	// Drain: the workers start and Close must not return before they
+	// have answered every queued job.
+	pool.start()
 	s.pool.Close()
 	for i := 0; i < n; i++ {
 		if status := <-statuses; status != http.StatusOK {
@@ -299,6 +306,84 @@ func TestShutdownDrainsInFlightRequests(t *testing.T) {
 	}
 	if got := s.Stats().Parses; got != n {
 		t.Errorf("parses=%d want %d", got, n)
+	}
+}
+
+// TestSerialJobsNeverShareABatch: two serial parses queued together on
+// two workers run one per worker; a shared batch would only run them
+// back to back on one worker while the other idles.
+func TestSerialJobsNeverShareABatch(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	pool := holdPool(s)
+	statuses := make(chan int, 2)
+	for _, text := range []string{"the program runs", "a program runs"} {
+		go func(text string) {
+			status, _ := postJSON(t, ts.URL+"/v1/parse", ParseRequest{Text: text, Backend: "serial"})
+			statuses <- status
+		}(text)
+	}
+	awaitQueued(pool, mustBackend(t, "serial"), 2)
+	pool.start()
+	for i := 0; i < 2; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, status)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"parsecd_batch_size_bucket{le=\"1\"} 2\n",
+		"parsecd_batch_size_count 2\n",
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("metrics missing %q:\n%s", want, data)
+		}
+	}
+}
+
+// TestOppositeOrderBatchesBothAnswer: two concurrent /v1/batch calls
+// carry the same two uncached sentences in opposite order, so each may
+// lead one flight and follow the other's. Both must answer every entry:
+// every leader submits before anything waits, so neither call can wait
+// on a flight the other has not yet submitted. A wait cycle would show
+// as entries timing out. Each round uses fresh sentences, and the
+// rounds vary the interleaving.
+func TestOppositeOrderBatchesBothAnswer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dets := []string{"the", "a", "every"}
+	nouns := []string{"dog", "man", "cat", "ball", "park", "telescope"}
+	for round := 0; round < 54; round++ {
+		np := dets[round%3] + " " + nouns[round/3%6]
+		x := np + " " + []string{"walked", "slept", "ran"}[round/18]
+		y := np + " saw " + []string{"rex", "fido", "the cat"}[round/18]
+		entry := func(text string) ParseRequest {
+			return ParseRequest{Grammar: "english", Backend: "serial", Text: text, TimeoutMS: 10000}
+		}
+		results := make(chan []byte, 2)
+		for _, pair := range [][2]string{{x, y}, {y, x}} {
+			go func(pair [2]string) {
+				status, data := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Requests: []ParseRequest{entry(pair[0]), entry(pair[1])}})
+				if status != http.StatusOK {
+					t.Errorf("round %d: status %d: %s", round, status, data)
+				}
+				results <- data
+			}(pair)
+		}
+		for i := 0; i < 2; i++ {
+			var out BatchResult
+			if err := json.Unmarshal(<-results, &out); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			for _, r := range out.Results {
+				if r.Error != "" || r.TimedOut {
+					t.Errorf("round %d: entry %v: error %q", round, r.Sentence, r.Error)
+				}
+			}
+		}
 	}
 }
 
