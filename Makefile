@@ -100,9 +100,12 @@ load:
 # report the perf work tracks (ns/op, B/op, allocs/op, simulated
 # cycles/op, sents/s, p99-ns/op, and the end-to-end parse's
 # eval/scan/router stage attribution), each row tagged with its package.
+# Every benchmark runs BENCH_COUNT times; benchjson folds the repeats into
+# one row of medians with the ns/op range and the run count.
 BENCH_PKGS = . ./internal/maspar/ ./internal/cn/ ./internal/cdg/ ./internal/core/ ./internal/latticeserve/ ./internal/server/ ./internal/router/clustertest/
+BENCH_COUNT ?= 5
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_scan.json
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_scan.json
 	@echo wrote BENCH_scan.json
 
 # bench-smoke is the CI-sized variant: one short iteration per

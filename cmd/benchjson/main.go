@@ -4,13 +4,15 @@
 // allocs/op, the simulator's custom cycles/op metric, the serving
 // path's sents/s throughput and p50/p99-ns/op latency metrics, and
 // the end-to-end parse benchmark's eval/scan/router stage attribution.
+// Repeated rows of one benchmark (`go test -count N`) are folded into
+// one row carrying their medians, the ns/op range and the run count.
 // The schema lives in internal/benchjson, shared with the fleet
 // benchmark orchestrator (cmd/parsecbench) so BENCH_scan.json and
 // BENCH_cluster.json stay one format.
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./internal/maspar/ | benchjson -o BENCH_scan.json
+//	go test -bench . -benchmem -count 5 ./internal/maspar/ | benchjson -o BENCH_scan.json
 package main
 
 import (
@@ -31,6 +33,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	rep.Results = benchjson.Fold(rep.Results)
 	w := io.Writer(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,6 +45,35 @@ type Result struct {
 	Failovers float64 `json:"failovers,omitempty"`
 	Hedges    float64 `json:"hedges,omitempty"`
 	Sheds     float64 `json:"sheds,omitempty"`
+
+	// Spread of a folded row (see Fold): the number of runs behind it,
+	// and the lowest and highest ns/op among them.
+	Runs    int     `json:"runs,omitempty"`
+	NsMinOp float64 `json:"ns_per_op_min,omitempty"`
+	NsMaxOp float64 `json:"ns_per_op_max,omitempty"`
+}
+
+// metricFields lists every float metric of a Result by its JSON name.
+var metricFields = []struct {
+	name string
+	of   func(*Result) *float64
+}{
+	{"ns_per_op", func(r *Result) *float64 { return &r.NsPerOp }},
+	{"bytes_per_op", func(r *Result) *float64 { return &r.BytesPerOp }},
+	{"allocs_per_op", func(r *Result) *float64 { return &r.AllocsPer }},
+	{"cycles_per_op", func(r *Result) *float64 { return &r.CyclesPer }},
+	{"sents_per_sec", func(r *Result) *float64 { return &r.SentsPer }},
+	{"eval_ns_per_op", func(r *Result) *float64 { return &r.EvalNsPer }},
+	{"scan_ns_per_op", func(r *Result) *float64 { return &r.ScanNsPer }},
+	{"router_ns_per_op", func(r *Result) *float64 { return &r.RouterNs }},
+	{"p99_ns_per_op", func(r *Result) *float64 { return &r.P99Ns }},
+	{"p50_ns_per_op", func(r *Result) *float64 { return &r.P50Ns }},
+	{"hit_rate", func(r *Result) *float64 { return &r.HitRate }},
+	{"failovers", func(r *Result) *float64 { return &r.Failovers }},
+	{"hedges", func(r *Result) *float64 { return &r.Hedges }},
+	{"sheds", func(r *Result) *float64 { return &r.Sheds }},
+	{"ns_per_op_min", func(r *Result) *float64 { return &r.NsMinOp }},
+	{"ns_per_op_max", func(r *Result) *float64 { return &r.NsMaxOp }},
 }
 
 // Report is the top-level JSON document. Pkg is the last package
@@ -149,6 +179,59 @@ func ParseLine(line string) (Result, bool) {
 	return res, true
 }
 
+// Fold merges the repeated rows that `go test -count N` prints for one
+// benchmark, keyed by (pkg, name), into one row each, in first-seen
+// order. Every metric and the iteration count become the median over
+// the runs; Runs counts them, and NsMinOp/NsMaxOp keep the ns/op range.
+// A benchmark run once folds to itself with Runs 1.
+func Fold(results []Result) []Result {
+	type key struct{ pkg, name string }
+	var order []key
+	runs := make(map[key][]Result)
+	for _, r := range results {
+		k := key{r.Pkg, r.Name}
+		if runs[k] == nil {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		row := rs[0]
+		vals := make([]float64, len(rs))
+		for _, m := range metricFields {
+			for i := range rs {
+				vals[i] = *m.of(&rs[i])
+			}
+			*m.of(&row) = median(vals)
+		}
+		for i := range rs {
+			vals[i] = float64(rs[i].Iterations)
+		}
+		row.Iterations = int64(median(vals))
+		row.Runs = len(rs)
+		row.NsMinOp, row.NsMaxOp = rs[0].NsPerOp, rs[0].NsPerOp
+		for _, r := range rs[1:] {
+			row.NsMinOp = min(row.NsMinOp, r.NsPerOp)
+			row.NsMaxOp = max(row.NsMaxOp, r.NsPerOp)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// median returns the median of vals (the mean of the middle two for an
+// even count), sorting vals in place.
+func median(vals []float64) float64 {
+	slices.Sort(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
 // trimProcSuffix drops the -GOMAXPROCS suffix go test appends
 // (BenchmarkFoo/v=1024-8 → BenchmarkFoo/v=1024) so reports diff
 // cleanly across machines.
@@ -177,7 +260,8 @@ func Validate(rep *Report) error {
 		return fmt.Errorf("benchjson: report has no results")
 	}
 	seen := make(map[string]bool, len(rep.Results))
-	for i, r := range rep.Results {
+	for i := range rep.Results {
+		r := &rep.Results[i]
 		if r.Name == "" {
 			return fmt.Errorf("benchjson: result %d has no name", i)
 		}
@@ -188,20 +272,9 @@ func Validate(rep *Report) error {
 		if r.Iterations < 0 {
 			return fmt.Errorf("benchjson: result %q: negative iterations %d", r.Name, r.Iterations)
 		}
-		for _, m := range []struct {
-			name string
-			v    float64
-		}{
-			{"ns_per_op", r.NsPerOp}, {"bytes_per_op", r.BytesPerOp},
-			{"allocs_per_op", r.AllocsPer}, {"cycles_per_op", r.CyclesPer},
-			{"sents_per_sec", r.SentsPer}, {"eval_ns_per_op", r.EvalNsPer},
-			{"scan_ns_per_op", r.ScanNsPer}, {"router_ns_per_op", r.RouterNs},
-			{"p99_ns_per_op", r.P99Ns}, {"p50_ns_per_op", r.P50Ns},
-			{"hit_rate", r.HitRate}, {"failovers", r.Failovers},
-			{"hedges", r.Hedges}, {"sheds", r.Sheds},
-		} {
-			if m.v < 0 {
-				return fmt.Errorf("benchjson: result %q: negative %s %g", r.Name, m.name, m.v)
+		for _, m := range metricFields {
+			if v := *m.of(r); v < 0 {
+				return fmt.Errorf("benchjson: result %q: negative %s %g", r.Name, m.name, v)
 			}
 		}
 		if r.HitRate > 1 {

@@ -76,6 +76,44 @@ ok  	repro/internal/core	0.9s
 	}
 }
 
+// `go test -count 3` prints each benchmark three times; Fold keeps one
+// row per (pkg, name), in first-seen order, with each metric's median,
+// the ns/op range and the run count. The same name in another package
+// is another benchmark.
+func TestFoldRepeatedRows(t *testing.T) {
+	rep, err := Parse(strings.NewReader(`pkg: repro/internal/core
+BenchmarkEndToEndParse/batch=1-2   90   13000000 ns/op   9000000 eval-ns/op   76.9 sents/s   600 B/op   10 allocs/op
+BenchmarkEndToEndParse/batch=8-2   60   17000000 ns/op   470.5 sents/s   900 B/op   20 allocs/op
+BenchmarkEndToEndParse/batch=1-2   80   12000000 ns/op   8000000 eval-ns/op   83.3 sents/s   600 B/op   10 allocs/op
+BenchmarkEndToEndParse/batch=8-2   70   18000000 ns/op   444.4 sents/s   900 B/op   20 allocs/op
+BenchmarkEndToEndParse/batch=1-2   100  14000000 ns/op   9500000 eval-ns/op   71.4 sents/s   640 B/op   12 allocs/op
+pkg: repro
+BenchmarkEndToEndParse/batch=1-2   5    1000 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Fold(rep.Results)
+	want := []Result{
+		{Name: "BenchmarkEndToEndParse/batch=1", Pkg: "repro/internal/core", Iterations: 90,
+			NsPerOp: 13000000, EvalNsPer: 9000000, SentsPer: 76.9, BytesPerOp: 600, AllocsPer: 10,
+			Runs: 3, NsMinOp: 12000000, NsMaxOp: 14000000},
+		{Name: "BenchmarkEndToEndParse/batch=8", Pkg: "repro/internal/core", Iterations: 65,
+			NsPerOp: 17500000, SentsPer: 457.45, BytesPerOp: 900, AllocsPer: 20,
+			Runs: 2, NsMinOp: 17000000, NsMaxOp: 18000000},
+		{Name: "BenchmarkEndToEndParse/batch=1", Pkg: "repro", Iterations: 5,
+			NsPerOp: 1000, Runs: 1, NsMinOp: 1000, NsMaxOp: 1000},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("expected an error for input with no benchmark lines")

@@ -9,6 +9,19 @@ import (
 	"repro/internal/grammars"
 )
 
+// distinctFive is eight different 5-word English sentences: the shape of
+// the serving benchmark's maspar-gang batches.
+var distinctFive = []string{
+	"the dog saw the man",
+	"a cat chased the ball",
+	"rex walked in the park",
+	"the old dog slept quickly",
+	"fido caught the red ball",
+	"every man liked the cat",
+	"the big dog ran slowly",
+	"rex took the old telescope",
+}
+
 // BenchmarkEndToEndParse measures the full MasPar parse pipeline on the
 // English grammar — resolve, propagation (compiled constraint eval),
 // consistency maintenance (segmented scans), router traffic — and
@@ -24,20 +37,13 @@ import (
 // endpoint does, but its members are identical and share one class
 // representative's check work. The distinct case is the serving
 // benchmark's maspar-gang shape: eight different 5-word sentences, so
-// every member's checks run.
+// every member's checks run. batch=1,n=17 is a solo long sentence: a
+// gang of one runs its binary passes on a single host worker, so this
+// row shows what that costs.
 func BenchmarkEndToEndParse(b *testing.B) {
 	g := grammars.English()
 	eight := strings.Fields("the dog saw the man with the telescope")
-	distinct := []string{
-		"the dog saw the man",
-		"a cat chased the ball",
-		"rex walked in the park",
-		"the old dog slept quickly",
-		"fido caught the red ball",
-		"every man liked the cat",
-		"the big dog ran slowly",
-		"rex took the old telescope",
-	}
+	long := strings.Fields("the big old dog saw the old man with the telescope in the park with the ball")
 	same := func(batch int) [][]string {
 		out := make([][]string, batch)
 		for i := range out {
@@ -46,7 +52,7 @@ func BenchmarkEndToEndParse(b *testing.B) {
 		return out
 	}
 	var gang5 [][]string
-	for _, s := range distinct {
+	for _, s := range distinctFive {
 		gang5 = append(gang5, strings.Fields(s))
 	}
 	for _, tc := range []struct {
@@ -54,6 +60,7 @@ func BenchmarkEndToEndParse(b *testing.B) {
 		words [][]string
 	}{
 		{"batch=1", same(1)},
+		{"batch=1,n=17", [][]string{long}},
 		{"batch=32", same(32)},
 		{"batch=8,distinct,n=5", gang5},
 	} {

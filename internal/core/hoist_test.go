@@ -17,8 +17,9 @@ import (
 // The per-PE formulation of the propagation steps: every PE decodes its
 // column and row groups from its id and evaluates each of its role
 // values (and each of its l×l pairs) itself, exactly as the SIMD array
-// does. masparsec.go evaluates each verdict once per (member, group,
-// slot) instead, and sweeps only live label slots; the dense
+// does. masparsec.go evaluates each unary verdict once per (member,
+// group, slot) and each binary verdict once per unordered pair of live
+// role values instead, and sweeps only live label slots; the dense
 // consistency round and read-back below visit every slot.
 // TestHoistedEvalMatchesPerPE holds the two to the same plural state
 // after every step and to the same read-back networks. The reference
@@ -312,22 +313,7 @@ func samePluralState(got, want *masparRun) string {
 // skips change host work only.
 func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, perConstraint bool) {
 	t.Helper()
-	var sps []*cdg.Space
-	for _, sent := range resolveAll(t, g, sentences) {
-		sps = append(sps, cdg.NewSpace(g, sent))
-	}
-	newRun := func() *masparRun {
-		m, err := maspar.New(maspar.PhysicalPEs, maspar.DefaultCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := newMasParRun(sps, m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run
-	}
-	hot, ref := newRun(), newRun()
+	hot, ref := newTestRun(t, g, sentences), newTestRun(t, g, sentences)
 	compare := func(name string) {
 		t.Helper()
 		if diff := samePluralState(hot, ref); diff != "" {
@@ -375,7 +361,7 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 			break
 		}
 	}
-	for b := range sps {
+	for b := range hot.sps {
 		if diff := sameNetwork(hot.readBack(b), ref.readBackRef(b)); diff != "" {
 			t.Fatalf("member %d read-back: %s", b, diff)
 		}
@@ -387,6 +373,25 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 			hm.Cycles, hm.ScanOps, hm.RouterOps, hm.ConstraintChecks, hm.Broadcasts,
 			rm.Cycles, rm.ScanOps, rm.RouterOps, rm.ConstraintChecks, rm.Broadcasts)
 	}
+}
+
+// newTestRun sets up a gang run of sentences on a fresh full-size
+// machine, ready for initAlive.
+func newTestRun(t *testing.T, g *cdg.Grammar, sentences []string) *masparRun {
+	t.Helper()
+	var sps []*cdg.Space
+	for _, sent := range resolveAll(t, g, sentences) {
+		sps = append(sps, cdg.NewSpace(g, sent))
+	}
+	m, err := maspar.New(maspar.PhysicalPEs, maspar.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := newMasParRun(sps, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
 }
 
 // bitsAlive counts the arc elements set across the run's plural state.
@@ -416,19 +421,24 @@ func gangOf(distinct []string, size int) []string {
 // invariant true, on the demo and English grammars and on the random
 // grammars of TestQuickDifferentialRandomGrammars, for gangs of 1, 3
 // and 8 (duplicates included), with and without per-constraint
-// consistency rounds, at several worker-pool sizes.
+// consistency rounds, at several worker-pool sizes. The english5 rows
+// are BenchmarkEndToEndParse's distinct gang: eight different 5-word
+// sentences in one gang of 8.
 func TestHoistedEvalMatchesPerPE(t *testing.T) {
 	type gangCase struct {
 		name      string
 		g         *cdg.Grammar
 		distinct  []string
 		perConstr bool
+		sizes     []int // gang sizes; nil means 1, 3 and 8
 	}
 	cases := []gangCase{
-		{"demo3-rounds", grammars.PaperDemo(), []string{"the program runs", "a machine halts"}, true},
-		{"demo5", grammars.PaperDemo(), []string{"the program runs the machine", "runs program the a parser"}, false},
-		{"english4", grammars.English(), []string{"rex caught the ball", "the dog walked quickly", "walked the dog rex"}, false},
-		{"english3-rounds", grammars.English(), []string{"the dog walked", "fido took rex"}, true},
+		{"demo3-rounds", grammars.PaperDemo(), []string{"the program runs", "a machine halts"}, true, nil},
+		{"demo5", grammars.PaperDemo(), []string{"the program runs the machine", "runs program the a parser"}, false, nil},
+		{"english4", grammars.English(), []string{"rex caught the ball", "the dog walked quickly", "walked the dog rex"}, false, nil},
+		{"english3-rounds", grammars.English(), []string{"the dog walked", "fido took rex"}, true, nil},
+		{"english5-distinct", grammars.English(), distinctFive, false, []int{8}},
+		{"english5-distinct-rounds", grammars.English(), distinctFive, true, []int{8}},
 	}
 	for _, seed := range []uint64{3, 14, 27, 14791735527896900715} {
 		g := grammars.Random(seed)
@@ -448,11 +458,46 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range cases {
-			for _, size := range []int{1, 3, 8} {
+			sizes := tc.sizes
+			if sizes == nil {
+				sizes = []int{1, 3, 8}
+			}
+			for _, size := range sizes {
 				t.Run(fmt.Sprintf("procs%d/%s/gang%d", procs, tc.name, size), func(t *testing.T) {
 					checkHoistedMatchesPerPE(t, tc.g, gangOf(tc.distinct, size), tc.perConstr)
 				})
 			}
 		}
 	}
+}
+
+// TestApplyBinaryAllocatesNothing holds a warmed run's binary passes to
+// zero allocations: the live-value lists and verdict spans are sized
+// once per run and reused for every constraint. The solo run hands
+// its one segment out inline at any GOMAXPROCS; the gang's machine is
+// built with one host worker, so its segments run inline too and only
+// core's own work is counted.
+func TestApplyBinaryAllocatesNothing(t *testing.T) {
+	g := grammars.English()
+	check := func(name string, run *masparRun) {
+		t.Helper()
+		run.initAlive()
+		run.initBits()
+		for _, c := range g.Unary() {
+			run.applyUnary(c)
+		}
+		binary := func() {
+			for _, c := range g.Binary() {
+				run.applyBinary(c)
+			}
+		}
+		binary() // warm: the first pass sizes the scratch
+		if allocs := testing.AllocsPerRun(5, binary); allocs != 0 {
+			t.Errorf("%s: %v allocations per sweep of %d binary constraints, want 0", name, allocs, len(g.Binary()))
+		}
+	}
+	check("solo", newTestRun(t, g, distinctFive[:1]))
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
 }

@@ -53,7 +53,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -100,6 +100,12 @@ type masparRun struct {
 	sets     []uint64
 	setWords int
 	verdicts []bool
+
+	// pairs[b] is class representative b's applyBinary scratch, and
+	// sweepPairs is applyBinary's per-segment pass, bound once so that
+	// handing it to the machine allocates nothing.
+	pairs      []pairScratch
+	sweepPairs func(seg int)
 
 	// Gang-width images of the layout's packed masks: one copy per
 	// segment (a gang of one aliases the layout's own vectors).
@@ -381,6 +387,7 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		sets:       make([]uint64, B*l*ly.groupSetWords()),
 		setWords:   ly.groupSetWords(),
 		verdicts:   make([]bool, len(ly.refs)),
+		pairs:      make([]pairScratch, B),
 		rounds:     make([]int, B),
 		done:       make([]bool, B),
 		snaps:      make([]metrics.Counters, B),
@@ -389,6 +396,7 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 	for b, sp := range sps {
 		run.sents[b] = sp.Sentence()
 	}
+	run.sweepPairs = run.binarySegment
 	run.classRep = make([]int, B)
 	seen := make(map[string]int, B)
 	for b, sent := range run.sents {
@@ -430,7 +438,8 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 // label slot and sentence, and every PE of its column block (and of its
 // row stripe) reaches that same verdict — the redundancy by which the
 // SIMD array avoids communication. The host therefore evaluates each
-// verdict once and writes the result into whole packed words; the ACU
+// verdict once and writes the result into whole packed words (a binary
+// verdict, once per pair of values, into both mirrored PEs); the ACU
 // instruction each step issues, and so every cycle, check and counter,
 // is unchanged. The per-PE formulation is kept in hoist_test.go as the
 // reference these steps are held bit-identical to.
@@ -538,61 +547,137 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	})
 }
 
-// applyBinary propagates one binary constraint: every PE tests its l×l
-// surviving pairs in both variable orientations. The mirrored storage
-// means the pair (A,B) is checked at both PE(v) and PE(transpose v)
-// with identical outcomes. Only (lc, lr) words whose column and row
-// slots are both live in the word are read, each walked by its set
-// bits: unary propagation leaves few pairs alive, and a cleared
-// element needs no check.
+// applyBinary propagates one binary constraint. On the machine, every
+// PE tests its l×l surviving pairs in both variable orientations, so
+// each pair of role values is tested twice: at PE colGroup·S+rowGroup
+// and at its transpose mirror. The host evaluates each unordered pair
+// of live role values once instead, per class representative: it lists
+// the member's live values from column liveness at each block head, and
+// runs one Check2Span and one Check2SpanRev per value over the later
+// values of other role instances. A failing pair is cleared at its PE,
+// element (lc, lr), and at the mirror, element (lr, lc). This is exact:
+// the both-orientation test gives one verdict at both mirror positions;
+// by the live-slot invariant every set bit lies on a live×live pair;
+// and same-instance pairs sit only on masked PEs. The machine charges
+// 2l² checks per PE as before and hands the host work out by gang
+// segment.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
-	ly := run.ly
 	run.bindCheckers(c)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
-	run.m.AllChecksWords(2*ly.l*ly.l, func(w int, active uint64) {
-		seg := w / run.segWords
-		if run.dupSeg(seg) {
-			return // copied from the class representative below
-		}
-		var rows uint64
-		for lr, ar := range run.aliveRowV {
-			if ar[w] != 0 {
-				rows |= slotBit(lr)
-			}
-		}
-		if rows == 0 {
-			return
-		}
-		a := (w - seg*run.segWords) << 6
-		ck := &run.cks[seg]
-		for lc := 0; lc < ly.l; lc++ {
-			if run.aliveColV[lc][w] == 0 {
-				continue
-			}
-			for lr := 0; lr < ly.l; lr++ {
-				if rows&slotBit(lr) == 0 {
-					continue
-				}
-				bv := run.bitsV[lc*ly.l+lr]
-				for x := bv[w] & active; x != 0; x &= x - 1 {
-					j := bits.TrailingZeros64(x)
-					refC, okC := ly.RVRef((a+j)/ly.s, lc)
-					refR, okR := ly.RVRef((a+j)%ly.s, lr)
-					if okC && okR && !(ck.Check2(refC, refR) && ck.Check2(refR, refC)) {
-						bv[w] &^= uint64(1) << uint(j)
-					}
-				}
-			}
-		}
-	})
+	run.m.AllChecksSegs(2*run.ly.l*run.ly.l, run.sweepPairs)
 	run.copyDupSegs(run.bitsV)
+}
+
+// pairScratch is one class representative's applyBinary scratch. refs
+// lists its live role values group-major, at[i] gives refs[i]'s group
+// and label slot, and inst[k] is the index of the first value of role
+// instance k or later (inst[q·n] == len(refs)). fwd and rev hold one
+// value's verdicts. Liveness only shrinks, so after the first binary
+// constraint the scratch is reused without allocating.
+type pairScratch struct {
+	refs     []cdg.RVRef
+	at       []liveSlot
+	inst     []int32
+	fwd, rev []bool
+}
+
+// liveSlot locates a live role value: its group and label slot.
+type liveSlot struct{ g, ls int32 }
+
+// listLive fills class representative b's scratch with its live role
+// values.
+func (run *masparRun) listLive(b int) *pairScratch {
+	ly, ps := run.ly, &run.pairs[b]
+	count := 0
+	run.forLive(b, func(int, int) { count++ })
+	ps.refs = slices.Grow(ps.refs[:0], count)
+	ps.at = slices.Grow(ps.at[:0], count)
+	ps.fwd = slices.Grow(ps.fwd[:0], count)
+	ps.rev = slices.Grow(ps.rev[:0], count)
+	insts := ly.s / ly.n
+	ps.inst = slices.Grow(ps.inst[:0], insts+1)
+	run.forLive(b, func(g, i int) {
+		for len(ps.inst) <= g/ly.n {
+			ps.inst = append(ps.inst, int32(len(ps.refs)))
+		}
+		ps.refs = append(ps.refs, ly.refs[i])
+		ps.at = append(ps.at, liveSlot{int32(g), int32(i) - ly.refOff[g]})
+	})
+	for len(ps.inst) <= insts {
+		ps.inst = append(ps.inst, int32(len(ps.refs)))
+	}
+	return ps
+}
+
+// forLive calls f(g, i) for each live role value of member b in group
+// order: g is the value's group and ly.refs[i] its evaluation view.
+// Liveness is read from column liveness at each block head, as
+// readBack reads domains.
+func (run *masparRun) forLive(b int, f func(g, i int)) {
+	ly := run.ly
+	base := b * run.stride
+	for g := 0; g < ly.s; g++ {
+		head := ly.blockHead(g)
+		if head >= (g+1)*ly.s {
+			continue
+		}
+		pe := base + head
+		w, bit := pe>>6, uint64(1)<<(uint(pe)&63)
+		lo := int(ly.refOff[g])
+		for i := lo; i < int(ly.refOff[g+1]); i++ {
+			if run.aliveColV[i-lo][w]&bit != 0 {
+				f(g, i)
+			}
+		}
+	}
+}
+
+// binarySegment is applyBinary's pass over gang segment b: it evaluates
+// every unordered cross-instance pair of the member's live role values
+// once, in both orientations, and clears a failing pair at both of its
+// mirrored PEs. Duplicate segments are copied from their class
+// representative afterwards.
+func (run *masparRun) binarySegment(b int) {
+	if run.dupSeg(b) {
+		return
+	}
+	ps := run.listLive(b)
+	ck := &run.cks[b]
+	base := b * run.stride
+	for k := 0; k+1 < len(ps.inst); k++ {
+		lo, hi := ps.inst[k], ps.inst[k+1]
+		ys := ps.refs[hi:]
+		if len(ys) == 0 {
+			break
+		}
+		fwd, rev := ps.fwd[:len(ys)], ps.rev[:len(ys)]
+		for i := lo; i < hi; i++ {
+			ck.Check2Span(ps.refs[i], ys, fwd)
+			ck.Check2SpanRev(ps.refs[i], ys, rev)
+			x := ps.at[i]
+			for t, ok := range fwd {
+				if !ok || !rev[t] {
+					y := ps.at[int(hi)+t]
+					run.clearElem(base, x, y)
+					run.clearElem(base, y, x)
+				}
+			}
+		}
+	}
+}
+
+// clearElem clears arc element (x.ls, y.ls) at the PE of column group
+// x.g and row group y.g, in the segment whose first lane is base.
+func (run *masparRun) clearElem(base int, x, y liveSlot) {
+	pe := base + int(x.g)*run.ly.s + int(y.g)
+	run.bitsV[int(x.ls)*run.ly.l+int(y.ls)][pe>>6] &^= uint64(1) << (uint(pe) & 63)
 }
 
 // bindCheckers binds c's compiled form to every gang member's sentence,
 // reusing the run's checker scratch: the prologue runs once per member
-// per constraint, and the per-lane work inside AllChecksWords is then
-// just bytecode over the fixed stack. Duplicate segments are bound too
+// per constraint, and the work inside the machine's check instructions
+// is then just bytecode over the fixed stack. Duplicate segments are bound too
 // (Bind is cheap and keeps indexing uniform); dupSeg skips their checks.
 func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 	for b, sent := range run.sents {

@@ -317,51 +317,24 @@ func (m *Machine) Enabled(pe int) bool {
 
 // forAll runs f over every virtual PE (mask-blind), chunked across host
 // cores.
-func (m *Machine) forAll(f func(pe int)) {
-	n := m.v
-	nw := m.workers
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
-		for pe := 0; pe < n; pe++ {
-			f(pe)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for pe := lo; pe < hi; pe++ {
-				f(pe)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+func (m *Machine) forAll(f func(pe int)) { m.chunked(m.v, f) }
 
 // forAllWords runs f over every packed-vector word index, chunked
 // across host cores. Word granularity keeps each 64-PE word owned by
 // exactly one worker, so packed plural writes never straddle workers.
-func (m *Machine) forAllWords(f func(w int)) {
-	n := m.nw
+func (m *Machine) forAllWords(f func(w int)) { m.chunked(m.nw, f) }
+
+// chunked runs f(i) for i in [0, n), split into one contiguous chunk
+// per host worker. With one worker (or one index) it runs inline and
+// allocates nothing.
+func (m *Machine) chunked(n int, f func(i int)) {
 	nworkers := m.workers
 	if nworkers > n {
 		nworkers = n
 	}
 	if nworkers <= 1 {
-		for w := 0; w < n; w++ {
-			f(w)
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 		return
 	}
@@ -378,8 +351,8 @@ func (m *Machine) forAllWords(f func(w int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for w := lo; w < hi; w++ {
-				f(w)
+			for i := lo; i < hi; i++ {
+				f(i)
 			}
 		}(lo, hi)
 	}
@@ -422,4 +395,16 @@ func (m *Machine) AllChecks(checksPerPE int, f func(pe int)) {
 func (m *Machine) AllChecksWords(checksPerPE int, f func(w int, active uint64)) {
 	m.chargeChecks(uint64(checksPerPE))
 	m.AllWords(f)
+}
+
+// AllChecksSegs is AllChecksWords handed out by gang segment: charged
+// identically (one elemental instruction plus checksPerPE constraint
+// evaluations per PE), but f runs once per segment, the segments
+// chunked across host cores. Segment b owns words [b·SegWords,
+// (b+1)·SegWords) of every packed plural vector, and f may touch only
+// those. A gang of one runs inline on the caller's goroutine.
+func (m *Machine) AllChecksSegs(checksPerPE int, f func(seg int)) {
+	m.chargeChecks(uint64(checksPerPE))
+	m.chargeElemental()
+	m.chunked(m.segs, f)
 }

@@ -19,6 +19,36 @@ func TestAllChecksAccounting(t *testing.T) {
 	}
 }
 
+// AllChecksSegs hands the same charged instruction out by gang segment:
+// its counters must equal AllChecksWords', and each segment must run
+// exactly once.
+func TestAllChecksSegsChargesLikeAllChecksWords(t *testing.T) {
+	const segs = 5
+	gang := func() *Machine {
+		m, err := New(64, DefaultCosts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.SetupGang(130, segs); err != nil { // 3 layers
+			t.Fatal(err)
+		}
+		return m
+	}
+	words, bySeg := gang(), gang()
+	words.AllChecksWords(6, func(int, uint64) {})
+	var runs [segs]atomic.Int32 // segments run on several goroutines
+	bySeg.AllChecksSegs(6, func(seg int) { runs[seg].Add(1) })
+	if words.Cycles != bySeg.Cycles || words.Instr != bySeg.Instr || words.ConstraintChecks != bySeg.ConstraintChecks {
+		t.Errorf("AllChecksSegs charged cycles=%d instr=%d checks=%d, AllChecksWords %d/%d/%d",
+			bySeg.Cycles, bySeg.Instr, bySeg.ConstraintChecks, words.Cycles, words.Instr, words.ConstraintChecks)
+	}
+	for seg := range runs {
+		if n := runs[seg].Load(); n != 1 {
+			t.Errorf("segment %d ran %d times, want 1", seg, n)
+		}
+	}
+}
+
 func TestBroadcastAccounting(t *testing.T) {
 	m := newTestMachine(t, 64, 128)
 	c0 := m.Cycles
