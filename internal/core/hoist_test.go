@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -19,7 +20,8 @@ import (
 // values (and each of its l×l pairs) itself, exactly as the SIMD array
 // does. masparsec.go evaluates each unary verdict once per (member,
 // group, slot) and each binary verdict once per unordered pair of live
-// role values instead, and sweeps only live label slots; the dense
+// role values instead, clears a run of unary constraints' violators
+// with one sweep, and sweeps only live label slots; the dense
 // consistency round and read-back below visit every slot.
 // TestHoistedEvalMatchesPerPE holds the two to the same plural state
 // after every step and to the same read-back networks. The reference
@@ -302,39 +304,60 @@ func samePluralState(got, want *masparRun) string {
 	return ""
 }
 
-// checkHoistedMatchesPerPE runs one gang twice, hoisted and per-PE, on
-// two identically set-up machines: propagation, then filtering to
-// fixpoint. The per-PE side uses the dense consistency round. The
-// plural state is compared, and the live-slot invariant asserted, after
-// every step and every round; then each member's read-back networks are
-// compared exactly. With perConstraint, a consistency round follows
-// each constraint, so later constraints meet states with dead values
-// too. Both machines must end with equal counters: the hoisting and the
-// skips change host work only.
+// checkHoistedMatchesPerPE runs one gang three times on identically
+// set-up machines: propagation, then filtering to fixpoint. The per-PE
+// run is the reference and uses the dense consistency round. The
+// hoisted run sweeps after every unary constraint, so its plural state
+// is compared with the reference, and the live-slot invariant
+// asserted, after every step and every round. The accumulated run
+// propagates the unary constraints as runMasParGang does
+// (propagateUnary: one sweep for the whole run, or one before each
+// per-constraint round), and joins the comparisons from the end of the
+// unary phase on. Then each member's read-back networks are compared
+// exactly. With perConstraint, a consistency round follows each
+// constraint, so later constraints meet states with dead values too.
+// All machines must end with equal counters: the hoisting, the
+// accumulation and the skips change host work only.
 func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, perConstraint bool) {
 	t.Helper()
-	hot, ref := newTestRun(t, g, sentences), newTestRun(t, g, sentences)
+	type side struct {
+		name string
+		run  *masparRun
+	}
+	hot, acc, ref := newTestRun(t, g, sentences), newTestRun(t, g, sentences), newTestRun(t, g, sentences)
+	sides := []side{{"hoisted", hot}, {"accumulated", acc}}
+	live := sides[:1] // the accumulated run joins after the unary phase
 	compare := func(name string) {
 		t.Helper()
-		if diff := samePluralState(hot, ref); diff != "" {
-			t.Fatalf("after %s: %s", name, diff)
-		}
-		if bad := liveSlotViolation(hot); bad != "" {
-			t.Fatalf("after %s: %s", name, bad)
+		for _, s := range live {
+			if diff := samePluralState(s.run, ref); diff != "" {
+				t.Fatalf("%s run after %s: %s", s.name, name, diff)
+			}
+			if bad := liveSlotViolation(s.run); bad != "" {
+				t.Fatalf("%s run after %s: %s", s.name, name, bad)
+			}
+			if s.run.roundsRun != ref.roundsRun || !slices.Equal(s.run.segChanged, ref.segChanged) {
+				t.Fatalf("%s run after %s: %d rounds changed segments %v, dense %d rounds %v",
+					s.name, name, s.run.roundsRun, s.run.segChanged, ref.roundsRun, ref.segChanged)
+			}
 		}
 	}
 	round := func(name string) bool {
 		t.Helper()
-		anyHot, anyRef := hot.consistencyRound(), ref.consistencyRoundRef()
-		compare(name)
-		if anyHot != anyRef || !slices.Equal(hot.segChanged, ref.segChanged) {
-			t.Fatalf("after %s: changed segments %v, dense %v", name, hot.segChanged, ref.segChanged)
+		anyRef := ref.consistencyRoundRef()
+		for _, s := range live {
+			if anyRun := s.run.consistencyRound(); anyRun != anyRef {
+				t.Fatalf("%s run after %s: changed %v, dense %v", s.name, name, anyRun, anyRef)
+			}
 		}
-		return anyHot
+		compare(name)
+		return anyRef
 	}
-	step := func(name string, hoisted, perPE func()) {
+	step := func(name string, apply func(run *masparRun), perPE func()) {
 		t.Helper()
-		hoisted()
+		for _, s := range live {
+			apply(s.run)
+		}
 		perPE()
 		compare(name)
 		if perConstraint {
@@ -342,16 +365,26 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 		}
 	}
 	hot.initAlive()
+	acc.initAlive()
 	ref.initAliveRef()
 	compare("initAlive")
 	hot.initBits()
+	acc.initBits()
 	ref.initBits()
 	compare("initBits")
 	for _, c := range g.Unary() {
-		step("unary "+c.Name, func() { hot.applyUnary(c) }, func() { ref.applyUnaryRef(c) })
+		step("unary "+c.Name, func(run *masparRun) {
+			run.applyUnary(c)
+			run.sweepUnary()
+		}, func() { ref.applyUnaryRef(c) })
 	}
+	if err := acc.propagateUnary(context.Background(), perConstraint); err != nil {
+		t.Fatal(err)
+	}
+	live = sides
+	compare("the unary phase")
 	for _, c := range g.Binary() {
-		step("binary "+c.Name, func() { hot.applyBinary(c) }, func() { ref.applyBinaryRef(c) })
+		step("binary "+c.Name, func(run *masparRun) { run.applyBinary(c) }, func() { ref.applyBinaryRef(c) })
 	}
 	if bitsAlive(hot) == 0 {
 		t.Fatal("no arc element survived propagation; the comparison is vacuous")
@@ -361,17 +394,19 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 			break
 		}
 	}
-	for b := range hot.sps {
-		if diff := sameNetwork(hot.readBack(b), ref.readBackRef(b)); diff != "" {
-			t.Fatalf("member %d read-back: %s", b, diff)
+	for _, s := range sides {
+		for b := range s.run.sps {
+			if diff := sameNetwork(s.run.readBack(b), ref.readBackRef(b)); diff != "" {
+				t.Fatalf("%s run member %d read-back: %s", s.name, b, diff)
+			}
 		}
-	}
-	hm, rm := hot.m, ref.m
-	if hm.Cycles != rm.Cycles || hm.ScanOps != rm.ScanOps || hm.RouterOps != rm.RouterOps ||
-		hm.ConstraintChecks != rm.ConstraintChecks || hm.Broadcasts != rm.Broadcasts {
-		t.Fatalf("counters differ: hoisted cycles=%d scans=%d routers=%d checks=%d broadcasts=%d, per-PE %d/%d/%d/%d/%d",
-			hm.Cycles, hm.ScanOps, hm.RouterOps, hm.ConstraintChecks, hm.Broadcasts,
-			rm.Cycles, rm.ScanOps, rm.RouterOps, rm.ConstraintChecks, rm.Broadcasts)
+		hm, rm := s.run.m, ref.m
+		if hm.Cycles != rm.Cycles || hm.ScanOps != rm.ScanOps || hm.RouterOps != rm.RouterOps ||
+			hm.ConstraintChecks != rm.ConstraintChecks || hm.Broadcasts != rm.Broadcasts {
+			t.Fatalf("counters differ: %s cycles=%d scans=%d routers=%d checks=%d broadcasts=%d, per-PE %d/%d/%d/%d/%d",
+				s.name, hm.Cycles, hm.ScanOps, hm.RouterOps, hm.ConstraintChecks, hm.Broadcasts,
+				rm.Cycles, rm.ScanOps, rm.RouterOps, rm.ConstraintChecks, rm.Broadcasts)
+		}
 	}
 }
 
@@ -415,13 +450,14 @@ func gangOf(distinct []string, size int) []string {
 	return out
 }
 
-// TestHoistedEvalMatchesPerPE holds initAlive, applyUnary,
-// applyBinary, consistencyRound and readBack bit-identical to the
-// per-PE and dense references after every step, and the live-slot
-// invariant true, on the demo and English grammars and on the random
-// grammars of TestQuickDifferentialRandomGrammars, for gangs of 1, 3
-// and 8 (duplicates included), with and without per-constraint
-// consistency rounds, at several worker-pool sizes. The english5 rows
+// TestHoistedEvalMatchesPerPE holds initAlive, applyUnary with
+// sweepUnary, propagateUnary, applyBinary, consistencyRound and
+// readBack bit-identical to the per-PE and dense references after
+// every step, and the live-slot invariant true, on the demo and English
+// grammars and on the random grammars of
+// TestQuickDifferentialRandomGrammars, for gangs of 1, 3 and 8
+// (duplicates included), with and without per-constraint consistency
+// rounds, at several worker-pool sizes. The english5 rows
 // are BenchmarkEndToEndParse's distinct gang: eight different 5-word
 // sentences in one gang of 8.
 func TestHoistedEvalMatchesPerPE(t *testing.T) {
@@ -494,6 +530,33 @@ func TestApplyBinaryAllocatesNothing(t *testing.T) {
 		binary() // warm: the first pass sizes the scratch
 		if allocs := testing.AllocsPerRun(5, binary); allocs != 0 {
 			t.Errorf("%s: %v allocations per sweep of %d binary constraints, want 0", name, allocs, len(g.Binary()))
+		}
+	}
+	check("solo", newTestRun(t, g, distinctFive[:1]))
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
+}
+
+// TestApplyUnaryAllocatesNothing holds a warmed run's unary phase and
+// its sweep to zero allocations: the verdicts and group sets are sized
+// once per run, and the sweep is a host loop over the run's own
+// vectors. It runs on the same solo run and one-worker gang as
+// TestApplyBinaryAllocatesNothing.
+func TestApplyUnaryAllocatesNothing(t *testing.T) {
+	g := grammars.English()
+	check := func(name string, run *masparRun) {
+		t.Helper()
+		run.initAlive()
+		run.initBits()
+		unary := func() {
+			if err := run.propagateUnary(context.Background(), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unary() // warm
+		if allocs := testing.AllocsPerRun(5, unary); allocs != 0 {
+			t.Errorf("%s: %v allocations per unary phase of %d constraints, want 0", name, allocs, len(g.Unary()))
 		}
 	}
 	check("solo", newTestRun(t, g, distinctFive[:1]))

@@ -10,7 +10,11 @@ package core
 //     its PE id plus ACU broadcasts (decision #2).
 //  3. Constraint propagation is pure local computation: the ACU
 //     broadcasts each constraint and every PE checks its l×l arc
-//     elements — O(k) elemental work with no communication.
+//     elements — O(k) elemental work with no communication. A unary
+//     verdict never reads liveness, so the host clears the violators
+//     of a run of unary constraints with one sweep over the plural
+//     state; the ACU still issues, and is charged, one instruction per
+//     constraint.
 //  4. Consistency maintenance is the scanOr/scanAnd construction of
 //     Figure 12 (decision #3), one round costing O(log P); filtering
 //     runs a bounded number of rounds (decision #5), or to fixpoint
@@ -93,9 +97,10 @@ type masparRun struct {
 
 	// sets holds a group set (see Layout) per class representative b and
 	// label slot ls, setWords words each at groupSet(b, ls): the groups
-	// whose value is live after initAlive's table-T lookup, then each
-	// unary constraint's violators. verdicts is the Check1Span output
-	// over the layout's refs. Both are host buffers reused across
+	// whose value is live inside initAlive, then the violators of the
+	// unary constraints applied since the last sweepUnary. The sets are
+	// empty between those steps. verdicts is the Check1Span output over
+	// the layout's refs. Both are host buffers reused across
 	// constraints.
 	sets     []uint64
 	setWords int
@@ -193,12 +198,12 @@ func (run *masparRun) wordSegment(w int) (rep, a, off int) {
 	return run.classRep[seg], a, a % run.ly.s
 }
 
-// fillSets rebuilds class representative b's group sets: group g joins
+// markSets adds to class representative b's group sets: group g joins
 // slot ls's set when in(i, ls) holds for the group's role value
-// ly.refs[i].
-func (run *masparRun) fillSets(b int, in func(i, ls int) bool) {
+// ly.refs[i]. Only groups 0..S−1 are written; extendSets extends the
+// sets before any word reads them.
+func (run *masparRun) markSets(b int, in func(i, ls int) bool) {
 	ly := run.ly
-	clearVec(run.sets[b*ly.l*run.setWords : (b+1)*ly.l*run.setWords])
 	for g := 0; g < ly.s; g++ {
 		lo := int(ly.refOff[g])
 		for i := lo; i < int(ly.refOff[g+1]); i++ {
@@ -207,8 +212,18 @@ func (run *masparRun) fillSets(b int, in func(i, ls int) bool) {
 			}
 		}
 	}
-	for ls := 0; ls < ly.l; ls++ {
-		ly.extendGroupSet(run.groupSet(b, ls))
+}
+
+// extendSets extends every class representative's group sets
+// periodically (see Layout) so that words can read them.
+func (run *masparRun) extendSets() {
+	for b := range run.sents {
+		if run.dupSeg(b) {
+			continue
+		}
+		for ls := 0; ls < run.ly.l; ls++ {
+			run.ly.extendGroupSet(run.groupSet(b, ls))
+		}
 	}
 }
 
@@ -296,14 +311,8 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 
 	// Constraint propagation: the ACU broadcasts each constraint, all
 	// PEs apply it to their local arc elements.
-	for _, uc := range g.Unary() {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		run.applyUnary(uc)
-		if consistencyPerConstraint {
-			run.consistencyRound()
-		}
+	if err := run.propagateUnary(ctx, consistencyPerConstraint); err != nil {
+		return nil, nil, err
 	}
 	for _, bc := range g.Binary() {
 		if err := ctx.Err(); err != nil {
@@ -455,11 +464,12 @@ func (run *masparRun) initAlive() {
 		if run.dupSeg(b) {
 			continue
 		}
-		run.fillSets(b, func(i, ls int) bool {
+		run.markSets(b, func(i, ls int) bool {
 			cat, ok := sent.Cat(ly.refs[i].Pos)
 			return ok && ly.allowed[ly.refs[i].Role][cat][ls]
 		})
 	}
+	run.extendSets()
 	run.m.AllWords(func(w int, active uint64) {
 		rep, a, off := run.wordSegment(w)
 		for ls := 0; ls < ly.l; ls++ {
@@ -468,6 +478,7 @@ func (run *masparRun) initAlive() {
 			run.aliveRowV[ls][w] = rowLanes(set, off) & active
 		}
 	})
+	clearVec(run.sets)
 }
 
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
@@ -490,13 +501,37 @@ func (run *masparRun) initBits() {
 	})
 }
 
-// applyUnary propagates one unary constraint: every PE checks its
+// propagateUnary broadcasts the grammar's unary constraints and clears
+// their violators with one sweepUnary after the last. With
+// per-constraint consistency rounds it sweeps after every constraint
+// instead, so each round sees its constraint applied.
+func (run *masparRun) propagateUnary(ctx context.Context, perConstraint bool) error {
+	for _, uc := range run.gr.Unary() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		run.applyUnary(uc)
+		if perConstraint {
+			run.sweepUnary()
+			run.consistencyRound()
+		}
+	}
+	if !perConstraint {
+		run.sweepUnary()
+	}
+	return nil
+}
+
+// applyUnary broadcasts one unary constraint: every PE checks its
 // column-side and row-side role values locally and zeroes the liveness
-// and arc elements of violators. Pure elemental work; the verdicts are
-// evaluated once per (member, group, slot) and cleared from whole
-// words, and the arc-element masking that follows is word-parallel.
-// Only live slots are swept, and a (lc, lr) word is re-masked only when
-// its column or row slot lost a lane.
+// and arc elements of violators. The host evaluates each verdict once
+// per (member, group, slot) and only ORs the violators into the
+// members' group sets; sweepUnary clears them from the plural state. A
+// unary verdict reads the role value and the sentence, never liveness,
+// so sweeping the union of a run's violators once leaves the same
+// liveness and arc elements as sweeping after each constraint. The
+// machine charges the constraint's instruction here, as
+// AllChecksWords(2l).
 func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
@@ -507,9 +542,24 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 			continue
 		}
 		run.cks[b].Check1Span(ly.refs, run.verdicts)
-		run.fillSets(b, func(i, _ int) bool { return !run.verdicts[i] })
+		run.markSets(b, func(i, _ int) bool { return !run.verdicts[i] })
 	}
-	run.m.AllChecksWords(2*ly.l, func(w int, active uint64) {
+	run.m.ChargeAllChecks(2 * ly.l)
+}
+
+// sweepUnary clears the violators applyUnary collected since the last
+// sweep from the liveness vectors, word-parallel, and masks the arc
+// elements to match, then empties the group sets. Only live slots are
+// swept, and a (lc, lr) word is re-masked only when its column or row
+// slot lost a lane. The activity mask is baseMaskW, which the machine
+// holds throughout propagation (consistencyRound restores it). Host
+// work only: each constraint's instruction was charged by applyUnary.
+func (run *masparRun) sweepUnary() {
+	ly := run.ly
+	t0 := run.attr.start()
+	defer run.attr.eval(t0)
+	run.extendSets()
+	for w, active := range run.baseMaskW {
 		rep, a, off := run.wordSegment(w)
 		var rowLive, rowLost uint64
 		for lr := 0; lr < ly.l; lr++ {
@@ -544,7 +594,8 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 				}
 			}
 		}
-	})
+	}
+	clearVec(run.sets)
 }
 
 // applyBinary propagates one binary constraint. On the machine, every

@@ -226,11 +226,13 @@ func (m *Machine) logPhys() uint64 {
 	return uint64(bits.Len(uint(m.phys - 1)))
 }
 
+//parsec:noalloc
 func (m *Machine) chargeElemental() {
 	m.Instr++
 	m.Cycles += m.costs.Elemental * uint64(m.layer)
 }
 
+//parsec:noalloc
 func (m *Machine) chargeChecks(perPE uint64) {
 	// Per-segment accounting: a gang's counters read as one member's
 	// cost (see SetupGang). For a solo program vSeg == v.
@@ -404,7 +406,17 @@ func (m *Machine) AllChecksWords(checksPerPE int, f func(w int, active uint64)) 
 // (b+1)·SegWords) of every packed plural vector, and f may touch only
 // those. A gang of one runs inline on the caller's goroutine.
 func (m *Machine) AllChecksSegs(checksPerPE int, f func(seg int)) {
+	m.ChargeAllChecks(checksPerPE)
+	m.chunked(m.segs, f)
+}
+
+// ChargeAllChecks charges one AllChecksWords instruction (one elemental
+// instruction plus checksPerPE constraint evaluations per PE) and runs
+// nothing: the caller applies the instruction's effect to the plural
+// state itself, as BroadcastData's caller holds the broadcast data.
+//
+//parsec:noalloc
+func (m *Machine) ChargeAllChecks(checksPerPE int) {
 	m.chargeChecks(uint64(checksPerPE))
 	m.chargeElemental()
-	m.chunked(m.segs, f)
 }

@@ -49,6 +49,31 @@ func TestAllChecksSegsChargesLikeAllChecksWords(t *testing.T) {
 	}
 }
 
+// ChargeAllChecks charges an AllChecksWords instruction whose effect the
+// caller applies itself: solo and in a gang, its counters must equal
+// AllChecksWords'.
+func TestChargeAllChecksChargesLikeAllChecksWords(t *testing.T) {
+	for _, segs := range []int{1, 5} {
+		gang := func() *Machine {
+			m, err := New(64, DefaultCosts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.SetupGang(130, segs); err != nil { // 3 layers
+				t.Fatal(err)
+			}
+			return m
+		}
+		words, charged := gang(), gang()
+		words.AllChecksWords(6, func(int, uint64) {})
+		charged.ChargeAllChecks(6)
+		if words.Cycles != charged.Cycles || words.Instr != charged.Instr || words.ConstraintChecks != charged.ConstraintChecks {
+			t.Errorf("gang of %d: ChargeAllChecks charged cycles=%d instr=%d checks=%d, AllChecksWords %d/%d/%d", segs,
+				charged.Cycles, charged.Instr, charged.ConstraintChecks, words.Cycles, words.Instr, words.ConstraintChecks)
+		}
+	}
+}
+
 func TestBroadcastAccounting(t *testing.T) {
 	m := newTestMachine(t, 64, 128)
 	c0 := m.Cycles
