@@ -94,7 +94,7 @@ serve:
 load:
 	$(GO) run ./cmd/parsecload -c 16 -n 400
 
-# bench runs the paper-figure (Fig. 8, E3–E9: the root package), simulator,
+# bench runs the paper-figure (Fig. 8, E3–E8: the root package), simulator,
 # network, constraint-eval, end-to-end, serving-path, and hedged-fleet
 # benchmarks with allocation accounting and writes the machine-readable
 # report the perf work tracks (ns/op, B/op, allocs/op, simulated

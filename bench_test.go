@@ -20,7 +20,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/grammars"
-	"repro/internal/hostpar"
 	"repro/internal/maspar"
 	"repro/internal/pram"
 	"repro/internal/serial"
@@ -278,31 +277,6 @@ func BenchmarkE6_RouterVsRing(b *testing.B) {
 				ms = p.ModelTime.Seconds() * 1000
 			}
 			b.ReportMetric(ms, "model-ms")
-		})
-	}
-}
-
-// BenchmarkE9_HostParallel contrasts the serial engine with the
-// goroutine-parallel engine at increasing worker counts — the modern
-// analogue of the paper's serial-vs-MasPar comparison, in real
-// wall-clock time.
-func BenchmarkE9_HostParallel(b *testing.B) {
-	g := grammars.PaperDemo()
-	words := workload.DemoSentence(12)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := serial.ParseWords(g, words, serial.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hostpar.ParseWords(g, words, hostpar.Options{Workers: w, Filter: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -85,18 +85,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var b core.Backend
-	switch *backend {
-	case "serial":
-		b = core.Serial
-	case "pram":
-		b = core.PRAM
-	case "maspar":
-		b = core.MasPar
-	case "mesh":
-		b = core.Mesh
-	default:
-		return fmt.Errorf("unknown backend %q", *backend)
+	b, err := core.ParseBackend(*backend)
+	if err != nil {
+		return err
 	}
 
 	p := core.NewParser(g, core.WithBackend(b))

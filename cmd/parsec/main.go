@@ -1,5 +1,5 @@
 // Command parsec parses sentences with a CDG grammar on a selectable
-// backend (serial / pram / maspar / mesh / hostpar) and prints the
+// backend (serial / pram / maspar / mesh) and prints the
 // final constraint network, the precedence graphs, and the machine
 // statistics. Grammar-development flags: -lint (static checks),
 // -trace (per-constraint elimination log), -diagnose N (find the
@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		grammarName = fs.String("grammar", "demo", "built-in grammar: demo|english|ww|dyck|anbn|chain")
 		grammarFile = fs.String("grammar-file", "", "load a grammar from an s-expression file instead")
-		backend     = fs.String("backend", "maspar", "machine model: serial|pram|maspar|mesh|hostpar")
+		backend     = fs.String("backend", "maspar", "machine model: serial|pram|maspar|mesh")
 		pes         = fs.Int("pes", maspar.PhysicalPEs, "physical PEs for the maspar backend")
 		maxFilter   = fs.Int("max-filter", 0, "bound filtering rounds (0 = run to fixpoint)")
 		noFilter    = fs.Bool("no-filter", false, "skip the filtering phase")
@@ -84,20 +84,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	var b core.Backend
-	switch *backend {
-	case "serial":
-		b = core.Serial
-	case "pram":
-		b = core.PRAM
-	case "maspar":
-		b = core.MasPar
-	case "mesh":
-		b = core.Mesh
-	case "hostpar":
-		b = core.HostParallel
-	default:
-		return fmt.Errorf("unknown backend %q (serial|pram|maspar|mesh|hostpar)", *backend)
+	b, err := core.ParseBackend(*backend)
+	if err != nil {
+		return err
 	}
 
 	p := core.NewParser(g,

@@ -40,7 +40,7 @@ func TestCLIDemoParse(t *testing.T) {
 }
 
 func TestCLIBackends(t *testing.T) {
-	for _, backend := range []string{"serial", "pram", "maspar", "mesh", "hostpar"} {
+	for _, backend := range []string{"serial", "pram", "maspar", "mesh"} {
 		out, err := runCLI(t, "-backend", backend, "the", "program", "runs")
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

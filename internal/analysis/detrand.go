@@ -19,15 +19,15 @@ import (
 //     (observable behaviour must not depend on how many host workers
 //     happen to run the lockstep loops).
 //
-// Worker pools that use GOMAXPROCS purely for chunking — with
-// PE-local writes and host-side accounting, so results are identical
-// at any worker count — carry a //lint:allow detrand (reason) citing
-// the determinism regression test.
+// The simulators run every instruction and every P-RAM step on the
+// caller's goroutine, so none of them has a reason to probe the host:
+// host parallelism is the serving pool's business, one parse per
+// worker, outside these packages.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbid wall-clock, unseeded randomness, and goroutine-count probes " +
 		"in the deterministic simulator packages",
-	Match: pkgPathIn("maspar", "pram", "hostpar", "meshcdg", "cdg", "cn", "serial"),
+	Match: pkgPathIn("maspar", "pram", "meshcdg", "cdg", "cn", "serial"),
 	Run:   runDetRand,
 }
 

@@ -18,7 +18,7 @@ var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag order-sensitive operations inside map iteration in the " +
 		"deterministic packages and server response paths",
-	Match: pkgPathIn("maspar", "pram", "hostpar", "meshcdg", "cdg", "cn", "serial",
+	Match: pkgPathIn("maspar", "pram", "meshcdg", "cdg", "cn", "serial",
 		"server", "metrics", "grammars"),
 	Run: runMapOrder,
 }

@@ -14,6 +14,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // Scenario is the declarative description of one fleet benchmark run.
@@ -144,10 +146,10 @@ func (sc *Scenario) Validate() error {
 	if sc.Seed < 0 {
 		return fmt.Errorf("benchfleet: scenario %q: seed must be >= 0", sc.Name)
 	}
-	switch sc.Backend {
-	case "", "serial", "maspar", "pram", "mesh", "hostpar":
-	default:
-		return fmt.Errorf("benchfleet: scenario %q: unknown backend %q", sc.Name, sc.Backend)
+	if sc.Backend != "" {
+		if _, err := core.ParseBackend(sc.Backend); err != nil {
+			return fmt.Errorf("benchfleet: scenario %q: %w", sc.Name, err)
+		}
 	}
 	if sc.ProbeIntervalMS < 0 {
 		return fmt.Errorf("benchfleet: scenario %q: probe_interval_ms must be >= 0", sc.Name)

@@ -31,12 +31,12 @@ func masparFingerprint(t *testing.T, words []string) string {
 	return b.String()
 }
 
-// TestMasParDeterminismAcrossGOMAXPROCS is the regression test behind
-// the detrand analyzer's GOMAXPROCS allowances: the simulator may use
-// runtime.GOMAXPROCS to size its worker pool, because the pool only
-// chunks PE sweeps and must never change what the machine computes.
-// The same parse under different GOMAXPROCS settings must produce
-// identical cycle counts, scan ops, and parse output.
+// TestMasParDeterminismAcrossGOMAXPROCS is a cheap guard on the
+// detrand contract: the simulator runs every instruction on the
+// caller's goroutine and must never compute differently with the
+// host's configuration. The same parse under different GOMAXPROCS
+// settings must produce identical cycle counts, scan ops, and parse
+// output.
 func TestMasParDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -89,11 +89,11 @@ func gangFingerprint(t *testing.T, batch [][]string) string {
 	return b.String()
 }
 
-// TestGangDeterminismAcrossGOMAXPROCS extends the scheduling-
-// independence property to ganged execution: a batch of same-length
-// sentences — including duplicate members, which take the shared-
-// evaluation fast path — must produce identical per-member accounting
-// and parses under GOMAXPROCS 1, 2, and 8.
+// TestGangDeterminismAcrossGOMAXPROCS extends that guard to ganged
+// execution: a batch of same-length sentences — including duplicate
+// members, which take the shared-evaluation fast path — must produce
+// identical per-member accounting and parses under GOMAXPROCS 1, 2,
+// and 8.
 func TestGangDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

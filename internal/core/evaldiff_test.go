@@ -32,7 +32,7 @@ func TestEvalModesBitEqualAcrossBackends(t *testing.T) {
 		{"english-reject", grammars.English(), []string{"dog", "the", "saw"}},
 		{"random-17", grammars.Random(17), grammars.RandomSentence(grammars.Random(17), 3, 3)},
 	}
-	backends := []Backend{Serial, PRAM, MasPar, Mesh, HostParallel}
+	backends := []Backend{Serial, PRAM, MasPar, Mesh}
 	for _, tc := range cases {
 		for _, b := range backends {
 			parse := func() *Result {

@@ -64,7 +64,7 @@ func TestRegressionPRAMConvergenceFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Backend{PRAM, MasPar, Mesh, HostParallel} {
+	for _, b := range []Backend{PRAM, MasPar, Mesh} {
 		got, err := NewParser(g, WithBackend(b)).Parse(words)
 		if err != nil {
 			t.Fatal(err)

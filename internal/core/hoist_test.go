@@ -457,7 +457,7 @@ func gangOf(distinct []string, size int) []string {
 // grammars and on the random grammars of
 // TestQuickDifferentialRandomGrammars, for gangs of 1, 3 and 8
 // (duplicates included), with and without per-constraint consistency
-// rounds, at several worker-pool sizes. The english5 rows
+// rounds, at several GOMAXPROCS settings. The english5 rows
 // are BenchmarkEndToEndParse's distinct gang: eight different 5-word
 // sentences in one gang of 8.
 func TestHoistedEvalMatchesPerPE(t *testing.T) {
@@ -508,11 +508,9 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 }
 
 // TestApplyBinaryAllocatesNothing holds a warmed run's binary passes to
-// zero allocations: the live-value lists and verdict spans are sized
-// once per run and reused for every constraint. The solo run hands
-// its one segment out inline at any GOMAXPROCS; the gang's machine is
-// built with one host worker, so its segments run inline too and only
-// core's own work is counted.
+// zero allocations, solo and in a gang of 12 at the ambient GOMAXPROCS:
+// the live-value list and verdict spans are sized once per run and
+// reused for every member and constraint.
 func TestApplyBinaryAllocatesNothing(t *testing.T) {
 	g := grammars.English()
 	check := func(name string, run *masparRun) {
@@ -533,15 +531,13 @@ func TestApplyBinaryAllocatesNothing(t *testing.T) {
 		}
 	}
 	check("solo", newTestRun(t, g, distinctFive[:1]))
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
 }
 
 // TestApplyUnaryAllocatesNothing holds a warmed run's unary phase and
 // its sweep to zero allocations: the verdicts and group sets are sized
 // once per run, and the sweep is a host loop over the run's own
-// vectors. It runs on the same solo run and one-worker gang as
+// vectors. It runs on the same solo run and gang as
 // TestApplyBinaryAllocatesNothing.
 func TestApplyUnaryAllocatesNothing(t *testing.T) {
 	g := grammars.English()
@@ -560,7 +556,5 @@ func TestApplyUnaryAllocatesNothing(t *testing.T) {
 		}
 	}
 	check("solo", newTestRun(t, g, distinctFive[:1]))
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
 }

@@ -106,11 +106,9 @@ type masparRun struct {
 	setWords int
 	verdicts []bool
 
-	// pairs[b] is class representative b's applyBinary scratch, and
-	// sweepPairs is applyBinary's per-segment pass, bound once so that
-	// handing it to the machine allocates nothing.
-	pairs      []pairScratch
-	sweepPairs func(seg int)
+	// pairs is applyBinary's scratch, refilled for each class
+	// representative in turn.
+	pairs pairScratch
 
 	// Gang-width images of the layout's packed masks: one copy per
 	// segment (a gang of one aliases the layout's own vectors).
@@ -396,7 +394,6 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		sets:       make([]uint64, B*l*ly.groupSetWords()),
 		setWords:   ly.groupSetWords(),
 		verdicts:   make([]bool, len(ly.refs)),
-		pairs:      make([]pairScratch, B),
 		rounds:     make([]int, B),
 		done:       make([]bool, B),
 		snaps:      make([]metrics.Counters, B),
@@ -405,7 +402,6 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 	for b, sp := range sps {
 		run.sents[b] = sp.Sentence()
 	}
-	run.sweepPairs = run.binarySegment
 	run.classRep = make([]int, B)
 	seen := make(map[string]int, B)
 	for b, sent := range run.sents {
@@ -610,22 +606,28 @@ func (run *masparRun) sweepUnary() {
 // the both-orientation test gives one verdict at both mirror positions;
 // by the live-slot invariant every set bit lies on a live×live pair;
 // and same-instance pairs sit only on masked PEs. The machine charges
-// 2l² checks per PE as before and hands the host work out by gang
-// segment.
+// the constraint's instruction, 2l² checks per PE as before, through
+// ChargeAllChecks.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
 	run.bindCheckers(c)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
-	run.m.AllChecksSegs(2*run.ly.l*run.ly.l, run.sweepPairs)
+	for b := range run.sents {
+		if !run.dupSeg(b) {
+			run.binarySegment(b)
+		}
+	}
 	run.copyDupSegs(run.bitsV)
+	run.m.ChargeAllChecks(2 * run.ly.l * run.ly.l)
 }
 
-// pairScratch is one class representative's applyBinary scratch. refs
-// lists its live role values group-major, at[i] gives refs[i]'s group
-// and label slot, and inst[k] is the index of the first value of role
-// instance k or later (inst[q·n] == len(refs)). fwd and rev hold one
-// value's verdicts. Liveness only shrinks, so after the first binary
-// constraint the scratch is reused without allocating.
+// pairScratch is applyBinary's scratch, holding one class
+// representative's live role values at a time. refs lists them
+// group-major, at[i] gives refs[i]'s group and label slot, and inst[k]
+// is the index of the first value of role instance k or later
+// (inst[q·n] == len(refs)). fwd and rev hold one value's verdicts.
+// Liveness only shrinks, so once every member has been listed the
+// scratch is reused without allocating.
 type pairScratch struct {
 	refs     []cdg.RVRef
 	at       []liveSlot
@@ -636,10 +638,10 @@ type pairScratch struct {
 // liveSlot locates a live role value: its group and label slot.
 type liveSlot struct{ g, ls int32 }
 
-// listLive fills class representative b's scratch with its live role
+// listLive fills the scratch with class representative b's live role
 // values.
 func (run *masparRun) listLive(b int) *pairScratch {
-	ly, ps := run.ly, &run.pairs[b]
+	ly, ps := run.ly, &run.pairs
 	count := 0
 	run.forLive(b, func(int, int) { count++ })
 	ps.refs = slices.Grow(ps.refs[:0], count)
@@ -684,15 +686,11 @@ func (run *masparRun) forLive(b int, f func(g, i int)) {
 	}
 }
 
-// binarySegment is applyBinary's pass over gang segment b: it evaluates
-// every unordered cross-instance pair of the member's live role values
-// once, in both orientations, and clears a failing pair at both of its
-// mirrored PEs. Duplicate segments are copied from their class
-// representative afterwards.
+// binarySegment is applyBinary's pass over the segment of class
+// representative b: it evaluates every unordered cross-instance pair of
+// the member's live role values once, in both orientations, and clears
+// a failing pair at both of its mirrored PEs.
 func (run *masparRun) binarySegment(b int) {
-	if run.dupSeg(b) {
-		return
-	}
 	ps := run.listLive(b)
 	ck := &run.cks[b]
 	base := b * run.stride

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cdg"
 	"repro/internal/cn"
-	"repro/internal/hostpar"
 	"repro/internal/maspar"
 	"repro/internal/meshcdg"
 	"repro/internal/metrics"
@@ -30,12 +30,10 @@ const (
 	// Mesh is CDG on a 2-D mesh of O(n²) cells — Figure 8's remaining
 	// CDG row, O(k + n²) time.
 	Mesh
-	// HostParallel runs the same algorithm fanned out over the host's
-	// cores with goroutine workers — the paper's parallelism thesis on
-	// modern hardware, built for real wall-clock speedup rather than
-	// simulation.
-	HostParallel
 )
+
+// Backends lists every machine model.
+func Backends() []Backend { return []Backend{Serial, PRAM, MasPar, Mesh} }
 
 func (b Backend) String() string {
 	switch b {
@@ -47,10 +45,23 @@ func (b Backend) String() string {
 		return "maspar"
 	case Mesh:
 		return "mesh"
-	case HostParallel:
-		return "hostpar"
 	}
 	return "unknown"
+}
+
+// ParseBackend maps a backend's name (its String form) back to the
+// backend.
+func ParseBackend(name string) (Backend, error) {
+	for _, b := range Backends() {
+		if b.String() == name {
+			return b, nil
+		}
+	}
+	var names []string
+	for _, b := range Backends() {
+		names = append(names, b.String())
+	}
+	return 0, fmt.Errorf("unknown backend %q (%s)", name, strings.Join(names, "|"))
 }
 
 // Option configures a Parser.
@@ -71,8 +82,6 @@ type config struct {
 	// of O(k + log n) on the MasPar.
 	consistencyPerConstraint bool
 	policy                   pram.Policy
-	// workers caps the HostParallel pool (<= 0: GOMAXPROCS).
-	workers int
 	// attr, when non-nil, accumulates per-stage wall-clock attribution
 	// for MasPar runs (constraint eval vs scans vs router).
 	attr *Attribution
@@ -114,10 +123,6 @@ func WithConsistencyPerConstraint(on bool) Option {
 
 // WithWritePolicy sets the P-RAM concurrent-write policy.
 func WithWritePolicy(p pram.Policy) Option { return func(c *config) { c.policy = p } }
-
-// WithWorkers caps the HostParallel backend's goroutine pool
-// (<= 0: GOMAXPROCS, the default).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithAttribution makes MasPar parses accumulate per-stage wall-clock
 // time (constraint evaluation, consistency scans, router transposes)
@@ -221,12 +226,15 @@ func (p *Parser) ParseSentenceContext(ctx context.Context, sent *cdg.Sentence) (
 // ParseGangContext parses a batch of same-length sentences. On the
 // MasPar backend they run as ONE gang program: every sentence occupies
 // its own segment of a single virtual PE array and one ACU instruction
-// stream drives the whole gang, so instruction dispatch, goroutine
-// fan-out, and arena traffic are paid once per batch instead of once
-// per sentence. Each result's counters and ModelTime are attributed
-// per sentence and are bit-identical to a solo run of that sentence
-// (see runMasParGang); HostTime is the batch's wall clock split evenly
-// across members. Other backends fall back to sequential solo parses.
+// stream drives the whole gang, so instruction dispatch and arena
+// traffic are paid once per batch instead of once per sentence. Each
+// result's counters and ModelTime are attributed per sentence and are
+// bit-identical to a solo run of that sentence (see runMasParGang);
+// HostTime is the batch's wall clock split evenly across members.
+// Other backends fall back to sequential solo parses. Like every parse,
+// the gang runs on the caller's goroutine: host parallelism is the
+// caller's to choose, as the serving pool does with one parse per
+// worker.
 //
 // All sentences must have the same word count; mixed lengths are an
 // error on the MasPar backend (the server's pool groups by length
@@ -312,18 +320,6 @@ func (p *Parser) parseSentence(ctx context.Context, sent *cdg.Sentence) (*Result
 			return nil, err
 		}
 		return &Result{Backend: Mesh, Network: mres.Network, Counters: mres.Counters}, nil
-
-	case HostParallel:
-		hres, err := hostpar.Parse(p.g, sent, hostpar.Options{
-			Ctx:            ctx,
-			Workers:        p.cfg.workers,
-			Filter:         p.cfg.filter,
-			MaxFilterIters: p.cfg.maxFilterIters,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Backend: HostParallel, Network: hres.Network, Counters: hres.Counters}, nil
 
 	case MasPar:
 		m, err := maspar.New(p.cfg.phys, p.cfg.costs)

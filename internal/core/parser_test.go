@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,7 +64,7 @@ func TestDifferentialAllBackends(t *testing.T) {
 	}
 	for _, words := range sentences {
 		ref := parseOn(t, Serial, words)
-		for _, b := range []Backend{PRAM, MasPar, Mesh, HostParallel} {
+		for _, b := range []Backend{PRAM, MasPar, Mesh} {
 			got := parseOn(t, b, words)
 			if !ref.Network.EqualState(got.Network) {
 				t.Errorf("%v: %v network differs from serial\nserial:\n%s\n%v:\n%s",
@@ -88,7 +89,7 @@ func TestDifferentialEnglishThreeRoles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range []Backend{PRAM, MasPar, Mesh, HostParallel} {
+		for _, b := range []Backend{PRAM, MasPar, Mesh} {
 			got, err := NewParser(g, WithBackend(b)).Parse(words)
 			if err != nil {
 				t.Fatalf("%v on %v: %v", words, b, err)
@@ -178,11 +179,19 @@ func TestSmallPhysicalMachineStillCorrect(t *testing.T) {
 
 func TestBackendStrings(t *testing.T) {
 	if Serial.String() != "serial" || PRAM.String() != "pram" ||
-		MasPar.String() != "maspar" || Mesh.String() != "mesh" || HostParallel.String() != "hostpar" {
+		MasPar.String() != "maspar" || Mesh.String() != "mesh" {
 		t.Error("backend names wrong")
 	}
 	if Backend(99).String() != "unknown" {
 		t.Error("unknown backend name")
+	}
+	for _, b := range Backends() {
+		if got, err := ParseBackend(b.String()); err != nil || got != b {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	if _, err := ParseBackend("unknown"); err == nil || !strings.Contains(err.Error(), "serial|pram|maspar|mesh") {
+		t.Errorf("ParseBackend(unknown): err=%v, want the backend list", err)
 	}
 }
 
@@ -210,7 +219,7 @@ func TestStatsRendering(t *testing.T) {
 func TestParseContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, b := range []Backend{Serial, PRAM, MasPar, Mesh, HostParallel} {
+	for _, b := range []Backend{Serial, PRAM, MasPar, Mesh} {
 		p := NewParser(grammars.PaperDemo(), WithBackend(b))
 		if _, err := p.ParseContext(ctx, grammars.PaperSentence()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err=%v, want context.Canceled", b, err)

@@ -38,7 +38,6 @@ func All() []Experiment {
 		{"E6", "Section 2.2.1: design-decision ablations", E6Ablations},
 		{"E7", "Beyond the paper: MP-1 family machine-size sweep", E7MachineSize},
 		{"E8", "Beyond the paper: filtering algorithms (AC-1 vs AC-4 vs bounded)", E8FilteringAlgorithms},
-		{"E9", "Beyond the paper: host-parallel speedup (goroutines as PEs)", E9HostParallel},
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 9 {
-		t.Fatalf("got %d experiments, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("got %d experiments, want 8", len(all))
 	}
 	for _, e := range all {
 		if e.ID == "" || e.Title == "" || e.Run == nil {
@@ -23,7 +23,7 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Error("ByID should reject unknown ids")
 	}
-	if len(IDs()) != 9 {
+	if len(IDs()) != 8 {
 		t.Error("IDs length")
 	}
 }

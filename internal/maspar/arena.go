@@ -9,9 +9,11 @@ import "sync"
 // matching the zero-filled make the scalar kernels used to do).
 //
 // A Machine is not safe for concurrent instruction issue — the SIMD
-// model is a single ACU — but worker goroutines inside one instruction
-// and callers returning buffers from deferred paths do overlap, so the
-// free-list itself is mutex-guarded.
+// model is a single ACU — and every instruction runs on its caller's
+// goroutine, so the package never touches the free-list from two
+// goroutines at once. The mutex guards the free-list for callers that
+// return a buffer from another goroutine than the one issuing
+// instructions.
 type arena struct {
 	mu    sync.Mutex
 	words [][]uint64 // free packed vectors, each len nw

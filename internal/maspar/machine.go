@@ -23,17 +23,17 @@
 // instruction is a simulation detail, not a model change — and the
 // property tests in packed_test.go hold them bit-identical.
 //
-// Host goroutines chunk the PE loop for speed; semantics are lockstep
-// SIMD (an instruction's reads all precede its writes only when the
-// instruction itself needs that, which scans and router sends
-// guarantee internally), and results are bit-deterministic.
+// Every instruction runs as one plain host loop on the caller's
+// goroutine; semantics are lockstep SIMD (an instruction's reads all
+// precede its writes only when the instruction itself needs that, which
+// scans and router sends guarantee internally), and results are
+// bit-deterministic. Host parallelism belongs to the caller: the
+// serving pool runs one parse per worker.
 package maspar
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -116,8 +116,6 @@ type Machine struct {
 	RouterOps        uint64
 	Broadcasts       uint64
 	ConstraintChecks uint64
-
-	workers int
 }
 
 // New builds a machine with phys physical PEs (use PhysicalPEs for the
@@ -126,15 +124,7 @@ func New(phys int, costs CostModel) (*Machine, error) {
 	if phys <= 0 {
 		return nil, fmt.Errorf("maspar: need a positive PE count, got %d", phys)
 	}
-	// Workers only chunk the PE sweep: writes are PE-local and cycle
-	// charging is host-side, so results are identical at any pool size
-	// (enforced by TestMasParDeterminismAcrossGOMAXPROCS).
-	//lint:allow detrand (chunking only; output is worker-count independent)
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	return &Machine{phys: phys, costs: costs, workers: w}, nil
+	return &Machine{phys: phys, costs: costs}, nil
 }
 
 // Setup sizes the virtual PE array for a program and enables every PE.
@@ -278,7 +268,7 @@ func CyclesToModelTime(cycles uint64) time.Duration {
 // lanes of a gang program stay inactive regardless of pred.
 func (m *Machine) SetMask(pred func(pe int) bool) {
 	m.chargeElemental()
-	m.forAllWords(func(w int) {
+	for w := range m.mask {
 		base := w << 6
 		lim := m.v - base
 		if lim > 64 {
@@ -291,7 +281,7 @@ func (m *Machine) SetMask(pred func(pe int) bool) {
 			}
 		}
 		m.mask[w] = x & m.valid[w]
-	})
+	}
 }
 
 // SetMaskWords loads a precomputed packed activity mask (len WordLen;
@@ -317,60 +307,16 @@ func (m *Machine) Enabled(pe int) bool {
 	return m.mask[pe>>6]>>(uint(pe)&63)&1 == 1
 }
 
-// forAll runs f over every virtual PE (mask-blind), chunked across host
-// cores.
-func (m *Machine) forAll(f func(pe int)) { m.chunked(m.v, f) }
-
-// forAllWords runs f over every packed-vector word index, chunked
-// across host cores. Word granularity keeps each 64-PE word owned by
-// exactly one worker, so packed plural writes never straddle workers.
-func (m *Machine) forAllWords(f func(w int)) { m.chunked(m.nw, f) }
-
-// chunked runs f(i) for i in [0, n), split into one contiguous chunk
-// per host worker. With one worker (or one index) it runs inline and
-// allocates nothing.
-func (m *Machine) chunked(n int, f func(i int)) {
-	nworkers := m.workers
-	if nworkers > n {
-		nworkers = n
-	}
-	if nworkers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + nworkers - 1) / nworkers
-	for k := 0; k < nworkers; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // All executes one elemental instruction: f runs on every active PE.
 // f must touch only PE-local plural data (its own index in caller
 // slices) — that is the SIMD contract.
 func (m *Machine) All(f func(pe int)) {
 	m.chargeElemental()
-	m.forAll(func(pe int) {
-		if m.mask[pe>>6]>>(uint(pe)&63)&1 == 1 {
+	for pe := 0; pe < m.v; pe++ {
+		if m.Enabled(pe) {
 			f(pe)
 		}
-	})
+	}
 }
 
 // AllWords executes one elemental instruction over the packed
@@ -381,7 +327,9 @@ func (m *Machine) All(f func(pe int)) {
 // or stay zero, depending on the instruction's semantics).
 func (m *Machine) AllWords(f func(w int, active uint64)) {
 	m.chargeElemental()
-	m.forAllWords(func(w int) { f(w, m.mask[w]) })
+	for w, e := range m.mask {
+		f(w, e)
+	}
 }
 
 // AllChecks is All for constraint evaluation: it additionally charges
@@ -397,17 +345,6 @@ func (m *Machine) AllChecks(checksPerPE int, f func(pe int)) {
 func (m *Machine) AllChecksWords(checksPerPE int, f func(w int, active uint64)) {
 	m.chargeChecks(uint64(checksPerPE))
 	m.AllWords(f)
-}
-
-// AllChecksSegs is AllChecksWords handed out by gang segment: charged
-// identically (one elemental instruction plus checksPerPE constraint
-// evaluations per PE), but f runs once per segment, the segments
-// chunked across host cores. Segment b owns words [b·SegWords,
-// (b+1)·SegWords) of every packed plural vector, and f may touch only
-// those. A gang of one runs inline on the caller's goroutine.
-func (m *Machine) AllChecksSegs(checksPerPE int, f func(seg int)) {
-	m.ChargeAllChecks(checksPerPE)
-	m.chunked(m.segs, f)
 }
 
 // ChargeAllChecks charges one AllChecksWords instruction (one elemental

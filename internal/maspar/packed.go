@@ -189,12 +189,6 @@ func (m *Machine) ReduceAndV(data []uint64) Bit {
 	return 0
 }
 
-// routerSeqThreshold is the vector size (in words) below which the
-// packed router gather runs on the calling goroutine: spawning workers
-// costs more than the gather itself and the sequential path is
-// allocation-free.
-const routerSeqThreshold = 64
-
 // RouterFetchV is the packed RouterFetch: every active lane pe
 // receives bit data[src[pe]]; inactive lanes get 0. src indexes the
 // full virtual array. dst must not alias data (the gather reads
@@ -212,20 +206,7 @@ const routerSeqThreshold = 64
 //parsec:noalloc
 func (m *Machine) RouterFetchV(dst []uint64, src []int32, data []uint64) {
 	m.chargeRouter()
-	if m.workers <= 1 || m.nw <= routerSeqThreshold {
-		gatherWords(dst, src, data, m.mask, 0, m.nw)
-		return
-	}
-	//lint:allow allocfree (parallel path for large vectors: worker handoff allocates; the sequential path under routerSeqThreshold is the one pinned alloc-free)
-	m.forAllWords(func(w int) {
-		gatherWords(dst, src, data, m.mask, w, w+1)
-	})
-}
-
-//parsec:noalloc
-func gatherWords(dst []uint64, src []int32, data, mask []uint64, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		e := mask[w]
+	for w, e := range m.mask {
 		base := w << 6
 		var o uint64
 		if e == ^uint64(0) {

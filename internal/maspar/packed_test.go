@@ -283,26 +283,16 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		t.Errorf("recycled byte-API scans allocate %v allocs/op in steady state, want 0", avg)
 	}
 
-	// The packed router gather is allocation-free on its sequential
-	// path (small vectors); the parallel path costs a handful of
-	// goroutine handoffs, which is the documented trade.
-	sm, err := New(1024, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sm.Setup(1024); err != nil {
-		t.Fatal(err)
-	}
-	sdata := sm.GetVec()
-	sdst := sm.GetVec()
-	ssrc := make([]int32, 1024)
-	for i := range ssrc {
-		ssrc[i] = int32((i * 7) % 1024)
+	// The packed router gather is allocation-free too, at the full
+	// machine's 256 words.
+	src := make([]int32, v)
+	for i := range src {
+		src[i] = int32((i * 7) % v)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		sm.RouterFetchV(sdst, ssrc, sdata)
+		m.RouterFetchV(dst, src, data)
 	}); avg != 0 {
-		t.Errorf("sequential packed RouterFetchV allocates %v allocs/op, want 0", avg)
+		t.Errorf("packed RouterFetchV allocates %v allocs/op, want 0", avg)
 	}
 
 	// The compiled-eval propagation sweeps share the contract: once the

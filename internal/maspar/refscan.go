@@ -180,10 +180,10 @@ func (m *Machine) ReduceAnd(data []Bit) Bit {
 func (m *Machine) RouterFetch(src []int32, data []Bit) []Bit {
 	m.chargeRouter()
 	out := m.buf.getBytes()
-	m.forAll(func(pe int) {
+	for pe := 0; pe < m.v; pe++ {
 		if m.Enabled(pe) {
 			out[pe] = data[src[pe]]
 		}
-	})
+	}
 	return out
 }

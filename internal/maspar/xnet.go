@@ -121,14 +121,14 @@ func (g *Grid) Shift(data []Bit, dir Direction) []Bit {
 	m.Cycles += xnetCost * uint64(m.layer)
 	dr, dc := dir.delta()
 	out := make([]Bit, m.v)
-	m.forAll(func(pe int) {
+	for pe := 0; pe < m.v; pe++ {
 		if !m.Enabled(pe) {
-			return
+			continue
 		}
 		r, c := pe/g.cols, pe%g.cols
 		src := g.PE(r-dr, c-dc)
 		out[pe] = data[src]
-	})
+	}
 	return out
 }
 
@@ -139,14 +139,14 @@ func (g *Grid) ShiftInt32(data []int32, dir Direction) []int32 {
 	m.Cycles += xnetCost * 4 * uint64(m.layer) // 4-bit PEs move wide data in nibbles
 	dr, dc := dir.delta()
 	out := make([]int32, m.v)
-	m.forAll(func(pe int) {
+	for pe := 0; pe < m.v; pe++ {
 		if !m.Enabled(pe) {
-			return
+			continue
 		}
 		r, c := pe/g.cols, pe%g.cols
 		src := g.PE(r-dr, c-dc)
 		out[pe] = data[src]
-	})
+	}
 	return out
 }
 
@@ -175,13 +175,13 @@ func (g *Grid) shiftByCols(data []Bit, step int) []Bit {
 	m.Instr++
 	m.Cycles += xnetCost * uint64(m.layer)
 	out := make([]Bit, m.v)
-	m.forAll(func(pe int) {
+	for pe := 0; pe < m.v; pe++ {
 		if !m.Enabled(pe) {
-			return
+			continue
 		}
 		r, c := pe/g.cols, pe%g.cols
 		out[pe] = data[g.PE(r, c-step)]
-	})
+	}
 	return out
 }
 

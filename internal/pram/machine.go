@@ -9,16 +9,15 @@
 // constant-time wired-OR/AND idiom of the paper work: any number of
 // processors may write 1 to a common cell in a single step.
 //
-// Host-side parallelism (goroutine chunking) is an implementation detail
-// that never changes results: reads see only the pre-step snapshot and
-// write conflicts are resolved by processor id, not arrival order.
+// The host runs a step's processors one after another on the caller's
+// goroutine, buffering their writes in one log; the order never shows,
+// because reads see only the pre-step snapshot and write conflicts are
+// resolved by processor id, not arrival order.
 package pram
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Policy selects the concurrent-write resolution rule.
@@ -61,20 +60,14 @@ type Machine struct {
 	// Writes counts committed memory writes.
 	Writes uint64
 
-	workers int
-	fault   error
+	// log buffers the current step's writes until Step commits them.
+	log   []write
+	fault error
 }
 
 // New returns a machine with memWords words of zeroed shared memory.
 func New(memWords int, policy Policy) *Machine {
-	// Workers only chunk the processor sweep; two-phase commit keeps
-	// results identical at any pool size.
-	//lint:allow detrand (chunking only; output is worker-count independent)
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	return &Machine{mem: make([]int64, memWords), policy: policy, workers: w}
+	return &Machine{mem: make([]int64, memWords), policy: policy}
 }
 
 // Fault returns the first Common-write disagreement observed, if any.
@@ -126,49 +119,17 @@ func (m *Machine) Step(nproc int, f func(p int, c *Ctx)) {
 	if nproc <= 0 {
 		return
 	}
-	nw := m.workers
-	if nw > nproc {
-		nw = nproc
+	ctx := Ctx{mem: m.mem, log: &m.log}
+	for p := 0; p < nproc; p++ {
+		ctx.p = p
+		f(p, &ctx)
 	}
-	logs := make([][]write, nw)
-	var wg sync.WaitGroup
-	chunk := (nproc + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nproc {
-			hi = nproc
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ctx := Ctx{mem: m.mem, log: &logs[w]}
-			for p := lo; p < hi; p++ {
-				ctx.p = p
-				f(p, &ctx)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	m.commit(logs)
+	m.commit(m.log)
+	m.log = m.log[:0]
 }
 
-// commit merges the per-worker write logs under the resolution policy.
-func (m *Machine) commit(logs [][]write) {
-	total := 0
-	for _, l := range logs {
-		total += len(l)
-	}
-	if total == 0 {
-		return
-	}
-	all := make([]write, 0, total)
-	for _, l := range logs {
-		all = append(all, l...)
-	}
+// commit applies one step's write log under the resolution policy.
+func (m *Machine) commit(all []write) {
 	// Deterministic order: by address, then processor id.
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].addr != all[j].addr {

@@ -97,7 +97,7 @@ func TestMaxProcessorsTracked(t *testing.T) {
 }
 
 // TestQuickParallelSumViaLog verifies that per-processor distinct writes
-// all land regardless of chunking, for arbitrary sizes.
+// all land through the step's write log, for arbitrary sizes.
 func TestQuickParallelSumViaLog(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw%2000) + 1

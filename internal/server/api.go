@@ -8,7 +8,6 @@
 package server
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -27,7 +26,7 @@ type ParseRequest struct {
 	// GrammarSource is an inline s-expression grammar; it is compiled
 	// once and cached under its content hash.
 	GrammarSource string `json:"grammar_source,omitempty"`
-	// Backend selects the machine model: serial|pram|maspar|mesh|hostpar
+	// Backend selects the machine model: serial|pram|maspar|mesh
 	// (default maspar).
 	Backend string `json:"backend,omitempty"`
 	// Sentence is the tokenized input. Text is the untokenized
@@ -153,24 +152,10 @@ func NewResult(words []string, grammarKey, backend string, res *core.Result, max
 // ParseBackend maps the wire name of a machine model to core.Backend;
 // empty defaults to maspar.
 func ParseBackend(name string) (core.Backend, error) {
-	switch name {
-	case "", "maspar":
+	if name == "" {
 		return core.MasPar, nil
-	case "serial":
-		return core.Serial, nil
-	case "pram":
-		return core.PRAM, nil
-	case "mesh":
-		return core.Mesh, nil
-	case "hostpar":
-		return core.HostParallel, nil
 	}
-	return 0, fmt.Errorf("unknown backend %q (serial|pram|maspar|mesh|hostpar)", name)
-}
-
-// Backends lists the wire names of every machine model.
-func Backends() []core.Backend {
-	return []core.Backend{core.Serial, core.PRAM, core.MasPar, core.Mesh, core.HostParallel}
+	return core.ParseBackend(name)
 }
 
 // durationUS converts to whole microseconds, rounding up so a non-zero

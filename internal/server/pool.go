@@ -88,7 +88,7 @@ func newPool(workers, depth, maxBatch int, m *serverMetrics) *Pool {
 		m:        m,
 		queues:   make(map[core.Backend]*backendQueue),
 	}
-	for _, b := range Backends() {
+	for _, b := range core.Backends() {
 		p.queues[b] = &backendQueue{backend: b, wake: make(chan struct{}, workers)}
 	}
 	return p
@@ -97,7 +97,7 @@ func newPool(workers, depth, maxBatch int, m *serverMetrics) *Pool {
 // start launches the workers of every backend. Close waits only for
 // workers started before it.
 func (p *Pool) start() {
-	for _, b := range Backends() {
+	for _, b := range core.Backends() {
 		q := p.queues[b]
 		p.wg.Add(p.workers)
 		for i := 0; i < p.workers; i++ {

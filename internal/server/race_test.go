@@ -20,7 +20,7 @@ func TestConcurrentHammer(t *testing.T) {
 	)
 	grammarMix := []ParseRequest{
 		{Grammar: "demo", Backend: "serial", Text: "the program runs"},
-		{Grammar: "demo", Backend: "hostpar", Text: "the program runs"},
+		{Grammar: "demo", Backend: "pram", Text: "the program runs"},
 		{Grammar: "english", Backend: "serial", Text: "the dog walked"},
 		{Grammar: "dyck", Backend: "serial", Text: "( )"},
 		{GrammarSource: tinyGrammar, Backend: "serial", Text: "w w"},

@@ -304,7 +304,7 @@ func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jo
 		p.f, p.follows = f, !leads
 	}
 
-	for _, b := range Backends() {
+	for _, b := range core.Backends() {
 		var at []int
 		var unit []*job
 		for i := range ps {

@@ -80,7 +80,7 @@ func TestParseEndpointAccepts(t *testing.T) {
 
 func TestParseEndpointAllBackends(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, b := range []string{"serial", "pram", "maspar", "mesh", "hostpar"} {
+	for _, b := range []string{"serial", "pram", "maspar", "mesh"} {
 		status, data := postJSON(t, ts.URL+"/v1/parse", ParseRequest{
 			Backend:  b,
 			Sentence: []string{"the", "program", "runs"},

@@ -76,8 +76,6 @@ const (
 	PRAM   = core.PRAM
 	MasPar = core.MasPar
 	Mesh   = core.Mesh
-	// HostParallel fans the algorithm out over the host's cores.
-	HostParallel = core.HostParallel
 )
 
 // PhysicalPEs is the paper's MP-1 configuration (16,384 PEs).
@@ -104,10 +102,6 @@ func WithFilter(on bool) Option { return core.WithFilter(on) }
 
 // WithMaxFilterIters bounds filtering rounds (<= 0: to fixpoint).
 func WithMaxFilterIters(n int) Option { return core.WithMaxFilterIters(n) }
-
-// WithWorkers caps the HostParallel backend's goroutine pool
-// (<= 0: GOMAXPROCS).
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // PaperDemo returns the paper's §1 grammar for "The program runs".
 func PaperDemo() *Grammar { return grammars.PaperDemo() }

@@ -38,7 +38,7 @@ func TestQuickStartFlow(t *testing.T) {
 }
 
 func TestAllBackendsViaFacade(t *testing.T) {
-	for _, b := range []parsec.Backend{parsec.Serial, parsec.PRAM, parsec.MasPar, parsec.Mesh, parsec.HostParallel} {
+	for _, b := range []parsec.Backend{parsec.Serial, parsec.PRAM, parsec.MasPar, parsec.Mesh} {
 		p := parsec.NewParser(parsec.PaperDemo(), parsec.WithBackend(b))
 		res, err := p.Parse([]string{"the", "program", "runs"})
 		if err != nil {
@@ -112,11 +112,6 @@ func TestGrammarBuilderFacade(t *testing.T) {
 }
 
 func TestOptionsViaFacade(t *testing.T) {
-	hp := parsec.NewParser(parsec.PaperDemo(),
-		parsec.WithBackend(parsec.HostParallel), parsec.WithWorkers(2))
-	if hres, err := hp.Parse([]string{"the", "program", "runs"}); err != nil || !hres.Accepted() {
-		t.Errorf("host-parallel with capped workers: %v", err)
-	}
 	p := parsec.NewParser(parsec.PaperDemo(),
 		parsec.WithBackend(parsec.MasPar),
 		parsec.WithPEs(256),
