@@ -119,14 +119,15 @@ bench-smoke:
 # Fleet benchmarking: cmd/parsecbench boots an N-shard parsecd fleet
 # plus parsecrouter as real local processes, drives a declarative
 # scenario (scenarios/*.json) with its fault schedule (kill -9 a shard
-# mid-run, delay injection), scrapes per-shard and router /metrics into
-# a columnar sample store, and writes BENCH_cluster.json in the same
-# benchjson schema as BENCH_scan.json. Query it afterwards:
-#   .benchbin/parsecbench query -in BENCH_cluster.json -phase kill -p 0.99
+# mid-run, delay injection) from its own client, records every
+# request's status, shard and latency plus each shard's and the
+# router's /metrics at every phase boundary, and writes
+# BENCH_cluster.json in the same benchjson schema as BENCH_scan.json:
+# a total row, one per phase and one per (phase, shard).
 BENCHBIN := .benchbin
 bench-cluster-bin:
 	@mkdir -p $(BENCHBIN)
-	$(GO) build -o $(BENCHBIN)/ ./cmd/parsecd ./cmd/parsecrouter ./cmd/parsecload ./cmd/parsecbench
+	$(GO) build -o $(BENCHBIN)/ ./cmd/parsecd ./cmd/parsecrouter ./cmd/parsecbench
 
 # bench-cluster runs the full 3-shard zipf + kill + lattice scenario.
 bench-cluster: bench-cluster-bin
@@ -135,8 +136,10 @@ bench-cluster: bench-cluster-bin
 
 # bench-cluster-smoke is the CI-sized variant: a real 2-shard fleet +
 # router as child processes, a kill-phase scenario (~5s including probe
-# waits), and the test asserts the artifact validates with non-empty
-# per-shard p99/hit-rate series and an observed ejection.
+# waits), and the test asserts the artifact validates, its total row
+# has p50 and p99, each phase's per-shard rows add up to its requests,
+# the survivor's rows carry a kill-phase p99 and a warm hit rate, and
+# the router ejected the killed shard.
 bench-cluster-smoke: bench-cluster-bin
 	PARSECBENCH_PROC=1 PARSECBENCH_BIN=$(abspath $(BENCHBIN)) PARSECBENCH_OUT=$(abspath BENCH_cluster.json) \
 		$(GO) test -run TestProcFleetSmoke -count=1 -v ./cmd/parsecbench/

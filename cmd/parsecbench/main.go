@@ -1,18 +1,15 @@
-// Command parsecbench runs fleet benchmark scenarios and queries their
-// artifacts. `parsecbench run` boots an N-shard parsecd fleet behind a
-// parsecrouter — in-process (deterministic, no child processes) or as
-// real local processes (-mode proc, the kill -9 mode `make
-// bench-cluster` uses) — drives the scenario's phased load mix with its
-// fault schedule, and writes BENCH_cluster.json in the shared benchjson
-// schema with the columnar sample store embedded. `parsecbench query`
-// answers post-hoc questions against a written artifact ("p99 by shard
-// during the kill phase") without re-running anything.
+// Command parsecbench runs fleet benchmark scenarios. `parsecbench run`
+// boots an N-shard parsecd fleet behind a parsecrouter — in-process
+// (deterministic, no child processes) or as real local processes
+// (-mode proc, the kill -9 mode `make bench-cluster` uses) — drives the
+// scenario's phased load mix with its fault schedule, and writes
+// BENCH_cluster.json in the shared benchjson schema: a total row, one
+// row per phase and one per (phase, shard).
 //
 // Usage:
 //
 //	parsecbench run -scenario scenarios/smoke.json -o BENCH_cluster.json
 //	parsecbench run -scenario scenarios/zipf-kill.json -mode proc -bin .benchbin
-//	parsecbench query -in BENCH_cluster.json -phase kill -p 0.99
 package main
 
 import (
@@ -37,124 +34,81 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: parsecbench <run|query> [flags]")
+	if len(args) == 0 || args[0] != "run" {
+		return fmt.Errorf("usage: parsecbench run -scenario FILE [flags]")
 	}
-	switch args[0] {
-	case "run":
-		return runScenario(args[1:], out)
-	case "query":
-		return runQuery(args[1:], out)
-	default:
-		return fmt.Errorf("unknown subcommand %q (want run or query)", args[0])
-	}
+	_, err := runScenario(args[1:], out)
+	return err
 }
 
-func runScenario(args []string, out io.Writer) error {
+// runScenario runs one scenario, writes its report and returns the run
+// record.
+func runScenario(args []string, out io.Writer) (*benchfleet.RunResult, error) {
 	fs := flag.NewFlagSet("parsecbench run", flag.ContinueOnError)
 	var (
 		scenPath = fs.String("scenario", "", "scenario JSON file (required)")
 		mode     = fs.String("mode", "inproc", "fleet mode: inproc (httptest harness, deterministic) or proc (real local processes)")
-		binDir   = fs.String("bin", ".benchbin", "directory with parsecd/parsecrouter/parsecload binaries (-mode proc)")
+		binDir   = fs.String("bin", ".benchbin", "directory with the parsecd and parsecrouter binaries (-mode proc)")
 		logDir   = fs.String("logdir", "", "directory for per-process logs (-mode proc; empty discards)")
 		outPath  = fs.String("o", "BENCH_cluster.json", "output report path (- for stdout)")
-		every    = fs.Duration("scrape-every", 250*time.Millisecond, "mid-phase /metrics scrape cadence (-mode proc; inproc scrapes only at phase boundaries)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *scenPath == "" {
-		return fmt.Errorf("-scenario is required")
+		return nil, fmt.Errorf("-scenario is required")
 	}
 	data, err := os.ReadFile(*scenPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sc, err := benchfleet.DecodeScenario(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	var (
-		fleet benchfleet.Fleet
-		opts  benchfleet.Options
-	)
+	var fleet benchfleet.Fleet
 	switch *mode {
 	case "inproc":
-		f, err := benchfleet.NewHarnessFleet(sc, server.Config{}, router.Config{})
-		if err != nil {
-			return err
-		}
-		fleet = f
+		fleet, err = benchfleet.NewHarnessFleet(sc, server.Config{}, router.Config{})
 	case "proc":
-		f, err := benchfleet.NewProcFleet(sc, benchfleet.ProcConfig{BinDir: *binDir, LogDir: *logDir})
-		if err != nil {
-			return err
-		}
-		fleet = f
-		opts.Load = benchfleet.ParsecloadLoad(*binDir, sc)
-		opts.ScrapeEvery = *every
+		fleet, err = benchfleet.NewProcFleet(sc, benchfleet.ProcConfig{BinDir: *binDir, LogDir: *logDir})
 	default:
-		return fmt.Errorf("unknown -mode %q (want inproc or proc)", *mode)
+		return nil, fmt.Errorf("unknown -mode %q (want inproc or proc)", *mode)
+	}
+	if err != nil {
+		return nil, err
 	}
 	defer fleet.Close() //nolint:errcheck
 
 	started := time.Now()
-	res, err := benchfleet.Run(context.Background(), fleet, sc, opts)
+	res, err := benchfleet.Run(context.Background(), fleet, sc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.StartedAt = started
 	rep, err := benchfleet.BuildReport(res)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	enc = append(enc, '\n')
 	if *outPath == "-" {
 		_, err = out.Write(enc)
-		return err
+		return res, err
 	}
 	if err := os.WriteFile(*outPath, enc, 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	for _, pr := range res.Phases {
-		fmt.Fprintf(out, "phase %-12s requests=%d lost=%d errors=%d p50=%.3fms p99=%.3fms %.0f req/s\n",
-			pr.Name, pr.Requests, pr.Lost, pr.Errors,
-			float64(pr.P50Ns)/1e6, float64(pr.P99Ns)/1e6, pr.ThroughputRPS)
+		p50, _ := res.Quantile(pr.Name, "", 0.50)
+		p99, _ := res.Quantile(pr.Name, "", 0.99)
+		fmt.Fprintf(out, "phase %-12s requests=%d lost=%d p50=%.3fms p99=%.3fms %.0f req/s\n",
+			pr.Name, len(pr.Requests), pr.Lost(), float64(p50)/1e6, float64(p99)/1e6,
+			float64(len(pr.Requests))/(float64(pr.ElapsedNs)/1e9))
 	}
 	fmt.Fprintf(out, "wrote %s (%d results, %s elapsed)\n", *outPath, len(rep.Results), time.Since(started).Round(time.Millisecond))
-	return nil
-}
-
-func runQuery(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("parsecbench query", flag.ContinueOnError)
-	var (
-		inPath = fs.String("in", "BENCH_cluster.json", "report artifact to query")
-		phase  = fs.String("phase", "", "restrict to one scenario phase (empty: whole run)")
-		shard  = fs.String("shard", "", "restrict to one shard (empty: all)")
-		p      = fs.Float64("p", 0.99, "latency quantile to report (0 < p <= 1)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *p <= 0 || *p > 1 {
-		return fmt.Errorf("-p must be in (0, 1]")
-	}
-	data, err := os.ReadFile(*inPath)
-	if err != nil {
-		return err
-	}
-	_, st, err := benchfleet.LoadReport(data)
-	if err != nil {
-		return err
-	}
-	if st == nil {
-		return fmt.Errorf("%s carries no samples payload; re-run the scenario with parsecbench run", *inPath)
-	}
-	_, err = io.WriteString(out, st.DescribeQuery(benchfleet.Query{Phase: *phase, Shard: *shard}, *p))
-	return err
+	return res, nil
 }

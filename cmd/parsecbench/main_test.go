@@ -13,7 +13,7 @@ import (
 
 // TestRunInprocWritesValidReport drives the CLI end to end in the
 // in-process mode: run the checked-in smoke scenario (2 shards, a kill
-// phase, a revive), then query the artifact it wrote.
+// phase, a revive), then read the artifact it wrote.
 func TestRunInprocWritesValidReport(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_cluster.json")
@@ -22,33 +22,30 @@ func TestRunInprocWritesValidReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
+	rows := readReport(t, out)
+	// The survivor's kill-phase row carries its latency tail.
+	if row, ok := rows["Fleet/smoke/phase=kill/shard=shard0"]; !ok || row.P99Ns <= 0 {
+		t.Fatalf("survivor kill-phase row = %+v,%v want p99 > 0", row, ok)
+	}
+}
+
+// readReport reads and validates a written artifact and returns its
+// rows by name.
+func readReport(t *testing.T, path string) map[string]benchjson.Result {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, st, err := benchfleet.LoadReport(data)
+	rep, err := benchjson.ValidateBytes(data)
 	if err != nil {
 		t.Fatalf("artifact does not validate: %v", err)
 	}
-	if err := benchjson.Validate(rep); err != nil {
-		t.Fatal(err)
+	rows := map[string]benchjson.Result{}
+	for _, r := range rep.Results {
+		rows[r.Name] = r
 	}
-	if st == nil {
-		t.Fatal("artifact has no samples payload")
-	}
-	// The kill-phase per-shard series is non-empty for the survivor.
-	if v, ok := st.Quantile(benchfleet.Query{Phase: "kill", Shard: "shard0"}, 0.99); !ok || v <= 0 {
-		t.Fatalf("survivor kill-phase p99 = %d,%v want > 0", v, ok)
-	}
-
-	// Query subcommand reads the artifact back.
-	buf.Reset()
-	if err := run([]string{"query", "-in", out, "-phase", "kill", "-p", "0.99"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "shard shard0:") {
-		t.Fatalf("query output missing per-shard lines:\n%s", buf.String())
-	}
+	return rows
 }
 
 func TestRunUsageErrors(t *testing.T) {
@@ -56,10 +53,11 @@ func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"frobnicate"},
+		{"query", "-in", "BENCH_cluster.json"},
 		{"run"},
 		{"run", "-scenario", "no-such-file.json"},
-		{"query", "-in", "no-such-file.json"},
-		{"query", "-in", "x", "-p", "1.5"},
+		{"run", "-scenario", "../../scenarios/smoke.json", "-mode", "cloud"},
+		{"run", "-scenario", "../../scenarios/smoke.json", "-scrape-every", "100ms"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) should fail", args)
@@ -69,7 +67,7 @@ func TestRunUsageErrors(t *testing.T) {
 
 // TestProcFleetSmoke is the real-process smoke: a 2-shard fleet plus
 // router as actual child processes, a kill -9 mid-scenario, and a
-// schema-valid BENCH_cluster.json at the end. Gated behind
+// schema-valid BENCH_cluster.json whose rows are complete at the end. Gated behind
 // PARSECBENCH_PROC=1 because it needs prebuilt binaries
 // (PARSECBENCH_BIN, default .benchbin at the repo root) — `make
 // bench-cluster-smoke` builds them and runs this.
@@ -91,13 +89,11 @@ func TestProcFleetSmoke(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	err = run([]string{
-		"run",
+	res, err := runScenario([]string{
 		"-scenario", "../../scenarios/smoke.json",
 		"-mode", "proc",
 		"-bin", abs,
 		"-logdir", t.TempDir(),
-		"-scrape-every", "100ms",
 		"-o", out,
 	}, &buf)
 	if err != nil {
@@ -105,38 +101,36 @@ func TestProcFleetSmoke(t *testing.T) {
 	}
 	t.Logf("proc run output:\n%s", buf.String())
 
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	rows := readReport(t, out)
+	total, ok := rows["Fleet/smoke/total"]
+	if !ok || total.Iterations != 140 || total.P50Ns <= 0 || total.P99Ns <= 0 {
+		t.Fatalf("total row = %+v,%v want 140 iterations and p50, p99 > 0", total, ok)
 	}
-	rep, st, err := benchfleet.LoadReport(data)
-	if err != nil {
-		t.Fatalf("artifact does not validate: %v", err)
-	}
-	if st == nil {
-		t.Fatal("artifact has no samples payload")
-	}
-	names := map[string]benchjson.Result{}
-	for _, r := range rep.Results {
-		names[r.Name] = r
-	}
-	if row, ok := names["Fleet/smoke/total"]; !ok || row.Iterations != 140 {
-		t.Fatalf("total row = %+v,%v want 140 iterations", row, ok)
-	}
-	// Non-empty per-shard p99 series: the surviving shard exposes a
-	// latency histogram with observations in the kill phase...
-	warm := benchfleet.Query{Phase: "warm"}
-	kill := benchfleet.Query{Phase: "kill"}
-	if v, ok := st.HistQuantile("parsecd_parse_latency_seconds", "shard0", kill, 0.99); !ok || v <= 0 {
-		t.Fatalf("shard0 kill-phase scraped p99 = %g,%v want > 0", v, ok)
+	// The surviving shard's kill-phase row has a latency tail...
+	if row := rows["Fleet/smoke/phase=kill/shard=shard0"]; row.P99Ns <= 0 {
+		t.Fatalf("shard0 kill-phase row = %+v want p99 > 0", row)
 	}
 	// ...and the zipf warm phase produced result-cache hits.
-	if hr, ok := st.HitRate("shard0", warm); !ok || hr <= 0 {
-		t.Fatalf("shard0 warm hit rate = %g,%v want > 0", hr, ok)
+	if row := rows["Fleet/smoke/phase=warm/shard=shard0"]; row.HitRate <= 0 {
+		t.Fatalf("shard0 warm row = %+v want hit rate > 0", row)
 	}
-	// The kill was real: shard1 contributed no samples to the kill
-	// phase's closing scrape, and the router ejected it.
-	if d, ok := st.Delta("parsecrouter_shard_ejections_total", benchfleet.RouterSource, kill); !ok || d < 1 {
+	// Every reply named its shard: in each phase the per-shard rows
+	// add up to the phase's requests.
+	for _, pr := range res.Phases {
+		prefix := "Fleet/smoke/phase=" + pr.Name
+		var shards int64
+		for name, row := range rows {
+			if strings.HasPrefix(name, prefix+"/shard=") {
+				shards += row.Iterations
+			}
+		}
+		if phase := rows[prefix].Iterations; phase != int64(len(pr.Requests)) || shards != phase {
+			t.Errorf("phase %s: row iterations %d, shard rows sum %d, want %d each", pr.Name, phase, shards, len(pr.Requests))
+		}
+	}
+	// The kill was real: the router ejected shard1 during the kill
+	// phase, read from the run record's closing scrapes.
+	if d, ok := res.Delta("parsecrouter_shard_ejections_total", benchfleet.RouterSource, "kill"); !ok || d < 1 {
 		t.Fatalf("ejections during kill = %g,%v want >= 1", d, ok)
 	}
 }

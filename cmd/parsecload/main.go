@@ -10,7 +10,6 @@
 //	parsecload -url http://127.0.0.1:8723 -ramp -ramp-target 25ms
 //	parsecload -url http://127.0.0.1:8723 -lattice -lattice-slots 5 -lattice-alts 3
 //	parsecload -url http://127.0.0.1:8723 -smoke
-//	parsecload -url http://127.0.0.1:8723 -json      # machine-readable summary on stdout
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -54,7 +52,6 @@ func run(args []string, out io.Writer) error {
 		timeout = fs.Int("timeout-ms", 0, "per-request timeout_ms (0: server default)")
 		seed    = fs.Int64("seed", 1, "sentence-mix random seed (0: derive from the clock)")
 		smoke   = fs.Bool("smoke", false, "tiny fixed run (c=4 n=32) used by the tier-1 smoke test")
-		jsonOut = fs.Bool("json", false, "emit the final summary as one JSON object (benchjson.LoadSummary) on stdout instead of human-format text")
 		hist    = fs.Bool("hist", false, "print the client-side latency histogram (Prometheus text, the server's metrics.LatencyBuckets)")
 		noCache = fs.Bool("no-cache", false, "set no_cache on every request, bypassing the server's result cache")
 		zipfS   = fs.Float64("zipf", 0, "skewed-reuse mode: draw each request from a fixed sentence pool with Zipf skew s (must be >1; 0: every request is freshly generated)")
@@ -114,7 +111,7 @@ func run(args []string, out io.Writer) error {
 		return json.Marshal(server.ParseRequest{
 			Grammar:   name,
 			Backend:   *backend,
-			Sentence:  sentenceFor(name, rng, *maxLen),
+			Sentence:  workload.SentenceFor(name, rng, *maxLen),
 			TimeoutMS: *timeout,
 			MaxParses: 1,
 			NoCache:   *noCache,
@@ -147,25 +144,18 @@ func run(args []string, out io.Writer) error {
 	}
 
 	client := &http.Client{Timeout: 2 * time.Minute}
-	mode := "parse"
 	if *latt {
-		mode = "lattice"
+		fmt.Fprintf(out, "parsecload: url=%s lattice mode (english, %d slots x %d alts, %d utterances) seed=%d\n",
+			*url, *lattSl, *lattAl, *lattUt, *seed)
+	} else {
+		fmt.Fprintf(out, "parsecload: url=%s grammars=%s backend=%s seed=%d\n", *url, *grams, *backend, *seed)
 	}
-	sum := &benchjson.LoadSummary{Mode: mode, URL: *url, Seed: *seed}
-	if !*jsonOut {
-		if *latt {
-			fmt.Fprintf(out, "parsecload: url=%s lattice mode (english, %d slots x %d alts, %d utterances) seed=%d\n",
-				*url, *lattSl, *lattAl, *lattUt, *seed)
-		} else {
-			fmt.Fprintf(out, "parsecload: url=%s grammars=%s backend=%s seed=%d\n", *url, *grams, *backend, *seed)
-		}
-		if *zipfS > 0 {
-			fmt.Fprintf(out, "request mix: zipf s=%g over %d distinct sentences\n", *zipfS, *zipfN)
-		}
+	if *zipfS > 0 {
+		fmt.Fprintf(out, "request mix: zipf s=%g over %d distinct sentences\n", *zipfS, *zipfN)
 	}
 
 	if *ramp {
-		return runRamp(out, client, *url+endpoint, reqs, *conc, *rampLat, *rampMax, *url, sum, *jsonOut)
+		return runRamp(out, client, *url+endpoint, reqs, *conc, *rampLat, *rampMax, *url)
 	}
 
 	// Client-observed latency, bucketed exactly like the server's
@@ -173,14 +163,6 @@ func run(args []string, out io.Writer) error {
 	// compared side by side (the gap between them is queueing + HTTP).
 	latHist := metrics.NewHistogram(metrics.LatencyBuckets()...)
 	res := runLoad(client, *url+endpoint, reqs, *conc, latHist)
-
-	if *jsonOut {
-		res.fillSummary(sum, *total)
-		sum.Server = serverSideFrom(client, *url)
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sum)
-	}
 
 	fmt.Fprintf(out, "requests=%d errors=%d sheds=%d elapsed=%v throughput=%.1f req/s\n",
 		*total, res.errs, res.sheds, res.elapsed.Round(time.Millisecond), res.throughput())
@@ -226,16 +208,7 @@ func (r *loadResult) throughput() float64 {
 	return float64(len(r.lats)) / r.elapsed.Seconds()
 }
 
-func (r *loadResult) pct(p float64) time.Duration {
-	if len(r.lats) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(r.lats))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return r.lats[i]
-}
+func (r *loadResult) pct(p float64) time.Duration { return metrics.Quantile(r.lats, p) }
 
 func (r *loadResult) codes() []int {
 	var codes []int
@@ -316,14 +289,9 @@ func runLoad(client *http.Client, endpoint string, reqs [][]byte, conc int, latH
 // runRamp is the closed-loop mode: run the full request mix at
 // doubling concurrency until p50 exceeds the latency budget, and
 // report the highest step that stayed inside it. endpoint is the full
-// request URL; base is the server root for the /metrics scrape. With
-// jsonOut the step record lands in sum.Ramp and the summary is the
-// only stdout output.
-func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte, startConc int, target time.Duration, maxSteps int, base string, sum *benchjson.LoadSummary, jsonOut bool) error {
-	if !jsonOut {
-		fmt.Fprintf(out, "ramp: target p50=%v, %d requests/step, up to %d steps\n", target, len(reqs), maxSteps)
-	}
-	rampSum := &benchjson.LoadRamp{TargetP50Ns: target.Nanoseconds()}
+// request URL; base is the server root for the /metrics scrape.
+func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte, startConc int, target time.Duration, maxSteps int, base string) error {
+	fmt.Fprintf(out, "ramp: target p50=%v, %d requests/step, up to %d steps\n", target, len(reqs), maxSteps)
 	bestConc, bestThroughput := 0, 0.0
 	c := startConc
 	for step := 1; step <= maxSteps; step++ {
@@ -333,39 +301,19 @@ func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte,
 		// load, so there is no point doubling concurrency into it. The
 		// workers already honored the Retry-After hints inside the step.
 		ok := p50 <= target && res.errs == 0 && res.sheds == 0
-		rampSum.Steps = append(rampSum.Steps, benchjson.LoadRampStep{
-			Concurrency:   c,
-			ThroughputRPS: res.throughput(),
-			P50Ns:         p50.Nanoseconds(),
-			P90Ns:         res.pct(0.90).Nanoseconds(),
-			Errors:        res.errs,
-			Sheds:         res.sheds,
-			BackoffNs:     res.backoff.Nanoseconds(),
-			WithinBudget:  ok,
-		})
-		if !jsonOut {
-			verdict := "ok"
-			if !ok {
-				verdict = "over budget"
-			}
-			fmt.Fprintf(out, "  step %d: c=%d throughput=%.1f req/s p50=%v p90=%v errors=%d sheds=%d backoff=%v [%s]\n",
-				step, c, res.throughput(), p50.Round(time.Microsecond),
-				res.pct(0.90).Round(time.Microsecond), res.errs, res.sheds,
-				res.backoff.Round(time.Millisecond), verdict)
+		verdict := "ok"
+		if !ok {
+			verdict = "over budget"
 		}
+		fmt.Fprintf(out, "  step %d: c=%d throughput=%.1f req/s p50=%v p90=%v errors=%d sheds=%d backoff=%v [%s]\n",
+			step, c, res.throughput(), p50.Round(time.Microsecond),
+			res.pct(0.90).Round(time.Microsecond), res.errs, res.sheds,
+			res.backoff.Round(time.Millisecond), verdict)
 		if !ok {
 			break
 		}
 		bestConc, bestThroughput = c, res.throughput()
 		c *= 2
-	}
-	rampSum.BestConc, rampSum.BestThroughput = bestConc, bestThroughput
-	if jsonOut {
-		sum.Ramp = rampSum
-		sum.Server = serverSideFrom(client, base)
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sum)
 	}
 	if bestConc == 0 {
 		fmt.Fprintf(out, "ramp result: no step met the p50 budget %v\n", target)
@@ -377,39 +325,10 @@ func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte,
 	return nil
 }
 
-// fillSummary copies one load run's client-side accounting into the
-// machine-readable summary. total is the attempted request count
-// (res.lats only counts requests that got an HTTP response).
-func (r *loadResult) fillSummary(sum *benchjson.LoadSummary, total int) {
-	sum.Requests = total
-	sum.Errors = r.errs
-	sum.Sheds = r.sheds
-	sum.ElapsedNs = r.elapsed.Nanoseconds()
-	sum.ThroughputRPS = r.throughput()
-	sum.BackoffNs = r.backoff.Nanoseconds()
-	sum.Latency = benchjson.LoadQuantiles{
-		P50: r.pct(0.50).Nanoseconds(),
-		P90: r.pct(0.90).Nanoseconds(),
-		P99: r.pct(0.99).Nanoseconds(),
-		Max: r.pct(1.0).Nanoseconds(),
-	}
-	if len(r.byStatus) > 0 {
-		sum.ByStatus = make(map[string]int, len(r.byStatus))
-		for code, n := range r.byStatus {
-			sum.ByStatus[strconv.Itoa(code)] = n
-		}
-	}
-	if len(r.byShard) > 0 {
-		sum.ByShard = make(map[string]int, len(r.byShard))
-		for shard, n := range r.byShard {
-			sum.ByShard[shard] = n
-		}
-	}
-}
-
-// serverSideFrom reads the target's /metrics into the summary's
-// server section; nil when the scrape fails or reports nothing.
-func serverSideFrom(client *http.Client, base string) *benchjson.LoadServerSide {
+// serverSideFrom reads the target's /metrics, every sample summed
+// across its label sets (fleet-summed already when the target is a
+// router); nil when the scrape fails.
+func serverSideFrom(client *http.Client, base string) map[string]float64 {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil
@@ -419,28 +338,7 @@ func serverSideFrom(client *http.Client, base string) *benchjson.LoadServerSide 
 	if err != nil {
 		return nil
 	}
-	v := metrics.Totals(fams)
-	ss := &benchjson.LoadServerSide{
-		Batches:          uint64(v["parsecd_batch_size_count"]),
-		CacheHits:        uint64(v["parsecd_result_cache_hits_total"]),
-		CacheMisses:      uint64(v["parsecd_result_cache_misses_total"]),
-		LatticeRequests:  uint64(v["parsecd_lattice_requests_total"]),
-		LatticePaths:     uint64(v["parsecd_lattice_paths_expanded_total"]),
-		PrefixHits:       uint64(v["parsecd_lattice_prefix_cache_hits_total"]),
-		PrefixMisses:     uint64(v["parsecd_lattice_prefix_cache_misses_total"]),
-		HotKeyPromotions: uint64(v["parsecrouter_hotkey_promotions_total"]),
-		HotKeyDemotions:  uint64(v["parsecrouter_hotkey_demotions_total"]),
-		Hedges:           uint64(v["parsecrouter_hedges_total"]),
-		HedgeWins:        uint64(v["parsecrouter_hedge_wins_total"]),
-		Sheds:            uint64(v["parsecrouter_sheds_total"]), // both classes
-	}
-	if ss.Batches > 0 {
-		ss.MeanBatchSize = v["parsecd_batch_size_sum"] / float64(ss.Batches)
-	}
-	if *ss == (benchjson.LoadServerSide{}) {
-		return nil
-	}
-	return ss
+	return metrics.Totals(fams)
 }
 
 // latticeBody builds the i-th lattice-mode request body. Requests cycle
@@ -471,48 +369,28 @@ func latticeBody(i, slots, alts, utts, timeoutMS int, noCache bool) ([]byte, err
 	})
 }
 
-// printServerSide reports the server's batching and result-cache
-// behaviour for this run, read from /metrics.
+// printServerSide reports the server's batching, result-cache, lattice
+// and router behaviour for this run, read from /metrics.
 func printServerSide(out io.Writer, client *http.Client, url string) {
-	ss := serverSideFrom(client, url)
-	if ss == nil {
-		return
+	v := serverSideFrom(client, url)
+	if batches := v["parsecd_batch_size_count"]; batches > 0 {
+		fmt.Fprintf(out, "server batching: batches=%.0f mean-batch-size=%.2f\n", batches, v["parsecd_batch_size_sum"]/batches)
 	}
-	if ss.Batches > 0 {
-		fmt.Fprintf(out, "server batching: batches=%d mean-batch-size=%.2f\n", ss.Batches, ss.MeanBatchSize)
+	hits, misses := v["parsecd_result_cache_hits_total"], v["parsecd_result_cache_misses_total"]
+	if hits+misses > 0 {
+		fmt.Fprintf(out, "server result cache: hits=%.0f misses=%.0f hit-rate=%.1f%%\n", hits, misses, 100*hits/(hits+misses))
 	}
-	if lookups := ss.CacheHits + ss.CacheMisses; lookups > 0 {
-		fmt.Fprintf(out, "server result cache: hits=%d misses=%d hit-rate=%.1f%%\n",
-			ss.CacheHits, ss.CacheMisses, 100*float64(ss.CacheHits)/float64(lookups))
+	if n := v["parsecd_lattice_requests_total"]; n > 0 {
+		fmt.Fprintf(out, "server lattice: requests=%.0f paths=%.0f\n", n, v["parsecd_lattice_paths_expanded_total"])
 	}
-	if ss.LatticeRequests > 0 {
-		fmt.Fprintf(out, "server lattice: requests=%d paths=%d\n", ss.LatticeRequests, ss.LatticePaths)
+	hits, misses = v["parsecd_lattice_prefix_cache_hits_total"], v["parsecd_lattice_prefix_cache_misses_total"]
+	if hits+misses > 0 {
+		fmt.Fprintf(out, "server prefix cache: hits=%.0f misses=%.0f hit-rate=%.1f%%\n", hits, misses, 100*hits/(hits+misses))
 	}
-	if lookups := ss.PrefixHits + ss.PrefixMisses; lookups > 0 {
-		fmt.Fprintf(out, "server prefix cache: hits=%d misses=%d hit-rate=%.1f%%\n",
-			ss.PrefixHits, ss.PrefixMisses, 100*float64(ss.PrefixHits)/float64(lookups))
-	}
-	if ss.HotKeyPromotions+ss.Hedges+ss.Sheds > 0 {
-		fmt.Fprintf(out, "router hot path: hotkey promotions=%d demotions=%d hedges=%d (wins=%d) sheds=%d\n",
-			ss.HotKeyPromotions, ss.HotKeyDemotions, ss.Hedges, ss.HedgeWins, ss.Sheds)
-	}
-}
-
-// sentenceFor picks a grammatical-shape sentence for the named grammar
-// from the workload generators.
-func sentenceFor(name string, rng *rand.Rand, maxLen int) []string {
-	switch name {
-	case "english":
-		n := 3 + rng.Intn(max(1, maxLen-2))
-		return workload.EnglishSentence(n)
-	case "ww":
-		n := 1 + rng.Intn(3)
-		return workload.CopyString(n, rng.Uint64())
-	case "dyck":
-		return workload.BalancedParens(1 + rng.Intn(3))
-	default: // demo and anything else demo-shaped
-		n := 1 + rng.Intn(max(1, maxLen))
-		return workload.DemoSentence(n)
+	promotions, hedges, sheds := v["parsecrouter_hotkey_promotions_total"], v["parsecrouter_hedges_total"], v["parsecrouter_sheds_total"]
+	if promotions+hedges+sheds > 0 {
+		fmt.Fprintf(out, "router hot path: hotkey promotions=%.0f demotions=%.0f hedges=%.0f (wins=%.0f) sheds=%.0f\n",
+			promotions, v["parsecrouter_hotkey_demotions_total"], hedges, v["parsecrouter_hedge_wins_total"], sheds)
 	}
 }
 

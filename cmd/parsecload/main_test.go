@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/benchjson"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -72,91 +70,6 @@ func TestHistReportsShardAttribution(t *testing.T) {
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-}
-
-// TestJSONSummaryRoundTrip: -json must put exactly one decodable
-// benchjson.LoadSummary object on stdout — no human-format lines — and
-// the decoded summary must re-encode to the same bytes (the decode
-// round trip cmd/parsecbench depends on).
-func TestJSONSummaryRoundTrip(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, ShardName: "s0"})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var out bytes.Buffer
-	err := run([]string{"-url", ts.URL, "-backend", "serial",
-		"-n", "24", "-c", "4", "-zipf", "1.4", "-zipf-pool", "6", "-json"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := out.Bytes()
-	if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte("{")) {
-		t.Fatalf("stdout is not one JSON object:\n%s", raw)
-	}
-	var sum benchjson.LoadSummary
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sum); err != nil {
-		t.Fatalf("decode summary: %v\n%s", err, raw)
-	}
-	if dec.More() {
-		t.Fatalf("trailing output after the summary object:\n%s", raw)
-	}
-	if sum.Mode != "parse" || sum.Seed != 1 || sum.Requests != 24 {
-		t.Errorf("summary header mismatch: %+v", sum)
-	}
-	if sum.ByStatus["200"] != 24 || sum.ByShard["s0"] != 24 {
-		t.Errorf("attribution mismatch: by_status=%v by_shard=%v", sum.ByStatus, sum.ByShard)
-	}
-	if sum.Latency.P50 <= 0 || sum.Latency.P99 < sum.Latency.P50 || sum.Latency.Max < sum.Latency.P99 {
-		t.Errorf("quantiles not ordered: %+v", sum.Latency)
-	}
-	if sum.ThroughputRPS <= 0 || sum.ElapsedNs <= 0 {
-		t.Errorf("throughput accounting missing: %+v", sum)
-	}
-	if sum.Server == nil || sum.Server.CacheHits == 0 {
-		t.Errorf("server-side scrape missing (zipf reuse must hit the result cache): %+v", sum.Server)
-	}
-	// Re-encode and decode again: the summary is a stable value type.
-	reenc, err := json.Marshal(&sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum2 benchjson.LoadSummary
-	if err := json.Unmarshal(reenc, &sum2); err != nil {
-		t.Fatal(err)
-	}
-	if sum2.Requests != sum.Requests || sum2.Latency != sum.Latency ||
-		*sum2.Server != *sum.Server || sum2.ByShard["s0"] != sum.ByShard["s0"] {
-		t.Errorf("round trip drifted:\n  first  %+v\n  second %+v", sum, sum2)
-	}
-}
-
-// TestJSONRampSummary: ramp mode with -json records every step and the
-// best sustained concurrency in the ramp section.
-func TestJSONRampSummary(t *testing.T) {
-	s := server.New(server.Config{Workers: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var out bytes.Buffer
-	err := run([]string{"-url", ts.URL, "-backend", "serial",
-		"-n", "8", "-c", "2", "-ramp", "-ramp-steps", "2", "-ramp-target", "30s", "-json"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum benchjson.LoadSummary
-	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
-		t.Fatalf("decode: %v\n%s", err, out.String())
-	}
-	if sum.Ramp == nil || len(sum.Ramp.Steps) != 2 || sum.Ramp.BestConc != 4 {
-		t.Fatalf("ramp record mismatch: %+v", sum.Ramp)
-	}
-	for i, step := range sum.Ramp.Steps {
-		if !step.WithinBudget || step.Concurrency != 2<<i {
-			t.Errorf("step %d mismatch: %+v", i, step)
 		}
 	}
 }
@@ -341,8 +254,13 @@ func TestServerSideReadsLargeCountersThroughRouter(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	ss := serverSideFrom(ts.Client(), ts.URL)
-	if ss == nil || ss.CacheHits != 1200000 || ss.CacheMisses != 2 {
-		t.Fatalf("server side read through the router = %+v, want 1200000 hits and 2 misses", ss)
+	v := serverSideFrom(ts.Client(), ts.URL)
+	if hits, misses := v["parsecd_result_cache_hits_total"], v["parsecd_result_cache_misses_total"]; hits != 1200000 || misses != 2 {
+		t.Fatalf("server side read through the router = %g hits, %g misses, want 1200000 and 2", hits, misses)
+	}
+	var out bytes.Buffer
+	printServerSide(&out, ts.Client(), ts.URL)
+	if want := "server result cache: hits=1200000 misses=2"; !strings.Contains(out.String(), want) {
+		t.Fatalf("report %q lacks %q", out.String(), want)
 	}
 }

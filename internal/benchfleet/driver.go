@@ -15,9 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Lattice-mix shape (slots × alternatives over a fixed utterance
-// pool). Matches parsecload's defaults so in-process and real-process
-// lattice phases exercise the same serving path.
+// Lattice-mix shape: slots × alternatives over a fixed utterance pool.
 const (
 	latticeSlots      = 5
 	latticeAlts       = 3
@@ -25,8 +23,9 @@ const (
 )
 
 // buildRequests pre-generates phase p's request bodies from a seeded
-// generator, exactly like parsecload: the hot loop only does HTTP, and
-// the same (scenario seed, phase index) always replays the same mix.
+// generator (workload.SentenceFor, parsecload's too): the hot loop only
+// does HTTP, and the same (scenario seed, phase index) always replays
+// the same mix.
 func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -38,7 +37,7 @@ func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
 		return json.Marshal(server.ParseRequest{
 			Grammar:   name,
 			Backend:   backend,
-			Sentence:  sentenceFor(name, rng, p.MaxLen),
+			Sentence:  workload.SentenceFor(name, rng, p.MaxLen),
 			MaxParses: 1,
 		})
 	}
@@ -68,27 +67,6 @@ func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
 	return reqs, nil
 }
 
-// sentenceFor picks a grammatical-shape sentence for the named grammar
-// from the workload generators (the parsecload mix, minus the
-// ww/dyck shapes fleet scenarios don't use).
-func sentenceFor(name string, rng *rand.Rand, maxLen int) []string {
-	switch name {
-	case "english":
-		n := 3 + rng.Intn(maxInt(1, maxLen-2))
-		return workload.EnglishSentence(n)
-	default: // demo and anything else demo-shaped
-		n := 1 + rng.Intn(maxInt(1, maxLen))
-		return workload.DemoSentence(n)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // latticeBody builds the request for the uidx-th pool utterance, the
 // same deterministic lattice parsecload's -lattice mode sends.
 func latticeBody(uidx int) ([]byte, error) {
@@ -110,11 +88,10 @@ func latticeBody(uidx int) ([]byte, error) {
 }
 
 // drivePhase fires the phase's request mix at its concurrency against
-// the router and records every request into window w of the store —
-// the structured per-request log the exact quantile queries scan.
-// Wall-clock elapsed is measured only to report throughput; request
-// attribution and membership stepping stay deterministic.
-func drivePhase(client *http.Client, routerURL string, p Phase, backend string, seed int64, st *Store, w int) (PhaseResult, error) {
+// the router and records every request: status, serving shard and
+// latency. Wall-clock elapsed is measured only to report throughput;
+// request attribution and membership stepping stay deterministic.
+func drivePhase(client *http.Client, routerURL string, p Phase, backend string, seed int64) (PhaseResult, error) {
 	p = p.withDefaults()
 	reqs, err := buildRequests(p, backend, seed)
 	if err != nil {
@@ -125,11 +102,8 @@ func drivePhase(client *http.Client, routerURL string, p Phase, backend string, 
 		endpoint = routerURL + "/v1/lattice"
 	}
 
-	res := PhaseResult{Name: p.Name, Requests: len(reqs), ByStatus: map[int]int{}}
-	var (
-		next atomic.Int64
-		mu   sync.Mutex
-	)
+	res := PhaseResult{Name: p.Name, Requests: make([]Request, len(reqs))}
+	var next atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < p.Concurrency; c++ {
@@ -142,43 +116,24 @@ func drivePhase(client *http.Client, routerURL string, p Phase, backend string, 
 					return
 				}
 				t0 := time.Now()
-				status, shard, err := postOnce(client, endpoint, reqs[i])
-				lat := time.Since(t0).Nanoseconds()
-				st.RecordRequest(w, shard, status, lat)
-				mu.Lock()
-				if err != nil {
-					res.Errors++
-				} else {
-					res.ByStatus[status]++
-				}
-				mu.Unlock()
+				status, shard := postOnce(client, endpoint, reqs[i])
+				res.Requests[i] = Request{Shard: shard, Status: status, LatNs: time.Since(t0).Nanoseconds()}
 			}
 		}()
 	}
 	wg.Wait()
 	res.ElapsedNs = time.Since(start).Nanoseconds()
-	if res.ElapsedNs > 0 {
-		res.ThroughputRPS = float64(len(reqs)) / (float64(res.ElapsedNs) / 1e9)
-	}
-	res.Lost = res.Requests - res.ByStatus[http.StatusOK]
-	q := Query{Phase: p.Name}
-	if v, ok := st.Quantile(q, 0.50); ok {
-		res.P50Ns = v
-	}
-	if v, ok := st.Quantile(q, 0.99); ok {
-		res.P99Ns = v
-	}
 	return res, nil
 }
 
 // postOnce sends one request and returns the status and serving shard
 // (X-Parsec-Shard); a transport error returns status 0.
-func postOnce(client *http.Client, url string, body []byte) (int, string, error) {
+func postOnce(client *http.Client, url string, body []byte) (int, string) {
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, "", err
+		return 0, ""
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	return resp.StatusCode, resp.Header.Get(server.ShardHeader), nil
+	return resp.StatusCode, resp.Header.Get(server.ShardHeader)
 }

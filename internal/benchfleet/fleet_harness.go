@@ -3,6 +3,7 @@ package benchfleet
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/router"
@@ -16,9 +17,10 @@ import (
 // through AdvanceProbes — so kill-phase scenarios run deterministic
 // and sleep-free in tier-1.
 type HarnessFleet struct {
-	c      *clustertest.Cluster
-	names  []string
-	client *http.Client
+	c       *clustertest.Cluster
+	names   []string
+	scrapes []*httptest.Server // each shard's server without the fault wrapper
+	client  *http.Client
 }
 
 // NewHarnessFleet boots sc.Shards in-process backends plus a router.
@@ -32,6 +34,7 @@ func NewHarnessFleet(sc *Scenario, scfg server.Config, rcfg router.Config) (*Har
 	f := &HarnessFleet{c: c, client: &http.Client{}}
 	for _, sh := range c.Shards {
 		f.names = append(f.names, sh.Name)
+		f.scrapes = append(f.scrapes, httptest.NewServer(sh.Server.Handler()))
 	}
 	return f, nil
 }
@@ -40,12 +43,26 @@ func NewHarnessFleet(sc *Scenario, scfg server.Config, rcfg router.Config) (*Har
 // shard-level assertions).
 func (f *HarnessFleet) Cluster() *clustertest.Cluster { return f.c }
 
-func (f *HarnessFleet) RouterURL() string     { return f.c.URL }
-func (f *HarnessFleet) ShardNames() []string  { return append([]string{}, f.names...) }
-func (f *HarnessFleet) ShardURL(i int) string { return f.c.Shards[i].URL }
-func (f *HarnessFleet) AdvanceProbes(n int)   { f.c.AdvanceProbes(n) }
-func (f *HarnessFleet) Client() *http.Client  { return f.client }
-func (f *HarnessFleet) Close() error          { f.c.Close(); return nil }
+func (f *HarnessFleet) RouterURL() string    { return f.c.URL }
+func (f *HarnessFleet) ShardNames() []string { return append([]string{}, f.names...) }
+func (f *HarnessFleet) AdvanceProbes(n int)  { f.c.AdvanceProbes(n) }
+func (f *HarnessFleet) Client() *http.Client { return f.client }
+
+// ShardURL reaches shard i's server past the harness's faults. The
+// harness's kill drops connections but keeps the server with its cache
+// and counters, so a killed shard's scrape shows them frozen and a
+// revived one counts on from them — what that server did. A relaunched
+// parsecd (ProcFleet) is absent from the scrapes while dead and counts
+// from zero.
+func (f *HarnessFleet) ShardURL(i int) string { return f.scrapes[i].URL }
+
+func (f *HarnessFleet) Close() error {
+	for _, ts := range f.scrapes {
+		ts.Close()
+	}
+	f.c.Close()
+	return nil
+}
 
 // ApplyFault maps the scenario fault kinds onto the harness's fault
 // injectors: kill drops every connection at the socket (what a crashed

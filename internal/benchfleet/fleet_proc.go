@@ -2,7 +2,6 @@ package benchfleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,8 +18,8 @@ import (
 
 // ProcConfig tunes a real-process fleet.
 type ProcConfig struct {
-	// BinDir holds the parsecd, parsecrouter, and parsecload binaries
-	// (make bench-cluster builds them first).
+	// BinDir holds the parsecd and parsecrouter binaries (make
+	// bench-cluster builds them first).
 	BinDir string
 	// LogDir receives each child's stderr log (default: discarded).
 	LogDir string
@@ -317,46 +316,4 @@ func freePorts(n int) ([]int, error) {
 		ports = append(ports, port)
 	}
 	return ports, nil
-}
-
-// ParsecloadLoad returns a loadFunc that execs `parsecload -json` for
-// each phase — the real-process mode's load driver. The decoded
-// LoadSummary becomes the PhaseResult; per-shard latency series come
-// from the scraped parsecd_parse_latency_seconds histograms instead of
-// per-request records.
-func ParsecloadLoad(binDir string, sc *Scenario) loadFunc {
-	return func(ctx context.Context, fleet Fleet, p Phase, seed int64, st *Store, window int) (PhaseResult, error) {
-		p = p.withDefaults()
-		args := []string{
-			"-url", fleet.RouterURL(),
-			"-json",
-			"-n", strconv.Itoa(p.Requests),
-			"-c", strconv.Itoa(p.Concurrency),
-			"-seed", strconv.FormatInt(seed, 10),
-			"-backend", sc.BackendOrDefault(),
-			"-grammars", strings.Join(p.Grammars, ","),
-			"-max-len", strconv.Itoa(p.MaxLen),
-		}
-		switch p.Mix {
-		case "zipf":
-			args = append(args, "-zipf", strconv.FormatFloat(p.ZipfS, 'g', -1, 64),
-				"-zipf-pool", strconv.Itoa(p.ZipfPool))
-		case "lattice":
-			args = append(args, "-lattice",
-				"-lattice-slots", strconv.Itoa(latticeSlots),
-				"-lattice-alts", strconv.Itoa(latticeAlts),
-				"-lattice-utterances", strconv.Itoa(latticeUtterances))
-		}
-		cmd := exec.CommandContext(ctx, filepath.Join(binDir, "parsecload"), args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			return PhaseResult{}, fmt.Errorf("parsecload: %w\n%s", err, stderr.String())
-		}
-		sum, err := DecodeLoadSummary(stdout.Bytes())
-		if err != nil {
-			return PhaseResult{}, err
-		}
-		return phaseResultFromSummary(p, sum), nil
-	}
 }

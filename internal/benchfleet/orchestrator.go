@@ -3,26 +3,30 @@ package benchfleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
-	"time"
+
+	"repro/internal/metrics"
 )
 
 // Fleet abstracts the two ways a scenario can run: in-process on the
 // clustertest harness (tier-1 tests: zero processes, zero sleeps) and
 // as real local parsecd/parsecrouter processes (make bench-cluster).
+// Both run every phase through the same driver and keep the same
+// record.
 type Fleet interface {
 	// RouterURL is the base URL load is driven through.
 	RouterURL() string
 	// ShardNames returns the fleet's shard names in index order
 	// (shard0..shardN-1 — the names the X-Parsec-Shard header carries).
 	ShardNames() []string
-	// ShardURL returns shard i's base URL for /metrics scrapes.
+	// ShardURL returns the base URL shard i's /metrics is scraped at.
 	ShardURL(i int) string
 	// ApplyFault applies one fault-schedule entry.
 	ApplyFault(f Fault) error
 	// AdvanceProbes steps membership n synchronous probe rounds where
 	// the fleet supports deterministic probing (the harness); fleets
-	// with a free-running prober treat it as a no-op.
+	// with a free-running prober wait that many probe periods instead.
 	AdvanceProbes(n int)
 	// Client is the HTTP client used for load and scrapes.
 	Client() *http.Client
@@ -30,84 +34,72 @@ type Fleet interface {
 	Close() error
 }
 
-// loadFunc drives one phase's load and reports its client-side result.
-// The in-process orchestrator uses the built-in driver (per-request
-// records); the real-process mode substitutes a parsecload -json
-// execution.
-type loadFunc func(ctx context.Context, fleet Fleet, p Phase, seed int64, st *Store, window int) (PhaseResult, error)
-
-// Options tunes a Run.
-type Options struct {
-	// Load overrides the phase load driver (default: the in-process
-	// driver, recording per-request latencies into the store).
-	Load loadFunc
-	// ScrapeEvery inserts additional mid-phase scrape windows on this
-	// cadence (0: scrape only at phase boundaries — the deterministic
-	// in-process mode).
-	ScrapeEvery time.Duration
+// Request is one request's outcome as the client saw it.
+type Request struct {
+	// Shard is the X-Parsec-Shard of the reply; empty for a transport
+	// error or a reply no shard answered.
+	Shard string
+	// Status is the HTTP status, 0 for a transport error.
+	Status int
+	LatNs  int64
 }
 
-// PhaseResult is one phase's client-side accounting.
+// Scrape is one source's /metrics at a phase boundary: every sample
+// summed across its label sets, by name (metrics.Totals).
+type Scrape map[string]float64
+
+// RouterSource keys the router's own scrape among the shard names.
+const RouterSource = "router"
+
+// PhaseResult is one phase's record: every request it sent and each
+// source's closing scrape.
 type PhaseResult struct {
-	Name     string
-	Requests int
-	// Errors counts transport-level failures (no HTTP response).
-	Errors int
-	// Lost counts requests that did not get a 200 — the metric the
-	// fault-tolerance claims gate on (a healthy fleet with failover
-	// loses zero requests through a kill phase).
-	Lost          int
-	ByStatus      map[int]int
-	ElapsedNs     int64
-	ThroughputRPS float64
-	P50Ns, P99Ns  int64
+	Name string
+	// Requests holds one record per request, in request order.
+	Requests  []Request
+	ElapsedNs int64
+	// Scrapes maps a shard name or RouterSource to the source's /metrics
+	// after the phase; a source that did not answer (a killed shard) is
+	// absent.
+	Scrapes map[string]Scrape
 }
 
-// RunResult is a completed scenario run: per-phase client accounting
-// plus the columnar sample store every post-hoc query reads.
+// RunResult is a completed scenario run.
 type RunResult struct {
 	Scenario *Scenario
-	Store    *Store
-	Phases   []PhaseResult
-	// StartedAt is the run's wall-clock start (zero in the in-process
-	// mode, which never reads the host clock).
-	StartedAt time.Time
+	// Shards names the fleet's shards in index order.
+	Shards []string
+	// Pre is every source's scrape before any load: the first phase's
+	// opening boundary.
+	Pre    map[string]Scrape
+	Phases []PhaseResult
 }
 
-// prePhase names the baseline scrape window taken before any load, so
-// the first real phase's counter deltas have a floor.
-const prePhase = "pre"
-
-// Run executes the scenario against the fleet: for each phase, apply
-// the phase's faults, step deterministic probes, drive the load, and
-// scrape every shard plus the router into the phase's closing window.
-// The fleet is NOT closed by Run; the caller owns its lifecycle.
-func Run(ctx context.Context, fleet Fleet, sc *Scenario, opts Options) (*RunResult, error) {
+// Run executes the scenario against the fleet: scrape a baseline, then
+// for each phase apply the phase's faults, step probes, drive the load
+// and scrape every shard plus the router. The fleet is NOT closed by
+// Run; the caller owns its lifecycle.
+func Run(ctx context.Context, fleet Fleet, sc *Scenario) (*RunResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	load := opts.Load
-	if load == nil {
-		load = func(ctx context.Context, fleet Fleet, p Phase, seed int64, st *Store, window int) (PhaseResult, error) {
-			return drivePhase(fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seed, st, window)
+	res := &RunResult{Scenario: sc, Shards: fleet.ShardNames()}
+	scrapeAll := func() map[string]Scrape {
+		out := make(map[string]Scrape)
+		add := func(source, baseURL string) {
+			// A killed shard does not answer; its absence from the
+			// boundary is itself the record of the kill.
+			if s, err := scrape(fleet.Client(), baseURL); err == nil {
+				out[source] = s
+			}
 		}
-	}
-	st := NewStore(fleet.ShardNames())
-	res := &RunResult{Scenario: sc, Store: st}
-
-	scrapeAll := func(w int) {
-		for i, name := range fleet.ShardNames() {
-			// Ignore per-scrape errors: a killed shard contributes no
-			// samples for the window, which is itself signal.
-			ScrapeInto(fleet.Client(), st, w, name, fleet.ShardURL(i)) //nolint:errcheck
+		for i, name := range res.Shards {
+			add(name, fleet.ShardURL(i))
 		}
-		ScrapeInto(fleet.Client(), st, w, RouterSource, fleet.RouterURL()) //nolint:errcheck
+		add(RouterSource, fleet.RouterURL())
+		return out
 	}
-
-	// Baseline window: cumulative counters before any load.
-	w := st.OpenWindow(prePhase, 0)
-	scrapeAll(w)
-	st.CloseWindow(w, 0)
+	res.Pre = scrapeAll()
 
 	seedBase := sc.Seed
 	if seedBase == 0 {
@@ -124,51 +116,32 @@ func Run(ctx context.Context, fleet Fleet, sc *Scenario, opts Options) (*RunResu
 		}
 		fleet.AdvanceProbes(p.Probes)
 
-		w := st.OpenWindow(p.Name, 0)
-		stopCadence := startCadence(ctx, opts.ScrapeEvery, p.Name, st, scrapeAll)
-		pr, err := load(ctx, fleet, p, seedBase+int64(pi), st, w)
-		stopCadence()
+		pr, err := drivePhase(fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seedBase+int64(pi))
 		if err != nil {
 			return nil, fmt.Errorf("benchfleet: phase %q: %w", p.Name, err)
 		}
-		scrapeAll(w)
-		st.CloseWindow(w, 0)
+		pr.Scrapes = scrapeAll()
 		res.Phases = append(res.Phases, pr)
 	}
 	return res, nil
 }
 
-// startCadence runs mid-phase scrapes on the given cadence (no-op and
-// zero goroutines when every is 0, keeping the in-process mode free of
-// timers). Each tick lands in its own window tagged with the phase, so
-// the phase's sample series gains intra-phase resolution.
-func startCadence(ctx context.Context, every time.Duration, phase string, st *Store, scrapeAll func(int)) (stop func()) {
-	if every <= 0 {
-		return func() {}
+// scrape fetches and totals one source's /metrics.
+func scrape(client *http.Client, baseURL string) (Scrape, error) {
+	resp, err := client.Get(baseURL + "/metrics")
+	if err != nil {
+		return nil, err
 	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				w := st.OpenWindow(phase, 0)
-				scrapeAll(w)
-				st.CloseWindow(w, 0)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		return nil, fmt.Errorf("scrape %s: status %d", baseURL, resp.StatusCode)
 	}
+	fams, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return metrics.Totals(fams), nil
 }
 
 // BackendOrDefault returns the scenario's parse backend ("serial" when

@@ -46,7 +46,7 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 	defer fleet.Close() //nolint:errcheck
 	placeKeys(t, sc, fleet)
 
-	res, err := Run(context.Background(), fleet, sc, Options{})
+	res, err := Run(context.Background(), fleet, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,38 +54,56 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 	// A healthy fleet with failover loses zero requests through a kill
 	// phase: every request got a 200 from some shard.
 	for _, pr := range res.Phases {
-		if pr.Lost != 0 || pr.Errors != 0 {
-			t.Fatalf("phase %s lost %d (errors %d) of %d requests: %+v", pr.Name, pr.Lost, pr.Errors, pr.Requests, pr.ByStatus)
+		if n := pr.Lost(); n != 0 {
+			t.Fatalf("phase %s lost %d of %d requests: %+v", pr.Name, n, len(pr.Requests), pr.Requests)
 		}
 	}
 
-	st := res.Store
 	// The kill was observed by the router: shard2 was ejected during
 	// the kill phase (the ejection counter grew).
-	if d, ok := st.Delta("parsecrouter_shard_ejections_total", RouterSource, Query{Phase: "kill"}); !ok || d < 1 {
+	if d, ok := res.Delta("parsecrouter_shard_ejections_total", RouterSource, "kill"); !ok || d < 1 {
 		t.Fatalf("ejections during kill = %g,%v want >= 1", d, ok)
 	}
 	// No request was answered by the dead shard during the kill phase,
 	// and the survivors both served some.
-	byShard := st.QuantileByShard("kill", 0.99)
-	if _, ok := byShard["shard2"]; ok {
-		t.Fatalf("killed shard answered requests during kill phase: %v", byShard)
+	if n := res.CountRequests("kill", "shard2", nil); n != 0 {
+		t.Fatalf("killed shard answered %d requests during kill phase", n)
 	}
+	killP99 := map[string]int64{}
 	for _, name := range []string{"shard0", "shard1"} {
-		if v, ok := byShard[name]; !ok || v <= 0 {
-			t.Fatalf("survivor %s p99 = %d,%v want > 0 (byShard=%v)", name, v, ok, byShard)
+		v, ok := res.Quantile("kill", name, 0.99)
+		if !ok || v <= 0 {
+			t.Fatalf("survivor %s p99 = %d,%v want > 0", name, v, ok)
 		}
+		killP99[name] = v
 	}
 	// The zipf mix repeats sentences, so the result cache saw hits.
-	if hr, ok := st.HitRate("", Query{Phase: "kill"}); !ok || hr <= 0 {
+	if hr, ok := res.HitRate("", "kill"); !ok || hr <= 0 {
 		t.Fatalf("fleet hit rate during kill = %g,%v want > 0", hr, ok)
 	}
 	// Revived shard serves again in the recover phase.
-	if n := st.CountRequests(Query{Phase: "recover", Shard: "shard2"}, nil); n == 0 {
+	if n := res.CountRequests("recover", "shard2", nil); n == 0 {
 		t.Fatal("revived shard2 served nothing in the recover phase")
 	}
+	// Every parse is one result-cache lookup at the shard that answered
+	// it (no hedging, no hot-key warming), so each shard's scrape
+	// deltas account for exactly its records — shard2's in recover
+	// too, whose server kept its counters through the kill.
+	for _, p := range sc.Phases {
+		for _, shard := range res.Shards {
+			lookups := 0.0
+			for _, fam := range []string{"parsecd_result_cache_hits_total", "parsecd_result_cache_misses_total", "parsecd_result_cache_coalesced_inflight_total"} {
+				d, _ := res.Delta(fam, shard, p.Name)
+				lookups += d
+			}
+			if n := res.CountRequests(p.Name, shard, nil); lookups != float64(n) {
+				t.Errorf("phase %s %s: %g cache lookups for %d requests", p.Name, shard, lookups, n)
+			}
+		}
+	}
 
-	// The report reduces to the shared benchjson schema and validates.
+	// The report reduces to the shared benchjson schema and validates
+	// after a JSON round trip.
 	rep, err := BuildReport(res)
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +112,9 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, st2, err := LoadReport(data)
+	rep2, err := benchjson.ValidateBytes(data)
 	if err != nil {
 		t.Fatalf("BENCH_cluster.json round trip: %v", err)
-	}
-	if st2 == nil {
-		t.Fatal("report lost its samples payload")
 	}
 	names := map[string]benchjson.Result{}
 	for _, r := range rep2.Results {
@@ -109,25 +124,46 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 	if !ok {
 		t.Fatalf("no total row in %v", keysOf(names))
 	}
-	if total.Iterations != 120 || total.P99Ns <= 0 {
-		t.Fatalf("total row = %+v, want 120 iterations and p99 > 0", total)
+	if total.Iterations != 120 || total.P50Ns <= 0 || total.P99Ns <= 0 {
+		t.Fatalf("total row = %+v, want 120 iterations and p50, p99 > 0", total)
 	}
 	killRow, ok := names["Fleet/t3/phase=kill"]
 	if !ok || killRow.Iterations != 48 {
 		t.Fatalf("kill phase row = %+v,%v", killRow, ok)
 	}
-	for _, name := range []string{"Fleet/t3/phase=kill/shard=shard0", "Fleet/t3/phase=kill/shard=shard1"} {
-		row, ok := names[name]
-		if !ok || row.Iterations <= 0 || row.P99Ns <= 0 {
-			t.Fatalf("per-shard row %s = %+v,%v want iterations and p99 > 0", name, row, ok)
+	// The per-(phase, shard) rows answer "p99 by shard during the kill
+	// window" on their own.
+	for _, shard := range []string{"shard0", "shard1"} {
+		row, ok := names["Fleet/t3/phase=kill/shard="+shard]
+		if !ok || row.Iterations <= 0 || row.P99Ns != float64(killP99[shard]) {
+			t.Fatalf("kill row for %s = %+v,%v want iterations > 0 and p99 %d", shard, row, ok, killP99[shard])
 		}
 	}
 	if _, ok := names["Fleet/t3/phase=kill/shard=shard2"]; ok {
 		t.Fatal("dead shard should have no kill-phase row")
 	}
-	// The re-hydrated store still answers the tentpole query.
-	if got := st2.QuantileByShard("kill", 0.99); len(got) != 2 {
-		t.Fatalf("round-tripped kill p99 by shard = %v", got)
+	checkShardRowsSum(t, rep2, sc)
+}
+
+// checkShardRowsSum asserts that in every phase the per-shard rows'
+// iterations add up to the phase's requests: every reply named the
+// shard that served it.
+func checkShardRowsSum(t *testing.T, rep *benchjson.Report, sc *Scenario) {
+	t.Helper()
+	for _, p := range sc.Phases {
+		prefix := "Fleet/" + sc.Name + "/phase=" + p.Name
+		var phase, shards int64
+		for _, r := range rep.Results {
+			switch {
+			case r.Name == prefix:
+				phase = r.Iterations
+			case strings.HasPrefix(r.Name, prefix+"/shard="):
+				shards += r.Iterations
+			}
+		}
+		if phase != int64(p.Requests) || shards != phase {
+			t.Errorf("phase %s: row iterations %d, shard rows sum %d, want %d each", p.Name, phase, shards, p.Requests)
+		}
 	}
 }
 
@@ -141,8 +177,8 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 func placeKeys(t *testing.T, sc *Scenario, fleet *HarnessFleet) {
 	t.Helper()
 	var urls []string
-	for i := 0; i < sc.Shards; i++ {
-		urls = append(urls, fleet.ShardURL(i))
+	for _, sh := range fleet.Cluster().Shards {
+		urls = append(urls, sh.URL)
 	}
 	place := func(pi int, eligible []string, owners ...string) {
 		p := &sc.Phases[pi]
@@ -201,21 +237,44 @@ func TestRunDelayScenarioInProcess(t *testing.T) {
 	}
 	defer fleet.Close() //nolint:errcheck
 
-	res, err := Run(context.Background(), fleet, sc, Options{})
+	res, err := Run(context.Background(), fleet, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pr := range res.Phases {
-		if pr.Lost != 0 {
-			t.Fatalf("phase %s lost %d requests", pr.Name, pr.Lost)
+		if n := pr.Lost(); n != 0 {
+			t.Fatalf("phase %s lost %d requests", pr.Name, n)
 		}
 	}
 	if fleet.Cluster().Shards[0].DelayHits() == 0 {
 		t.Fatal("delay fault never engaged")
 	}
 	// Delayed shard's slow-phase p99 carries at least the 20ms stall.
-	if v, ok := res.Store.Quantile(Query{Phase: "slow", Shard: "shard0"}, 0.99); ok && v < 20*1e6 {
-		t.Fatalf("delayed shard p99 = %dns, want >= 20ms", v)
+	if v, ok := res.Quantile("slow", "shard0", 0.99); !ok || v < 20*1e6 {
+		t.Fatalf("delayed shard p99 = %dns,%v want >= 20ms", v, ok)
+	}
+}
+
+// TestRunEveryGrammarInProcess: a phase over the ww and dyck grammars
+// sends each grammar its own sentences (workload.SentenceFor), so a
+// healthy fleet answers all of them.
+func TestRunEveryGrammarInProcess(t *testing.T) {
+	sc := &Scenario{
+		Name:   "tgrammars",
+		Shards: 2,
+		Phases: []Phase{{Name: "mixed", Requests: 20, Concurrency: 4, Mix: "uniform", Grammars: []string{"ww", "dyck"}}},
+	}
+	fleet, err := NewHarnessFleet(sc, server.Config{}, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close() //nolint:errcheck
+	res, err := Run(context.Background(), fleet, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Phases[0].Lost(); n != 0 {
+		t.Fatalf("lost %d of 20 ww/dyck requests: %+v", n, res.Phases[0].Requests)
 	}
 }
 
@@ -224,7 +283,7 @@ func TestRunDelayScenarioInProcess(t *testing.T) {
 func TestRunRejectsInvalidScenario(t *testing.T) {
 	sc := killScenario()
 	sc.Phases[0].Requests = 0
-	if _, err := Run(context.Background(), nil, sc, Options{}); err == nil ||
+	if _, err := Run(context.Background(), nil, sc); err == nil ||
 		!strings.Contains(err.Error(), "requests must be >= 1") {
 		t.Fatalf("Run on invalid scenario: %v", err)
 	}
@@ -241,7 +300,7 @@ func TestRunHonorsContext(t *testing.T) {
 	defer fleet.Close() //nolint:errcheck
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, fleet, sc, Options{}); err == nil {
+	if _, err := Run(ctx, fleet, sc); err == nil {
 		t.Fatal("cancelled context should abort the run")
 	}
 }

@@ -1,190 +1,206 @@
 package benchfleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
+	"slices"
 
 	"repro/internal/benchjson"
+	"repro/internal/metrics"
 )
-
-// DecodeLoadSummary strictly decodes one `parsecload -json` document.
-func DecodeLoadSummary(data []byte) (*benchjson.LoadSummary, error) {
-	var sum benchjson.LoadSummary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		return nil, fmt.Errorf("benchfleet: decode parsecload summary: %w", err)
-	}
-	return &sum, nil
-}
-
-// phaseResultFromSummary converts parsecload's client-side accounting
-// into the orchestrator's phase result.
-func phaseResultFromSummary(p Phase, sum *benchjson.LoadSummary) PhaseResult {
-	res := PhaseResult{
-		Name:          p.Name,
-		Requests:      sum.Requests,
-		Errors:        sum.Errors,
-		ByStatus:      map[int]int{},
-		ElapsedNs:     sum.ElapsedNs,
-		ThroughputRPS: sum.ThroughputRPS,
-		P50Ns:         sum.Latency.P50,
-		P99Ns:         sum.Latency.P99,
-	}
-	for code, n := range sum.ByStatus {
-		if c, err := strconv.Atoi(code); err == nil {
-			res.ByStatus[c] = n
-		}
-	}
-	res.Lost = res.Requests - res.ByStatus[http.StatusOK]
-	return res
-}
 
 // Exposed metric family names the report reduces over. These are the
 // literal names internal/server and internal/router register, verified
 // by the metricflow lint.
 const (
-	famRequests    = "parsecd_requests_total"
-	famParseLatSec = "parsecd_parse_latency_seconds"
+	famCacheHits   = "parsecd_result_cache_hits_total"
+	famCacheMisses = "parsecd_result_cache_misses_total"
 	famFailovers   = "parsecrouter_failovers_total"
 	famHedges      = "parsecrouter_hedges_total"
 	famSheds       = "parsecrouter_sheds_total"
 )
 
+// Queries below take a phase name ("" for the whole run) and a shard
+// name ("" for any shard, or the whole fleet).
+
+// phaseIndices returns the indices of the phases phase selects.
+func (r *RunResult) phaseIndices(phase string) []int {
+	var out []int
+	for i, p := range r.Phases {
+		if phase == "" || p.Name == phase {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// requests returns the records of the selected phases that shard
+// answered.
+func (r *RunResult) requests(phase, shard string) []Request {
+	var out []Request
+	for _, i := range r.phaseIndices(phase) {
+		for _, q := range r.Phases[i].Requests {
+			if shard == "" || q.Shard == shard {
+				out = append(out, q)
+			}
+		}
+	}
+	return out
+}
+
+// CountRequests counts the selected records whose status statusOK
+// accepts (nil accepts every record, transport errors included).
+func (r *RunResult) CountRequests(phase, shard string, statusOK func(int) bool) int {
+	n := 0
+	for _, q := range r.requests(phase, shard) {
+		if statusOK == nil || statusOK(q.Status) {
+			n++
+		}
+	}
+	return n
+}
+
+// Lost counts the phase's requests that did not get a 200 — the metric
+// the fault-tolerance claims gate on (a healthy fleet with failover
+// loses zero requests through a kill phase).
+func (p *PhaseResult) Lost() int {
+	n := 0
+	for _, q := range p.Requests {
+		if q.Status != http.StatusOK {
+			n++
+		}
+	}
+	return n
+}
+
+// Quantile returns the p-quantile of the selected records' latency in
+// nanoseconds (metrics.Quantile's index rule); ok is false when no
+// record matches.
+func (r *RunResult) Quantile(phase, shard string, p float64) (latNs int64, ok bool) {
+	reqs := r.requests(phase, shard)
+	if len(reqs) == 0 {
+		return 0, false
+	}
+	lats := make([]int64, len(reqs))
+	for i, q := range reqs {
+		lats[i] = q.LatNs
+	}
+	slices.Sort(lats)
+	return metrics.Quantile(lats, p), true
+}
+
+// Delta returns how much the counter family grew at source over the
+// phase, summed over the phases for the whole run. A phase's baseline
+// is the source's value at its opening boundary: the previous phase's
+// closing scrape, or Pre. A source absent there was down, so a shard
+// revived at the boundary counts from zero; a closing value below the
+// baseline is a counter reset, and the phase counts the closing value
+// (Prometheus' increase rule). ok is false when no selected closing
+// scrape of the source carries the family.
+func (r *RunResult) Delta(family, source, phase string) (float64, bool) {
+	total, ok := 0.0, false
+	for _, i := range r.phaseIndices(phase) {
+		last, present := r.Phases[i].Scrapes[source][family]
+		if !present {
+			continue
+		}
+		opening := r.Pre
+		if i > 0 {
+			opening = r.Phases[i-1].Scrapes
+		}
+		if base := opening[source][family]; last >= base {
+			last -= base
+		}
+		total, ok = total+last, true
+	}
+	return total, ok
+}
+
+// SumDelta sums Delta across the fleet's shards (router excluded).
+func (r *RunResult) SumDelta(family, phase string) (float64, bool) {
+	total, ok := 0.0, false
+	for _, shard := range r.Shards {
+		if v, present := r.Delta(family, shard, phase); present {
+			total, ok = total+v, true
+		}
+	}
+	return total, ok
+}
+
+// HitRate derives the result-cache hit rate of one shard (the whole
+// fleet for shard "") over the phase from the hit and miss counter
+// deltas. ok is false when there were no lookups.
+func (r *RunResult) HitRate(shard, phase string) (float64, bool) {
+	delta := func(family string) float64 {
+		if shard == "" {
+			v, _ := r.SumDelta(family, phase)
+			return v
+		}
+		v, _ := r.Delta(family, shard, phase)
+		return v
+	}
+	hits := delta(famCacheHits)
+	lookups := hits + delta(famCacheMisses)
+	if lookups == 0 {
+		return 0, false
+	}
+	return hits / lookups, true
+}
+
 // BuildReport reduces a completed run to the shared benchjson schema:
 // one result row for the whole run, one per phase, and one per
-// (phase, shard) pair — names are "Fleet/<scenario>/total",
-// ".../phase=<p>", and ".../phase=<p>/shard=<s>" — with the full
-// columnar store embedded under "samples" so the artifact answers
-// post-hoc queries on its own.
+// (phase, shard) pair that answered requests — names are
+// "Fleet/<scenario>/total", ".../phase=<p>" and
+// ".../phase=<p>/shard=<s>". Iterations and latency quantiles come from
+// the request records, hit rates and router counts from scrape deltas.
 func BuildReport(res *RunResult) (*benchjson.Report, error) {
-	st := res.Store
-	sc := res.Scenario
 	rep := &benchjson.Report{
 		Goos:   runtime.GOOS,
 		Goarch: runtime.GOARCH,
 		Pkg:    "repro/internal/benchfleet",
 	}
-
-	var totalReqs, totalLost int
-	var totalNs int64
-	for _, pr := range res.Phases {
-		totalReqs += pr.Requests
-		totalLost += pr.Lost
-		totalNs += pr.ElapsedNs
+	prefix := "Fleet/" + res.Scenario.Name
+	var elapsed int64
+	for _, p := range res.Phases {
+		elapsed += p.ElapsedNs
 	}
-	all := Query{}
-	total := benchjson.Result{
-		Name:       "Fleet/" + sc.Name + "/total",
-		Iterations: int64(totalReqs),
-	}
-	if totalReqs > 0 && totalNs > 0 {
-		total.NsPerOp = float64(totalNs) / float64(totalReqs)
-		total.SentsPer = float64(totalReqs) / (float64(totalNs) / 1e9)
-	}
-	if v, ok := st.Quantile(all, 0.50); ok {
-		total.P50Ns = float64(v)
-	}
-	if v, ok := st.Quantile(all, 0.99); ok {
-		total.P99Ns = float64(v)
-	}
-	fillSpanMetrics(&total, st, all)
-	rep.Results = append(rep.Results, total)
-
-	for _, pr := range res.Phases {
-		q := Query{Phase: pr.Name}
-		row := benchjson.Result{
-			Name:       "Fleet/" + sc.Name + "/phase=" + pr.Name,
-			Iterations: int64(pr.Requests),
-			SentsPer:   pr.ThroughputRPS,
-			P50Ns:      float64(pr.P50Ns),
-			P99Ns:      float64(pr.P99Ns),
-		}
-		if pr.Requests > 0 && pr.ElapsedNs > 0 {
-			row.NsPerOp = float64(pr.ElapsedNs) / float64(pr.Requests)
-		}
-		fillSpanMetrics(&row, st, q)
-		rep.Results = append(rep.Results, row)
-
-		for _, shard := range st.Shards() {
-			sq := Query{Phase: pr.Name, Shard: shard}
-			srow := benchjson.Result{
-				Name: "Fleet/" + sc.Name + "/phase=" + pr.Name + "/shard=" + shard,
+	rep.Results = append(rep.Results, res.row(prefix+"/total", "", "", elapsed))
+	for _, p := range res.Phases {
+		rep.Results = append(rep.Results, res.row(prefix+"/phase="+p.Name, p.Name, "", p.ElapsedNs))
+		for _, shard := range res.Shards {
+			// A shard that answered nothing in the phase (killed before
+			// it, typically) gets no row: an all-zero row only adds noise.
+			if row := res.row(prefix+"/phase="+p.Name+"/shard="+shard, p.Name, shard, 0); row.Iterations > 0 {
+				rep.Results = append(rep.Results, row)
 			}
-			// Shard request attribution: per-request records when the
-			// in-process driver ran, the scraped request counter delta
-			// otherwise.
-			if n := st.CountRequests(sq, nil); n > 0 {
-				srow.Iterations = int64(n)
-			} else if d, ok := st.Delta(famRequests, shard, q); ok {
-				srow.Iterations = int64(d)
-			}
-			if srow.Iterations == 0 {
-				// The shard was dark for the whole phase (killed before
-				// it, typically); an all-zero row only adds noise.
-				continue
-			}
-			if v, ok := st.Quantile(sq, 0.99); ok {
-				srow.P99Ns = float64(v)
-			} else if v, ok := st.HistQuantile(famParseLatSec, shard, q, 0.99); ok {
-				srow.P99Ns = v * 1e9
-			}
-			if v, ok := st.Quantile(sq, 0.50); ok {
-				srow.P50Ns = float64(v)
-			} else if v, ok := st.HistQuantile(famParseLatSec, shard, q, 0.50); ok {
-				srow.P50Ns = v * 1e9
-			}
-			if hr, ok := st.HitRate(shard, q); ok {
-				srow.HitRate = hr
-			}
-			rep.Results = append(rep.Results, srow)
 		}
 	}
-
-	samples, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("benchfleet: marshal samples: %w", err)
-	}
-	rep.Samples = samples
 	if err := benchjson.Validate(rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// fillSpanMetrics adds the store-derived metrics shared by the total
-// and per-phase rows: fleet hit rate and the router's failover, hedge,
-// and shed deltas over the span.
-func fillSpanMetrics(row *benchjson.Result, st *Store, q Query) {
-	if hr, ok := st.HitRate("", q); ok {
-		row.HitRate = hr
+// row reduces the records of one phase and shard to a report row.
+// elapsedNs, zero for a shard row, gives ns/op and throughput; the
+// router's failover, hedge and shed deltas fill the fleet rows.
+func (r *RunResult) row(name, phase, shard string, elapsedNs int64) benchjson.Result {
+	row := benchjson.Result{Name: name, Iterations: int64(r.CountRequests(phase, shard, nil))}
+	if row.Iterations > 0 && elapsedNs > 0 {
+		row.NsPerOp = float64(elapsedNs) / float64(row.Iterations)
+		row.SentsPer = float64(row.Iterations) / (float64(elapsedNs) / 1e9)
 	}
-	if v, ok := st.Delta(famFailovers, RouterSource, q); ok {
-		row.Failovers = v
+	if v, ok := r.Quantile(phase, shard, 0.50); ok {
+		row.P50Ns = float64(v)
 	}
-	if v, ok := st.Delta(famHedges, RouterSource, q); ok {
-		row.Hedges = v
+	if v, ok := r.Quantile(phase, shard, 0.99); ok {
+		row.P99Ns = float64(v)
 	}
-	if v, ok := st.Delta(famSheds, RouterSource, q); ok {
-		row.Sheds = v
+	row.HitRate, _ = r.HitRate(shard, phase)
+	if shard == "" {
+		row.Failovers, _ = r.Delta(famFailovers, RouterSource, phase)
+		row.Hedges, _ = r.Delta(famHedges, RouterSource, phase)
+		row.Sheds, _ = r.Delta(famSheds, RouterSource, phase)
 	}
-}
-
-// LoadReport reads a BENCH_cluster.json document and re-hydrates the
-// embedded sample store (nil when the report carries no samples) — the
-// query side of cmd/parsecbench.
-func LoadReport(data []byte) (*benchjson.Report, *Store, error) {
-	rep, err := benchjson.ValidateBytes(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rep.Samples) == 0 {
-		return rep, nil, nil
-	}
-	st := &Store{}
-	if err := st.UnmarshalJSON(rep.Samples); err != nil {
-		return nil, nil, err
-	}
-	return rep, st, nil
+	return row
 }

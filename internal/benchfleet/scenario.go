@@ -3,9 +3,10 @@
 // parsecrouter (as real local processes, or in-process on the
 // clustertest harness), drives a scripted load mix through declarative
 // scenario phases with a fault schedule keyed to phase boundaries
-// (kill -9, delay injection, revival), scrapes per-shard and router
-// /metrics into a window-indexed columnar sample store, and reduces
-// the run to a benchjson Report (BENCH_cluster.json) so fleet
+// (kill -9, delay injection, revival), and keeps one record per phase:
+// every request's status, serving shard and latency, plus each shard's
+// and the router's /metrics at the phase's closing boundary. The run
+// reduces to a benchjson Report (BENCH_cluster.json) so fleet
 // throughput, latency quantiles, hit rate, failovers, hedges, and
 // sheds become a per-PR trajectory exactly like BENCH_scan.json.
 package benchfleet

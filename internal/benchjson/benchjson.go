@@ -4,9 +4,7 @@
 // BENCH_scan.json, and the fleet orchestrator (cmd/parsecbench /
 // internal/benchfleet) writes BENCH_cluster.json directly — both files
 // are the same Report document, so trajectory tooling reads one
-// schema. The package also holds LoadSummary, the JSON object
-// `parsecload -json` prints, so the orchestrator consumes load-run
-// results without scraping human-format text.
+// schema.
 package benchjson
 
 import (
@@ -83,12 +81,6 @@ type Report struct {
 	Goarch  string   `json:"goarch,omitempty"`
 	Pkg     string   `json:"pkg,omitempty"`
 	Results []Result `json:"results"`
-
-	// Samples is an optional opaque payload a producer may attach for
-	// post-hoc analysis — the fleet orchestrator embeds its columnar
-	// sample store here so "p99 by shard during the kill window"
-	// queries run against the artifact without re-running the fleet.
-	Samples json.RawMessage `json:"samples,omitempty"`
 }
 
 // Parse decodes `go test -bench` text output into a Report.

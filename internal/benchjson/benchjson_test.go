@@ -155,12 +155,12 @@ func TestValidate(t *testing.T) {
 }
 
 func TestValidateBytes(t *testing.T) {
-	rep, err := ValidateBytes([]byte(`{"results":[{"name":"x","iterations":3,"ns_per_op":1}],"samples":{"windows":[]}}`))
+	rep, err := ValidateBytes([]byte(`{"results":[{"name":"x","iterations":3,"ns_per_op":1}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Samples) == 0 {
-		t.Error("samples payload dropped")
+	if len(rep.Results) != 1 || rep.Results[0].Iterations != 3 {
+		t.Errorf("decoded %+v", rep.Results)
 	}
 	if _, err := ValidateBytes([]byte(`{"results":[]}`)); err == nil {
 		t.Fatal("empty results accepted")

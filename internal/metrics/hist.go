@@ -68,3 +68,14 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.count)
 }
+
+// Quantile returns the p-quantile (0 < p ≤ 1) of an ascending slice by
+// the one index rule the load tools share: sorted[max(int(p·n)−1, 0)].
+// It returns the zero value for an empty slice.
+func Quantile[T any](sorted []T, p float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	return sorted[max(int(p*float64(len(sorted)))-1, 0)]
+}

@@ -134,3 +134,37 @@ func TestSortSamples(t *testing.T) {
 		t.Errorf("sorted = %v", s)
 	}
 }
+
+// TestQuantile pins the index rule sorted[max(int(p·n)−1, 0)]: p99 of
+// 5 values is the 4th, p50 of 5 the 2nd, p = 1 the maximum, and
+// quantiles never decrease in p.
+func TestQuantile(t *testing.T) {
+	five := []int{10, 20, 30, 40, 50}
+	eight := []int{10, 20, 30, 40, 50, 100, 200, 999}
+	for _, tc := range []struct {
+		sorted []int
+		p      float64
+		want   int
+	}{
+		{five, 0.99, 40},
+		{five, 0.50, 20},
+		{five, 1, 50},
+		{eight, 0.99, 200},
+		{eight, 0.50, 40},
+		{eight, 0.01, 10},
+		{[]int{7}, 0.99, 7},
+		{nil, 0.99, 0},
+	} {
+		if got := Quantile(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("Quantile(%v, %g) = %d, want %d", tc.sorted, tc.p, got, tc.want)
+		}
+	}
+	prev := 0
+	for p := 0.01; p <= 1; p += 0.01 {
+		v := Quantile(eight, p)
+		if v < prev {
+			t.Fatalf("Quantile(p=%g) = %d < %d at a lower p", p, v, prev)
+		}
+		prev = v
+	}
+}

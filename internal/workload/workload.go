@@ -4,7 +4,10 @@
 // throughput measurements.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // DemoSentence returns an n-word sentence over the PaperDemo lexicon
 // (n ≥ 1). For n ≤ 3 it is the paper's own example truncated; longer
@@ -128,6 +131,24 @@ func CopyString(n int, pattern uint64) []string {
 		}
 	}
 	return append(append([]string{}, half...), half...)
+}
+
+// SentenceFor draws a grammatical-shape sentence for the named built-in
+// grammar — demo, english, ww or dyck; any other name gets a demo
+// sentence — of at most maxLen words for demo and english. It is the
+// one request-mix generator of the load tools (parsecload and the fleet
+// benchmark), so one seed replays the same sentences in both.
+func SentenceFor(name string, rng *rand.Rand, maxLen int) []string {
+	switch name {
+	case "english":
+		return EnglishSentence(3 + rng.Intn(max(1, maxLen-2)))
+	case "ww":
+		return CopyString(1+rng.Intn(3), rng.Uint64())
+	case "dyck":
+		return BalancedParens(1 + rng.Intn(3))
+	default:
+		return DemoSentence(1 + rng.Intn(max(1, maxLen)))
+	}
 }
 
 // BalancedParens returns the fully nested balanced string of depth n:

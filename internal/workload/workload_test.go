@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cdg"
@@ -91,6 +92,32 @@ func TestBalancedParens(t *testing.T) {
 	}
 	if !res.Network.HasParse() {
 		t.Error("((())) rejected")
+	}
+}
+
+// TestSentenceForEveryGrammar: each grammar the load tools name gets
+// sentences over its own lexicon, demo and english within maxLen, and
+// an unknown name gets a demo sentence.
+func TestSentenceForEveryGrammar(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range []string{"demo", "english", "ww", "dyck", "nope"} {
+		lexicon := name
+		if name == "nope" {
+			lexicon = "demo"
+		}
+		g, err := grammars.ByName(lexicon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			words := SentenceFor(name, rng, 7)
+			if len(words) == 0 || (lexicon == "demo" || lexicon == "english") && len(words) > 7 {
+				t.Fatalf("SentenceFor(%s, maxLen 7) = %v", name, words)
+			}
+			if _, err := cdg.Resolve(g, words, nil); err != nil {
+				t.Fatalf("SentenceFor(%s) = %v outside the %s lexicon: %v", name, words, lexicon, err)
+			}
+		}
 	}
 }
 
