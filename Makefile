@@ -139,7 +139,9 @@ bench-cluster: bench-cluster-bin
 # waits), and the test asserts the artifact validates, its total row
 # has p50 and p99, each phase's per-shard rows add up to its requests,
 # the survivor's rows carry a kill-phase p99 and a warm hit rate, and
-# the router ejected the killed shard.
+# the router ejected the killed shard. TestProcRunReapsFleet then runs
+# the built parsecbench twice more, killed early by a closed stdout and
+# by a SIGINT, and asserts that no child outlives it.
 bench-cluster-smoke: bench-cluster-bin
 	PARSECBENCH_PROC=1 PARSECBENCH_BIN=$(abspath $(BENCHBIN)) PARSECBENCH_OUT=$(abspath BENCH_cluster.json) \
-		$(GO) test -run TestProcFleetSmoke -count=1 -v ./cmd/parsecbench/
+		$(GO) test -run 'TestProcFleetSmoke|TestProcRunReapsFleet' -count=1 -v ./cmd/parsecbench/

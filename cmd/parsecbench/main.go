@@ -10,6 +10,10 @@
 //
 //	parsecbench run -scenario scenarios/smoke.json -o BENCH_cluster.json
 //	parsecbench run -scenario scenarios/zipf-kill.json -mode proc -bin .benchbin
+//
+// SIGINT and SIGTERM cancel a run, and a closed standard output fails
+// the write; either way the fleet is closed, so a -mode proc run
+// leaves no parsecd or parsecrouter child behind.
 package main
 
 import (
@@ -19,6 +23,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/benchfleet"
@@ -27,6 +34,10 @@ import (
 )
 
 func main() {
+	// Ignoring SIGPIPE turns a write to a closed stdout into an EPIPE
+	// error instead of a process exit that would skip runScenario's
+	// deferred fleet Close.
+	signal.Ignore(syscall.SIGPIPE)
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "parsecbench:", err)
 		os.Exit(1)
@@ -42,7 +53,8 @@ func run(args []string, out io.Writer) error {
 }
 
 // runScenario runs one scenario, writes its report and returns the run
-// record.
+// record. SIGINT and SIGTERM cancel the run. The fleet is closed on
+// every return, a cancelled run and a failed write to out included.
 func runScenario(args []string, out io.Writer) (*benchfleet.RunResult, error) {
 	fs := flag.NewFlagSet("parsecbench run", flag.ContinueOnError)
 	var (
@@ -67,6 +79,10 @@ func runScenario(args []string, out io.Writer) (*benchfleet.RunResult, error) {
 		return nil, err
 	}
 
+	// Caught from before the first child starts: a signal during boot
+	// lets the boot finish, and Run then returns at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var fleet benchfleet.Fleet
 	switch *mode {
 	case "inproc":
@@ -82,7 +98,7 @@ func runScenario(args []string, out io.Writer) (*benchfleet.RunResult, error) {
 	defer fleet.Close() //nolint:errcheck
 
 	started := time.Now()
-	res, err := benchfleet.Run(context.Background(), fleet, sc)
+	res, err := benchfleet.Run(ctx, fleet, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +118,15 @@ func runScenario(args []string, out io.Writer) (*benchfleet.RunResult, error) {
 	if err := os.WriteFile(*outPath, enc, 0o644); err != nil {
 		return nil, err
 	}
+	var sum strings.Builder
 	for _, pr := range res.Phases {
 		p50, _ := res.Quantile(pr.Name, "", 0.50)
 		p99, _ := res.Quantile(pr.Name, "", 0.99)
-		fmt.Fprintf(out, "phase %-12s requests=%d lost=%d p50=%.3fms p99=%.3fms %.0f req/s\n",
+		fmt.Fprintf(&sum, "phase %-12s requests=%d lost=%d p50=%.3fms p99=%.3fms %.0f req/s\n",
 			pr.Name, len(pr.Requests), pr.Lost(), float64(p50)/1e6, float64(p99)/1e6,
 			float64(len(pr.Requests))/(float64(pr.ElapsedNs)/1e9))
 	}
-	fmt.Fprintf(out, "wrote %s (%d results, %s elapsed)\n", *outPath, len(rep.Results), time.Since(started).Round(time.Millisecond))
-	return res, nil
+	fmt.Fprintf(&sum, "wrote %s (%d results, %s elapsed)\n", *outPath, len(rep.Results), time.Since(started).Round(time.Millisecond))
+	_, err = io.WriteString(out, sum.String())
+	return res, err
 }

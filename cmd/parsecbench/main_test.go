@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/benchfleet"
 	"repro/internal/benchjson"
@@ -72,17 +77,7 @@ func TestRunUsageErrors(t *testing.T) {
 // (PARSECBENCH_BIN, default .benchbin at the repo root) — `make
 // bench-cluster-smoke` builds them and runs this.
 func TestProcFleetSmoke(t *testing.T) {
-	if os.Getenv("PARSECBENCH_PROC") != "1" {
-		t.Skip("real-process smoke runs only under make bench-cluster-smoke (PARSECBENCH_PROC=1)")
-	}
-	bin := os.Getenv("PARSECBENCH_BIN")
-	if bin == "" {
-		bin = "../../.benchbin"
-	}
-	abs, err := filepath.Abs(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	abs := procBin(t)
 	out := os.Getenv("PARSECBENCH_OUT")
 	if out == "" {
 		out = filepath.Join(t.TempDir(), "BENCH_cluster.json")
@@ -133,4 +128,129 @@ func TestProcFleetSmoke(t *testing.T) {
 	if d, ok := res.Delta("parsecrouter_shard_ejections_total", benchfleet.RouterSource, "kill"); !ok || d < 1 {
 		t.Fatalf("ejections during kill = %g,%v want >= 1", d, ok)
 	}
+}
+
+// procBin skips the test unless PARSECBENCH_PROC=1 and returns the
+// absolute directory of the prebuilt binaries (PARSECBENCH_BIN, default
+// .benchbin at the repo root).
+func procBin(t *testing.T) string {
+	t.Helper()
+	if os.Getenv("PARSECBENCH_PROC") != "1" {
+		t.Skip("real-process tests run only under make bench-cluster-smoke (PARSECBENCH_PROC=1)")
+	}
+	bin := os.Getenv("PARSECBENCH_BIN")
+	if bin == "" {
+		bin = "../../.benchbin"
+	}
+	abs, err := filepath.Abs(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return abs
+}
+
+// TestProcRunReapsFleet runs the built parsecbench on the smoke scenario
+// in -mode proc and makes it die early twice: once with its standard
+// output closed, so its closing summary hits a broken pipe, and once
+// with a SIGINT after the router has booted. Either way no child may
+// outlive it: every shard and router address its -logdir logs name
+// must have stopped answering /healthz once it has exited. Each run is
+// its own process group, which the test kills at the end so that a
+// failing run leaves nothing behind.
+func TestProcRunReapsFleet(t *testing.T) {
+	bin := procBin(t)
+	for _, tc := range []struct {
+		name string
+		// stdout returns the command's standard output; boot, when
+		// non-nil, runs once the router log reports it is routing.
+		stdout func(t *testing.T) *os.File
+		boot   func(cmd *exec.Cmd) error
+	}{
+		{"closed-stdout", func(t *testing.T) *os.File {
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			t.Cleanup(func() { w.Close() })
+			return w
+		}, nil},
+		{"sigint", func(*testing.T) *os.File { return nil },
+			func(cmd *exec.Cmd) error { return cmd.Process.Signal(os.Interrupt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logDir := t.TempDir()
+			cmd := exec.Command(filepath.Join(bin, "parsecbench"), "run",
+				"-scenario", "../../scenarios/smoke.json", "-mode", "proc", "-bin", bin,
+				"-logdir", logDir, "-o", filepath.Join(t.TempDir(), "BENCH_cluster.json"))
+			cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+			if out := tc.stdout(t); out != nil {
+				cmd.Stdout = out
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }) //nolint:errcheck
+			exited := make(chan error, 1)
+			go func() { exited <- cmd.Wait() }()
+
+			if tc.boot != nil {
+				deadline := time.Now().Add(30 * time.Second)
+				for len(childAddrs(t, logDir, "routing on")) == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("the router did not log \"routing on\" within 30s")
+					}
+					time.Sleep(20 * time.Millisecond)
+				}
+				if err := tc.boot(cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case err := <-exited:
+				t.Logf("parsecbench exited: %v", err)
+			case <-time.After(60 * time.Second):
+				t.Fatal("parsecbench did not exit within 60s")
+			}
+
+			addrs := append(childAddrs(t, logDir, "listening on"), childAddrs(t, logDir, "routing on")...)
+			if len(addrs) < 3 {
+				t.Fatalf("logs name %v, want 2 shards and the router", addrs)
+			}
+			client := &http.Client{Timeout: time.Second}
+			for _, a := range addrs {
+				if resp, err := client.Get(a + "/healthz"); err == nil {
+					resp.Body.Close()
+					t.Errorf("%s still answers /healthz after parsecbench exited", a)
+				}
+			}
+		})
+	}
+}
+
+// childAddrs returns the distinct base URLs that the logs in dir
+// announce after marker ("listening on" for parsecd, "routing on" for
+// parsecrouter).
+func childAddrs(t *testing.T, dir, marker string) []string {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(regexp.QuoteMeta(marker) + ` (http://[^\s]+)`)
+	seen := map[string]bool{}
+	var out []string
+	for _, path := range logs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range re.FindAllStringSubmatch(string(data), -1) {
+			if !seen[m[1]] {
+				seen[m[1]] = true
+				out = append(out, m[1])
+			}
+		}
+	}
+	return out
 }

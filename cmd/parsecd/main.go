@@ -78,14 +78,16 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	// Registered before readiness is announced, so a signal sent as
+	// soon as the address is known is caught, not fatal.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	logger.Printf("listening on http://%s (workers=%d/backend queue=%d max-batch=%d)",
 		bound, *workers, *queueDepth, *maxBatch)
 	if ready != nil {
 		ready <- bound
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	<-ctx.Done()
 	stop()
 

@@ -96,14 +96,16 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	// Registered before readiness is announced, so a signal sent as
+	// soon as the address is known is caught, not fatal.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	logger.Printf("routing on http://%s across %d shards (probe=%v eject-after=%d readmit-after=%d retries=%d replicate-top=%d replica-factor=%d hedge=%v max-inflight=%d)",
 		bound, len(fleet), *probeInterval, *ejectAfter, *readmitAfter, *retries, *replicateTop, *replicaFactor, *hedge, *maxInflight)
 	if ready != nil {
 		ready <- bound
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	<-ctx.Done()
 	stop()
 

@@ -2,8 +2,8 @@ package benchfleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -31,7 +31,7 @@ func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
 	rng := rand.New(rand.NewSource(seed))
 	gen := func(i int) ([]byte, error) {
 		if p.Mix == "lattice" {
-			return latticeBody(i % latticeUtterances)
+			return server.EnglishLatticeBody(latticeSlots, latticeAlts, i%latticeUtterances, "bench-utt-", 0, false)
 		}
 		name := p.Grammars[rng.Intn(len(p.Grammars))]
 		return json.Marshal(server.ParseRequest{
@@ -67,31 +67,13 @@ func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
 	return reqs, nil
 }
 
-// latticeBody builds the request for the uidx-th pool utterance, the
-// same deterministic lattice parsecload's -lattice mode sends.
-func latticeBody(uidx int) ([]byte, error) {
-	grid := workload.EnglishLattice(latticeSlots, latticeAlts, uint64(uidx))
-	ls := make([][]server.LatticeAlt, len(grid))
-	for s, words := range grid {
-		row := make([]server.LatticeAlt, len(words))
-		for j, w := range words {
-			row[j] = server.LatticeAlt{Word: w, Score: 0.9 - 0.15*float64(j)}
-		}
-		ls[s] = row
-	}
-	return json.Marshal(server.LatticeRequest{
-		Grammar:     "english",
-		UtteranceID: fmt.Sprintf("bench-utt-%d", uidx),
-		Slots:       ls,
-		MaxParses:   1,
-	})
-}
-
 // drivePhase fires the phase's request mix at its concurrency against
 // the router and records every request: status, serving shard and
 // latency. Wall-clock elapsed is measured only to report throughput;
-// request attribution and membership stepping stay deterministic.
-func drivePhase(client *http.Client, routerURL string, p Phase, backend string, seed int64) (PhaseResult, error) {
+// request attribution and membership stepping stay deterministic. A
+// cancelled ctx aborts the requests in flight, sends no more and fails
+// the phase.
+func drivePhase(ctx context.Context, client *http.Client, routerURL string, p Phase, backend string, seed int64) (PhaseResult, error) {
 	p = p.withDefaults()
 	reqs, err := buildRequests(p, backend, seed)
 	if err != nil {
@@ -112,24 +94,32 @@ func drivePhase(client *http.Client, routerURL string, p Phase, backend string, 
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
+				if i >= len(reqs) || ctx.Err() != nil {
 					return
 				}
 				t0 := time.Now()
-				status, shard := postOnce(client, endpoint, reqs[i])
+				status, shard := postOnce(ctx, client, endpoint, reqs[i])
 				res.Requests[i] = Request{Shard: shard, Status: status, LatNs: time.Since(t0).Nanoseconds()}
 			}
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return PhaseResult{}, err
+	}
 	res.ElapsedNs = time.Since(start).Nanoseconds()
 	return res, nil
 }
 
 // postOnce sends one request and returns the status and serving shard
 // (X-Parsec-Shard); a transport error returns status 0.
-func postOnce(client *http.Client, url string, body []byte) (int, string) {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+func postOnce(ctx context.Context, client *http.Client, url string, body []byte) (int, string) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, ""
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, ""
 	}

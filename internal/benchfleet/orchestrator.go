@@ -116,7 +116,7 @@ func Run(ctx context.Context, fleet Fleet, sc *Scenario) (*RunResult, error) {
 		}
 		fleet.AdvanceProbes(p.Probes)
 
-		pr, err := drivePhase(fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seedBase+int64(pi))
+		pr, err := drivePhase(ctx, fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seedBase+int64(pi))
 		if err != nil {
 			return nil, fmt.Errorf("benchfleet: phase %q: %w", p.Name, err)
 		}

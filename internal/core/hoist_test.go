@@ -20,9 +20,10 @@ import (
 // values (and each of its l×l pairs) itself, exactly as the SIMD array
 // does. masparsec.go evaluates each unary verdict once per (member,
 // group, slot) and each binary verdict once per unordered pair of live
-// role values instead, clears a run of unary constraints' violators
-// with one sweep, and sweeps only live label slots; the dense
-// consistency round and read-back below visit every slot.
+// role values instead, clears a run of unary constraints' violators,
+// and a round's unsupported values, with one sweep, and sweeps only
+// live label slots; the dense consistency round and read-back below
+// visit every slot.
 // TestHoistedEvalMatchesPerPE holds the two to the same plural state
 // after every step and to the same read-back networks. The reference
 // evaluates every gang segment, duplicates included, so it also pins
@@ -133,9 +134,13 @@ func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 	})
 }
 
-// consistencyRoundRef is consistencyRound with every host sweep dense:
-// each word ORs all l² arc-element vectors and is re-masked whether or
-// not its liveness changed. It issues the same machine calls.
+// consistencyRoundRef is consistencyRound as the machine runs it, with
+// every host sweep dense: each word ORs all l² arc-element vectors, the
+// column verdicts are applied per PE, the row side is the router
+// transpose of the column side (RouterTransposeV), every word is
+// re-masked whether or not its liveness changed, and SegmentOrV
+// reduces the column changes. It issues every instruction
+// consistencyRound charges.
 func (run *masparRun) consistencyRoundRef() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
@@ -375,7 +380,7 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 	for _, c := range g.Unary() {
 		step("unary "+c.Name, func(run *masparRun) {
 			run.applyUnary(c)
-			run.sweepUnary()
+			run.sweepDead()
 		}, func() { ref.applyUnaryRef(c) })
 	}
 	if err := acc.propagateUnary(context.Background(), perConstraint); err != nil {
@@ -451,7 +456,7 @@ func gangOf(distinct []string, size int) []string {
 }
 
 // TestHoistedEvalMatchesPerPE holds initAlive, applyUnary with
-// sweepUnary, propagateUnary, applyBinary, consistencyRound and
+// sweepDead, propagateUnary, applyBinary, consistencyRound and
 // readBack bit-identical to the per-PE and dense references after
 // every step, and the live-slot invariant true, on the demo and English
 // grammars and on the random grammars of
@@ -553,6 +558,33 @@ func TestApplyUnaryAllocatesNothing(t *testing.T) {
 		unary() // warm
 		if allocs := testing.AllocsPerRun(5, unary); allocs != 0 {
 			t.Errorf("%s: %v allocations per unary phase of %d constraints, want 0", name, allocs, len(g.Unary()))
+		}
+	}
+	check("solo", newTestRun(t, g, distinctFive[:1]))
+	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
+}
+
+// TestConsistencyRoundAllocatesNothing holds a warmed run's consistency
+// rounds to zero allocations: the scan scratch comes from the machine's
+// arena, and the verdicts go through the run's own group sets into one
+// sweep. It runs on the same solo run and gang as
+// TestApplyBinaryAllocatesNothing.
+func TestConsistencyRoundAllocatesNothing(t *testing.T) {
+	g := grammars.English()
+	check := func(name string, run *masparRun) {
+		t.Helper()
+		run.initAlive()
+		run.initBits()
+		if err := run.propagateUnary(context.Background(), false); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range g.Binary() {
+			run.applyBinary(c)
+		}
+		round := func() { run.consistencyRound() }
+		round() // warm: the first round fills the arena
+		if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+			t.Errorf("%s: %v allocations per consistency round, want 0", name, allocs)
 		}
 	}
 	check("solo", newTestRun(t, g, distinctFive[:1]))

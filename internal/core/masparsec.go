@@ -18,7 +18,11 @@ package core
 //  4. Consistency maintenance is the scanOr/scanAnd construction of
 //     Figure 12 (decision #3), one round costing O(log P); filtering
 //     runs a bounded number of rounds (decision #5), or to fixpoint
-//     when exact agreement with the serial engine is wanted.
+//     when exact agreement with the serial engine is wanted. The host
+//     runs each round's scans, then clears the unsupported values from
+//     both liveness sides with the sweep the unary phase uses; the ACU
+//     still issues, and is charged, the round's router mirror, zeroing
+//     and change reduce.
 //  5. PEs are virtualized: l² arc elements per PE always (decision #6,
 //     Figure 13) plus ⌈S²/P⌉ physical layers (§2.2.3).
 //
@@ -97,11 +101,12 @@ type masparRun struct {
 
 	// sets holds a group set (see Layout) per class representative b and
 	// label slot ls, setWords words each at groupSet(b, ls): the groups
-	// whose value is live inside initAlive, then the violators of the
-	// unary constraints applied since the last sweepUnary. The sets are
-	// empty between those steps. verdicts is the Check1Span output over
-	// the layout's refs. Both are host buffers reused across
-	// constraints.
+	// whose value is live inside initAlive, then the values to clear at
+	// the next sweepDead — the violators of the unary constraints
+	// applied since the last sweep, or the values a consistency round
+	// found unsupported. The sets are empty between those steps.
+	// verdicts is the Check1Span output over the layout's refs. Both
+	// are host buffers reused across constraints.
 	sets     []uint64
 	setWords int
 	verdicts []bool
@@ -116,6 +121,11 @@ type masparRun struct {
 	arcSegHeadW       []uint64
 	blockFirstActiveW []uint64
 	scanAndMaskW      []uint64
+
+	// marked[b] records, at each extendSets, whether class
+	// representative b's group sets hold any group; sweepDead skips the
+	// words of segments whose representative has none.
+	marked []bool
 
 	// classRep[b] is the lowest-indexed member whose sentence is
 	// identical (words and categories) to member b's; hasDups is true
@@ -132,7 +142,8 @@ type masparRun struct {
 	// roundsRun counts the consistency rounds the shared instruction
 	// stream has executed; rounds[b] is the prefix charged to sentence
 	// b, fixed when it settles. segChanged is the per-segment result of
-	// the round-ending SegmentOrV.
+	// the round-ending change reduce: whether any of the segment's role
+	// values died in the round.
 	roundsRun  int
 	rounds     []int
 	done       []bool
@@ -213,14 +224,21 @@ func (run *masparRun) markSets(b int, in func(i, ls int) bool) {
 }
 
 // extendSets extends every class representative's group sets
-// periodically (see Layout) so that words can read them.
+// periodically (see Layout) so that words can read them, and records in
+// marked[b] whether representative b has a group in any set. Empty sets
+// are left as they are.
 func (run *masparRun) extendSets() {
 	for b := range run.sents {
+		run.marked[b] = false
 		if run.dupSeg(b) {
 			continue
 		}
 		for ls := 0; ls < run.ly.l; ls++ {
-			run.ly.extendGroupSet(run.groupSet(b, ls))
+			set := run.groupSet(b, ls)
+			if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
+				run.ly.extendGroupSet(set)
+				run.marked[b] = true
+			}
 		}
 	}
 }
@@ -252,11 +270,11 @@ func clearVec(v []uint64) {
 //
 //	bitsV[lc·l+lr][w] ⊆ aliveColV[lc][w] ∧ aliveRowV[lr][w] ∧ mask[w]
 //
-// initBits establishes it, the unary mask and the consistency zeroing
-// re-establish it whenever liveness shrinks, and binary passes only
-// clear bits. So a (lc, lr) word whose column or row slot is dead in
-// word w is zero there, and a word whose liveness did not change needs
-// no re-masking. The host sweeps skip both; the ACU instructions, and
+// initBits establishes it, sweepDead re-establishes it whenever
+// liveness shrinks (after a unary run and in every consistency round),
+// and binary passes only clear bits. So a (lc, lr) word whose column
+// or row slot is dead in word w is zero there, and a word whose
+// liveness did not change needs no re-masking. The host sweeps skip both; the ACU instructions, and
 // so every counter, are unchanged. hoist_test.go asserts the invariant
 // after every step.
 
@@ -394,6 +412,7 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		sets:       make([]uint64, B*l*ly.groupSetWords()),
 		setWords:   ly.groupSetWords(),
 		verdicts:   make([]bool, len(ly.refs)),
+		marked:     make([]bool, B),
 		rounds:     make([]int, B),
 		done:       make([]bool, B),
 		snaps:      make([]metrics.Counters, B),
@@ -498,22 +517,28 @@ func (run *masparRun) initBits() {
 }
 
 // propagateUnary broadcasts the grammar's unary constraints and clears
-// their violators with one sweepUnary after the last. With
+// their violators with one sweepDead after the last. With
 // per-constraint consistency rounds it sweeps after every constraint
-// instead, so each round sees its constraint applied.
+// instead, so each round sees its constraint applied. Its sweeps count
+// as eval time.
 func (run *masparRun) propagateUnary(ctx context.Context, perConstraint bool) error {
+	sweep := func() {
+		t0 := run.attr.start()
+		run.sweepDead()
+		run.attr.eval(t0)
+	}
 	for _, uc := range run.gr.Unary() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		run.applyUnary(uc)
 		if perConstraint {
-			run.sweepUnary()
+			sweep()
 			run.consistencyRound()
 		}
 	}
 	if !perConstraint {
-		run.sweepUnary()
+		sweep()
 	}
 	return nil
 }
@@ -522,7 +547,7 @@ func (run *masparRun) propagateUnary(ctx context.Context, perConstraint bool) er
 // column-side and row-side role values locally and zeroes the liveness
 // and arc elements of violators. The host evaluates each verdict once
 // per (member, group, slot) and only ORs the violators into the
-// members' group sets; sweepUnary clears them from the plural state. A
+// members' group sets; sweepDead clears them from the plural state. A
 // unary verdict reads the role value and the sentence, never liveness,
 // so sweeping the union of a run's violators once leaves the same
 // liveness and arc elements as sweeping after each constraint. The
@@ -543,20 +568,24 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	run.m.ChargeAllChecks(2 * ly.l)
 }
 
-// sweepUnary clears the violators applyUnary collected since the last
-// sweep from the liveness vectors, word-parallel, and masks the arc
-// elements to match, then empties the group sets. Only live slots are
-// swept, and a (lc, lr) word is re-masked only when its column or row
-// slot lost a lane. The activity mask is baseMaskW, which the machine
-// holds throughout propagation (consistencyRound restores it). Host
-// work only: each constraint's instruction was charged by applyUnary.
-func (run *masparRun) sweepUnary() {
+// sweepDead clears the values marked in the group sets — a unary run's
+// violators (applyUnary) or a round's unsupported values
+// (consistencyRound) — from both liveness sides, word-parallel, and
+// masks the arc elements to match, then empties the group sets. Only
+// live slots of segments whose class representative has a marked value
+// are swept, and a (lc, lr) word is re-masked only when its column or
+// row slot lost a lane. The activity mask is baseMaskW, which the
+// machine holds throughout propagation (consistencyRound restores it
+// before it sweeps). Host work only: the caller charges the
+// instructions the sweep stands for, and attributes its time.
+func (run *masparRun) sweepDead() {
 	ly := run.ly
-	t0 := run.attr.start()
-	defer run.attr.eval(t0)
 	run.extendSets()
 	for w, active := range run.baseMaskW {
 		rep, a, off := run.wordSegment(w)
+		if !run.marked[rep] {
+			continue
+		}
 		var rowLive, rowLost uint64
 		for lr := 0; lr < ly.l; lr++ {
 			ar := run.aliveRowV[lr][w]
@@ -745,25 +774,35 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // The instruction schedule is the cycle-accounting contract (PlanMasPar
 // counts 6l+1 elementals, 3l+1 scans, and l routers per round): every
 // charged operation below corresponds one-to-one to an operation of the
-// scalar formulation. Scratch vectors come from the machine's arena, so
-// a round allocates nothing in steady state. The host skips the ORs of
-// dead column slots and re-masks only words whose liveness changed.
+// scalar formulation. The host runs each slot's OR and its three scans,
+// skipping the ORs of dead column slots. It then reads each live column
+// value's verdict at its block head and marks the unsupported ones in
+// the class representatives' group sets, and one sweepDead clears them
+// from both liveness sides and re-masks only the words whose liveness
+// changed. The column update, the router mirror, the zeroing and the
+// change reduce are charged through charge-only calls. This is exact:
+// column liveness and the copied verdict are uniform across a block;
+// each PE's row liveness is its row group's column liveness, so the
+// mirror of the new column side is the old row side minus the dead
+// values' row lanes; a support reads arc elements and masks, never
+// another slot's liveness, so clearing every slot after the last scan
+// changes nothing; and a duplicate segment's state, and so its change
+// bit, is its representative's. Scratch vectors come from the
+// machine's arena, so a round allocates nothing in steady state.
 func (run *masparRun) consistencyRound() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
-	changed := m.GetVec()
 	tmp := m.GetVec()
 	perArc := m.GetVec()
 	blockSup := m.GetVec()
 	dist := m.GetVec()
 	defer func() {
-		m.PutVec(changed)
 		m.PutVec(tmp)
 		m.PutVec(perArc)
 		m.PutVec(blockSup)
 		m.PutVec(dist)
 	}()
-	clearVec(changed)
+	clear(run.segChanged)
 
 	for lc := 0; lc < ly.l; lc++ {
 		// Per-PE OR over the row label slots of this column value.
@@ -792,62 +831,61 @@ func (run *masparRun) consistencyRound() bool {
 		m.CopySegHeadV(dist, blockSup, run.blockFirstActiveW)
 		run.attr.scan(t0)
 		// A value stays alive only if it was alive and is supported.
-		m.AllWords(func(w int, active uint64) {
-			old := ac[w]
-			now := old & (dist[w] | ^active)
-			ac[w] = now
-			changed[w] |= old ^ now
-		})
+		m.ChargeAllWords()
+		run.markUnsupported(lc, dist)
 	}
 
 	// Mirror column liveness to the row side through the global router
-	// (one transpose permutation per label slot, word-parallel and
-	// segment-local). rowChanged records the lanes whose row liveness
-	// changed, in perArc's storage (free once the column loop is done).
-	rowChanged := perArc
-	clearVec(rowChanged)
+	// (per label slot: stage the column side, one transpose permutation,
+	// merge into the row side), then zero the rows and columns of the
+	// newly dead (decision #4: dimensions are never reduced, entries are
+	// zeroed). The one sweep does all of it on the host.
 	for ls := 0; ls < ly.l; ls++ {
-		acv, arv := run.aliveColV[ls], run.aliveRowV[ls]
-		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
-		t0 := run.attr.start()
-		m.RouterTransposeV(dist, tmp, ly.s)
-		run.attr.router(t0)
-		m.AllWords(func(w int, active uint64) {
-			old := arv[w]
-			now := (dist[w] & active) | (old &^ active)
-			arv[w] = now
-			rowChanged[w] |= old ^ now
-		})
+		m.ChargeAllWords()
+		m.ChargeRouter()
+		m.ChargeAllWords()
 	}
-
-	// Zero rows/columns of the newly dead (decision #4: dimensions are
-	// never reduced, entries are zeroed).
-	m.AllWords(func(w int, active uint64) {
-		if changed[w]|rowChanged[w] == 0 {
-			return
-		}
-		for lc := 0; lc < ly.l; lc++ {
-			ac := run.aliveColV[lc][w]
-			for lr := 0; lr < ly.l; lr++ {
-				run.bitsV[lc*ly.l+lr][w] &= (ac & run.aliveRowV[lr][w]) | ^active
-			}
-		}
-	})
+	m.ChargeAllWords()
+	t0 := run.attr.start()
+	run.sweepDead()
+	run.attr.router(t0)
 
 	// One segmented reduce tells the ACU which members still changed —
 	// the gang image of the solo round's global ReduceOr, charged
 	// identically (one scan).
-	t0 := run.attr.start()
-	m.SegmentOrV(changed, run.segChanged)
-	run.attr.scan(t0)
+	m.ChargeSegmentOr()
 	any := false
-	for _, ch := range run.segChanged {
-		if ch == 1 {
-			any = true
-			break
-		}
+	for b, rep := range run.classRep {
+		run.segChanged[b] = run.segChanged[rep]
+		any = any || run.segChanged[b] == 1
 	}
 	return any
+}
+
+// markUnsupported marks, in each class representative's group set for
+// column slot lc, the live values whose support verdict dist reads 0 at
+// their block head, and records the representative's change bit.
+func (run *masparRun) markUnsupported(lc int, dist []uint64) {
+	ly, ac := run.ly, run.aliveColV[lc]
+	for b := range run.sents {
+		if run.dupSeg(b) {
+			continue
+		}
+		base := b * run.stride
+		set := run.groupSet(b, lc)
+		for g := 0; g < ly.s; g++ {
+			head := ly.blockHead(g)
+			if head >= (g+1)*ly.s {
+				continue
+			}
+			pe := base + head
+			w, bit := pe>>6, uint64(1)<<(uint(pe)&63)
+			if ac[w]&bit != 0 && dist[w]&bit == 0 {
+				set[g>>6] |= uint64(1) << (uint(g) & 63)
+				run.segChanged[b] = 1
+			}
+		}
+	}
 }
 
 // settleConverged settles every sentence whose segment reported no
@@ -893,10 +931,9 @@ func (run *masparRun) settle(b int) {
 // read from the PE owning each (column, row) group pair — all offset
 // into segment b's lanes). Only pairs of live domain entries are read:
 // column liveness is uniform across a block, and each PE's row
-// liveness is its row group's (unary steps clear both sides from the
-// same verdicts, and every consistency round ends by mirroring the
-// column side), so by the live-slot invariant every other matrix bit
-// is zero.
+// liveness is its row group's (every sweepDead, after a unary run or
+// in a consistency round, clears both sides from the same group sets),
+// so by the live-slot invariant every other matrix bit is zero.
 func (run *masparRun) readBack(b int) *cn.Network {
 	ly, sp := run.ly, run.sps[b]
 	base := b * run.stride

@@ -118,3 +118,15 @@ func TestRoundsMatchCounters(t *testing.T) {
 		t.Error("Processors mismatch")
 	}
 }
+
+// TestAttributionCoversEveryStage: one MasPar parse with WithAttribution
+// reports time in each stage. The unary sweep counts as eval and a
+// round's sweep as router, since it does the mirror's work.
+func TestAttributionCoversEveryStage(t *testing.T) {
+	var attr Attribution
+	parseOn(t, MasPar, grammars.PaperSentence(), WithAttribution(&attr))
+	if attr.EvalNs.Load() <= 0 || attr.ScanNs.Load() <= 0 || attr.RouterNs.Load() <= 0 {
+		t.Errorf("attribution eval=%dns scan=%dns router=%dns, want each > 0",
+			attr.EvalNs.Load(), attr.ScanNs.Load(), attr.RouterNs.Load())
+	}
+}

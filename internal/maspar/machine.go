@@ -357,3 +357,28 @@ func (m *Machine) ChargeAllChecks(checksPerPE int) {
 	m.chargeChecks(uint64(checksPerPE))
 	m.chargeElemental()
 }
+
+// ChargeAllWords charges one AllWords instruction and runs nothing, like
+// ChargeAllChecks.
+//
+//parsec:noalloc
+func (m *Machine) ChargeAllWords() {
+	m.chargeElemental()
+}
+
+// ChargeRouter charges one router permutation (RouterTransposeV,
+// RouterFetchV or RouterCopyV; all three cost the same) and routes
+// nothing, like ChargeAllChecks.
+//
+//parsec:noalloc
+func (m *Machine) ChargeRouter() {
+	m.chargeRouter()
+}
+
+// ChargeSegmentOr charges one SegmentOrV reduce and reduces nothing,
+// like ChargeAllChecks.
+//
+//parsec:noalloc
+func (m *Machine) ChargeSegmentOr() {
+	m.chargeScan()
+}

@@ -16,29 +16,66 @@ func TestAllChecksAccounting(t *testing.T) {
 	}
 }
 
-// ChargeAllChecks charges an AllChecksWords instruction whose effect the
-// caller applies itself: solo and in a gang, its counters must equal
-// AllChecksWords'.
-func TestChargeAllChecksChargesLikeAllChecksWords(t *testing.T) {
+// counters is the machine's charge state, comparable as one value.
+type counters struct {
+	cycles, instr, scans, routers, broadcasts, checks uint64
+}
+
+func countersOf(m *Machine) counters {
+	return counters{m.Cycles, m.Instr, m.ScanOps, m.RouterOps, m.Broadcasts, m.ConstraintChecks}
+}
+
+// checkChargesLike holds a charge-only call to the instruction it stands
+// for: on a solo program and in a gang of 5, charge must leave every
+// counter equal to what one issue of instr leaves. Each segment is a
+// 12×12 grid of 144 PEs on 64 physical PEs, so 3 layers.
+func checkChargesLike(t *testing.T, name string, instr, charge func(m *Machine)) {
+	t.Helper()
 	for _, segs := range []int{1, 5} {
 		gang := func() *Machine {
 			m, err := New(64, DefaultCosts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.SetupGang(130, segs); err != nil { // 3 layers
+			if _, err := m.SetupGang(144, segs); err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}
-		words, charged := gang(), gang()
-		words.AllChecksWords(6, func(int, uint64) {})
-		charged.ChargeAllChecks(6)
-		if words.Cycles != charged.Cycles || words.Instr != charged.Instr || words.ConstraintChecks != charged.ConstraintChecks {
-			t.Errorf("gang of %d: ChargeAllChecks charged cycles=%d instr=%d checks=%d, AllChecksWords %d/%d/%d", segs,
-				charged.Cycles, charged.Instr, charged.ConstraintChecks, words.Cycles, words.Instr, words.ConstraintChecks)
+		ran, charged := gang(), gang()
+		instr(ran)
+		charge(charged)
+		if got, want := countersOf(charged), countersOf(ran); got != want {
+			t.Errorf("gang of %d: %s charged %+v, the instruction %+v", segs, name, got, want)
 		}
 	}
+}
+
+// ChargeAllChecks charges an AllChecksWords instruction whose effect the
+// caller applies itself: solo and in a gang, its counters must equal
+// AllChecksWords'.
+func TestChargeAllChecksChargesLikeAllChecksWords(t *testing.T) {
+	checkChargesLike(t, "ChargeAllChecks",
+		func(m *Machine) { m.AllChecksWords(6, func(int, uint64) {}) },
+		func(m *Machine) { m.ChargeAllChecks(6) })
+}
+
+func TestChargeAllWordsChargesLikeAllWords(t *testing.T) {
+	checkChargesLike(t, "ChargeAllWords",
+		func(m *Machine) { m.AllWords(func(int, uint64) {}) },
+		(*Machine).ChargeAllWords)
+}
+
+func TestChargeRouterChargesLikeRouterTransposeV(t *testing.T) {
+	checkChargesLike(t, "ChargeRouter",
+		func(m *Machine) { m.RouterTransposeV(m.GetVec(), m.GetVec(), 12) },
+		(*Machine).ChargeRouter)
+}
+
+func TestChargeSegmentOrChargesLikeSegmentOrV(t *testing.T) {
+	checkChargesLike(t, "ChargeSegmentOr",
+		func(m *Machine) { m.SegmentOrV(m.GetVec(), make([]Bit, m.Segments())) },
+		(*Machine).ChargeSegmentOr)
 }
 
 func TestBroadcastAccounting(t *testing.T) {

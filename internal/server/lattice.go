@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cdg"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/latticeserve"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // LatticeAlt is one recognizer alternative of a lattice slot.
@@ -53,6 +55,33 @@ type LatticeRequest struct {
 	// NoCache bypasses the prefix-snapshot cache (prefix engine) or
 	// the result cache (pool engine).
 	NoCache bool `json:"no_cache,omitempty"`
+}
+
+// EnglishLatticeBody returns the JSON body of the load tools' lattice
+// request for utterance uidx: the English grammar, variant uidx of
+// workload.EnglishLattice with slots × alts words, each slot's
+// alternatives scored 0.9, 0.75, 0.6, … in n-best order, utterance id
+// idPrefix followed by uidx, one parse, and the given timeout and
+// no_cache. parsecload's -lattice mode and the fleet benchmark's
+// lattice mix both send it.
+func EnglishLatticeBody(slots, alts, uidx int, idPrefix string, timeoutMS int, noCache bool) ([]byte, error) {
+	grid := workload.EnglishLattice(slots, alts, uint64(uidx))
+	ls := make([][]LatticeAlt, len(grid))
+	for s, words := range grid {
+		row := make([]LatticeAlt, len(words))
+		for j, w := range words {
+			row[j] = LatticeAlt{Word: w, Score: 0.9 - 0.15*float64(j)}
+		}
+		ls[s] = row
+	}
+	return json.Marshal(LatticeRequest{
+		Grammar:     "english",
+		UtteranceID: idPrefix + strconv.Itoa(uidx),
+		Slots:       ls,
+		MaxParses:   1,
+		TimeoutMS:   timeoutMS,
+		NoCache:     noCache,
+	})
 }
 
 // LatticeHypothesis is one candidate path with its verdict.

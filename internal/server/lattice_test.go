@@ -537,3 +537,35 @@ func TestLatticeDeterministicTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestEnglishLatticeBodyPinned pins the load tools' lattice request for
+// a fixed utterance, byte for byte, as each caller sends it: the fleet
+// benchmark's lattice mix (5 slots × 3 alts, "bench-utt-", no timeout,
+// cache on) and parsecload's -lattice mode (here with a timeout and
+// no_cache). Utterance 3 rotates the confusions, so the slot words,
+// their order and the n-best scores are all pinned.
+func TestEnglishLatticeBodyPinned(t *testing.T) {
+	const slots = `"slots":[` +
+		`[{"word":"the","score":0.9},{"word":"a","score":0.75},{"word":"every","score":0.6000000000000001}],` +
+		`[{"word":"big","score":0.9},{"word":"red","score":0.75},{"word":"old","score":0.6000000000000001}],` +
+		`[{"word":"old","score":0.9},{"word":"big","score":0.75},{"word":"red","score":0.6000000000000001}],` +
+		`[{"word":"dog","score":0.9},{"word":"man","score":0.75},{"word":"cat","score":0.6000000000000001}],` +
+		`[{"word":"walked","score":0.9},{"word":"saw","score":0.75},{"word":"ball","score":0.6000000000000001}]]`
+	for _, tc := range []struct {
+		prefix    string
+		timeoutMS int
+		noCache   bool
+		want      string
+	}{
+		{"bench-utt-", 0, false, `{"grammar":"english","utterance_id":"bench-utt-3",` + slots + `,"max_parses":1}`},
+		{"load-utt-", 500, true, `{"grammar":"english","utterance_id":"load-utt-3",` + slots + `,"max_parses":1,"timeout_ms":500,"no_cache":true}`},
+	} {
+		body, err := EnglishLatticeBody(5, 3, 3, tc.prefix, tc.timeoutMS, tc.noCache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.want {
+			t.Errorf("EnglishLatticeBody(5, 3, 3, %q, %d, %v) =\n%s\nwant\n%s", tc.prefix, tc.timeoutMS, tc.noCache, body, tc.want)
+		}
+	}
+}
