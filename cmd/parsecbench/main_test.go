@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -83,12 +84,13 @@ func TestProcFleetSmoke(t *testing.T) {
 		out = filepath.Join(t.TempDir(), "BENCH_cluster.json")
 	}
 
+	logDir := t.TempDir()
 	var buf bytes.Buffer
 	res, err := runScenario([]string{
 		"-scenario", "../../scenarios/smoke.json",
 		"-mode", "proc",
 		"-bin", abs,
-		"-logdir", t.TempDir(),
+		"-logdir", logDir,
 		"-o", out,
 	}, &buf)
 	if err != nil {
@@ -128,6 +130,40 @@ func TestProcFleetSmoke(t *testing.T) {
 	if d, ok := res.Delta("parsecrouter_shard_ejections_total", benchfleet.RouterSource, "kill"); !ok || d < 1 {
 		t.Fatalf("ejections during kill = %g,%v want >= 1", d, ok)
 	}
+	// The closed fleet leaves no descriptor into its log dir: not the
+	// router's log, nor the log of shard1, which the scenario killed
+	// and revived. Open descriptors are read from /proc/self/fd, so the
+	// check runs on Linux only.
+	if runtime.GOOS == "linux" {
+		if fds := openFilesUnder(t, logDir); len(fds) != 0 {
+			t.Errorf("%d descriptors still open into the log dir: %v", len(fds), fds)
+		}
+	}
+}
+
+// openFilesUnder lists this process's open descriptors whose target
+// lies under dir, as "fd -> path".
+func openFilesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		if err != nil {
+			continue // closed since the listing, like ReadDir's own descriptor
+		}
+		if strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			out = append(out, e.Name()+" -> "+target)
+		}
+	}
+	return out
 }
 
 // procBin skips the test unless PARSECBENCH_PROC=1 and returns the

@@ -50,7 +50,6 @@ type procShard struct {
 	port int
 	url  string
 	cmd  *exec.Cmd
-	log  *os.File
 }
 
 // NewProcFleet boots the fleet and blocks until every shard and the
@@ -97,16 +96,11 @@ func NewProcFleet(sc *Scenario, cfg ProcConfig) (*ProcFleet, error) {
 		"-shards", strings.Join(urls, ","),
 		"-probe-interval", fmt.Sprintf("%dms", probeMS),
 	}, cfg.RouterArgs...)
-	cmd, logf, err := f.launch("parsecrouter", "router", rargs)
+	cmd, err := f.launch("parsecrouter", "router", rargs)
 	if err != nil {
 		return nil, err
 	}
 	f.router = cmd
-	defer func() {
-		if logf != nil && !ok {
-			logf.Close()
-		}
-	}()
 	if err := f.waitHealthy(f.routerURL); err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
@@ -120,37 +114,37 @@ func (f *ProcFleet) launchShard(sh *procShard) error {
 		"-shard-name", sh.name,
 		"-debug-faults",
 	}, f.cfg.ServerArgs...)
-	cmd, logf, err := f.launch("parsecd", sh.name, args)
+	cmd, err := f.launch("parsecd", sh.name, args)
 	if err != nil {
 		return err
 	}
-	sh.cmd, sh.log = cmd, logf
+	sh.cmd = cmd
 	if err := f.waitHealthy(sh.url); err != nil {
 		return fmt.Errorf("%s: %w", sh.name, err)
 	}
 	return nil
 }
 
-// launch starts one child with stderr to LogDir/<label>.log.
-func (f *ProcFleet) launch(bin, label string, args []string) (*exec.Cmd, *os.File, error) {
+// launch starts one child with stdout and stderr appended to
+// LogDir/<label>.log. The child inherits its own descriptor of the
+// log, so this process closes its copy once the child has started:
+// the fleet holds no descriptor into LogDir, whether the child is
+// later killed, revived or closed.
+func (f *ProcFleet) launch(bin, label string, args []string) (*exec.Cmd, error) {
 	cmd := exec.Command(filepath.Join(f.cfg.BinDir, bin), args...)
-	var logf *os.File
 	if f.cfg.LogDir != "" {
-		var err error
-		logf, err = os.OpenFile(filepath.Join(f.cfg.LogDir, label+".log"),
+		logf, err := os.OpenFile(filepath.Join(f.cfg.LogDir, label+".log"),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		defer logf.Close()
 		cmd.Stderr, cmd.Stdout = logf, logf
 	}
 	if err := cmd.Start(); err != nil {
-		if logf != nil {
-			logf.Close()
-		}
-		return nil, nil, fmt.Errorf("start %s: %w", label, err)
+		return nil, fmt.Errorf("start %s: %w", label, err)
 	}
-	return cmd, logf, nil
+	return cmd, nil
 }
 
 // waitHealthy polls /healthz until it answers (any status — a degraded
@@ -276,11 +270,6 @@ func (f *ProcFleet) Close() error {
 		case <-time.After(5 * time.Second):
 			cmd.Process.Kill() //nolint:errcheck
 			<-done
-		}
-	}
-	for _, sh := range f.shards {
-		if sh.log != nil {
-			sh.log.Close()
 		}
 	}
 	f.router, f.shards = nil, nil

@@ -40,9 +40,6 @@ type Grammar struct {
 	Start   NT
 	Bin     []BinRule
 	Term    []TermRule
-	// binByBC[B*len(nt)+C] lists rule heads A with A → B C, for CKY's
-	// inner loop.
-	binByBC map[int][]NT
 }
 
 // NewGrammar builds a validated CNF grammar. ntNames supplies the
@@ -54,7 +51,6 @@ func NewGrammar(ntNames []string, start string) (*Grammar, error) {
 	g := &Grammar{
 		ntNames: append([]string(nil), ntNames...),
 		termIdx: map[string]int{},
-		binByBC: map[int][]NT{},
 	}
 	seen := map[string]bool{}
 	for _, n := range ntNames {
@@ -82,12 +78,6 @@ func (g *Grammar) ntByName(name string) (NT, bool) {
 
 // NumNT returns the nonterminal count.
 func (g *Grammar) NumNT() int { return len(g.ntNames) }
-
-// NTName returns nonterminal a's name.
-func (g *Grammar) NTName(a NT) string { return g.ntNames[a] }
-
-// NumRules returns |P| (the paper's k for CFG parsing).
-func (g *Grammar) NumRules() int { return len(g.Bin) + len(g.Term) }
 
 // Terminals returns the interned terminal alphabet.
 func (g *Grammar) Terminals() []string { return append([]string(nil), g.terms...) }
@@ -126,8 +116,6 @@ func (g *Grammar) AddBin(a, b, c string) error {
 		return fmt.Errorf("cfg: unknown nonterminal %q", c)
 	}
 	g.Bin = append(g.Bin, BinRule{A, B, C})
-	key := int(B)*len(g.ntNames) + int(C)
-	g.binByBC[key] = append(g.binByBC[key], A)
 	return nil
 }
 
@@ -139,11 +127,6 @@ func (g *Grammar) AddTerm(a, t string) error {
 	}
 	g.Term = append(g.Term, TermRule{A: A, Term: g.InternTerm(t)})
 	return nil
-}
-
-// HeadsFor returns the rule heads A with A → B C (do not mutate).
-func (g *Grammar) HeadsFor(b, c NT) []NT {
-	return g.binByBC[int(b)*len(g.ntNames)+int(c)]
 }
 
 // PreterminalSet returns the bitset-as-bools of nonterminals deriving

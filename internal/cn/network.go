@@ -307,10 +307,9 @@ func (nw *Network) ApplyBinary(c *cdg.Constraint) int {
 // constraint is independent of the others. The pair-enumeration
 // overhead is paid once instead of len(cs) times, at the cost of losing
 // the interleaved consistency passes that shrink domains between
-// constraints (so the raw check count usually goes UP — see the serial
-// engine's FuseBinary documentation for the measured trade-off). This
-// is the per-element "interpret all broadcast constraints" reading of
-// Figure 8's mesh row.
+// constraints (so the raw check count usually goes UP). This is the
+// per-element "interpret all broadcast constraints" reading of Figure
+// 8's mesh row.
 func (nw *Network) ApplyBinaryAll(cs []*cdg.Constraint) int {
 	for _, c := range cs {
 		if c.Arity != 2 {

@@ -70,8 +70,7 @@ type Option func(*config)
 type config struct {
 	backend Backend
 	// phys is the physical PE count for the MasPar backend.
-	phys  int
-	costs maspar.CostModel
+	phys int
 	// filter enables the filtering phase; maxFilterIters bounds it
 	// (<= 0: run to fixpoint).
 	filter         bool
@@ -81,7 +80,6 @@ type config struct {
 	// algorithm does — the E6 ablation knob. Costs O(k·log n) instead
 	// of O(k + log n) on the MasPar.
 	consistencyPerConstraint bool
-	policy                   pram.Policy
 	// attr, when non-nil, accumulates per-stage wall-clock attribution
 	// for MasPar runs (constraint eval vs scans vs router).
 	attr *Attribution
@@ -91,9 +89,7 @@ func defaultConfig() config {
 	return config{
 		backend: MasPar,
 		phys:    maspar.PhysicalPEs,
-		costs:   maspar.DefaultCosts(),
 		filter:  true,
-		policy:  pram.Common,
 	}
 }
 
@@ -103,9 +99,6 @@ func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
 // WithPEs sets the physical PE count of the simulated MasPar (default
 // 16,384, the full MP-1 of the paper).
 func WithPEs(p int) Option { return func(c *config) { c.phys = p } }
-
-// WithCostModel overrides the MasPar cycle-cost model.
-func WithCostModel(cm maspar.CostModel) Option { return func(c *config) { c.costs = cm } }
 
 // WithFilter toggles the filtering phase (default on).
 func WithFilter(on bool) Option { return func(c *config) { c.filter = on } }
@@ -120,9 +113,6 @@ func WithMaxFilterIters(n int) Option { return func(c *config) { c.maxFilterIter
 func WithConsistencyPerConstraint(on bool) Option {
 	return func(c *config) { c.consistencyPerConstraint = on }
 }
-
-// WithWritePolicy sets the P-RAM concurrent-write policy.
-func WithWritePolicy(p pram.Policy) Option { return func(c *config) { c.policy = p } }
 
 // WithAttribution makes MasPar parses accumulate per-stage wall-clock
 // time (constraint evaluation, consistency scans, router transposes)
@@ -255,7 +245,7 @@ func (p *Parser) ParseGangContext(ctx context.Context, sents []*cdg.Sentence) ([
 		return out, nil
 	}
 	start := time.Now()
-	m, err := maspar.New(p.cfg.phys, p.cfg.costs)
+	m, err := maspar.New(p.cfg.phys, maspar.DefaultCosts())
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +291,7 @@ func (p *Parser) parseSentence(ctx context.Context, sent *cdg.Sentence) (*Result
 	case PRAM:
 		pres, err := pram.Parse(p.g, sent, pram.Options{
 			Ctx:            ctx,
-			Policy:         p.cfg.policy,
+			Policy:         pram.Common,
 			Filter:         p.cfg.filter,
 			MaxFilterIters: p.cfg.maxFilterIters,
 		})
@@ -322,7 +312,7 @@ func (p *Parser) parseSentence(ctx context.Context, sent *cdg.Sentence) (*Result
 		return &Result{Backend: Mesh, Network: mres.Network, Counters: mres.Counters}, nil
 
 	case MasPar:
-		m, err := maspar.New(p.cfg.phys, p.cfg.costs)
+		m, err := maspar.New(p.cfg.phys, maspar.DefaultCosts())
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,9 @@ import (
 // on the new word's values, and a final filtering pass over a clone
 // reaches the same fixpoint the from-scratch parse does (matrix bits
 // only ever go 1→0 and each verdict is order-independent — the same
-// argument that makes serial FuseBinary reach the same fixpoint).
+// argument that makes one cn.ApplyBinaryAll sweep reach the fixpoint of
+// serial's per-constraint sweeps, pinned by serial's
+// TestFusedMatchesDefault).
 //
 // A snapshot is immutable once published: finishing a path clones the
 // network before filtering, and extension only reads the parent.

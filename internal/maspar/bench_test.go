@@ -27,32 +27,8 @@ func reportCycles(b *testing.B, m *Machine) {
 	}
 }
 
-// BenchmarkSegScanOr measures the packed word-parallel scan — the hot
-// path the core backend runs in its filter loop.
-func BenchmarkSegScanOr(b *testing.B) {
-	for _, v := range []int{1024, 16384, 262144} {
-		b.Run(fmt.Sprintf("v=%d", v), func(b *testing.B) {
-			m := benchMachine(b, v)
-			data := make([]Bit, v)
-			head := make([]bool, v)
-			for i := 0; i < v; i += 16 {
-				head[i] = true
-				data[i+v/128%16] = 1
-			}
-			dataV, headV, dst := m.GetVec(), m.GetVec(), m.GetVec()
-			PackBits(dataV, data)
-			PackBools(headV, head)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SegScanOrV(dst, dataV, headV)
-			}
-			reportCycles(b, m)
-		})
-	}
-}
-
-// BenchmarkSegScanOrRef is the scalar reference kernel on the same
-// shape, for the packed-vs-refscan trajectory in BENCH_scan.json.
+// BenchmarkSegScanOrRef measures the scalar reference OR-scan over
+// 16-PE segments.
 func BenchmarkSegScanOrRef(b *testing.B) {
 	for _, v := range []int{1024, 16384} {
 		b.Run(fmt.Sprintf("v=%d", v), func(b *testing.B) {
@@ -70,61 +46,6 @@ func BenchmarkSegScanOrRef(b *testing.B) {
 			reportCycles(b, m)
 		})
 	}
-}
-
-// BenchmarkRouterFetch measures the router primitive in the shape
-// production runs it: the PARSEC mirror exchange, i.e. the s×s
-// transpose permutation over the PE grid, executed by the tiled
-// word-parallel RouterTransposeV kernel. The scatter sub-benchmarks
-// measure the generic RouterFetchV gather on an arbitrary permutation,
-// which is inherently a per-lane operation.
-func BenchmarkRouterFetch(b *testing.B) {
-	for _, s := range []int{32, 128, 256} {
-		v := s * s
-		b.Run(fmt.Sprintf("v=%d", v), func(b *testing.B) {
-			m := benchMachine(b, v)
-			data := make([]Bit, v)
-			for i := range data {
-				data[i] = Bit(i & 1)
-			}
-			dataV, dst := m.GetVec(), m.GetVec()
-			PackBits(dataV, data)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.RouterTransposeV(dst, dataV, s)
-			}
-			reportCycles(b, m)
-		})
-	}
-	for _, v := range []int{16384, 65536} {
-		b.Run(fmt.Sprintf("scatter/v=%d", v), func(b *testing.B) {
-			m := benchMachine(b, v)
-			data := make([]Bit, v)
-			src := make([]int32, v)
-			for i := range src {
-				src[i] = int32((i * 7) % v)
-			}
-			dataV, dst := m.GetVec(), m.GetVec()
-			PackBits(dataV, data)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.RouterFetchV(dst, src, dataV)
-			}
-			reportCycles(b, m)
-		})
-	}
-}
-
-// BenchmarkRouterCopy measures the masked-copy router primitive the
-// consistency round's mirror exchange uses directly.
-func BenchmarkRouterCopy(b *testing.B) {
-	m := benchMachine(b, 16384)
-	dataV, dst := m.GetVec(), m.GetVec()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.RouterCopyV(dst, dataV)
-	}
-	reportCycles(b, m)
 }
 
 // BenchmarkRouterFetchRef is the scalar reference gather.
@@ -147,7 +68,7 @@ func BenchmarkRouterFetchRef(b *testing.B) {
 }
 
 // BenchmarkSegReduceOrToHead covers the backward (reduce-to-head)
-// carry chain, the other scan shape the consistency round leans on.
+// carry chain, the scan shape the consistency round leans on.
 func BenchmarkSegReduceOrToHead(b *testing.B) {
 	v := 16384
 	m := benchMachine(b, v)
@@ -173,20 +94,6 @@ func BenchmarkAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.All(func(pe int) { data[pe] ^= 1 })
-	}
-	reportCycles(b, m)
-}
-
-func BenchmarkXNetShift(b *testing.B) {
-	m := benchMachine(b, 128*128)
-	g, err := m.GridView(128, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]Bit, m.V())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data = g.Shift(data, East)
 	}
 	reportCycles(b, m)
 }

@@ -185,10 +185,6 @@ func (m *Machine) fillMask() {
 // (padding lanes are never active).
 func (m *Machine) V() int { return m.v }
 
-// VSeg returns the per-segment virtual PE count (== V for a solo
-// program).
-func (m *Machine) VSeg() int { return m.vSeg }
-
 // Segments returns the gang size (1 for a plain Setup).
 func (m *Machine) Segments() int { return m.segs }
 
@@ -332,16 +328,9 @@ func (m *Machine) AllWords(f func(w int, active uint64)) {
 	}
 }
 
-// AllChecks is All for constraint evaluation: it additionally charges
-// checksPerPE constraint evaluations per active PE (the dominant cost
+// AllChecksWords is AllWords for constraint evaluation: it additionally
+// charges checksPerPE constraint evaluations per PE (the dominant cost
 // of propagation on the real machine).
-func (m *Machine) AllChecks(checksPerPE int, f func(pe int)) {
-	m.chargeChecks(uint64(checksPerPE))
-	m.All(f)
-}
-
-// AllChecksWords is AllWords for constraint evaluation, charging like
-// AllChecks.
 func (m *Machine) AllChecksWords(checksPerPE int, f func(w int, active uint64)) {
 	m.chargeChecks(uint64(checksPerPE))
 	m.AllWords(f)
@@ -366,9 +355,9 @@ func (m *Machine) ChargeAllWords() {
 	m.chargeElemental()
 }
 
-// ChargeRouter charges one router permutation (RouterTransposeV,
-// RouterFetchV or RouterCopyV; all three cost the same) and routes
-// nothing, like ChargeAllChecks.
+// ChargeRouter charges one router permutation (RouterTransposeV or
+// RouterFetch; both cost the same) and routes nothing, like
+// ChargeAllChecks.
 //
 //parsec:noalloc
 func (m *Machine) ChargeRouter() {

@@ -2,14 +2,17 @@ package maspar
 
 import "testing"
 
+// TestAllChecksAccounting pins the absolute charge of one constraint
+// evaluation instruction: checksPerPE checks and one elemental per
+// layer in cycles, checksPerPE checks per PE in the check counter.
 func TestAllChecksAccounting(t *testing.T) {
 	m := newTestMachine(t, 64, 128) // 2 layers
 	c0, k0 := m.Cycles, m.ConstraintChecks
-	m.AllChecks(6, func(pe int) {})
+	m.AllChecksWords(6, func(int, uint64) {})
 	costs := DefaultCosts()
 	wantCycles := costs.ConstraintCheck*6*2 + costs.Elemental*2
 	if m.Cycles-c0 != wantCycles {
-		t.Errorf("AllChecks charged %d cycles, want %d", m.Cycles-c0, wantCycles)
+		t.Errorf("AllChecksWords charged %d cycles, want %d", m.Cycles-c0, wantCycles)
 	}
 	if m.ConstraintChecks-k0 != 6*128 {
 		t.Errorf("check counter = %d, want %d", m.ConstraintChecks-k0, 6*128)

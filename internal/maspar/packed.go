@@ -53,36 +53,6 @@ func (m *Machine) firstActive() (w int, bit uint64, ok bool) {
 	return 0, 0, false
 }
 
-// SegScanOrV is the packed SegScanOr: dst[i] receives the OR of lane
-// i's segment up to and including itself; inactive lanes get 0. dst
-// may alias data or segHead. All vectors are WordLen words.
-//
-//parsec:noalloc
-func (m *Machine) SegScanOrV(dst, data, segHead []uint64) {
-	m.chargeScan()
-	cin := uint64(1)
-	for w, e := range m.mask {
-		var acc uint64
-		acc, cin = segFillWord(data[w]&e, segHead[w]&e, cin)
-		dst[w] = acc & e
-	}
-}
-
-// SegScanAndV is the packed SegScanAnd. De Morgan turns the AND-scan
-// into an OR-scan of the complement: acc tracks "a zero has been seen
-// in this segment", and the result is its complement on active lanes.
-//
-//parsec:noalloc
-func (m *Machine) SegScanAndV(dst, data, segHead []uint64) {
-	m.chargeScan()
-	cin := uint64(1)
-	for w, e := range m.mask {
-		acc, co := segFillWord(^data[w]&e, segHead[w]&e, cin)
-		dst[w] = ^acc & e
-		cin = co
-	}
-}
-
 // CopySegHeadV is the packed CopySegHead: every active lane receives
 // its segment head's data value. With gen = data & effectiveHead and
 // reset = effectiveHead the shared recurrence loads the head's value
@@ -155,112 +125,6 @@ func (m *Machine) segReduceToHead(dst, data, segHead []uint64, and bool) {
 			r = ^r
 		}
 		dst[w] = r & heads
-	}
-}
-
-// ReduceOrV returns the global OR over all active lanes.
-//
-//parsec:noalloc
-func (m *Machine) ReduceOrV(data []uint64) Bit {
-	m.chargeScan()
-	var acc uint64
-	for w, e := range m.mask {
-		acc |= data[w] & e
-	}
-	if acc != 0 {
-		return 1
-	}
-	return 0
-}
-
-// ReduceAndV returns the global AND over all active lanes (1 when no
-// lane is active).
-//
-//parsec:noalloc
-func (m *Machine) ReduceAndV(data []uint64) Bit {
-	m.chargeScan()
-	var acc uint64
-	for w, e := range m.mask {
-		acc |= ^data[w] & e
-	}
-	if acc == 0 {
-		return 1
-	}
-	return 0
-}
-
-// RouterFetchV is the packed RouterFetch: every active lane pe
-// receives bit data[src[pe]]; inactive lanes get 0. src indexes the
-// full virtual array. dst must not alias data (the gather reads
-// arbitrary source words after dst words are written).
-//
-// The kernel is adaptive: destination words whose 64 sources are
-// consecutive (src[i+1] = src[i]+1 — the word-aligned communication
-// shape the PARSEC transpose produces in the packed layout) are
-// fetched as one funnel-shifted word instead of 64 bit gathers. The
-// run check inspects all 64 lanes, so the fast path is bit-exact; an
-// arbitrary scatter degrades gracefully to the per-lane gather, which
-// is inherently element-at-a-time (a software router has no word trick
-// for a random permutation).
-//
-//parsec:noalloc
-func (m *Machine) RouterFetchV(dst []uint64, src []int32, data []uint64) {
-	m.chargeRouter()
-	for w, e := range m.mask {
-		base := w << 6
-		var o uint64
-		if e == ^uint64(0) {
-			s0 := src[base]
-			run := true
-			for b := 1; b < 64; b++ {
-				if src[base+b] != s0+int32(b) {
-					run = false
-					break
-				}
-			}
-			if run {
-				// 64 consecutive sources: one (possibly straddling)
-				// word fetch. s0+63 is in bounds because src entries
-				// are, so the straddle word exists whenever off != 0.
-				w0 := int(s0) >> 6
-				off := uint(s0) & 63
-				o = data[w0] >> off
-				if off != 0 {
-					o |= data[w0+1] << (64 - off)
-				}
-				dst[w] = o
-				continue
-			}
-			// Full word, scattered sources: unroll without the
-			// bit-iteration loop.
-			for b := 0; b < 64; b++ {
-				s := src[base+b]
-				o |= (data[s>>6] >> (uint(s) & 63) & 1) << uint(b)
-			}
-		} else {
-			for bset := e; bset != 0; bset &= bset - 1 {
-				b := bits.TrailingZeros64(bset)
-				s := src[base+b]
-				o |= (data[s>>6] >> (uint(s) & 63) & 1) << uint(b)
-			}
-		}
-		dst[w] = o
-	}
-}
-
-// RouterCopyV is the router permutation whose lane mapping is the
-// identity on a mirror plural variable: every active lane receives its
-// own lane of data, inactive lanes get 0. In the packed
-// structure-of-arrays layout the PARSEC (c,r)↔(r,c) transpose lives in
-// *which vector* is passed as data, so the per-lane communication the
-// scalar backend routed through RouterFetch becomes one masked word
-// copy — the "masked portion" of the router op, word-parallel. Charged
-// exactly like RouterFetch: it is the same router pass on the modeled
-// machine.
-func (m *Machine) RouterCopyV(dst, data []uint64) {
-	m.chargeRouter()
-	for w, e := range m.mask {
-		dst[w] = data[w] & e
 	}
 }
 
@@ -350,9 +214,9 @@ func transposeGrid(dst, data []uint64, s int) {
 // SegmentOrV reduces the active lanes of each gang segment to one bit:
 // out[seg] = OR over segment seg's active lanes of data. On the
 // modeled machine this is one segmented reduce through the router —
-// the same price as the global ReduceOrV it generalizes (a solo
-// program's SegmentOrV(data, out) sets out[0] = ReduceOrV(data)) — so
-// it is charged as one scan.
+// the same price as the global ReduceOr it generalizes (a solo
+// program's SegmentOrV sets out[0] to ReduceOr of the unpacked data) —
+// so it is charged as one scan.
 func (m *Machine) SegmentOrV(data []uint64, out []Bit) {
 	if len(out) < m.segs {
 		panic(fmt.Sprintf("maspar: SegmentOrV needs %d output lanes, got %d", m.segs, len(out)))

@@ -129,10 +129,6 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 			data[i] = 1
 		}
 	}
-	src := make([]int32, v)
-	for i := range src {
-		src[i] = int32(r.intn(v))
-	}
 
 	pred := func(pe int) bool { return mask[pe] }
 	ref.SetMask(pred)
@@ -157,12 +153,6 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 		}
 	}
 
-	pk.SegScanOrV(out, dataV, headV)
-	check("SegScanOr", ref.SegScanOr(data, heads))
-
-	pk.SegScanAndV(out, dataV, headV)
-	check("SegScanAnd", ref.SegScanAnd(data, heads))
-
 	pk.CopySegHeadV(out, dataV, headV)
 	check("CopySegHead", ref.CopySegHead(data, heads))
 
@@ -172,38 +162,10 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 	pk.SegReduceAndToHeadV(out, dataV, headV)
 	check("SegReduceAndToHead", ref.SegReduceAndToHead(data, heads))
 
-	if gotB, wantB := pk.ReduceOrV(dataV), ref.ReduceOr(data); gotB != wantB {
-		t.Fatalf("ReduceOr: packed=%d ref=%d", gotB, wantB)
-	}
-	if gotB, wantB := pk.ReduceAndV(dataV), ref.ReduceAnd(data); gotB != wantB {
-		t.Fatalf("ReduceAnd: packed=%d ref=%d", gotB, wantB)
-	}
-
-	PackBits(srcDataV, data)
-	pk.RouterFetchV(out, src, srcDataV)
-	check("RouterFetch", ref.RouterFetch(src, data))
-
-	// Rotation src: maximal stride-1 runs, exercising the aligned
-	// funnel-shift fast path (with one scattered word at the wrap).
-	rot := make([]int32, v)
-	k := r.intn(v)
-	for i := range rot {
-		rot[i] = int32((i + k) % v)
-	}
-	pk.RouterFetchV(out, rot, srcDataV)
-	check("RouterFetchAligned", ref.RouterFetch(rot, data))
-
-	// RouterCopyV is RouterFetch with the identity lane map.
-	ident := make([]int32, v)
-	for i := range ident {
-		ident[i] = int32(i)
-	}
-	pk.RouterCopyV(out, srcDataV)
-	check("RouterCopy", ref.RouterFetch(ident, data))
-
 	// RouterTransposeV must match the per-lane gather along the s×s
 	// transpose permutation whenever the array is a perfect grid.
 	if s := isqrt(v); s*s == v {
+		PackBits(srcDataV, data)
 		tsrc := make([]int32, v)
 		for i := 0; i < s; i++ {
 			for j := 0; j < s; j++ {
@@ -259,13 +221,9 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 	}
 
 	if avg := testing.AllocsPerRun(20, func() {
-		m.SegScanOrV(dst, data, head)
-		m.SegScanAndV(dst, data, head)
 		m.CopySegHeadV(dst, data, head)
 		m.SegReduceOrToHeadV(dst, data, head)
 		m.SegReduceAndToHeadV(dst, data, head)
-		m.ReduceOrV(data)
-		m.ReduceAndV(data)
 	}); avg != 0 {
 		t.Errorf("packed scan kernels allocate %v allocs/op in steady state, want 0", avg)
 	}
@@ -283,16 +241,15 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		t.Errorf("recycled byte-API scans allocate %v allocs/op in steady state, want 0", avg)
 	}
 
-	// The packed router gather is allocation-free too, at the full
-	// machine's 256 words.
-	src := make([]int32, v)
-	for i := range src {
-		src[i] = int32((i * 7) % v)
-	}
+	// The packed router transpose and the per-segment reduce are
+	// allocation-free too, at the full machine's 256 words (a 128×128
+	// grid).
+	segOr := make([]Bit, m.Segments())
 	if avg := testing.AllocsPerRun(20, func() {
-		m.RouterFetchV(dst, src, data)
+		m.RouterTransposeV(dst, data, 128)
+		m.SegmentOrV(data, segOr)
 	}); avg != 0 {
-		t.Errorf("packed RouterFetchV allocates %v allocs/op, want 0", avg)
+		t.Errorf("packed RouterTransposeV and SegmentOrV allocate %v allocs/op, want 0", avg)
 	}
 
 	// The compiled-eval propagation sweeps share the contract: once the

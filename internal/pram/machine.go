@@ -77,9 +77,6 @@ func (m *Machine) Fault() error { return m.fault }
 // machine step).
 func (m *Machine) Read(addr int) int64 { return m.mem[addr] }
 
-// MemSize returns the shared-memory size in words.
-func (m *Machine) MemSize() int { return len(m.mem) }
-
 // HostFill sets mem[addr..addr+len(vals)) from the host (setup only).
 func (m *Machine) HostFill(addr int, vals []int64) {
 	copy(m.mem[addr:], vals)

@@ -19,14 +19,9 @@ import (
 // would rebuild the snapshots from scratch on every hop.
 
 func latticeError(req server.LatticeRequest, msg string) server.LatticeResult {
-	engine := req.Engine
-	if engine == "" {
-		engine = "prefix"
-	}
 	return server.LatticeResult{
 		Grammar:     req.Grammar,
 		UtteranceID: req.UtteranceID,
-		Engine:      engine,
 		Slots:       len(req.Slots),
 		Error:       msg,
 	}

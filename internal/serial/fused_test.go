@@ -4,46 +4,59 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cdg"
+	"repro/internal/cn"
 	"repro/internal/grammars"
 	"repro/internal/workload"
 )
 
-// TestFusedMatchesDefault: fused single-sweep binary propagation
-// reaches the same fixpoint as per-constraint sweeps.
+// parseFused is Parse with the binary phase fused the way latticeserve
+// builds its prefix snapshots: every unary constraint, then every binary
+// constraint in one cn.ApplyBinaryAll sweep with no consistency pass in
+// between, then filtering to fixpoint.
+func parseFused(g *cdg.Grammar, words []string) (*cn.Network, error) {
+	sent, err := cdg.Resolve(g, words, nil)
+	if err != nil {
+		return nil, err
+	}
+	nw := cn.New(cdg.NewSpace(g, sent))
+	for _, c := range g.Unary() {
+		nw.ApplyUnary(c)
+	}
+	nw.ApplyBinaryAll(g.Binary())
+	nw.Filter(0)
+	return nw, nil
+}
+
+// TestFusedMatchesDefault: one fused sweep of every binary constraint
+// reaches the same fixpoint as the paper's per-constraint sweeps, each
+// followed by a consistency pass. Matrix bits only go 1→0 and each
+// pair's verdict per constraint is independent of the others, which is
+// the argument latticeserve's snapshots rely on.
 func TestFusedMatchesDefault(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		parse func(fused bool) ([]string, *Result, error)
+		g     *cdg.Grammar
+		words []string
 	}{
-		{"demo", func(fused bool) ([]string, *Result, error) {
-			w := workload.DemoSentence(6)
-			r, err := ParseWords(grammars.PaperDemo(), w, Options{Filter: true, FuseBinary: fused})
-			return w, r, err
-		}},
-		{"english", func(fused bool) ([]string, *Result, error) {
-			w := workload.AmbiguousEnglish(1)
-			r, err := ParseWords(grammars.English(), w, Options{Filter: true, FuseBinary: fused})
-			return w, r, err
-		}},
+		{"demo", grammars.PaperDemo(), workload.DemoSentence(6)},
+		{"english", grammars.English(), workload.AmbiguousEnglish(1)},
 	} {
-		_, def, err := tc.parse(false)
+		def, err := ParseWords(tc.g, tc.words, Options{Filter: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fus, err := tc.parse(true)
+		fus, err := parseFused(tc.g, tc.words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !def.Network.EqualState(fus.Network) {
+		if !def.Network.EqualState(fus) {
 			t.Errorf("%s: fused propagation changed the fixpoint", tc.name)
 		}
-		// Measured trade-off (not an optimization claim): fused mode
-		// skips the interleaved consistency passes, so its sweeps run
-		// over un-shrunk domains and it typically performs MORE
-		// constraint checks — the interleaving the paper's serial
-		// pipeline does is what keeps the check count down. What fused
-		// saves is k_b−1 pair-enumeration sweeps and k_b−1 consistency
-		// passes. Pin the direction so the doc comment stays honest.
+		// Measured trade-off (not an optimization claim): the fused
+		// sweep skips the interleaved consistency passes, so it runs
+		// over un-shrunk domains and typically performs MORE constraint
+		// checks. What it saves is k_b−1 pair-enumeration sweeps.
 		if fus.Counters.ConstraintChecks < def.Counters.ConstraintChecks {
 			t.Logf("%s: fused checks %d unexpectedly below per-constraint %d (fine, just noting)",
 				tc.name, fus.Counters.ConstraintChecks, def.Counters.ConstraintChecks)
@@ -60,11 +73,11 @@ func TestQuickFusedMatchesDefault(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fus, err := ParseWords(g, words, Options{Filter: true, FuseBinary: true})
+		fus, err := parseFused(g, words)
 		if err != nil {
 			return false
 		}
-		return def.Network.EqualState(fus.Network)
+		return def.Network.EqualState(fus)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -32,21 +32,6 @@ type Options struct {
 	// MaxFilterIters bounds filtering passes; <= 0 means run to
 	// fixpoint.
 	MaxFilterIters int
-	// UseAC4 switches the filtering phase to the support-counted
-	// algorithm (cn.FilterAC4). It always runs to fixpoint —
-	// MaxFilterIters does not apply — and computes the same result as
-	// the default pass-based filtering.
-	UseAC4 bool
-	// FuseBinary applies all binary constraints in one sweep over the
-	// arcs (cn.ApplyBinaryAll) followed by one consistency pass,
-	// instead of one sweep + pass per constraint. Same fixpoint.
-	// Trade-off, measured in serial tests/benches: fused saves k_b−1
-	// enumeration sweeps and consistency passes, but loses the
-	// interleaved domain shrinking, so it usually evaluates MORE
-	// constraint checks — the paper's per-constraint pipeline is the
-	// better default. Phase snapshots for individual binary
-	// constraints are not emitted in this mode.
-	FuseBinary bool
 	// Phase, when non-nil, is invoked with a snapshot label and the
 	// live network after each algorithm phase — the hook used to
 	// regenerate the Figure 1–6 walkthrough. The network must not be
@@ -100,32 +85,20 @@ func Parse(g *cdg.Grammar, sent *cdg.Sentence, opt Options) (*Result, error) {
 
 	// Binary constraint propagation, each followed by one consistency-
 	// maintenance pass: O(k_b · n⁴).
-	if opt.FuseBinary {
-		nw.ApplyBinaryAll(g.Binary())
-		snapshot("binary:fused")
-		nw.ConsistencyPass()
-		snapshot("consistency:fused")
-	} else {
-		for _, c := range g.Binary() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			nw.ApplyBinary(c)
-			snapshot("binary:" + c.Name)
-			nw.ConsistencyPass()
-			snapshot("consistency:" + c.Name)
+	for _, c := range g.Binary() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		nw.ApplyBinary(c)
+		snapshot("binary:" + c.Name)
+		nw.ConsistencyPass()
+		snapshot("consistency:" + c.Name)
 	}
 
 	// Filtering: repeat consistency maintenance until no role value
 	// loses support (or the configured bound).
 	if opt.Filter {
-		if opt.UseAC4 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			nw.FilterAC4()
-		} else if _, err := nw.FilterCtx(ctx, opt.MaxFilterIters); err != nil {
+		if _, err := nw.FilterCtx(ctx, opt.MaxFilterIters); err != nil {
 			return nil, err
 		}
 		snapshot("after-filtering")

@@ -194,7 +194,9 @@ func TestNoFilteringStillUnambiguousHere(t *testing.T) {
 }
 
 // TestAC4OptionMatchesDefault runs the full pipeline with both
-// filtering algorithms; the networks must be identical.
+// filtering algorithms: the default pass-based filtering, and no
+// filtering followed by cn.FilterAC4 (the support-counted algorithm
+// E8 measures). The networks must be identical.
 func TestAC4OptionMatchesDefault(t *testing.T) {
 	g := grammars.PaperDemo()
 	words := []string{"the", "program", "runs", "the", "machine"}
@@ -202,12 +204,13 @@ func TestAC4OptionMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac4, err := ParseWords(g, words, Options{Filter: true, UseAC4: true})
+	ac4, err := ParseWords(g, words, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ac4.Network.FilterAC4()
 	if !def.Network.EqualState(ac4.Network) {
-		t.Error("AC-4 option changed the result")
+		t.Error("AC-4 filtering changed the result")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -37,13 +36,6 @@ type LatticeRequest struct {
 	UtteranceID string `json:"utterance_id,omitempty"`
 	// Slots is the word lattice: one list of alternatives per slot.
 	Slots [][]LatticeAlt `json:"slots,omitempty"`
-	// Engine selects how candidates are parsed: "prefix" (default)
-	// uses the incremental prefix-reuse engine; "pool" submits each
-	// candidate through the batching worker pool (any Backend, result
-	// cache included) — the cross-check path.
-	Engine string `json:"engine,omitempty"`
-	// Backend applies to the pool engine only (default maspar).
-	Backend string `json:"backend,omitempty"`
 	// MaxPaths bounds candidate expansion (0: server default; the
 	// server's -lattice-max-paths is always the ceiling).
 	MaxPaths int `json:"max_paths,omitempty"`
@@ -52,8 +44,7 @@ type LatticeRequest struct {
 	MaxParses int `json:"max_parses,omitempty"`
 	// TimeoutMS bounds the request (0: server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoCache bypasses the prefix-snapshot cache (prefix engine) or
-	// the result cache (pool engine).
+	// NoCache bypasses the prefix-snapshot cache.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -93,14 +84,11 @@ type LatticeHypothesis struct {
 	NumParses int               `json:"num_parses"`
 	Parses    []string          `json:"parses,omitempty"`
 	Counters  *metrics.Counters `json:"counters,omitempty"`
-	// ReusedSlots counts leading slots served from the prefix cache
-	// (prefix engine only).
+	// ReusedSlots counts leading slots served from the prefix cache.
 	ReusedSlots int `json:"reused_slots,omitempty"`
 	// Unknown names an out-of-lexicon word that rejected the path
 	// without parsing.
 	Unknown string `json:"unknown_word,omitempty"`
-	// Error carries a per-candidate failure (pool engine).
-	Error string `json:"error,omitempty"`
 }
 
 // LatticeResult is the response of POST /v1/lattice and the per-update
@@ -108,7 +96,6 @@ type LatticeHypothesis struct {
 type LatticeResult struct {
 	Grammar     string `json:"grammar"`
 	UtteranceID string `json:"utterance_id,omitempty"`
-	Engine      string `json:"engine"`
 	Slots       int    `json:"slots"`
 	// Paths is the raw cartesian path count; Expanded is how many
 	// candidates were actually generated within the budget.
@@ -118,7 +105,7 @@ type LatticeResult struct {
 	Accepted   int                 `json:"accepted"`
 	Hypotheses []LatticeHypothesis `json:"hypotheses"`
 	// PrefixHits / PrefixMisses are this request's prefix-snapshot
-	// reuse counts (prefix engine only).
+	// reuse counts.
 	PrefixHits   int    `json:"prefix_hits"`
 	PrefixMisses int    `json:"prefix_misses"`
 	HostTimeUS   int64  `json:"host_time_us,omitempty"`
@@ -130,18 +117,10 @@ func latticeErr(req LatticeRequest, msg string, timedOut bool) LatticeResult {
 	return LatticeResult{
 		Grammar:     req.Grammar,
 		UtteranceID: req.UtteranceID,
-		Engine:      latticeEngineName(req.Engine),
 		Slots:       len(req.Slots),
 		TimedOut:    timedOut,
 		Error:       msg,
 	}
-}
-
-func latticeEngineName(e string) string {
-	if e == "" {
-		return "prefix"
-	}
-	return e
 }
 
 // buildLattice validates the wire slots and assembles the lattice.
@@ -195,15 +174,6 @@ func (s *Server) doLattice(ctx context.Context, req LatticeRequest) (LatticeResu
 	if err != nil {
 		return latticeErr(req, err.Error(), false), http.StatusBadRequest
 	}
-	engine := latticeEngineName(req.Engine)
-	if engine != "prefix" && engine != "pool" {
-		return latticeErr(req, "unknown engine \""+req.Engine+"\" (prefix|pool)", false), http.StatusBadRequest
-	}
-	if engine == "pool" {
-		if _, err := ParseBackend(req.Backend); err != nil {
-			return latticeErr(req, err.Error(), false), http.StatusBadRequest
-		}
-	}
 	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -228,16 +198,10 @@ func (s *Server) doLattice(ctx context.Context, req LatticeRequest) (LatticeResu
 	res := LatticeResult{
 		Grammar:     key,
 		UtteranceID: req.UtteranceID,
-		Engine:      engine,
 		Slots:       l.Slots(),
 		Paths:       l.Paths(),
 	}
-	var status int
-	if engine == "pool" {
-		status = s.latticeViaPool(jctx, req, g, l, maxPaths, &res)
-	} else {
-		status = s.latticeViaPrefix(jctx, req, g, key, l, maxPaths, &res)
-	}
+	status := s.latticeViaPrefix(jctx, req, g, key, l, maxPaths, &res)
 	if status == http.StatusOK {
 		res.HostTimeUS = durationUS(time.Since(start))
 		s.m.latticeRequests.Add(1)
@@ -296,66 +260,6 @@ func (s *Server) latticeViaPrefix(ctx context.Context, req LatticeRequest, g *cd
 	return http.StatusOK
 }
 
-// latticeViaPool parses every expanded candidate as an ordinary parse
-// job through the worker pool — the candidates go in as one unit, so
-// same-length candidates gang onto one PE array, and the result cache
-// elides repeats. It exists as the cross-check and any-backend path;
-// the prefix engine is the incremental default.
-func (s *Server) latticeViaPool(ctx context.Context, req LatticeRequest, g *cdg.Grammar, l *lattice.Lattice, maxPaths int, res *LatticeResult) int {
-	paths, truncated := l.Expand(maxPaths)
-	res.Expanded, res.Truncated = len(paths), truncated
-	hyps := make([]LatticeHypothesis, len(paths))
-	var reqs []ParseRequest
-	var at []int
-	for i, p := range paths {
-		hyps[i] = LatticeHypothesis{Words: p.Words, Score: p.Score}
-		if w, bad := latticeUnknownWord(g, p.Words); bad {
-			hyps[i].Unknown = w
-			continue
-		}
-		reqs = append(reqs, ParseRequest{
-			Grammar:       req.Grammar,
-			GrammarSource: req.GrammarSource,
-			Backend:       req.Backend,
-			Sentence:      p.Words,
-			MaxParses:     req.MaxParses,
-			NoCache:       req.NoCache,
-		})
-		at = append(at, i)
-	}
-	for k, jr := range s.serve(ctx, reqs, false) {
-		h, pr := &hyps[at[k]], &jr.resp
-		h.Accepted = pr.Accepted
-		h.Ambiguous = pr.Ambiguous
-		h.NumParses = pr.NumParses
-		h.Parses = pr.Parses
-		h.Counters = pr.Counters
-		h.Error = pr.Error
-	}
-	if ctx.Err() != nil {
-		res.TimedOut = true
-		res.Error = ctx.Err().Error()
-		return http.StatusGatewayTimeout
-	}
-	for i := range hyps {
-		if hyps[i].Accepted {
-			res.Accepted++
-		}
-	}
-	sortLatticeHyps(hyps)
-	res.Hypotheses = hyps
-	return http.StatusOK
-}
-
-func latticeUnknownWord(g *cdg.Grammar, words []string) (string, bool) {
-	for _, w := range words {
-		if len(g.LookupWord(w)) == 0 {
-			return w, true
-		}
-	}
-	return "", false
-}
-
 func latticeMaxParses(maxParses int) int {
 	if maxParses == 0 {
 		return DefaultMaxParses
@@ -375,28 +279,6 @@ func renderParses(as []*cn.Assignment) []string {
 		out[i] = cn.RenderPrecedenceGraph(a)
 	}
 	return out
-}
-
-func sortLatticeHyps(hyps []LatticeHypothesis) {
-	sort.SliceStable(hyps, func(i, j int) bool {
-		a, b := &hyps[i], &hyps[j]
-		if a.Accepted != b.Accepted {
-			return a.Accepted
-		}
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return wordSliceLess(a.Words, b.Words)
-	})
-}
-
-func wordSliceLess(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {

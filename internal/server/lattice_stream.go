@@ -25,8 +25,7 @@ import (
 // Final set, repeating the complete result, and ends the response. Each
 // update re-decodes the grown lattice; the prefix-snapshot cache makes
 // that incremental — every candidate's first n-1 slots were snapshotted
-// by the previous update, so only the appended slot is paid for. The
-// streaming endpoint therefore supports the prefix engine only.
+// by the previous update, so only the appended slot is paid for.
 
 // LatticeStreamSlot is one appended slot on the streaming request body.
 type LatticeStreamSlot struct {
@@ -72,10 +71,6 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, latticeErr(req, "malformed header: "+err.Error(), false))
 		return
 	}
-	if e := latticeEngineName(req.Engine); e != "prefix" {
-		s.writeJSON(w, http.StatusBadRequest, latticeErr(req, "streaming supports the prefix engine only", false))
-		return
-	}
 	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -116,7 +111,6 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 		res := LatticeResult{
 			Grammar:     key,
 			UtteranceID: req.UtteranceID,
-			Engine:      "prefix",
 			Slots:       l.Slots(),
 			Paths:       l.Paths(),
 		}

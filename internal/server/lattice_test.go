@@ -11,6 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cdg"
+	"repro/internal/cn"
+	"repro/internal/serial"
+	"repro/internal/workload"
 )
 
 func latticeTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -62,7 +67,7 @@ func TestLatticeEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %+v", status, res)
 	}
-	if res.Engine != "prefix" || res.Grammar != "english" || res.UtteranceID != "utt-1" {
+	if res.Grammar != "english" || res.UtteranceID != "utt-1" {
 		t.Errorf("echo fields wrong: %+v", res)
 	}
 	if res.Slots != 5 || res.Paths != 8 || res.Expanded != 8 || res.Truncated {
@@ -100,8 +105,6 @@ func TestLatticeEndpointErrors(t *testing.T) {
 		{"empty slot", LatticeRequest{Grammar: "english", Slots: [][]LatticeAlt{{}}}, http.StatusBadRequest},
 		{"missing word", LatticeRequest{Grammar: "english", Slots: [][]LatticeAlt{{{Score: 1}}}}, http.StatusBadRequest},
 		{"unknown grammar", LatticeRequest{Grammar: "nope", Slots: [][]LatticeAlt{{{Word: "x"}}}}, http.StatusNotFound},
-		{"unknown engine", LatticeRequest{Grammar: "english", Engine: "warp", Slots: [][]LatticeAlt{{{Word: "x"}}}}, http.StatusBadRequest},
-		{"bad backend", LatticeRequest{Grammar: "english", Engine: "pool", Backend: "abacus", Slots: [][]LatticeAlt{{{Word: "x"}}}}, http.StatusBadRequest},
 	} {
 		status, res := postLattice(t, ts.URL, tc.req)
 		if status != tc.status {
@@ -122,30 +125,125 @@ func TestLatticeEndpointErrors(t *testing.T) {
 	}
 }
 
-// The pool engine fans candidates through the ordinary parse path; both
-// engines must agree on every verdict-bearing field.
-func TestLatticePoolEngineAgreesWithPrefix(t *testing.T) {
+// TestLatticeMatchesSerialOracle parses every hypothesis's path with
+// serial.Parse, the reference engine, and checks the fields perfbench's
+// oracle checks: accepted (the lattice rule: at least one parse was
+// extracted), num_parses and the rendered parses, plus ambiguity. It
+// decodes the shared test lattice with the default parse bound and with
+// every parse rendered, an ambiguous lattice with every parse rendered,
+// a lattice with an out-of-lexicon word, and the load tools' lattice
+// body.
+func TestLatticeMatchesSerialOracle(t *testing.T) {
+	s, ts := latticeTestServer(t, Config{})
+	g, _, err := s.cache.Get("english", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := EnglishLatticeBody(5, 3, 3, "oracle-", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loadTools LatticeRequest
+	if err := json.Unmarshal(body, &loadTools); err != nil {
+		t.Fatal(err)
+	}
+	// Two prepositional phrases give both paths several attachments.
+	var ambiguous [][]LatticeAlt
+	for _, w := range workload.AmbiguousEnglish(2) {
+		ambiguous = append(ambiguous, []LatticeAlt{{Word: w, Score: 0.9}})
+	}
+	ambiguous[4] = append(ambiguous[4], LatticeAlt{Word: "cat", Score: 0.5})
+	mostParses := 0
+	for _, tc := range []struct {
+		name string
+		req  LatticeRequest
+	}{
+		{"shared", LatticeRequest{Grammar: "english", Slots: englishLatticeSlots()}},
+		{"shared/all-parses", LatticeRequest{Grammar: "english", Slots: englishLatticeSlots(), MaxParses: -1}},
+		{"ambiguous/all-parses", LatticeRequest{Grammar: "english", Slots: ambiguous, MaxParses: -1}},
+		{"unknown-word", LatticeRequest{Grammar: "english", Slots: unknownWordSlots()}},
+		{"load-tools", loadTools},
+	} {
+		status, res := postLattice(t, ts.URL, tc.req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %+v", tc.name, status, res)
+		}
+		if res.Expanded == 0 || len(res.Hypotheses) != res.Expanded {
+			t.Fatalf("%s: %d hypotheses for %d expanded paths", tc.name, len(res.Hypotheses), res.Expanded)
+		}
+		accepted := 0
+		for _, h := range res.Hypotheses {
+			path := strings.Join(h.Words, " ")
+			if h.Accepted {
+				accepted++
+			}
+			sent, err := cdg.Resolve(g, h.Words, nil)
+			if err != nil {
+				if h.Unknown == "" || h.Accepted || h.NumParses != 0 {
+					t.Errorf("%s: %q does not resolve (%v) but got %+v", tc.name, path, err, h)
+				}
+				continue
+			}
+			ref, err := serial.Parse(g, sent, serial.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			parses := ref.Parses(latticeMaxParses(tc.req.MaxParses))
+			mostParses = max(mostParses, len(parses))
+			var rendered []string
+			for _, a := range parses {
+				rendered = append(rendered, cn.RenderPrecedenceGraph(a))
+			}
+			switch {
+			case h.Accepted != (len(parses) > 0):
+				t.Errorf("%s: %q accepted=%v, serial extracts %d parses", tc.name, path, h.Accepted, len(parses))
+			case h.NumParses != len(parses):
+				t.Errorf("%s: %q num_parses=%d, serial says %d", tc.name, path, h.NumParses, len(parses))
+			case !reflect.DeepEqual(h.Parses, rendered):
+				t.Errorf("%s: %q rendered parses differ from serial:\n%v\n%v", tc.name, path, h.Parses, rendered)
+			case h.Ambiguous != ref.Ambiguous():
+				t.Errorf("%s: %q ambiguous=%v, serial says %v", tc.name, path, h.Ambiguous, ref.Ambiguous())
+			}
+		}
+		if res.Accepted != accepted {
+			t.Errorf("%s: accepted=%d, %d hypotheses accepted", tc.name, res.Accepted, accepted)
+		}
+	}
+	if mostParses < 2 {
+		t.Errorf("no path has more than %d parses: the check of rendered parses needs an ambiguous one", mostParses)
+	}
+}
+
+// TestLatticeIgnoresEngineAndBackend pins the decode of bodies that
+// name "engine" or "backend": both are unknown fields, so such a body
+// gets the same 200 hypothesis set as the same body without them.
+func TestLatticeIgnoresEngineAndBackend(t *testing.T) {
 	_, ts := latticeTestServer(t, Config{})
-	req := LatticeRequest{Grammar: "english", Slots: englishLatticeSlots()}
-	_, prefix := postLattice(t, ts.URL, req)
-	req.Engine = "pool"
-	status, pool := postLattice(t, ts.URL, req)
-	if status != http.StatusOK {
-		t.Fatalf("pool engine: status %d: %+v", status, pool)
+	slots, err := json.Marshal(englishLatticeSlots())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pool.Engine != "pool" {
-		t.Errorf("engine echo: %q", pool.Engine)
+	post := func(extra string) LatticeResult {
+		t.Helper()
+		body := `{"grammar":"english",` + extra + `"slots":` + string(slots) + `}`
+		resp, err := http.Post(ts.URL+"/v1/lattice", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res LatticeResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %+v", body, resp.StatusCode, res)
+		}
+		return res
 	}
-	if len(pool.Hypotheses) != len(prefix.Hypotheses) || pool.Accepted != prefix.Accepted {
-		t.Fatalf("pool %d hyps/%d accepted, prefix %d/%d",
-			len(pool.Hypotheses), pool.Accepted, len(prefix.Hypotheses), prefix.Accepted)
-	}
-	for i := range pool.Hypotheses {
-		p, q := pool.Hypotheses[i], prefix.Hypotheses[i]
-		if !reflect.DeepEqual(p.Words, q.Words) || p.Accepted != q.Accepted ||
-			p.Ambiguous != q.Ambiguous || p.NumParses != q.NumParses ||
-			!reflect.DeepEqual(p.Parses, q.Parses) || p.Score != q.Score {
-			t.Errorf("hypothesis %d disagrees:\npool:   %+v\nprefix: %+v", i, p, q)
+	want := verdictsOf(post("").Hypotheses)
+	for _, extra := range []string{`"engine":"pool",`, `"backend":"serial",`, `"engine":"pool","backend":"abacus",`} {
+		if got := verdictsOf(post(extra).Hypotheses); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: hypotheses differ from the plain body:\n%+v\n%+v", extra, got, want)
 		}
 	}
 }
@@ -406,9 +504,6 @@ func TestLatticeStreamErrors(t *testing.T) {
 	if st, _ := post(`{"grammar":"nope"}` + "\n"); st != http.StatusNotFound {
 		t.Errorf("unknown grammar: status %d", st)
 	}
-	if st, _ := post(`{"grammar":"english","engine":"pool"}` + "\n"); st != http.StatusBadRequest {
-		t.Errorf("pool engine over stream: status %d", st)
-	}
 	// Errors after streaming starts arrive as update lines on a 200.
 	st, body := post(`{"grammar":"english"}` + "\n" + `{"alts":[]}` + "\n")
 	if st != http.StatusOK {
@@ -474,30 +569,30 @@ func TestLatticeTimeout504(t *testing.T) {
 	}
 }
 
+// unknownWordSlots is a lattice with one out-of-lexicon alternative:
+// of its two paths only "the dog walked" parses.
+func unknownWordSlots() [][]LatticeAlt {
+	return [][]LatticeAlt{
+		{{Word: "the", Score: 0.5}, {Word: "zzz", Score: 0.9}},
+		{{Word: "dog", Score: 0.9}},
+		{{Word: "walked", Score: 0.9}},
+	}
+}
+
 func TestLatticeUnknownWordHypothesis(t *testing.T) {
 	_, ts := latticeTestServer(t, Config{})
-	for _, engine := range []string{"prefix", "pool"} {
-		status, res := postLattice(t, ts.URL, LatticeRequest{
-			Grammar: "english",
-			Engine:  engine,
-			Slots: [][]LatticeAlt{
-				{{Word: "the", Score: 0.5}, {Word: "zzz", Score: 0.9}},
-				{{Word: "dog", Score: 0.9}},
-				{{Word: "walked", Score: 0.9}},
-			},
-		})
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d", engine, status)
+	status, res := postLattice(t, ts.URL, LatticeRequest{Grammar: "english", Slots: unknownWordSlots()})
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	var sawUnknown bool
+	for _, h := range res.Hypotheses {
+		if h.Unknown == "zzz" && !h.Accepted {
+			sawUnknown = true
 		}
-		var sawUnknown bool
-		for _, h := range res.Hypotheses {
-			if h.Unknown == "zzz" && !h.Accepted {
-				sawUnknown = true
-			}
-		}
-		if !sawUnknown || res.Accepted != 1 {
-			t.Errorf("%s: unknown-word handling: %+v", engine, res)
-		}
+	}
+	if !sawUnknown || res.Accepted != 1 {
+		t.Errorf("unknown-word handling: %+v", res)
 	}
 }
 

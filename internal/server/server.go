@@ -256,15 +256,15 @@ type pending struct {
 	follows bool
 }
 
-// serve answers reqs — one /v1/parse, a /v1/batch, or the candidates of
-// a pool-engine lattice — in three phases. Resolve: validate every entry
-// and claim its result-cache key without blocking, so each entry is
-// answered (an error or a hit), follows an identical parse already in
-// flight, or leads a new one. Submit: every leader and no_cache job goes
-// to the pool as one unit per backend (bulk-class units get less queue
-// headroom). Wait: leaders and no_cache jobs first, then followers.
-// Every leader has submitted before anything waits, and a leader waits
-// only for its own job, so no two requests can wait on each other.
+// serve answers reqs — one /v1/parse or a /v1/batch — in three
+// phases. Resolve: validate every entry and claim its result-cache key
+// without blocking, so each entry is answered (an error or a hit),
+// follows an identical parse already in flight, or leads a new one.
+// Submit: every leader and no_cache job goes to the pool as one unit
+// per backend (bulk-class units get less queue headroom). Wait: leaders
+// and no_cache jobs first, then followers. Every leader has submitted
+// before anything waits, and a leader waits only for its own job, so no
+// two requests can wait on each other.
 func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jobResult {
 	out := make([]jobResult, len(reqs))
 	ps := make([]pending, len(reqs))
