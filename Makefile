@@ -70,6 +70,7 @@ FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/server/:FuzzCacheKey \
 	./internal/server/:FuzzLatticeRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
+	./internal/cn/:FuzzNetworkMatchesPerValue \
 	./internal/benchfleet/:FuzzScenarioDecode \
 	./internal/metrics/:FuzzParseText
 fuzz-smoke:

@@ -124,6 +124,41 @@ func (s *Set) IsSubset(o *Set) bool {
 	return true
 }
 
+// The word-wise set operations below take operands of the same size as
+// the receiver and may alias it (s.And(s, o) is s &= o).
+
+// Zero clears every bit of s.
+//
+//parsec:noalloc
+func (s *Set) Zero() {
+	clear(s.bits)
+}
+
+// CopyFrom sets s to o.
+//
+//parsec:noalloc
+func (s *Set) CopyFrom(o *Set) {
+	copy(s.bits, o.bits)
+}
+
+// And sets s to x & y.
+//
+//parsec:noalloc
+func (s *Set) And(x, y *Set) {
+	for i := range s.bits {
+		s.bits[i] = x.bits[i] & y.bits[i]
+	}
+}
+
+// AndNot sets s to x &^ y.
+//
+//parsec:noalloc
+func (s *Set) AndNot(x, y *Set) {
+	for i := range s.bits {
+		s.bits[i] = x.bits[i] &^ y.bits[i]
+	}
+}
+
 // ForEach calls f with the index of every set bit, ascending.
 func (s *Set) ForEach(f func(i int)) {
 	for wi, w := range s.bits {
@@ -236,6 +271,64 @@ func (m *Matrix) ZeroCol(c int) {
 	word, mask := c/wordBits, uint64(1)<<uint(c%wordBits)
 	for r := 0; r < m.rows; r++ {
 		m.bits[r*m.rowWords+word] &^= mask
+	}
+}
+
+// ZeroRows clears every row of m whose index is set in rows, a set of
+// m.Rows() bits.
+//
+//parsec:noalloc
+func (m *Matrix) ZeroRows(rows *Set) {
+	for wi, w := range rows.bits {
+		for ; w != 0; w &= w - 1 {
+			r := wi*wordBits + bits.TrailingZeros64(w)
+			clear(m.bits[r*m.rowWords : (r+1)*m.rowWords])
+		}
+	}
+}
+
+// ClearCols clears the columns set in cols (m.Cols() bits) in every row
+// of m set in rows (m.Rows() bits): one masked pass over the selected
+// rows, where ZeroCol makes one strided pass over all rows per column.
+// Rows outside rows are left as they are.
+//
+//parsec:noalloc
+func (m *Matrix) ClearCols(rows, cols *Set) {
+	for wi, w := range rows.bits {
+		for ; w != 0; w &= w - 1 {
+			r := wi*wordBits + bits.TrailingZeros64(w)
+			row := m.bits[r*m.rowWords : (r+1)*m.rowWords]
+			for k, c := range cols.bits {
+				row[k] &^= c
+			}
+		}
+	}
+}
+
+// Support reads the rows of m set in rows (m.Rows() bits) once each:
+// rowSup (m.Rows() bits) gets bit r for every such row holding a 1, and
+// colSup (m.Cols() bits) becomes their OR, with bit c set when column c
+// holds a 1 in one of them. Both are overwritten. Skipped rows do not
+// count, so colSup is the column support of the whole matrix only when
+// rows covers every row that holds a 1.
+//
+//parsec:noalloc
+func (m *Matrix) Support(rows, rowSup, colSup *Set) {
+	clear(rowSup.bits)
+	clear(colSup.bits)
+	for wi, w := range rows.bits {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			r := wi*wordBits + b
+			var nz uint64
+			for k, x := range m.bits[r*m.rowWords : (r+1)*m.rowWords] {
+				colSup.bits[k] |= x
+				nz |= x
+			}
+			if nz != 0 {
+				rowSup.bits[wi] |= 1 << uint(b)
+			}
+		}
 	}
 }
 

@@ -296,3 +296,92 @@ func TestQuickMatrixRowColConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickWordKernelsMatchPerBit holds the word-wise kernels to their
+// per-bit definitions on random matrices and row/column sets: Support
+// to RowAny/ColAny over the selected rows, ZeroRows to ZeroRow,
+// ClearCols to clearing each selected bit, and And/AndNot/CopyFrom to
+// Get.
+func TestQuickWordKernelsMatchPerBit(t *testing.T) {
+	f := func(seed int64) bool {
+		s := seed | 1
+		rnd := func(n int) int {
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			v := int(s % int64(n))
+			if v < 0 {
+				v = -v
+			}
+			return v
+		}
+		rows, cols := rnd(140)+1, rnd(200)+1
+		m := NewMatrix(rows, cols)
+		for i := rnd(4 * rows * cols / 3); i > 0; i-- {
+			m.SetBit(rnd(rows), rnd(cols))
+		}
+		randSet := func(n int) *Set {
+			x := New(n)
+			for i := 0; i < n; i++ {
+				if rnd(3) != 0 {
+					x.SetBit(i)
+				}
+			}
+			return x
+		}
+		live, victims := randSet(rows), randSet(cols)
+
+		rowSup, colSup := randSet(rows), randSet(cols) // overwritten
+		m.Support(live, rowSup, colSup)
+		for r := 0; r < rows; r++ {
+			if rowSup.Get(r) != (live.Get(r) && m.RowAny(r)) {
+				t.Logf("rowSup bit %d", r)
+				return false
+			}
+		}
+		for c := 0; c < cols; c++ {
+			want := false
+			live.ForEach(func(r int) { want = want || m.Get(r, c) })
+			if colSup.Get(c) != want {
+				t.Logf("colSup bit %d", c)
+				return false
+			}
+		}
+
+		want := m.Clone()
+		live.ForEach(func(r int) {
+			victims.ForEach(func(c int) { want.ClearBit(r, c) })
+		})
+		m.ClearCols(live, victims)
+		if !m.Equal(want) {
+			t.Log("ClearCols")
+			return false
+		}
+		live.ForEach(want.ZeroRow)
+		m.ZeroRows(live)
+		if !m.Equal(want) {
+			t.Log("ZeroRows")
+			return false
+		}
+
+		x, y, z := randSet(cols), randSet(cols), New(cols)
+		z.And(x, y)
+		for i := 0; i < cols; i++ {
+			if z.Get(i) != (x.Get(i) && y.Get(i)) {
+				return false
+			}
+		}
+		z.AndNot(x, y)
+		for i := 0; i < cols; i++ {
+			if z.Get(i) != (x.Get(i) && !y.Get(i)) {
+				return false
+			}
+		}
+		x.AndNot(x, x)
+		z.CopyFrom(x)
+		return !x.Any() && !z.Any()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

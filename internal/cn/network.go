@@ -55,15 +55,44 @@ type Network struct {
 	Counters *metrics.Counters
 }
 
-// evalScratch backs ApplyUnary/ApplyBinary/ApplyBinaryAll: the live
-// role values of the swept domain, their domain indices, and the
-// verdict spans the bytecode evaluator fills in one call per row.
+// evalScratch backs the propagation and elimination loops: the live
+// role values of the swept domain, their domain indices, the verdict
+// spans the bytecode evaluator fills in one call per row, and the bit
+// sets that remove role values and test their support a word at a time
+// (made on first use by sets, then reused).
 type evalScratch struct {
 	refs []cdg.RVRef
 	idxs []int
 	fwd  []bool
 	rev  []bool
 	cks  []cdg.Checker
+	// roles[gr] holds global role gr's victims between a sweep and their
+	// removal; during a consistency pass it first holds the role's
+	// values whose support walk has not yet failed.
+	roles []*bitset.Set
+	// rowSup[r] and colSup[r] receive the row and the column support
+	// of the arc being read, sized for role r (a cdg.RoleID) of the
+	// word whose role indexes the arc's rows or its columns.
+	rowSup, colSup []*bitset.Set
+}
+
+// sets returns the per-role scratch sets, making them and the support
+// vectors on first use.
+func (nw *Network) sets() []*bitset.Set {
+	if nw.scr.roles == nil {
+		nw.scr.roles = make([]*bitset.Set, len(nw.domains))
+		for gr, d := range nw.domains {
+			nw.scr.roles[gr] = bitset.New(d.Len())
+		}
+		q := nw.sp.Q()
+		nw.scr.rowSup = make([]*bitset.Set, q)
+		nw.scr.colSup = make([]*bitset.Set, q)
+		for r := 0; r < q; r++ {
+			n := nw.sp.RVCount(cdg.RoleID(r))
+			nw.scr.rowSup[r], nw.scr.colSup[r] = bitset.New(n), bitset.New(n)
+		}
+	}
+	return nw.scr.roles
 }
 
 // liveRefs fills the scratch ref/index buffers with the live role
@@ -202,51 +231,85 @@ func (nw *Network) Compatible(a, ia, b, ib int) bool {
 // Eliminate removes role value idx from global role gr: the domain bit
 // is cleared and the value's row/column is zeroed in every incident arc
 // matrix — O(n²) work, as the paper charges for one consistency-
-// maintenance elimination.
+// maintenance elimination. It is remove with a single victim.
 func (nw *Network) Eliminate(gr, idx int) {
 	if !nw.domains[gr].Get(idx) {
 		return
 	}
-	nw.domains[gr].ClearBit(idx)
-	nw.Counters.Eliminations++
-	for other := 0; other < len(nw.domains); other++ {
-		if other == gr {
-			continue
-		}
-		arc, isRow := nw.ArcBetween(gr, other)
-		if isRow {
-			arc.M.ZeroRow(idx)
-		} else {
-			arc.M.ZeroCol(idx)
-		}
-		nw.Counters.MatrixWrites += uint64(nw.sp.RVCount(roleIDOf(nw.sp, other)))
-	}
+	victims := nw.sets()[gr]
+	victims.Zero()
+	victims.SetBit(idx)
+	nw.remove(gr, victims)
 }
 
-func roleIDOf(sp *cdg.Space, gr int) cdg.RoleID {
-	_, r := sp.RoleAt(gr)
-	return r
+// remove eliminates the role values of global role gr that are set in
+// victims, all of them live, and returns how many there were: one
+// AND-NOT on the domain, then in each incident arc the victims' rows are
+// zeroed or their columns cleared by one masked pass over the arc's live
+// rows. Dead rows need no pass: every set matrix bit lies on a live×live
+// pair, because New sets bits only there and every step after it only
+// clears bits and zeroes whole rows and columns of the values it kills
+// (CheckLivePairs tests this; a network filled through NewShell must be
+// filled that way too before it is propagated).
+//
+// The counters charge each victim exactly what one per-value elimination
+// costs in the paper's model — one Eliminations and, in MatrixWrites,
+// the Σ RVCount(other) entries of its row or column in every incident
+// arc — not the words this pass happens to touch.
+func (nw *Network) remove(gr int, victims *bitset.Set) int {
+	k := victims.Count()
+	if k == 0 {
+		return 0
+	}
+	dom := nw.domains[gr]
+	dom.AndNot(dom, victims)
+	nw.Counters.Eliminations += uint64(k)
+	nw.Counters.MatrixWrites += uint64(k) * nw.sweepCost(gr)
+	for other, d := range nw.domains {
+		switch {
+		case other < gr:
+			nw.arcs[nw.arcAt[other][gr]].M.ClearCols(d, victims)
+		case other > gr:
+			nw.arcs[nw.arcAt[gr][other]].M.ZeroRows(victims)
+		}
+	}
+	return k
+}
+
+// sweepCost is Σ RVCount over every global role but gr: the matrix
+// entries one elimination in gr sweeps.
+func (nw *Network) sweepCost(gr int) uint64 {
+	all := 0
+	for r := 0; r < nw.sp.Q(); r++ {
+		all += nw.sp.RVCount(cdg.RoleID(r))
+	}
+	_, r := nw.sp.RoleAt(gr)
+	return uint64(nw.sp.N()*all - nw.sp.RVCount(r))
 }
 
 // ApplyUnary propagates one unary constraint: every live role value is
-// checked, and violators are eliminated. O(n²) checks, matching §1.4.
+// checked, and each role's violators are removed together. O(n²)
+// checks, matching §1.4.
 func (nw *Network) ApplyUnary(c *cdg.Constraint) int {
 	if c.Arity != 1 {
 		panic("cn: ApplyUnary needs a unary constraint")
 	}
 	ck := c.Bind(nw.sp.Sentence())
+	sets := nw.sets()
 	eliminated := 0
 	for gr := range nw.domains {
 		refs, idxs := nw.liveRefs(gr)
 		out := boolSpan(&nw.scr.fwd, len(refs))
 		ck.Check1Span(refs, out)
 		nw.Counters.ConstraintChecks += uint64(len(refs))
+		victims := sets[gr]
+		victims.Zero()
 		for k, idx := range idxs {
 			if !out[k] {
-				nw.Eliminate(gr, idx)
-				eliminated++
+				victims.SetBit(idx)
 			}
 		}
+		eliminated += nw.remove(gr, victims)
 	}
 	return eliminated
 }
@@ -362,47 +425,48 @@ func (nw *Network) ApplyBinaryAll(cs []*cdg.Constraint) int {
 	return zeroed
 }
 
-// Supported reports whether role value idx of global role gr has, in
-// every incident arc, at least one 1 in its row (or column) — the
-// support test of §1.4 (the OR-then-AND of Figure 10).
-func (nw *Network) Supported(gr, idx int) bool {
-	for other := 0; other < len(nw.domains); other++ {
-		if other == gr {
-			continue
-		}
-		nw.Counters.SupportChecks++
-		arc, isRow := nw.ArcBetween(gr, other)
-		if isRow {
-			if !arc.M.RowAny(idx) {
-				return false
-			}
-		} else {
-			if !arc.M.ColAny(idx) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ConsistencyPass performs one simultaneous round of consistency
 // maintenance: support is evaluated for every live role value against
 // the current matrices, then every unsupported value is eliminated. It
 // returns the number of eliminations.
+//
+// A value is supported when, in every incident arc, its row (or column)
+// holds a 1 — the OR-then-AND of Figure 10. The test runs a word at a
+// time: one read of each arc's live rows (Matrix.Support) yields the
+// arc's row-support and column-support vectors, and each role ANDs its
+// set of still-supported values with them. Arcs are stored in (A, B)
+// order, so every role meets its incident arcs in ascending order of
+// the other role, as the per-value walk of §1.4 does; charging the
+// set's population before each AND counts SupportChecks exactly as that
+// walk does, one check per arc up to and including a value's first
+// unsupported one.
 func (nw *Network) ConsistencyPass() int {
-	type victim struct{ gr, idx int }
-	var victims []victim
-	for gr := range nw.domains {
-		nw.domains[gr].ForEach(func(idx int) {
-			if !nw.Supported(gr, idx) {
-				victims = append(victims, victim{gr, idx})
-			}
-		})
+	sets := nw.sets()
+	for gr, dom := range nw.domains {
+		sets[gr].CopyFrom(dom)
 	}
-	for _, v := range victims {
-		nw.Eliminate(v.gr, v.idx)
+	for _, arc := range nw.arcs {
+		_, ra := nw.sp.RoleAt(arc.A)
+		_, rb := nw.sp.RoleAt(arc.B)
+		rowSup, colSup := nw.scr.rowSup[ra], nw.scr.colSup[rb]
+		arc.M.Support(nw.domains[arc.A], rowSup, colSup)
+		nw.keepSupported(sets[arc.A], rowSup)
+		nw.keepSupported(sets[arc.B], colSup)
 	}
-	return len(victims)
+	eliminated := 0
+	for gr, dom := range nw.domains {
+		victims := sets[gr]
+		victims.AndNot(dom, victims)
+		eliminated += nw.remove(gr, victims)
+	}
+	return eliminated
+}
+
+// keepSupported charges one support check to every value in supported
+// and keeps those that sup supports.
+func (nw *Network) keepSupported(supported, sup *bitset.Set) {
+	nw.Counters.SupportChecks += uint64(supported.Count())
+	supported.And(supported, sup)
 }
 
 // Filter repeats consistency maintenance until a fixpoint or until
@@ -521,6 +585,29 @@ func (nw *Network) EqualState(o *Network) bool {
 		}
 	}
 	return true
+}
+
+// CheckLivePairs returns an error naming the first set matrix bit that
+// does not lie on a live×live pair, or nil when there is none. Every
+// network New builds and propagation updates keeps this shape, and the
+// word-wise support and elimination passes read live rows only because
+// of it.
+func (nw *Network) CheckLivePairs() error {
+	for _, arc := range nw.arcs {
+		domA, domB := nw.domains[arc.A], nw.domains[arc.B]
+		for i := 0; i < arc.M.Rows(); i++ {
+			bad := -1
+			arc.M.RowForEach(i, func(j int) {
+				if bad < 0 && !(domA.Get(i) && domB.Get(j)) {
+					bad = j
+				}
+			})
+			if bad >= 0 {
+				return fmt.Errorf("cn: arc (%d,%d) has bit (%d,%d) set off the live pairs", arc.A, arc.B, i, bad)
+			}
+		}
+	}
+	return nil
 }
 
 // Stats summarizes the live state for diagnostics.

@@ -3,11 +3,14 @@ package cn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cdg"
+	"repro/internal/grammars"
+	"repro/internal/workload"
 )
 
 // testGrammar builds a compact grammar exercising the network
@@ -40,11 +43,16 @@ func testGrammar(t *testing.T) *cdg.Grammar {
 
 func buildNetwork(t *testing.T, g *cdg.Grammar, words ...string) *Network {
 	t.Helper()
+	return New(spaceOf(t, g, words))
+}
+
+func spaceOf(t testing.TB, g *cdg.Grammar, words []string) *cdg.Space {
+	t.Helper()
 	sent, err := cdg.Resolve(g, words, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(cdg.NewSpace(g, sent))
+	return cdg.NewSpace(g, sent)
 }
 
 func TestNewInitialState(t *testing.T) {
@@ -458,5 +466,287 @@ func TestFilterCtx(t *testing.T) {
 	passes, err = cancelled.FilterCtx(ctx, 0)
 	if passes != 0 || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled filter: passes=%d err=%v, want 0/Canceled", passes, err)
+	}
+}
+
+// The per-value reference. Before the network removed role values and
+// tested their support a word at a time, ApplyUnary, ConsistencyPass and
+// Eliminate walked one value, one arc and one row or column at a time.
+// Those loops are kept here, and every step of the word-wise network is
+// held to them: the domains, every matrix bit (dead rows included), the
+// return values and all counters.
+
+// refEliminate removes role value idx of global role gr by zeroing its
+// row or column in each incident arc, one arc at a time.
+func refEliminate(nw *Network, gr, idx int) {
+	if !nw.domains[gr].Get(idx) {
+		return
+	}
+	nw.domains[gr].ClearBit(idx)
+	nw.Counters.Eliminations++
+	for other := 0; other < len(nw.domains); other++ {
+		if other == gr {
+			continue
+		}
+		arc, isRow := nw.ArcBetween(gr, other)
+		if isRow {
+			arc.M.ZeroRow(idx)
+		} else {
+			arc.M.ZeroCol(idx)
+		}
+		_, r := nw.sp.RoleAt(other)
+		nw.Counters.MatrixWrites += uint64(nw.sp.RVCount(r))
+	}
+}
+
+// refSupported reports whether role value idx of global role gr has a 1
+// in its row (or column) of every incident arc, charging one support
+// check per arc up to the first that has none.
+func refSupported(nw *Network, gr, idx int) bool {
+	for other := 0; other < len(nw.domains); other++ {
+		if other == gr {
+			continue
+		}
+		nw.Counters.SupportChecks++
+		arc, isRow := nw.ArcBetween(gr, other)
+		if isRow {
+			if !arc.M.RowAny(idx) {
+				return false
+			}
+		} else if !arc.M.ColAny(idx) {
+			return false
+		}
+	}
+	return true
+}
+
+func refApplyUnary(nw *Network, c *cdg.Constraint) int {
+	ck := c.Bind(nw.sp.Sentence())
+	eliminated := 0
+	for gr := range nw.domains {
+		pos, r := nw.sp.RoleAt(gr)
+		for _, idx := range nw.domains[gr].Ones() {
+			nw.Counters.ConstraintChecks++
+			if !ck.Check1(nw.sp.RVRef(pos, r, idx)) {
+				refEliminate(nw, gr, idx)
+				eliminated++
+			}
+		}
+	}
+	return eliminated
+}
+
+func refConsistencyPass(nw *Network) int {
+	type victim struct{ gr, idx int }
+	var victims []victim
+	for gr := range nw.domains {
+		nw.domains[gr].ForEach(func(idx int) {
+			if !refSupported(nw, gr, idx) {
+				victims = append(victims, victim{gr, idx})
+			}
+		})
+	}
+	for _, v := range victims {
+		refEliminate(nw, v.gr, v.idx)
+	}
+	return len(victims)
+}
+
+func refFilter(nw *Network, maxIters int) int {
+	passes := 0
+	for maxIters <= 0 || passes < maxIters {
+		passes++
+		nw.Counters.FilterIterations++
+		if refConsistencyPass(nw) == 0 {
+			break
+		}
+	}
+	return passes
+}
+
+// stateDiff describes the first difference between nw and its reference
+// twin ref, or returns "" when domains, every matrix bit and all
+// counters agree.
+func stateDiff(nw, ref *Network) string {
+	for gr := range nw.domains {
+		if !nw.domains[gr].Equal(ref.domains[gr]) {
+			return fmt.Sprintf("role %d domain %v, reference %v", gr, nw.domains[gr], ref.domains[gr])
+		}
+	}
+	for k, arc := range nw.arcs {
+		if !arc.M.Equal(ref.arcs[k].M) {
+			return fmt.Sprintf("arc (%d,%d) matrix differs", arc.A, arc.B)
+		}
+	}
+	if *nw.Counters != *ref.Counters {
+		return fmt.Sprintf("counters %+v, reference %+v", *nw.Counters, *ref.Counters)
+	}
+	return ""
+}
+
+// checkAgainstReference runs the serial pipeline on sp twice, through
+// the network's steps and through the per-value reference, and reports
+// the first step after which the two differ or the network holds a bit
+// off its live pairs. The steps are every unary constraint, every
+// binary constraint followed by one consistency pass, filtering bounded
+// by filterBound passes (<= 0: to fixpoint), and last an Eliminate of
+// the first live value of every role.
+func checkAgainstReference(sp *cdg.Space, filterBound int) error {
+	nw, ref := New(sp), New(sp)
+	step := func(name string, got, want int) error {
+		if got != want {
+			return fmt.Errorf("%s: returned %d, reference %d", name, got, want)
+		}
+		if d := stateDiff(nw, ref); d != "" {
+			return fmt.Errorf("%s: %s", name, d)
+		}
+		if err := nw.CheckLivePairs(); err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+		return nil
+	}
+	g := sp.Grammar()
+	for _, c := range g.Unary() {
+		if err := step("unary "+c.Name, nw.ApplyUnary(c), refApplyUnary(ref, c)); err != nil {
+			return err
+		}
+	}
+	for _, c := range g.Binary() {
+		if err := step("binary "+c.Name, nw.ApplyBinary(c), ref.ApplyBinary(c)); err != nil {
+			return err
+		}
+		if err := step("consistency after "+c.Name, nw.ConsistencyPass(), refConsistencyPass(ref)); err != nil {
+			return err
+		}
+	}
+	if err := step("filter", nw.Filter(filterBound), refFilter(ref, filterBound)); err != nil {
+		return err
+	}
+	for gr, dom := range nw.domains {
+		if ones := dom.Ones(); len(ones) > 0 {
+			nw.Eliminate(gr, ones[0])
+			refEliminate(ref, gr, ones[0])
+		}
+	}
+	return step("eliminate", 0, 0)
+}
+
+// randomRows are the random-grammar cases of the reference test, and
+// the seed corpus of FuzzNetworkMatchesPerValue: grammar seed, sentence
+// seed, sentence length and filter bound.
+var randomRows = []struct {
+	gseed, sseed uint64
+	n, bound     int
+}{
+	{1, 2, 2, 0}, {3, 5, 3, 0}, {7, 11, 4, 1}, {13, 17, 5, 0},
+	{19, 23, 6, 2}, {29, 31, 7, 0}, {37, 41, 8, 0}, {42, 1, 8, 3},
+	{101, 7, 5, 0}, {2024, 9, 6, 0}, {9001, 17, 8, 1}, {123456789, 987654321, 7, 0},
+}
+
+// TestNetworkMatchesPerValue holds the word-wise elimination and
+// support passes to the per-value reference on random grammars, the
+// paper's demo grammar, and English up to 16 words, where a governor
+// row spans three words.
+func TestNetworkMatchesPerValue(t *testing.T) {
+	for _, row := range randomRows {
+		g := grammars.Random(row.gseed)
+		words := grammars.RandomSentence(g, row.sseed, row.n)
+		if err := checkAgainstReference(spaceOf(t, g, words), row.bound); err != nil {
+			t.Errorf("random g=%d s=%d n=%d bound=%d: %v", row.gseed, row.sseed, row.n, row.bound, err)
+		}
+	}
+	demo := grammars.PaperDemo()
+	for n := 1; n <= 8; n++ {
+		if err := checkAgainstReference(spaceOf(t, demo, workload.DemoSentence(n)), 0); err != nil {
+			t.Errorf("demo n=%d: %v", n, err)
+		}
+	}
+	english := grammars.English()
+	for _, n := range []int{3, 4, 6, 8, 10, 12, 16} {
+		if err := checkAgainstReference(spaceOf(t, english, workload.EnglishSentence(n)), 0); err != nil {
+			t.Errorf("english n=%d: %v", n, err)
+		}
+	}
+	if err := checkAgainstReference(spaceOf(t, english, workload.AmbiguousEnglish(2)), 2); err != nil {
+		t.Errorf("ambiguous english, bound 2: %v", err)
+	}
+}
+
+// FuzzNetworkMatchesPerValue is TestNetworkMatchesPerValue over random
+// grammars: a grammar seed, a sentence seed, a length of 2–8 words
+// (2 + n mod 7) and a filter bound of 0–3 passes (0: to fixpoint).
+func FuzzNetworkMatchesPerValue(f *testing.F) {
+	for _, row := range randomRows {
+		f.Add(row.gseed, row.sseed, uint8(row.n-2), uint8(row.bound))
+	}
+	f.Fuzz(func(t *testing.T, gseed, sseed uint64, n, bound uint8) {
+		g := grammars.Random(gseed)
+		words := grammars.RandomSentence(g, sseed, 2+int(n)%7)
+		maxIters := int(bound) % 4
+		if err := checkAgainstReference(spaceOf(t, g, words), maxIters); err != nil {
+			t.Fatalf("g=%d s=%d words=%v bound=%d: %v", gseed, sseed, words, maxIters, err)
+		}
+	})
+}
+
+// restoreState copies src's domains and matrix bits into nw, one bit at
+// a time so that it allocates nothing.
+func restoreState(nw, src *Network) {
+	for gr, d := range nw.domains {
+		d.CopyFrom(src.domains[gr])
+	}
+	for k, arc := range nw.arcs {
+		m := src.arcs[k].M
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				arc.M.Assign(i, j, m.Get(i, j))
+			}
+		}
+	}
+}
+
+// TestApplyUnaryAllocatesNothing: once a network has made its scratch,
+// the unary phase allocates nothing, victims included (each run starts
+// again from the initial state).
+func TestApplyUnaryAllocatesNothing(t *testing.T) {
+	g := grammars.English()
+	nw := New(spaceOf(t, g, workload.EnglishSentence(8)))
+	initial := nw.Clone()
+	allocs := testing.AllocsPerRun(10, func() {
+		restoreState(nw, initial)
+		for _, c := range g.Unary() {
+			nw.ApplyUnary(c)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("unary phase allocated %.1f times per run, want 0", allocs)
+	}
+	if nw.Counters.Eliminations == 0 {
+		t.Error("unary phase removed nothing; the test does not reach removal")
+	}
+}
+
+// TestConsistencyPassAllocatesNothing: a warm consistency pass that
+// finds and removes victims allocates nothing.
+func TestConsistencyPassAllocatesNothing(t *testing.T) {
+	g := grammars.English()
+	nw := New(spaceOf(t, g, workload.EnglishSentence(8)))
+	for _, c := range g.Unary() {
+		nw.ApplyUnary(c)
+	}
+	for _, c := range g.Binary() {
+		nw.ApplyBinary(c)
+	}
+	before := nw.Clone()
+	removed := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		restoreState(nw, before)
+		removed = nw.ConsistencyPass()
+	})
+	if allocs != 0 {
+		t.Errorf("consistency pass allocated %.1f times per run, want 0", allocs)
+	}
+	if removed == 0 {
+		t.Error("consistency pass removed nothing; the test does not reach removal")
 	}
 }

@@ -217,12 +217,24 @@ func packedBit(words []uint64, v int) bool { return words[v>>6]>>(uint(v)&63)&1 
 func (ly *Layout) groupSetWords() int { return maspar.WordsFor(ly.s) + 1 }
 
 // extendGroupSet copies groups 0..S−1 of set periodically into its
-// higher bits, which must be zero.
+// higher bits, which must be zero. Bit i copies bit i−S, so each step
+// moves the next min(S, 64) bits in one funnel-shifted word: its source
+// lies wholly below i and is already final.
 func (ly *Layout) extendGroupSet(set []uint64) {
-	for i := ly.s; i < len(set)*64; i++ {
-		if j := i - ly.s; set[j>>6]>>(uint(j)&63)&1 == 1 {
-			set[i>>6] |= uint64(1) << (uint(i) & 63)
+	total := len(set) * 64
+	for i := ly.s; i < total; {
+		k := min(ly.s, 64, total-i)
+		j := i - ly.s
+		x := set[j>>6] >> uint(j&63)
+		if sh := uint(j & 63); sh != 0 && j>>6+1 < len(set) {
+			x |= set[j>>6+1] << (64 - sh)
 		}
+		x &= ^uint64(0) >> uint(64-k)
+		set[i>>6] |= x << uint(i&63)
+		if sh := uint(i & 63); sh != 0 && i>>6+1 < len(set) {
+			set[i>>6+1] |= x >> (64 - sh)
+		}
+		i += k
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,42 @@ func TestRenderPE(t *testing.T) {
 	for _, want := range []string{"the/1.governor mod=nil", "program", "needs", "3x3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderPE(9) missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// extendGroupSetBits is the bit-at-a-time periodic extension that
+// extendGroupSet replaced, kept as its reference.
+func extendGroupSetBits(s int, set []uint64) {
+	for i := s; i < len(set)*64; i++ {
+		if j := i - s; set[j>>6]>>(uint(j)&63)&1 == 1 {
+			set[i>>6] |= uint64(1) << (uint(i) & 63)
+		}
+	}
+}
+
+// TestExtendGroupSetMatchesBitLoop holds the word-wise extension to the
+// bit loop for every group count S = 1…300, on random sets of
+// groupSetWords() to groupSetWords()+2 words.
+func TestExtendGroupSetMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for s := 1; s <= 300; s++ {
+		ly := &Layout{s: s}
+		for words := ly.groupSetWords(); words <= ly.groupSetWords()+2; words++ {
+			for trial := 0; trial < 7; trial++ {
+				got := make([]uint64, words)
+				for g := 0; g < s; g++ {
+					if rng.Intn(3) == 0 {
+						got[g>>6] |= uint64(1) << (uint(g) & 63)
+					}
+				}
+				want := append([]uint64(nil), got...)
+				ly.extendGroupSet(got)
+				extendGroupSetBits(s, want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("S=%d words=%d: got %x, want %x", s, words, got, want)
+				}
+			}
 		}
 	}
 }

@@ -136,6 +136,35 @@ func TestExtendChainMatchesScratchPropagation(t *testing.T) {
 	}
 }
 
+// TestSnapshotsKeepLivePairs: every network buildBase and
+// extendSnapshot publish sets matrix bits on live×live pairs only, so
+// the final filtering pass over a clone may skip dead rows.
+func TestSnapshotsKeepLivePairs(t *testing.T) {
+	for _, tc := range []struct {
+		g     *cdg.Grammar
+		words []string
+	}{
+		{grammars.English(), []string{"the", "dog", "saw", "the", "man", "with", "the", "telescope"}},
+		{grammars.PaperDemo(), grammars.PaperSentence()},
+	} {
+		snap, err := buildBase(tc.g, tc.words[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.nw.CheckLivePairs(); err != nil {
+			t.Errorf("buildBase %v: %v", tc.words[:1], err)
+		}
+		for i, w := range tc.words[1:] {
+			if snap, err = extendSnapshot(tc.g, snap, w); err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.nw.CheckLivePairs(); err != nil {
+				t.Errorf("extendSnapshot %v: %v", tc.words[:i+2], err)
+			}
+		}
+	}
+}
+
 // An extension-unstable grammar (constant word-position reference)
 // must fall back to from-scratch parsing and still answer correctly.
 func TestUnstableGrammarFallsBack(t *testing.T) {
