@@ -71,6 +71,7 @@ FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/server/:FuzzLatticeRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
 	./internal/cn/:FuzzNetworkMatchesPerValue \
+	./internal/lru/:FuzzLRUMatchesModel \
 	./internal/benchfleet/:FuzzScenarioDecode \
 	./internal/metrics/:FuzzParseText
 fuzz-smoke:

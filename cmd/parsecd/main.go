@@ -48,7 +48,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 		drain       = fs.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
 		cacheSize   = fs.Int("cache-entries", 4096, "result cache capacity in entries (-1 disables the result cache)")
-		cacheTTL    = fs.Duration("cache-ttl", time.Minute, "result cache entry time-to-live")
 		shardName   = fs.String("shard-name", "", "name echoed as the X-Parsec-Shard response header (for fleets behind parsecrouter)")
 		latticeMax  = fs.Int("lattice-max-paths", 0, "max candidate paths expanded per lattice decode (0: server default)")
 		latticePfx  = fs.Int("lattice-prefix-entries", 0, "prefix-snapshot cache capacity in entries (0: server default, -1 disables prefix reuse)")
@@ -67,7 +66,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		DefaultTimeout: *timeout,
 
 		ResultCacheEntries: *cacheSize,
-		ResultCacheTTL:     *cacheTTL,
 		ShardName:          *shardName,
 
 		LatticeMaxPaths:      *latticeMax,

@@ -12,33 +12,8 @@ import (
 // parses every sentence, and context supplies extra constraints that
 // are propagated into an already-built network (see serial.Refine).
 // The constraint is not added to the grammar's own constraint list.
-//
-// Compiles are memoized per grammar: admitting the same (name, source)
-// pair again returns the previously compiled constraint, bytecode
-// program included, so serving-path admission costs one map lookup in
-// the steady state. Hit/miss totals are exported via EvalCacheStats
-// (the parsecd_eval_compile_* metrics).
 func (g *Grammar) CompileConstraint(name, src string) (*Constraint, error) {
-	key := name + "\x00" + src
-	g.ctxMu.Lock()
-	c, ok := g.ctxCache[key]
-	g.ctxMu.Unlock()
-	if ok {
-		evalCompileHits.Add(1)
-		return c, nil
-	}
-	c, err := compileConstraint(g, name, src)
-	if err != nil {
-		return nil, err
-	}
-	evalCompileMisses.Add(1)
-	g.ctxMu.Lock()
-	if g.ctxCache == nil {
-		g.ctxCache = make(map[string]*Constraint)
-	}
-	g.ctxCache[key] = c
-	g.ctxMu.Unlock()
-	return c, nil
+	return compileConstraint(g, name, src)
 }
 
 // compileConstraint parses and type-checks one constraint of the form

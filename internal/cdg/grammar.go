@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // LabelID indexes Grammar.Labels.
@@ -87,14 +86,6 @@ type Grammar struct {
 
 	unary  []*Constraint
 	binary []*Constraint
-
-	// ctxMu guards ctxCache, the memo for CompileConstraint: context
-	// constraints are admitted per request on the serving path, and the
-	// same (name, source) pair recompiles into the same immutable
-	// *Constraint, so the compile (and its bytecode lowering) is paid
-	// once per grammar.
-	ctxMu    sync.Mutex
-	ctxCache map[string]*Constraint
 
 	// maxLabels is the largest |table[r]| over all roles — the paper's
 	// grammatical constant l used for PE virtualization (§2.2.3).

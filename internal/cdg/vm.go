@@ -141,19 +141,14 @@ var evalUseAST atomic.Bool
 // compiled path is the default.
 func SetEvalUseAST(on bool) bool { return evalUseAST.Swap(on) }
 
-// Compiled-program accounting, exported to the serving layer as the
-// parsecd_eval_* metrics.
-var (
-	evalCompiled      atomic.Uint64 // constraints lowered to bytecode
-	evalCompileHits   atomic.Uint64 // CompileConstraint cache hits
-	evalCompileMisses atomic.Uint64 // CompileConstraint cache misses (fresh compiles)
-)
+// evalCompiled counts the constraints lowered to bytecode, exported to
+// the serving layer as parsecd_eval_compiled_total.
+var evalCompiled atomic.Uint64
 
-// EvalCacheStats reports the compiled-evaluation counters: context-
-// constraint cache hits and misses (Grammar.CompileConstraint) and the
-// total number of constraints lowered to bytecode since process start.
-func EvalCacheStats() (hits, misses, compiled uint64) {
-	return evalCompileHits.Load(), evalCompileMisses.Load(), evalCompiled.Load()
+// EvalCacheStats reports the number of constraints lowered to bytecode
+// since process start.
+func EvalCacheStats() (compiled uint64) {
+	return evalCompiled.Load()
 }
 
 // Checker evaluates one constraint against one sentence. Bind fills

@@ -232,35 +232,6 @@ func TestCompiledCheckDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCompileConstraintMemoized checks the admission cache: identical
-// (name, source) pairs return the identical *Constraint and count a hit.
-func TestCompileConstraintMemoized(t *testing.T) {
-	g := vmGrammar(t)
-	h0, m0, _ := EvalCacheStats()
-	c1, err := g.CompileConstraint("ctx", vmTestSources[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := g.CompileConstraint("ctx", vmTestSources[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("memoized compile returned distinct constraints")
-	}
-	h1, m1, _ := EvalCacheStats()
-	if h1 != h0+1 || m1 != m0+1 {
-		t.Errorf("cache stats: hits %d→%d misses %d→%d, want +1 each", h0, h1, m0, m1)
-	}
-	if _, err := g.CompileConstraint("ctx2", vmTestSources[1]); err != nil {
-		t.Fatal(err)
-	}
-	_, m2, _ := EvalCacheStats()
-	if m2 != m1+1 {
-		t.Errorf("distinct source not a miss: misses %d→%d", m1, m2)
-	}
-}
-
 // benchGrammar is an English-fragment grammar whose constraints are
 // the exact shapes of internal/grammars: category tests over
 // (cat (word (pos x))), role/label gates, and modifiee/position

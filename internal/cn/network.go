@@ -326,38 +326,46 @@ func (nw *Network) ApplyUnary(c *cdg.Constraint) int {
 // exactly the checks the per-pair loop performed — one per surviving
 // pair plus one per forward pass — so counters are bit-identical to
 // the pre-span accounting and to the AST fallback.
+//
+// The arcs are visited grouped by their column role B, so B's live
+// values are listed once per sweep, not once per arc. The order cannot
+// change state or counters: domains do not change during the sweep,
+// and each arc's verdicts and clears touch only its own matrix.
 func (nw *Network) ApplyBinary(c *cdg.Constraint) int {
 	if c.Arity != 2 {
 		panic("cn: ApplyBinary needs a binary constraint")
 	}
 	ck := c.Bind(nw.sp.Sentence())
 	zeroed := 0
-	for _, arc := range nw.arcs {
-		posA, ra := nw.sp.RoleAt(arc.A)
-		ys, js := nw.liveRefs(arc.B)
+	for b := 1; b < len(nw.domains); b++ {
+		ys, js := nw.liveRefs(b)
 		fwd := boolSpan(&nw.scr.fwd, len(ys))
 		rev := boolSpan(&nw.scr.rev, len(ys))
-		nw.domains[arc.A].ForEach(func(i int) {
-			refA := nw.sp.RVRef(posA, ra, i)
-			ck.Check2Span(refA, ys, fwd)
-			ck.Check2SpanRev(refA, ys, rev)
-			for k, j := range js {
-				if !arc.M.Get(i, j) {
-					continue
-				}
-				nw.Counters.ConstraintChecks++
-				ok := fwd[k]
-				if ok {
+		for a := 0; a < b; a++ {
+			arc := nw.arcs[nw.arcAt[a][b]]
+			posA, ra := nw.sp.RoleAt(a)
+			nw.domains[a].ForEach(func(i int) {
+				refA := nw.sp.RVRef(posA, ra, i)
+				ck.Check2Span(refA, ys, fwd)
+				ck.Check2SpanRev(refA, ys, rev)
+				for k, j := range js {
+					if !arc.M.Get(i, j) {
+						continue
+					}
 					nw.Counters.ConstraintChecks++
-					ok = rev[k]
+					ok := fwd[k]
+					if ok {
+						nw.Counters.ConstraintChecks++
+						ok = rev[k]
+					}
+					if !ok {
+						arc.M.ClearBit(i, j)
+						nw.Counters.MatrixWrites++
+						zeroed++
+					}
 				}
-				if !ok {
-					arc.M.ClearBit(i, j)
-					nw.Counters.MatrixWrites++
-					zeroed++
-				}
-			}
-		})
+			})
+		}
 	}
 	return zeroed
 }
@@ -385,9 +393,9 @@ func (nw *Network) ApplyBinaryAll(cs []*cdg.Constraint) int {
 	}
 	cks := nw.scr.cks
 	zeroed := 0
-	for _, arc := range nw.arcs {
-		posA, ra := nw.sp.RoleAt(arc.A)
-		ys, js := nw.liveRefs(arc.B)
+	// Arcs grouped by column role, as in ApplyBinary.
+	for b := 1; b < len(nw.domains); b++ {
+		ys, js := nw.liveRefs(b)
 		n := len(ys)
 		// One fwd/rev verdict span per constraint, stride n, so the
 		// per-pair loop below can replay the counted first-failure walk
@@ -395,32 +403,36 @@ func (nw *Network) ApplyBinaryAll(cs []*cdg.Constraint) int {
 		// exactly as the per-pair form did).
 		fwd := boolSpan(&nw.scr.fwd, len(cks)*n)
 		rev := boolSpan(&nw.scr.rev, len(cks)*n)
-		nw.domains[arc.A].ForEach(func(i int) {
-			refA := nw.sp.RVRef(posA, ra, i)
-			for k := range cks {
-				cks[k].Check2Span(refA, ys, fwd[k*n:(k+1)*n])
-				cks[k].Check2SpanRev(refA, ys, rev[k*n:(k+1)*n])
-			}
-			for t, j := range js {
-				if !arc.M.Get(i, j) {
-					continue
-				}
+		for a := 0; a < b; a++ {
+			arc := nw.arcs[nw.arcAt[a][b]]
+			posA, ra := nw.sp.RoleAt(a)
+			nw.domains[a].ForEach(func(i int) {
+				refA := nw.sp.RVRef(posA, ra, i)
 				for k := range cks {
-					nw.Counters.ConstraintChecks++
-					ok := fwd[k*n+t]
-					if ok {
-						nw.Counters.ConstraintChecks++
-						ok = rev[k*n+t]
+					cks[k].Check2Span(refA, ys, fwd[k*n:(k+1)*n])
+					cks[k].Check2SpanRev(refA, ys, rev[k*n:(k+1)*n])
+				}
+				for t, j := range js {
+					if !arc.M.Get(i, j) {
+						continue
 					}
-					if !ok {
-						arc.M.ClearBit(i, j)
-						nw.Counters.MatrixWrites++
-						zeroed++
-						break
+					for k := range cks {
+						nw.Counters.ConstraintChecks++
+						ok := fwd[k*n+t]
+						if ok {
+							nw.Counters.ConstraintChecks++
+							ok = rev[k*n+t]
+						}
+						if !ok {
+							arc.M.ClearBit(i, j)
+							nw.Counters.MatrixWrites++
+							zeroed++
+							break
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 	return zeroed
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/cdg"
+	"repro/internal/lru"
 )
 
 // The PE-map plan cache. A Layout — the full PE allocation of §2.2.2
@@ -28,21 +28,12 @@ const layoutCacheCap = 128
 
 type layoutCache struct {
 	mu      sync.Mutex
-	entries map[layoutKey]*list.Element
-	order   *list.List // front = most recent; values are *layoutEntry
+	layouts *lru.Cache[layoutKey, *Layout]
 	hits    uint64
 	misses  uint64
 }
 
-type layoutEntry struct {
-	key layoutKey
-	ly  *Layout
-}
-
-var planCache = &layoutCache{
-	entries: make(map[layoutKey]*list.Element),
-	order:   list.New(),
-}
+var planCache = &layoutCache{layouts: lru.New[layoutKey, *Layout](layoutCacheCap)}
 
 // layoutFor returns the (possibly cached) Layout for a space. Layouts
 // are immutable, so a cached instance is safe to share across
@@ -54,10 +45,8 @@ func layoutFor(sp *cdg.Space) *Layout {
 func (c *layoutCache) get(g *cdg.Grammar, n, q int) *Layout {
 	key := layoutKey{g: g, n: n}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
+	if ly, ok := c.layouts.Get(key); ok {
 		c.hits++
-		ly := el.Value.(*layoutEntry).ly
 		c.mu.Unlock()
 		return ly
 	}
@@ -69,20 +58,13 @@ func (c *layoutCache) get(g *cdg.Grammar, n, q int) *Layout {
 	ly := buildLayout(g, n, q)
 
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	defer c.mu.Unlock()
+	if incumbent, ok := c.layouts.Get(key); ok {
 		// Another parse built it first; keep the incumbent so all
 		// concurrent parses share one instance.
-		c.order.MoveToFront(el)
-		ly = el.Value.(*layoutEntry).ly
-	} else {
-		c.entries[key] = c.order.PushFront(&layoutEntry{key: key, ly: ly})
-		for c.order.Len() > layoutCacheCap {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*layoutEntry).key)
-		}
+		return incumbent
 	}
-	c.mu.Unlock()
+	c.layouts.Add(key, ly)
 	return ly
 }
 

@@ -31,6 +31,7 @@ import (
 	"repro/internal/cdg"
 	"repro/internal/cn"
 	"repro/internal/lattice"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/serial"
 )
@@ -47,28 +48,34 @@ type Config struct {
 	PrefixEntries int
 }
 
-// Engine owns the prefix-snapshot cache and the per-grammar
-// extension-stability memo. It is safe for concurrent use.
+// Engine owns the prefix-snapshot cache. It is safe for concurrent use.
 type Engine struct {
-	prefixes *prefixCache // nil when reuse is disabled
+	// mu guards prefixes, the LRU of prefix snapshots keyed by
+	// prefixKey (nil when reuse is disabled). A snapshot is a pure
+	// function of (grammar, prefix words) — the propagated, unfiltered
+	// network — so entries never go stale, and a racing duplicate
+	// computation is harmless: both racers build identical state and
+	// the second Add just refreshes the entry. Snapshots are immutable
+	// once stored (finishing a path clones before filtering), so a hit
+	// shares the pointer without copying.
+	mu       sync.Mutex
+	prefixes *lru.Cache[string, *snapshot]
 
 	hits      atomic.Uint64 // prefix slots served from a cached snapshot
 	misses    atomic.Uint64 // prefix snapshots computed
+	evictions atomic.Uint64 // prefix snapshots evicted at capacity
 	fallbacks atomic.Uint64 // paths parsed from scratch (unstable grammar)
-
-	mu     sync.Mutex
-	stable map[*cdg.Grammar]bool
 }
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	e := &Engine{stable: make(map[*cdg.Grammar]bool)}
+	e := &Engine{}
 	if cfg.PrefixEntries >= 0 {
 		n := cfg.PrefixEntries
 		if n == 0 {
 			n = DefaultPrefixEntries
 		}
-		e.prefixes = newPrefixCache(n)
+		e.prefixes = lru.New[string, *snapshot](n)
 	}
 	return e
 }
@@ -87,11 +94,13 @@ func (e *Engine) Stats() CacheStats {
 	s := CacheStats{
 		Hits:      e.hits.Load(),
 		Misses:    e.misses.Load(),
+		Evictions: e.evictions.Load(),
 		Fallbacks: e.fallbacks.Load(),
 	}
 	if e.prefixes != nil {
-		s.Evictions = e.prefixes.evictions.Load()
-		s.Entries = e.prefixes.len()
+		e.mu.Lock()
+		s.Entries = e.prefixes.Len()
+		e.mu.Unlock()
 	}
 	return s
 }
@@ -110,9 +119,6 @@ type Request struct {
 	MaxPaths int
 	// NoCache bypasses the prefix cache entirely (no reads, no writes).
 	NoCache bool
-	// NoStore reads cached prefixes but does not store new snapshots —
-	// used by benchmarks to measure a single warm extension repeatedly.
-	NoStore bool
 }
 
 // PathResult is the verdict of one candidate path.
@@ -133,15 +139,20 @@ type PathResult struct {
 	Network *cn.Network
 }
 
-func (e *Engine) grammarStable(g *cdg.Grammar) bool {
+// cached returns the snapshot stored under key, marking it recently
+// used.
+func (e *Engine) cached(key string) (*snapshot, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v, ok := e.stable[g]
-	if !ok {
-		v = g.ExtensionStable()
-		e.stable[g] = v
-	}
-	return v
+	return e.prefixes.Get(key)
+}
+
+// store adds a snapshot under key and counts what that evicted.
+func (e *Engine) store(key string, snap *snapshot) {
+	e.mu.Lock()
+	evicted := e.prefixes.Add(key, snap)
+	e.mu.Unlock()
+	e.evictions.Add(uint64(evicted))
 }
 
 func prefixKey(grammarKey string, words []string) string {
@@ -157,7 +168,7 @@ func (e *Engine) ParsePathContext(ctx context.Context, req Request, words []stri
 		return nil, errors.New("latticeserve: empty path")
 	}
 	g := req.Grammar
-	if !e.grammarStable(g) {
+	if !g.ExtensionStable() {
 		return e.parseFromScratch(ctx, req, words)
 	}
 
@@ -166,7 +177,7 @@ func (e *Engine) ParsePathContext(ctx context.Context, req Request, words []stri
 	reused := 0
 	if useCache {
 		for i := len(words); i >= 1; i-- {
-			if s, ok := e.prefixes.get(prefixKey(req.GrammarKey, words[:i])); ok {
+			if s, ok := e.cached(prefixKey(req.GrammarKey, words[:i])); ok {
 				snap, reused = s, i
 				break
 			}
@@ -191,8 +202,8 @@ func (e *Engine) ParsePathContext(ctx context.Context, req Request, words []stri
 		}
 		built++
 		counters.Add(next.nw.Counters)
-		if useCache && !req.NoStore {
-			e.prefixes.put(prefixKey(req.GrammarKey, words[:i+1]), next)
+		if useCache {
+			e.store(prefixKey(req.GrammarKey, words[:i+1]), next)
 		}
 		snap = next
 	}

@@ -273,7 +273,7 @@ func TestDecodeMatchesBruteForce(t *testing.T) {
 }
 
 // LRU behavior: capacity is enforced, evictions are counted, and
-// NoCache/NoStore leave the cache untouched.
+// NoCache leaves the cache untouched.
 func TestPrefixCacheEvictionAndBypass(t *testing.T) {
 	g := grammars.English()
 	e := New(Config{PrefixEntries: 2})
@@ -293,12 +293,6 @@ func TestPrefixCacheEvictionAndBypass(t *testing.T) {
 	}
 	if st := e2.Stats(); st.Entries != 0 || st.Hits != 0 {
 		t.Errorf("NoCache touched the cache: %+v", st)
-	}
-	if _, err := e2.ParsePathContext(ctxb(), Request{Grammar: g, GrammarKey: "english", NoStore: true}, words); err != nil {
-		t.Fatal(err)
-	}
-	if st := e2.Stats(); st.Entries != 0 {
-		t.Errorf("NoStore stored snapshots: %+v", st)
 	}
 	// Disabled cache: negative capacity.
 	e3 := New(Config{PrefixEntries: -1})

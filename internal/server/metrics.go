@@ -84,11 +84,10 @@ type Stats struct {
 	CacheHits     uint64
 	CacheMisses   uint64
 	// Result-cache counters (zero when the cache is disabled).
-	ResultCacheHits        uint64
-	ResultCacheMisses      uint64
-	ResultCacheEvictions   uint64
-	ResultCacheExpirations uint64
-	ResultCacheCoalesced   uint64
+	ResultCacheHits      uint64
+	ResultCacheMisses    uint64
+	ResultCacheEvictions uint64
+	ResultCacheCoalesced uint64
 	// Lattice-serving counters (see internal/latticeserve).
 	LatticeRequests       uint64
 	LatticePathsExpanded  uint64
@@ -116,11 +115,10 @@ func (m *serverMetrics) snapshot(cache *Cache, rc *resultCache, ls latticeserve.
 		CacheHits:     hits,
 		CacheMisses:   misses,
 
-		ResultCacheHits:        rs.Hits,
-		ResultCacheMisses:      rs.Misses,
-		ResultCacheEvictions:   rs.Evictions,
-		ResultCacheExpirations: rs.Expirations,
-		ResultCacheCoalesced:   rs.Coalesced,
+		ResultCacheHits:      rs.Hits,
+		ResultCacheMisses:    rs.Misses,
+		ResultCacheEvictions: rs.Evictions,
+		ResultCacheCoalesced: rs.Coalesced,
 
 		LatticeRequests:       m.latticeRequests.Load(),
 		LatticePathsExpanded:  m.latticePaths.Load(),
@@ -175,17 +173,13 @@ func (m *serverMetrics) writePrometheus(out io.Writer, cache *Cache, rc *resultC
 	w.Counter("parsecd_result_cache_hits_total", "memoized parse results served without re-parsing", rs.Hits)
 	w.Counter("parsecd_result_cache_misses_total", "parse requests that executed (not served from the result cache)", rs.Misses)
 	w.Counter("parsecd_result_cache_evictions_total", "result-cache entries evicted at capacity", rs.Evictions)
-	w.Counter("parsecd_result_cache_expirations_total", "result-cache entries dropped past their TTL", rs.Expirations)
 	w.Counter("parsecd_result_cache_coalesced_inflight_total", "requests served by another request's in-flight parse", rs.Coalesced)
 
 	lhits, lmisses := core.LayoutCacheStats()
 	w.Counter("parsecd_layout_cache_hits_total", "PE-map plan cache hits (layouts reused)", lhits)
 	w.Counter("parsecd_layout_cache_misses_total", "PE-map plan cache misses (layouts built)", lmisses)
 
-	ehits, emisses, ecompiled := cdg.EvalCacheStats()
-	w.Counter("parsecd_eval_compile_hits_total", "constraint bytecode compilations served from the memo", ehits)
-	w.Counter("parsecd_eval_compile_misses_total", "constraint bytecode compilations performed", emisses)
-	w.Counter("parsecd_eval_compiled_total", "constraints whose evaluation runs on the bytecode VM (vs the AST fallback)", ecompiled)
+	w.Counter("parsecd_eval_compiled_total", "constraints whose evaluation runs on the bytecode VM (vs the AST fallback)", cdg.EvalCacheStats())
 
 	w.Counter("parsecd_lattice_requests_total", "lattice decodes completed (batch and final stream updates)", m.latticeRequests.Load())
 	w.Counter("parsecd_lattice_paths_expanded_total", "candidate paths expanded across lattice decodes", m.latticePaths.Load())

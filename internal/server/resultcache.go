@@ -1,21 +1,22 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/lru"
 )
 
 // resultCache memoizes successful ParseResults in front of the worker
-// pool: an LRU bounded by entry count, a TTL bounding staleness, and
-// singleflight deduplication so N concurrent identical requests cost
-// one parse. The key is the full request identity — the pool's cfgKey
-// (grammar key, backend, filter/iters/PEs) plus the sentence and the
-// response-shaping maxParses — so two requests share an entry only
-// when their responses must be byte-identical.
+// pool: an LRU bounded by entry count, and singleflight deduplication
+// so N concurrent identical requests cost one parse. The key is the
+// full request identity — the pool's cfgKey (grammar key, backend,
+// filter/iters/PEs) plus the sentence and the response-shaping
+// maxParses — so two requests share an entry only when their responses
+// must be byte-identical. A parse is a pure function of that identity,
+// so an entry never goes stale; capacity alone bounds memory.
 //
 // Only 200s are stored, and stored values are sanitized: the volatile
 // observability fields (HostTimeUS, QueueTimeUS, BatchSize) are zeroed
@@ -23,29 +24,15 @@ import (
 // part of an uncached response (TestCachedResultByteIdentical).
 type resultCache struct {
 	mu sync.Mutex
-	// Guarded by mu (contiguous block): the LRU index and order list,
-	// the in-flight table, and the clock/limits the eviction and expiry
-	// decisions read.
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	// Guarded by mu (contiguous block): the memoized 200s and the
+	// in-flight table.
+	entries *lru.Cache[string, ParseResult]
 	flights map[string]*flight
-	cap     int
-	ttl     time.Duration
-	now     func() time.Time // injectable for TTL tests
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
-	expirations atomic.Uint64
-	coalesced   atomic.Uint64 // waiters served by another request's in-flight parse
-}
-
-// rcEntry is one memoized response.
-type rcEntry struct {
-	key     string
-	resp    ParseResult
-	status  int
-	expires time.Time
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
+	coalesced atomic.Uint64 // waiters served by another request's in-flight parse
 }
 
 // flight is one in-progress parse other identical requests wait on.
@@ -74,38 +61,27 @@ const (
 	rcExpiredWait
 )
 
-// newResultCache builds a cache holding up to capacity entries for up
-// to ttl each. capacity must be positive (the server disables the
-// cache by not constructing one).
-func newResultCache(capacity int, ttl time.Duration) *resultCache {
+// newResultCache builds a cache holding up to capacity entries.
+// capacity must be positive (the server disables the cache by not
+// constructing one).
+func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
+		entries: lru.New[string, ParseResult](capacity),
 		flights: make(map[string]*flight),
-		cap:     capacity,
-		ttl:     ttl,
-		now:     time.Now,
 	}
 }
 
-// claim looks key up without blocking. A live memo entry answers at
-// once (f == nil). Otherwise the caller gets the key's flight: a parse
+// claim looks key up without blocking. A memo entry answers at once
+// (f == nil). Otherwise the caller gets the key's flight: a parse
 // already in progress to follow with wait (leads == false), or a new
 // one it now leads and must end with finish or abandon. Leading counts
 // as a miss.
 func (rc *resultCache) claim(key string) (resp ParseResult, status int, f *flight, leads bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if el, ok := rc.entries[key]; ok {
-		e := el.Value.(*rcEntry)
-		if rc.now().Before(e.expires) {
-			rc.order.MoveToFront(el)
-			rc.hits.Add(1)
-			return e.resp, e.status, nil, false
-		}
-		rc.order.Remove(el)
-		delete(rc.entries, key)
-		rc.expirations.Add(1)
+	if resp, ok := rc.entries.Get(key); ok {
+		rc.hits.Add(1)
+		return resp, http.StatusOK, nil, false
 	}
 	if f, ok := rc.flights[key]; ok {
 		return ParseResult{}, 0, f, false
@@ -125,7 +101,7 @@ func (rc *resultCache) finish(key string, f *flight, resp ParseResult, status in
 	rc.mu.Lock()
 	delete(rc.flights, key)
 	if status == http.StatusOK {
-		rc.insertLocked(key, resp, status)
+		rc.insertLocked(key, resp)
 	}
 	rc.mu.Unlock()
 	f.resp, f.status = resp, status
@@ -172,33 +148,15 @@ func (rc *resultCache) store(key string, resp ParseResult, status int) {
 		return
 	}
 	rc.mu.Lock()
-	rc.insertLocked(key, sanitizeCached(resp), status)
+	rc.insertLocked(key, sanitizeCached(resp))
 	rc.mu.Unlock()
 }
 
-// insertLocked stores one sanitized response, evicting from the LRU
-// tail to stay within capacity. Caller holds mu.
-func (rc *resultCache) insertLocked(key string, resp ParseResult, status int) {
-	if el, ok := rc.entries[key]; ok {
-		// A racing leader (possible after an expiry removed the entry
-		// both saw) already stored; refresh it.
-		e := el.Value.(*rcEntry)
-		e.resp, e.status, e.expires = resp, status, rc.now().Add(rc.ttl)
-		rc.order.MoveToFront(el)
-		return
-	}
-	for rc.order.Len() >= rc.cap {
-		tail := rc.order.Back()
-		if tail == nil {
-			break
-		}
-		rc.order.Remove(tail)
-		delete(rc.entries, tail.Value.(*rcEntry).key)
-		rc.evictions.Add(1)
-	}
-	rc.entries[key] = rc.order.PushFront(&rcEntry{
-		key: key, resp: resp, status: status, expires: rc.now().Add(rc.ttl),
-	})
+// insertLocked stores one sanitized 200, evicting the least recently
+// used entries to stay within capacity. A key already stored (a
+// follower's own parse finished first) is refreshed. Caller holds mu.
+func (rc *resultCache) insertLocked(key string, resp ParseResult) {
+	rc.evictions.Add(uint64(rc.entries.Add(key, resp)))
 }
 
 // sanitizeCached zeroes the per-execution observability fields so every
@@ -215,12 +173,12 @@ func sanitizeCached(r ParseResult) ParseResult {
 func (rc *resultCache) Len() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.order.Len()
+	return rc.entries.Len()
 }
 
 // rcStats is the counter snapshot threaded into /metrics and Stats.
 type rcStats struct {
-	Hits, Misses, Evictions, Expirations, Coalesced uint64
+	Hits, Misses, Evictions, Coalesced uint64
 }
 
 func (rc *resultCache) stats() rcStats {
@@ -228,10 +186,9 @@ func (rc *resultCache) stats() rcStats {
 		return rcStats{}
 	}
 	return rcStats{
-		Hits:        rc.hits.Load(),
-		Misses:      rc.misses.Load(),
-		Evictions:   rc.evictions.Load(),
-		Expirations: rc.expirations.Load(),
-		Coalesced:   rc.coalesced.Load(),
+		Hits:      rc.hits.Load(),
+		Misses:    rc.misses.Load(),
+		Evictions: rc.evictions.Load(),
+		Coalesced: rc.coalesced.Load(),
 	}
 }

@@ -48,7 +48,7 @@ func okResult(tag string) ParseResult {
 // answered from the memo — fn does not run again — and the stored value
 // has its volatile fields zeroed and Cached set.
 func TestResultCacheHitServesSanitizedCopy(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	calls := 0
 	fn := func() (ParseResult, int) { calls++; return okResult("a"), http.StatusOK }
 
@@ -74,39 +74,10 @@ func TestResultCacheHitServesSanitizedCopy(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTLExpiry: entries past their TTL are not served; the
-// next request re-executes and refreshes the entry. The clock is
-// injected so no test sleeps.
-func TestResultCacheTTLExpiry(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
-	now := time.Unix(1000, 0)
-	rc.now = func() time.Time { return now }
-	calls := 0
-	fn := func() (ParseResult, int) { calls++; return okResult("a"), http.StatusOK }
-
-	rc.do(context.Background(), "k", fn)
-	now = now.Add(59 * time.Second)
-	if _, _, out := rc.do(context.Background(), "k", fn); out != rcHit {
-		t.Fatalf("within TTL: outcome=%v, want hit", out)
-	}
-	now = now.Add(2 * time.Second) // 61s after insert
-	if _, _, out := rc.do(context.Background(), "k", fn); out != rcMiss || calls != 2 {
-		t.Fatalf("past TTL: outcome=%v calls=%d, want miss and re-execution", out, calls)
-	}
-	if st := rc.stats(); st.Expirations != 1 {
-		t.Errorf("expirations=%d, want 1", st.Expirations)
-	}
-	// The refresh restarted the clock: servable again.
-	now = now.Add(30 * time.Second)
-	if _, _, out := rc.do(context.Background(), "k", fn); out != rcHit {
-		t.Errorf("after refresh: outcome=%v, want hit", out)
-	}
-}
-
 // TestResultCacheEvictsLRU: at capacity the least-recently-used entry
 // is evicted, and touching an entry (a hit) protects it.
 func TestResultCacheEvictsLRU(t *testing.T) {
-	rc := newResultCache(2, time.Minute)
+	rc := newResultCache(2)
 	run := func(key string) rcOutcome {
 		_, _, out := rc.do(context.Background(), key, func() (ParseResult, int) {
 			return okResult(key), http.StatusOK
@@ -134,7 +105,7 @@ func TestResultCacheEvictsLRU(t *testing.T) {
 // TestResultCacheSingleflight: N concurrent identical requests run one
 // parse; the rest coalesce onto the leader's flight.
 func TestResultCacheSingleflight(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	const n = 16
 	var calls atomic.Int32
 	gate := make(chan struct{})
@@ -194,7 +165,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 // every waiter (identical requests see identical outcomes), the flight
 // is cleared, and the cache still works afterwards.
 func TestResultCachePanicPropagates(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	gate := make(chan struct{})
 	leaderPanic := func() (ParseResult, int) {
 		<-gate
@@ -248,7 +219,7 @@ func TestResultCachePanicPropagates(t *testing.T) {
 // leader's non-200 (its 504 was specific to that request's deadline);
 // it runs its own parse instead. Failures are never memoized.
 func TestResultCacheLeaderFailureNotInherited(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	gate := make(chan struct{})
 	leader := func() (ParseResult, int) {
 		<-gate
@@ -301,7 +272,7 @@ func TestResultCacheLeaderFailureNotInherited(t *testing.T) {
 // flight is open gets rcExpiredWait promptly, without waiting the
 // flight out.
 func TestResultCacheWaiterDeadline(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	gate := make(chan struct{})
 	defer close(gate)
 	go rc.do(context.Background(), "k", func() (ParseResult, int) {
@@ -448,7 +419,7 @@ func TestResultCacheDisabled(t *testing.T) {
 // TestResultCacheRefusedSubmitNotCached: 429/503 responses (queue full)
 // must not be memoized — the next identical request tries again.
 func TestResultCacheRefusedSubmitNotCached(t *testing.T) {
-	rc := newResultCache(8, time.Minute)
+	rc := newResultCache(8)
 	status429 := func() (ParseResult, int) {
 		return ParseResult{Error: "queue full"}, http.StatusTooManyRequests
 	}
@@ -471,7 +442,7 @@ func TestResultCacheRefusedSubmitNotCached(t *testing.T) {
 // TestResultCacheManyKeysStayBounded: a scan of distinct keys never
 // grows the cache past its capacity.
 func TestResultCacheManyKeysStayBounded(t *testing.T) {
-	rc := newResultCache(16, time.Minute)
+	rc := newResultCache(16)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
 		rc.do(context.Background(), key, func() (ParseResult, int) {

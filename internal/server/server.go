@@ -34,9 +34,6 @@ type Config struct {
 	// ResultCacheEntries caps the memoized ParseResults served without
 	// re-parsing (default 4096; negative disables the result cache).
 	ResultCacheEntries int
-	// ResultCacheTTL bounds how long a memoized result may be served
-	// (default 60s).
-	ResultCacheTTL time.Duration
 	// ShardName, when non-empty, is echoed as the X-Parsec-Shard
 	// response header on every response, so clients behind a sharding
 	// router (cmd/parsecrouter) can attribute responses to the node
@@ -72,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheEntries == 0 {
 		c.ResultCacheEntries = 4096
-	}
-	if c.ResultCacheTTL <= 0 {
-		c.ResultCacheTTL = 60 * time.Second
 	}
 	if c.LatticeMaxPaths <= 0 {
 		c.LatticeMaxPaths = 64
@@ -122,7 +116,7 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 	}
 	if cfg.ResultCacheEntries > 0 {
-		s.rcache = newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheTTL)
+		s.rcache = newResultCache(cfg.ResultCacheEntries)
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch, s.m)
 	s.pool.start()
