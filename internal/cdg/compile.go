@@ -72,9 +72,10 @@ func compileConstraintNode(g *Grammar, name string, node *sexpr.Node) (*Constrai
 		ante:   ante,
 		cons:   cons,
 	}
-	// Lower to bytecode eagerly, at grammar-compile time: every engine
-	// then binds the compiled form per sentence. nil (doesn't fit the
-	// VM scratch) leaves the constraint on the reference interpreter.
+	// Lower to a flat program eagerly, at grammar-compile time: every
+	// engine then binds the compiled form per sentence. nil (a leaf
+	// with no fused test) leaves the constraint on the reference
+	// interpreter.
 	c.prog = compileProg(c)
 	return c, nil
 }

@@ -47,10 +47,10 @@ type Constraint struct {
 	ante expr
 	cons expr
 
-	// prog is the bytecode form compiled from ante/cons (vm.go); nil
-	// when the lowering did not fit the VM's fixed scratch, in which
-	// case every Checker for this constraint evaluates through the AST
-	// reference interpreter below.
+	// prog is the flat program compiled from ante/cons (vm.go); nil
+	// when some leaf has no fused test, in which case every Checker for
+	// this constraint evaluates through the AST reference interpreter
+	// below.
 	prog *Prog
 }
 

@@ -2,7 +2,6 @@ package cdg
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -31,8 +30,10 @@ func allRefs(s *Sentence) []RVRef {
 }
 
 // vmTestSources exercises every lowering path: plain access-compare,
-// integer order, and/or/not chains, constant folding, sentence-only
-// hoisting, per-pair word/cat reads, and word-string equality.
+// integer order, and/or/not chains, constant folding, per-pair cat
+// reads, and the leaves with no fused form — sentence-only (word N)
+// reads and word-string equality — which send the whole constraint to
+// the AST interpreter (astOnlySources).
 var vmTestSources = []string{
 	"(if (eq (lab x) A) (eq (mod x) nil))",
 	"(if (gt (pos x) 1) (lt (mod x) (pos x)))",
@@ -58,20 +59,39 @@ var vmTestBinarySources = []string{
 	"(if (not (eq (pos x) (pos y))) (not (eq (mod x) (pos y))))",
 }
 
+// astOnlySources are the vmTestSources and vmTestBinarySources with a
+// leaf that has no fused form: compileProg declines them.
+var astOnlySources = map[string]bool{
+	"(if (eq (cat (word 1)) ca) (eq (lab x) A))":                                       true,
+	"(if (eq (cat (word 9)) ca) (eq (lab x) A))":                                       true,
+	"(if (eq (word (pos x)) (word 1)) (eq (lab x) A))":                                 true,
+	"(if (and (eq (lab x) A) (eq (cat (word 2)) cb) (gt (pos x) 0)) (eq (mod x) nil))": true,
+	"(if (or (eq (word 1) (word 2)) (eq (lab x) B)) (lt (pos x) 9))":                   true,
+	"(if (eq (word (pos x)) (word (pos y))) (eq (lab x) (lab y)))":                     true,
+}
+
+// compileTier compiles src and checks its tier: a flat program, or nil
+// for the astOnlySources.
+func compileTier(t *testing.T, g *Grammar, src string) *Constraint {
+	t.Helper()
+	c := compile(t, g, src)
+	if got, want := c.prog != nil, !astOnlySources[src]; got != want {
+		t.Errorf("%q: compiled = %v, want %v", src, got, want)
+	}
+	return c
+}
+
 // TestCompiledMatchesAST pins the tentpole contract on a hand-picked
-// table: for every constraint and every (degenerate included) role-value
-// reference, the bytecode verdict equals the reference interpreter's.
+// table: each constraint compiles or falls back as astOnlySources says,
+// and for every (degenerate included) role-value reference the
+// checker's verdict equals the reference interpreter's.
 func TestCompiledMatchesAST(t *testing.T) {
 	g := vmGrammar(t)
 	for _, words := range [][]string{{"wa"}, {"wa", "wb"}, {"wb", "wb", "wa"}} {
 		sent := tinySentence(t, g, words...)
 		refs := allRefs(sent)
 		for _, src := range vmTestSources {
-			c := compile(t, g, src)
-			if c.prog == nil {
-				t.Errorf("%q: expected a compiled program", src)
-				continue
-			}
+			c := compileTier(t, g, src)
 			ck := c.Bind(sent)
 			env := &Env{Sent: sent}
 			for _, x := range refs {
@@ -82,11 +102,7 @@ func TestCompiledMatchesAST(t *testing.T) {
 			}
 		}
 		for _, src := range vmTestBinarySources {
-			c := compile(t, g, src)
-			if c.prog == nil {
-				t.Errorf("%q: expected a compiled program", src)
-				continue
-			}
+			c := compileTier(t, g, src)
 			ck := c.Bind(sent)
 			env := &Env{Sent: sent}
 			// Bounded pair sweep: stride through the square.
@@ -131,35 +147,32 @@ func TestSetEvalUseAST(t *testing.T) {
 }
 
 // TestHoistingAndFolding inspects the compiled form: sentence-free
-// antecedents fold to a constant, sentence-only subexpressions become
-// prologue slots, and the dominant shapes fuse into superinstructions.
+// antecedents fold away, and the dominant shapes fuse into
+// superinstructions.
 func TestHoistingAndFolding(t *testing.T) {
 	g := vmGrammar(t)
 
-	// (eq 1 1) folds: no access, no slot, the body starts from a const.
+	// (eq 1 1) folds to true: the antecedent emits nothing, and the
+	// body starts with the consequent's fused test.
 	c := compile(t, g, "(if (eq 1 1) (eq (lab x) A))")
 	if c.prog == nil {
 		t.Fatal("no program")
 	}
-	if c.prog.numSlots != 0 || len(c.prog.pro) != 0 {
-		t.Errorf("folded constraint has %d slots, prologue %d", c.prog.numSlots, len(c.prog.pro))
+	if op := c.prog.code[0].op; op != opFieldEqImmJF {
+		t.Errorf("folded-true antecedent left code before the consequent: %v", c.prog.code)
 	}
-
-	// (cat (word 1)) is sentence-only: hoisted to one slot, filled by a
-	// non-empty prologue. The duplicate mention reuses the slot.
-	c = compile(t, g, "(if (and (eq (cat (word 1)) ca) (eq (cat (word 1)) ca)) (eq (lab x) A))")
+	// (gt 2 3) folds to false: the constraint holds vacuously, so the
+	// body opens with its verdict.
+	c = compile(t, g, "(if (gt 2 3) (eq (lab x) A))")
 	if c.prog == nil {
 		t.Fatal("no program")
 	}
-	if c.prog.numSlots != 1 {
-		t.Errorf("hoisted slots = %d, want 1 (dedup)", c.prog.numSlots)
-	}
-	if len(c.prog.pro) == 0 {
-		t.Error("hoisted constraint has an empty prologue")
+	if op := c.prog.code[0].op; op != opRetTrue {
+		t.Errorf("folded-false antecedent does not return true first: %v", c.prog.code)
 	}
 
-	// The classic access-compare-antecedent shape must fuse into a
-	// flat (stackless) program of immediate test-and-jumps.
+	// The classic access-compare-antecedent shape must fuse into
+	// immediate test-and-jumps.
 	c = compile(t, g, "(if (eq (lab x) A) (eq (mod x) nil))")
 	fused := false
 	for _, in := range c.prog.code {
@@ -170,50 +183,48 @@ func TestHoistingAndFolding(t *testing.T) {
 	if !fused {
 		t.Errorf("no superinstruction in %v", c.prog.code)
 	}
-	if !c.prog.flat {
-		t.Errorf("fully fused program not marked flat: %v", c.prog.code)
-	}
 }
 
-// TestVMFallbackTooDeep builds an and-chain past maxEvalSlots hoisted
-// subexpressions: compilation must decline (prog == nil) and the
-// checker must transparently fall back with identical verdicts. The
-// chain mentions x so the and itself is not hoisted whole — each
-// sentence-only arg then needs its own slot.
-func TestVMFallbackTooDeep(t *testing.T) {
+// TestNonFusableLeafFallsBack checks each kind of leaf that has no
+// fused form — a sentence-only (word N) read deep in an and-chain, a
+// word compared as a value, a comparison used as an operand, and a
+// position immediate past maxImmPos: compilation must decline
+// (prog == nil) and the checker must transparently fall back with
+// identical verdicts.
+func TestNonFusableLeafFallsBack(t *testing.T) {
 	g := vmGrammar(t)
-	var sb strings.Builder
-	sb.WriteString("(if (and (eq (lab x) A)")
-	for i := 0; i < maxEvalSlots+2; i++ {
-		// Distinct sentence-only subexpressions, one slot each.
-		fmt.Fprintf(&sb, " (eq (cat (word %d)) ca)", i+1)
-	}
-	sb.WriteString(") (eq (mod x) nil))")
-	c := compile(t, g, sb.String())
-	if c.prog != nil {
-		t.Fatalf("expected fallback for %d hoistable slots", maxEvalSlots+2)
-	}
 	sent := tinySentence(t, g, "wa", "wb", "wa")
-	ck := c.Bind(sent)
-	if ck.Compiled() {
-		t.Fatal("checker claims compiled with prog == nil")
-	}
-	env := &Env{Sent: sent}
-	for _, x := range allRefs(sent) {
-		env.X = x
-		if ck.Check1(x) != c.Satisfied(env) {
-			t.Fatalf("fallback disagrees at %v", x)
+	for _, src := range []string{
+		"(if (and (eq (lab x) A) (eq (role x) r1) (eq (cat (word 3)) ca)) (eq (mod x) nil))",
+		"(if (eq (lab x) A) (not (eq (word (mod x)) (word (pos x)))))",
+		"(if (eq (eq (lab x) A) (eq (role x) r1)) (eq (mod x) nil))",
+		fmt.Sprintf("(if (eq (lab x) A) (eq (mod x) %d))", maxImmPos+1),
+	} {
+		c := compile(t, g, src)
+		if c.prog != nil {
+			t.Errorf("%q: expected the AST fallback, got %v", src, c.prog.code)
+			continue
+		}
+		ck := c.Bind(sent)
+		if ck.Compiled() {
+			t.Fatalf("%q: checker claims compiled with prog == nil", src)
+		}
+		env := &Env{Sent: sent}
+		for _, x := range allRefs(sent) {
+			env.X = x
+			if ck.Check1(x) != c.Satisfied(env) {
+				t.Fatalf("%q: fallback disagrees at %v", src, x)
+			}
 		}
 	}
 }
 
-// TestCompiledCheckDoesNotAllocate enforces the ISSUE's 0 allocs/op on
-// the whole compiled hot path: Bind (prologue) plus unary and binary
-// checks.
+// TestCompiledCheckDoesNotAllocate enforces 0 allocs/op on the whole
+// compiled hot path: Bind plus unary and binary checks.
 func TestCompiledCheckDoesNotAllocate(t *testing.T) {
 	g := vmGrammar(t)
 	sent := tinySentence(t, g, "wa", "wb")
-	u := compile(t, g, "(if (and (eq (cat (word 1)) ca) (eq (lab x) A)) (eq (mod x) nil))")
+	u := compile(t, g, "(if (and (eq (cat (word (pos x))) ca) (eq (lab x) A)) (eq (mod x) nil))")
 	b := compile(t, g, "(if (eq (lab x) A) (gt (pos y) (pos x)))")
 	if u.prog == nil || b.prog == nil {
 		t.Fatal("constraints did not compile")

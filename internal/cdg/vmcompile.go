@@ -1,87 +1,44 @@
 package cdg
 
-// Lowering from the expr AST to the bytecode of vm.go. Three
-// transformations, fused into one codegen walk:
+// Lowering from the expr AST to the fused test-and-jump code of vm.go.
+// Two transformations, fused into one codegen walk:
 //
 //  1. Constant folding: a subexpression that references no role-value
 //     variable and no sentence state (no word/cat node) is evaluated
-//     once at compile time and becomes a const-pool entry.
-//  2. Sentence-invariant hoisting: a variable-free subexpression that
-//     DOES read the sentence — (word N), (cat (word N)), or any
-//     predicate over them — is assigned a slot and compiled into the
-//     prologue, which Bind runs once per sentence. The per-pair
-//     residue is then just register compares.
-//  3. Superinstruction selection: the dominant constraint shapes —
-//     access-compare-const and (eq (cat (word (pos v))) CAT) — are
-//     emitted as single fused instructions, in a value form and in
-//     jump-if-false/jump-if-true forms.
+//     once at compile time — a folded predicate becomes a jump or
+//     nothing, a folded operand an immediate.
+//  2. Superinstruction selection: each comparison leaf —
+//     access-compare-const, access-compare-access and
+//     (eq (cat (word (FIELD v))) CAT) — becomes one fused test.
 //
-// Predicates in branch position (the antecedent, the consequent, and
-// every and/or/not operand) are lowered branch-directed: truth flows
-// through jump targets instead of materialized booleans, so an
-// and-chain costs one fused test-and-jump per conjunct and nothing
-// else. Booleans are materialized only where a predicate is used as a
-// value (e.g. compared with eq).
+// Predicates are lowered branch-directed (the antecedent, the
+// consequent, and every and/or/not operand): truth flows through jump
+// targets instead of materialized booleans, so an and-chain costs one
+// fused test-and-jump per conjunct and nothing else.
 //
-// compileProg is total: a constraint the lowering cannot fit into the
-// fixed VM scratch (stack deeper than maxEvalStack, more than
-// maxEvalSlots hoisted slots, or a program past the int16 operand
-// encoding) returns nil and the constraint simply keeps evaluating
-// through the AST reference interpreter.
+// compileProg is total: a constraint with a leaf that has no fused form
+// (a word compared as a value, a sentence-only (word N), a comparison
+// used as an operand) or a program past the int16 operand encoding
+// returns nil, and the constraint simply keeps evaluating through the
+// AST reference interpreter.
 
-// constPool interns the values a program references. Shared between
-// the body and prologue codegens so both index one table.
-type constPool struct {
-	vals []value
-	idx  map[value]int16
-}
-
-func (p *constPool) intern(v value) int16 {
-	if i, ok := p.idx[v]; ok {
-		return i
-	}
-	i := int16(len(p.vals))
-	p.vals = append(p.vals, v)
-	p.idx[v] = i
-	return i
-}
-
-// codegen emits bytecode for one segment, tracking operand-stack depth
-// so compileProg can size-check against the VM's fixed stack.
+// codegen accumulates the code of one constraint.
 type codegen struct {
-	pool  *constPool
-	code  []instr
-	slots []expr           // hoisted subexpressions, in slot order
-	slot  map[string]int16 // canonical source text → slot index
-	hoist bool             // false while compiling the prologue itself
-
-	depth    int
-	maxDepth int
-}
-
-func (cg *codegen) push() {
-	cg.depth++
-	if cg.depth > cg.maxDepth {
-		cg.maxDepth = cg.depth
-	}
-}
-
-func (cg *codegen) emitOp(op opcode, a int16) {
-	cg.code = append(cg.code, instr{op: op, a: a})
+	code []instr
 }
 
 // emitJump appends a jump with an unpatched target and returns its pc.
-func (cg *codegen) emitJump(op opcode) int {
-	cg.code = append(cg.code, instr{op: op})
+func (cg *codegen) emitJump() int {
+	cg.code = append(cg.code, instr{op: opJump})
 	return len(cg.code) - 1
 }
 
-// patch points jump pc at the current end of code. Fused conditional
-// jumps carry their target in c (a and b hold the access spec and the
-// immediate); the plain jumps carry it in a.
+// patch points jump pc at the current end of code. Fused tests carry
+// their target in c (a and b hold the access spec and the immediate);
+// opJump carries it in a.
 func (cg *codegen) patch(pc int) {
 	target := int16(len(cg.code))
-	if op := cg.code[pc].op; op >= opFieldEqImmJF && op <= opSlotJT {
+	if cg.code[pc].op.isTest() {
 		cg.code[pc].c = target
 	} else {
 		cg.code[pc].a = target
@@ -94,14 +51,9 @@ func (cg *codegen) patchAll(pcs []int) {
 	}
 }
 
-func (cg *codegen) emitConst(v value) {
-	cg.emitOp(opConst, cg.pool.intern(v))
-	cg.push()
-}
-
 // sentenceDependent reports whether e reads sentence state (a word or
 // cat node anywhere below it). Together with vars()==0 it decides
-// fold-vs-hoist.
+// whether e folds.
 func sentenceDependent(e expr) bool {
 	switch t := e.(type) {
 	case *wordExpr, *catExpr:
@@ -126,22 +78,6 @@ func foldConst(e expr) (value, bool) {
 		return value{}, false
 	}
 	return e.eval(&Env{}), true
-}
-
-// slotFor assigns (or reuses) the hoisting slot of a sentence-only
-// subexpression, keyed by canonical source text.
-func (cg *codegen) slotFor(e expr) (int16, bool) {
-	key := e.String()
-	idx, ok := cg.slot[key]
-	if !ok {
-		if len(cg.slots) >= maxEvalSlots {
-			return 0, false
-		}
-		idx = int16(len(cg.slots))
-		cg.slots = append(cg.slots, e)
-		cg.slot[key] = idx
-	}
-	return idx, true
 }
 
 // fieldClass groups the access fields by the value kind they produce:
@@ -176,8 +112,8 @@ func catChainField(e expr) (*accessExpr, bool) {
 //     compile-time false);
 //   - access CMP const → FieldEqImm/FieldGtImm/FieldLtImm when the
 //     constant matches the field's kind and fits the immediate (a kind
-//     mismatch is compile-time false; an out-of-range int falls back
-//     to the generic stack lowering);
+//     mismatch is compile-time false; an out-of-range int has no fused
+//     form);
 //   - (eq (cat (word (FIELD v))) CAT) → CatEqImm.
 //
 // It returns the JF-form instruction template (target unset), or
@@ -246,7 +182,7 @@ func fuseCmp(t *cmpExpr) (in instr, constFalse, ok bool) {
 					return instr{}, true, true
 				}
 				if cv.n < 1 || cv.n > maxImmPos {
-					return instr{}, false, false // generic lowering stays exact
+					return instr{}, false, false // no exact immediate form
 				}
 				return instr{op: opFieldEqImmJF, a: spec, b: int16(cv.n)}, false, true
 			}
@@ -285,29 +221,14 @@ func fuseCmp(t *cmpExpr) (in instr, constFalse, ok bool) {
 
 // branch lowers predicate e in branch position: the emitted code jumps
 // exactly when e's truthiness equals onTrue and falls through
-// otherwise, leaving nothing on the operand stack. Jump pcs are
-// appended to patches for the caller to point at the branch target. It
-// returns false when the program cannot fit the VM's fixed scratch.
+// otherwise. Jump pcs are appended to patches for the caller to point
+// at the branch target. It returns false when a leaf of e has no fused
+// form.
 func (cg *codegen) branch(e expr, onTrue bool, patches *[]int) bool {
 	if v, ok := foldConst(e); ok {
 		if v.truthy() == onTrue {
-			*patches = append(*patches, cg.emitJump(opJump))
+			*patches = append(*patches, cg.emitJump())
 		}
-		return true
-	}
-	if cg.hoist && e.vars() == 0 {
-		// Sentence-only (foldConst would have taken it otherwise):
-		// test the hoisted slot directly.
-		idx, ok := cg.slotFor(e)
-		if !ok {
-			return false
-		}
-		op := opSlotJF
-		if onTrue {
-			op = opSlotJT
-		}
-		cg.code = append(cg.code, instr{op: op, a: idx})
-		*patches = append(*patches, len(cg.code)-1)
 		return true
 	}
 
@@ -366,7 +287,7 @@ func (cg *codegen) branch(e expr, onTrue bool, patches *[]int) bool {
 			if constFalse {
 				// Statically false (a kind mismatch): jump on !onTrue.
 				if !onTrue {
-					*patches = append(*patches, cg.emitJump(opJump))
+					*patches = append(*patches, cg.emitJump())
 				}
 				return true
 			}
@@ -377,99 +298,6 @@ func (cg *codegen) branch(e expr, onTrue bool, patches *[]int) bool {
 			*patches = append(*patches, len(cg.code)-1)
 			return true
 		}
-	}
-
-	// Generic leaf: materialize the value, then test it.
-	if !cg.emit(e) {
-		return false
-	}
-	op := opJumpNotTruthy
-	if onTrue {
-		op = opJumpTruthy
-	}
-	*patches = append(*patches, cg.emitJump(op))
-	cg.depth--
-	return true
-}
-
-// emit lowers e in value position (its result is pushed). It returns
-// false when the program cannot fit the VM's fixed scratch.
-func (cg *codegen) emit(e expr) bool {
-	if cg.depth+1 > maxEvalStack {
-		return false
-	}
-	if v, ok := foldConst(e); ok {
-		cg.emitConst(v)
-		return true
-	}
-	if cg.hoist && e.vars() == 0 {
-		idx, ok := cg.slotFor(e)
-		if !ok {
-			return false
-		}
-		cg.emitOp(opSlot, idx)
-		cg.push()
-		return true
-	}
-
-	switch t := e.(type) {
-	case *constExpr:
-		cg.emitConst(t.v)
-		return true
-
-	case *accessExpr:
-		cg.emitOp(opAccess, accessSpec(t))
-		cg.push()
-		return true
-
-	case *wordExpr:
-		if !cg.emit(t.arg) {
-			return false
-		}
-		cg.emitOp(opWord, 0)
-		return true
-
-	case *catExpr:
-		if !cg.emit(t.arg) {
-			return false
-		}
-		cg.emitOp(opCat, 0)
-		return true
-
-	case *cmpExpr:
-		// Value position (rare: a comparison used as an operand of
-		// another comparison): the generic stack lowering is always
-		// exact, so no fusion is attempted here.
-		if !cg.emit(t.a) || !cg.emit(t.b) {
-			return false
-		}
-		var op opcode
-		switch t.op {
-		case "eq":
-			op = opEq
-		case "gt":
-			op = opGt
-		default:
-			op = opLt
-		}
-		cg.emitOp(op, 0)
-		cg.depth--
-		return true
-
-	case *logicExpr:
-		// A predicate in value position (e.g. compared with eq):
-		// branch-lower it into an explicit true/false materialization.
-		var toTrue []int
-		if !cg.branch(t, true, &toTrue) {
-			return false
-		}
-		cg.emitConst(valFalse)
-		cg.depth--
-		end := cg.emitJump(opJump)
-		cg.patchAll(toTrue)
-		cg.emitConst(valTrue)
-		cg.patch(end)
-		return true
 	}
 	return false
 }
@@ -492,93 +320,37 @@ func accessSpec(e *accessExpr) int16 {
 	return spec
 }
 
-// compileProg lowers one compiled constraint to bytecode, or returns
-// nil when it does not fit the VM's fixed scratch (the constraint then
-// stays on the AST interpreter). The program mirrors
-// Constraint.Satisfied — return truthy(cons), unless the antecedent
-// fails, in which case the constraint holds vacuously — lowered fully
-// branch-directed:
+// compileProg lowers one compiled constraint to fused test-and-jump
+// code, or returns nil when some leaf has no fused form or the program
+// does not fit the int16 encoding (the constraint then stays on the
+// AST interpreter). The program mirrors Constraint.Satisfied — return
+// truthy(cons), unless the antecedent fails, in which case the
+// constraint holds vacuously — lowered fully branch-directed:
 //
 //	[ante; false → RT]
 //	[cons; false → RF]
 //	RT: ret-true
 //	RF: ret-false
 func compileProg(c *Constraint) *Prog {
-	pool := &constPool{idx: make(map[value]int16)}
-	cg := &codegen{pool: pool, slot: make(map[string]int16), hoist: true}
+	cg := &codegen{}
 	var toRT, toRF []int
-	if !cg.branch(c.ante, false, &toRT) {
-		return nil
-	}
-	if !cg.branch(c.cons, false, &toRF) {
+	if !cg.branch(c.ante, false, &toRT) || !cg.branch(c.cons, false, &toRF) {
 		return nil
 	}
 	cg.patchAll(toRT)
 	cg.code = append(cg.code, instr{op: opRetTrue})
 	cg.patchAll(toRF)
 	cg.code = append(cg.code, instr{op: opRetFalse})
-
-	// Prologue: evaluate each hoisted subexpression into its slot.
-	// hoist is off — the prologue computes the slots, it cannot read
-	// them — so the full subtree is compiled (it runs once per Bind).
-	pro := &codegen{pool: pool, slot: make(map[string]int16)}
-	for i, e := range cg.slots {
-		if !pro.emit(e) {
-			return nil
-		}
-		pro.code = append(pro.code, instr{op: opStoreSlot, a: int16(i)})
-		pro.depth--
-	}
-	if len(pro.code) > 0 {
-		pro.code = append(pro.code, instr{op: opRetTrue})
-	}
-
-	// Size checks: the fixed operand stack, plus the int16 operand
-	// encoding (jump targets and pool indices must fit).
-	const maxEnc = 1 << 14
-	if cg.maxDepth > maxEvalStack || pro.maxDepth > maxEvalStack ||
-		len(cg.code) > maxEnc || len(pro.code) > maxEnc || len(pool.vals) > maxEnc {
+	if len(cg.code) > 1<<14 { // jump targets must fit the int16 operands
 		return nil
 	}
-	maxStack := cg.maxDepth
-	if pro.maxDepth > maxStack {
-		maxStack = pro.maxDepth
-	}
-	flat := isFlat(cg.code)
-	if flat {
-		// Flat programs run only through runFlatSpan, which understands
-		// the pair superinstructions and the return sentinels; non-flat
-		// programs and prologues stay on plain runProg encodings.
-		cg.code = fusePairs(cg.code)
-		retSentinels(cg.code)
-	}
+	code := fusePairs(cg.code)
+	retSentinels(code)
 	evalCompiled.Add(1)
-	return &Prog{
-		code:     cg.code,
-		pro:      pro.code,
-		consts:   pool.vals,
-		numSlots: len(cg.slots),
-		maxStack: maxStack,
-		flat:     flat,
-	}
+	return &Prog{code: code}
 }
 
-// isFlat reports whether a body consists solely of fused
-// test-and-jump instructions plus control flow — no operand stack —
-// and can therefore run through the stackless fast loop.
-func isFlat(code []instr) bool {
-	for _, in := range code {
-		switch {
-		case in.op >= opFieldEqImmJF && in.op <= opPairEqImmNeImmJF:
-		case in.op == opJump || in.op == opRetTrue || in.op == opRetFalse:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// fusePairs is the flat-program peephole: two adjacent jump-if-false
+// fusePairs is the peephole: two adjacent jump-if-false
 // tests with the same target — one and-chain's conjuncts — collapse
 // into a single pair superinstruction, halving dispatches on the
 // dominant antecedent shapes ((eq (cat ...) C) then a role gate;
@@ -589,7 +361,7 @@ func fusePairs(code []instr) []instr {
 	isTarget := make([]bool, len(code)+1)
 	for _, in := range code {
 		switch {
-		case in.op >= opFieldEqImmJF && in.op <= opSlotJT:
+		case in.op.isTest():
 			isTarget[in.c] = true
 		case in.op == opJump:
 			isTarget[in.a] = true
@@ -613,7 +385,7 @@ func fusePairs(code []instr) []instr {
 	newPC[len(code)] = int16(len(out))
 	for k := range out {
 		switch {
-		case out[k].op >= opFieldEqImmJF && out[k].op <= opPairEqImmNeImmJF:
+		case out[k].op.isTest():
 			out[k].c = newPC[out[k].c]
 		case out[k].op == opJump:
 			out[k].a = newPC[out[k].a]
@@ -643,7 +415,7 @@ func pairOf(a, b instr) (instr, bool) {
 	return instr{}, false
 }
 
-// retSentinels replaces every flat-program jump target that resolves
+// retSentinels replaces every jump target that resolves
 // (through opJump chains) to a bare return with the verdict sentinels,
 // so the taken branch of a fused test finishes the check without
 // another dispatch. An opJump that itself targets a return becomes
@@ -663,7 +435,7 @@ func retSentinels(code []instr) {
 	}
 	for k := range code {
 		switch {
-		case code[k].op >= opFieldEqImmJF && code[k].op <= opPairEqImmNeImmJF:
+		case code[k].op.isTest():
 			code[k].c = resolve(code[k].c)
 		case code[k].op == opJump:
 			if t := resolve(code[k].a); t == retTrueTarget {

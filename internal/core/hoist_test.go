@@ -65,10 +65,14 @@ func (run *masparRun) initAliveRef() {
 	})
 }
 
+// applyUnaryRef and applyBinaryRef charge the constraint's instruction
+// through ChargeAllChecks, as production does, and apply its effect per
+// PE over the words of the propagation mask.
 func (run *masparRun) applyUnaryRef(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
-	run.m.AllChecksWords(2*ly.l, func(w int, active uint64) {
+	run.m.ChargeAllChecks(2 * ly.l)
+	for w, active := range run.baseMaskW {
 		seg := w / run.segWords
 		base := seg * run.stride
 		ck := &run.cks[seg]
@@ -96,13 +100,14 @@ func (run *masparRun) applyUnaryRef(c *cdg.Constraint) {
 				run.bitsV[lc*ly.l+lr][w] &= (ac & run.aliveRowV[lr][w]) | ^active
 			}
 		}
-	})
+	}
 }
 
 func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
-	run.m.AllChecksWords(2*ly.l*ly.l, func(w int, active uint64) {
+	run.m.ChargeAllChecks(2 * ly.l * ly.l)
+	for w, active := range run.baseMaskW {
 		seg := w / run.segWords
 		base := seg * run.stride
 		ck := &run.cks[seg]
@@ -131,16 +136,17 @@ func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 				}
 			}
 		}
-	})
+	}
 }
 
 // consistencyRoundRef is consistencyRound as the machine runs it, with
 // every host sweep dense: each word ORs all l² arc-element vectors, the
-// column verdicts are applied per PE, the row side is the router
-// transpose of the column side (RouterTransposeV), every word is
-// re-masked whether or not its liveness changed, and SegmentOrV
-// reduces the column changes. It issues every instruction
-// consistencyRound charges.
+// column verdicts are applied per PE, the row side is the transpose of
+// the column side, mirrored lane by lane through transposeOf under one
+// router charge per slot, every word is re-masked whether or not its
+// liveness changed, and each segment ORs its own column changes under
+// one segmented-reduce charge. It makes every charge
+// consistencyRound makes.
 func (run *masparRun) consistencyRoundRef() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
@@ -182,7 +188,17 @@ func (run *masparRun) consistencyRoundRef() bool {
 	for ls := 0; ls < ly.l; ls++ {
 		acv, arv := run.aliveColV[ls], run.aliveRowV[ls]
 		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
-		m.RouterTransposeV(dist, tmp, ly.s)
+		m.ChargeRouter()
+		clearVec(dist)
+		for b := range run.sents {
+			base := b * run.stride
+			for v := 0; v < ly.v; v++ {
+				if src := base + transposeOf(ly, v); tmp[src>>6]>>(uint(src)&63)&1 == 1 {
+					pe := base + v
+					dist[pe>>6] |= 1 << (uint(pe) & 63)
+				}
+			}
+		}
 		m.AllWords(func(w int, active uint64) {
 			arv[w] = (dist[w] & active) | (arv[w] &^ active)
 		})
@@ -195,13 +211,20 @@ func (run *masparRun) consistencyRoundRef() bool {
 			}
 		}
 	})
-	m.SegmentOrV(changed, run.segChanged)
-	for _, ch := range run.segChanged {
-		if ch == 1 {
-			return true
+	m.ChargeSegmentOr()
+	any := false
+	for b := range run.segChanged {
+		var or uint64
+		for w := b * run.segWords; w < (b+1)*run.segWords; w++ {
+			or |= changed[w] & run.baseMaskW[w]
+		}
+		run.segChanged[b] = 0
+		if or != 0 {
+			run.segChanged[b] = 1
+			any = true
 		}
 	}
-	return false
+	return any
 }
 
 // readBackRef is readBack reading every (modifiee, modifiee, slot,

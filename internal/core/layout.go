@@ -65,9 +65,9 @@ type Layout struct {
 	//     12's "PE disabled only during the scanAnd".
 	// The router pattern that mirrors column liveness to the row side is
 	// the transpose v = col·S+row ↦ row·S+col. The machine charges it as
-	// one RouterTransposeV per label slot; the host applies its effect
+	// one router permutation per label slot; the host applies its effect
 	// by clearing the dead values' row lanes in sweepDead, and
-	// hoist_test.go's reference round runs the transpose itself.
+	// hoist_test.go's reference round mirrors each slot lane by lane.
 	baseMaskW         []uint64
 	arcSegHeadW       []uint64
 	blockFirstActiveW []uint64

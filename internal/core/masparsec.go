@@ -551,8 +551,8 @@ func (run *masparRun) propagateUnary(ctx context.Context, perConstraint bool) er
 // unary verdict reads the role value and the sentence, never liveness,
 // so sweeping the union of a run's violators once leaves the same
 // liveness and arc elements as sweeping after each constraint. The
-// machine charges the constraint's instruction here, as
-// AllChecksWords(2l).
+// machine charges the constraint's instruction here, 2l checks per PE,
+// through ChargeAllChecks.
 func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	ly := run.ly
 	run.bindCheckers(c)
@@ -753,9 +753,7 @@ func (run *masparRun) clearElem(base int, x, y liveSlot) {
 }
 
 // bindCheckers binds c's compiled form to every gang member's sentence,
-// reusing the run's checker scratch: the prologue runs once per member
-// per constraint, and the work inside the machine's check instructions
-// is then just bytecode over the fixed stack. Duplicate segments are bound too
+// reusing the run's checker scratch. Duplicate segments are bound too
 // (Bind is cheap and keeps indexing uniform); dupSeg skips their checks.
 func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 	for b, sent := range run.sents {

@@ -185,9 +185,6 @@ func (m *Machine) fillMask() {
 // (padding lanes are never active).
 func (m *Machine) V() int { return m.v }
 
-// Segments returns the gang size (1 for a plain Setup).
-func (m *Machine) Segments() int { return m.segs }
-
 // SegWords returns the packed-vector words per gang segment; segment b
 // owns words [b·SegWords, (b+1)·SegWords) of every plural vector.
 func (m *Machine) SegWords() int { return m.segWords }
@@ -328,16 +325,9 @@ func (m *Machine) AllWords(f func(w int, active uint64)) {
 	}
 }
 
-// AllChecksWords is AllWords for constraint evaluation: it additionally
-// charges checksPerPE constraint evaluations per PE (the dominant cost
-// of propagation on the real machine).
-func (m *Machine) AllChecksWords(checksPerPE int, f func(w int, active uint64)) {
-	m.chargeChecks(uint64(checksPerPE))
-	m.AllWords(f)
-}
-
-// ChargeAllChecks charges one AllChecksWords instruction (one elemental
-// instruction plus checksPerPE constraint evaluations per PE) and runs
+// ChargeAllChecks charges one constraint-evaluation instruction: one
+// elemental instruction plus checksPerPE constraint evaluations per PE
+// (the dominant cost of propagation on the real machine). It runs
 // nothing: the caller applies the instruction's effect to the plural
 // state itself, as BroadcastData's caller holds the broadcast data.
 //
@@ -355,17 +345,17 @@ func (m *Machine) ChargeAllWords() {
 	m.chargeElemental()
 }
 
-// ChargeRouter charges one router permutation (RouterTransposeV or
-// RouterFetch; both cost the same) and routes nothing, like
-// ChargeAllChecks.
+// ChargeRouter charges one router permutation (RouterFetch's price) and
+// routes nothing, like ChargeAllChecks.
 //
 //parsec:noalloc
 func (m *Machine) ChargeRouter() {
 	m.chargeRouter()
 }
 
-// ChargeSegmentOr charges one SegmentOrV reduce and reduces nothing,
-// like ChargeAllChecks.
+// ChargeSegmentOr charges one segmented OR reduce — each gang segment's
+// active lanes to one bit, at the price of the global ReduceOr it
+// generalizes (one scan) — and reduces nothing, like ChargeAllChecks.
 //
 //parsec:noalloc
 func (m *Machine) ChargeSegmentOr() {

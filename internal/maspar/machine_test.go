@@ -3,19 +3,30 @@ package maspar
 import "testing"
 
 // TestAllChecksAccounting pins the absolute charge of one constraint
-// evaluation instruction: checksPerPE checks and one elemental per
-// layer in cycles, checksPerPE checks per PE in the check counter.
+// evaluation instruction: one elemental instruction plus checksPerPE
+// checks per layer in cycles, and checksPerPE checks per PE of one
+// segment in the check counter — solo (128 PEs on 64, 2 layers) and in
+// a gang of 5 (144 PEs per segment, 3 layers), whose counters read as
+// one member's.
 func TestAllChecksAccounting(t *testing.T) {
-	m := newTestMachine(t, 64, 128) // 2 layers
-	c0, k0 := m.Cycles, m.ConstraintChecks
-	m.AllChecksWords(6, func(int, uint64) {})
 	costs := DefaultCosts()
-	wantCycles := costs.ConstraintCheck*6*2 + costs.Elemental*2
-	if m.Cycles-c0 != wantCycles {
-		t.Errorf("AllChecksWords charged %d cycles, want %d", m.Cycles-c0, wantCycles)
-	}
-	if m.ConstraintChecks-k0 != 6*128 {
-		t.Errorf("check counter = %d, want %d", m.ConstraintChecks-k0, 6*128)
+	for _, tc := range []struct{ vSeg, segs, layers int }{{128, 1, 2}, {144, 5, 3}} {
+		m, err := New(64, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.SetupGang(tc.vSeg, tc.segs); err != nil {
+			t.Fatal(err)
+		}
+		m.ChargeAllChecks(6)
+		want := counters{
+			cycles: (costs.ConstraintCheck*6 + costs.Elemental) * uint64(tc.layers),
+			instr:  1,
+			checks: 6 * uint64(tc.vSeg),
+		}
+		if got := countersOf(m); got != want {
+			t.Errorf("gang of %d: ChargeAllChecks(6) charged %+v, want %+v", tc.segs, got, want)
+		}
 	}
 }
 
@@ -54,30 +65,21 @@ func checkChargesLike(t *testing.T, name string, instr, charge func(m *Machine))
 	}
 }
 
-// ChargeAllChecks charges an AllChecksWords instruction whose effect the
-// caller applies itself: solo and in a gang, its counters must equal
-// AllChecksWords'.
-func TestChargeAllChecksChargesLikeAllChecksWords(t *testing.T) {
-	checkChargesLike(t, "ChargeAllChecks",
-		func(m *Machine) { m.AllChecksWords(6, func(int, uint64) {}) },
-		func(m *Machine) { m.ChargeAllChecks(6) })
-}
-
 func TestChargeAllWordsChargesLikeAllWords(t *testing.T) {
 	checkChargesLike(t, "ChargeAllWords",
 		func(m *Machine) { m.AllWords(func(int, uint64) {}) },
 		(*Machine).ChargeAllWords)
 }
 
-func TestChargeRouterChargesLikeRouterTransposeV(t *testing.T) {
+func TestChargeRouterChargesLikeRouterFetch(t *testing.T) {
 	checkChargesLike(t, "ChargeRouter",
-		func(m *Machine) { m.RouterTransposeV(m.GetVec(), m.GetVec(), 12) },
+		func(m *Machine) { m.RouterFetch(make([]int32, m.V()), make([]Bit, m.V())) },
 		(*Machine).ChargeRouter)
 }
 
-func TestChargeSegmentOrChargesLikeSegmentOrV(t *testing.T) {
+func TestChargeSegmentOrChargesLikeReduceOr(t *testing.T) {
 	checkChargesLike(t, "ChargeSegmentOr",
-		func(m *Machine) { m.SegmentOrV(m.GetVec(), make([]Bit, m.Segments())) },
+		func(m *Machine) { m.ReduceOr(make([]Bit, m.V())) },
 		(*Machine).ChargeSegmentOr)
 }
 

@@ -1,14 +1,11 @@
 package maspar
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// Word-parallel scan/router kernels over the packed plural
-// representation: 64 PEs per uint64 word, LSB = lowest PE. Each kernel
-// is charged exactly like its scalar counterpart in refscan.go
-// (chargeScan / chargeRouter) and is held bit-identical to it by the
+// Word-parallel scan kernels over the packed plural representation: 64
+// PEs per uint64 word, LSB = lowest PE. Each kernel is charged exactly
+// like its scalar counterpart in refscan.go (chargeScan) and is held
+// bit-identical to it by the
 // property tests in packed_test.go — host word-parallelism is a
 // simulation speedup, not a model change.
 //
@@ -125,130 +122,6 @@ func (m *Machine) segReduceToHead(dst, data, segHead []uint64, and bool) {
 			r = ^r
 		}
 		dst[w] = r & heads
-	}
-}
-
-// RouterTransposeV is the router permutation the PARSEC mirror
-// exchange uses: with each gang segment's PE block viewed as an s×s
-// grid (lane = i·s+j within the segment, vSeg = s²), every active lane
-// (i,j) receives data's lane (j,i) of the same segment; inactive lanes
-// get 0. On a solo program (gang of one) this is the plain whole-array
-// transpose. The scalar backend ran this as a per-lane RouterFetch
-// from lane j·s+i; here it is word-parallel: the packed vector is
-// cut into 64×64 bit tiles, each tile is transposed with the classic
-// in-register bit-matrix transpose, and tiles land at their mirrored
-// position. Funnel shifts handle rows that straddle word boundaries (s
-// need not be a multiple of 64). dst must not alias data. Charged
-// exactly like RouterFetch — one router pass on the modeled machine
-// serves every segment at once (the permutation is segment-local, so
-// the router routes all segments in the same pass).
-func (m *Machine) RouterTransposeV(dst, data []uint64, s int) {
-	if s*s != m.vSeg {
-		panic(fmt.Sprintf("maspar: RouterTransposeV grid %d×%d does not cover vSeg=%d", s, s, m.vSeg))
-	}
-	m.chargeRouter()
-	for seg := 0; seg < m.segs; seg++ {
-		lo, hi := seg*m.segWords, (seg+1)*m.segWords
-		transposeGrid(dst[lo:hi], data[lo:hi], s)
-	}
-	for w, e := range m.mask {
-		dst[w] &= e
-	}
-}
-
-// transposeGrid transposes one s×s bit grid stored packed in data into
-// dst (both WordsFor(s·s) words); dst is fully overwritten, mask-blind.
-func transposeGrid(dst, data []uint64, s int) {
-	for w := range dst {
-		dst[w] = 0
-	}
-	var tile [64]uint64
-	for ti := 0; ti < s; ti += 64 {
-		limI := s - ti // columns of the source tile (bits per row)
-		if limI > 64 {
-			limI = 64
-		}
-		var colMask uint64 = ^uint64(0)
-		if limI < 64 {
-			colMask = (uint64(1) << uint(limI)) - 1
-		}
-		for tj := 0; tj < s; tj += 64 {
-			limJ := s - tj // rows of the source tile
-			if limJ > 64 {
-				limJ = 64
-			}
-			// Extract source rows j = tj..tj+limJ-1, columns ti..ti+63.
-			for a := 0; a < limJ; a++ {
-				base := (tj+a)*s + ti
-				w0 := base >> 6
-				off := uint(base) & 63
-				x := data[w0] >> off
-				if off != 0 && w0+1 < len(data) {
-					x |= data[w0+1] << (64 - off)
-				}
-				tile[a] = x & colMask
-			}
-			for a := limJ; a < 64; a++ {
-				tile[a] = 0
-			}
-			transpose64(&tile)
-			// Deposit transposed rows i = ti..ti+limI-1 at columns tj…
-			var rowMask uint64 = ^uint64(0)
-			if limJ < 64 {
-				rowMask = (uint64(1) << uint(limJ)) - 1
-			}
-			for b := 0; b < limI; b++ {
-				val := tile[b] & rowMask
-				base := (ti+b)*s + tj
-				w0 := base >> 6
-				off := uint(base) & 63
-				dst[w0] |= val << off
-				if off != 0 && w0+1 < len(dst) {
-					dst[w0+1] |= val >> (64 - off)
-				}
-			}
-		}
-	}
-}
-
-// SegmentOrV reduces the active lanes of each gang segment to one bit:
-// out[seg] = OR over segment seg's active lanes of data. On the
-// modeled machine this is one segmented reduce through the router —
-// the same price as the global ReduceOr it generalizes (a solo
-// program's SegmentOrV sets out[0] to ReduceOr of the unpacked data) —
-// so it is charged as one scan.
-func (m *Machine) SegmentOrV(data []uint64, out []Bit) {
-	if len(out) < m.segs {
-		panic(fmt.Sprintf("maspar: SegmentOrV needs %d output lanes, got %d", m.segs, len(out)))
-	}
-	m.chargeScan()
-	for seg := 0; seg < m.segs; seg++ {
-		var acc uint64
-		for w := seg * m.segWords; w < (seg+1)*m.segWords; w++ {
-			acc |= data[w] & m.mask[w]
-		}
-		if acc != 0 {
-			out[seg] = 1
-		} else {
-			out[seg] = 0
-		}
-	}
-}
-
-// transpose64 transposes a 64×64 bit matrix in place (row r = a[r],
-// column c = bit c) by recursive block swapping — Hacker's Delight
-// figure 7-3 scaled up to 64 bits.
-func transpose64(a *[64]uint64) {
-	j := 32
-	mask := uint64(0x00000000FFFFFFFF)
-	for j != 0 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := ((a[k] >> uint(j)) ^ a[k+j]) & mask
-			a[k] ^= t << uint(j)
-			a[k+j] ^= t
-		}
-		j >>= 1
-		mask ^= mask << uint(j)
 	}
 }
 

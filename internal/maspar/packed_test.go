@@ -24,14 +24,6 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-func isqrt(n int) int {
-	s := 0
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	return s
-}
-
 func (r *rng) coin(pctTrue int) bool { return r.intn(100) < pctTrue }
 
 var maskStyles = []string{"full", "empty", "half", "sparse", "single", "altwords"}
@@ -136,7 +128,6 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 
 	dataV := pk.GetVec()
 	headV := pk.GetVec()
-	srcDataV := pk.GetVec()
 	out := pk.GetVec()
 	got := make([]Bit, v)
 	PackBits(dataV, data)
@@ -162,20 +153,6 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 	pk.SegReduceAndToHeadV(out, dataV, headV)
 	check("SegReduceAndToHead", ref.SegReduceAndToHead(data, heads))
 
-	// RouterTransposeV must match the per-lane gather along the s×s
-	// transpose permutation whenever the array is a perfect grid.
-	if s := isqrt(v); s*s == v {
-		PackBits(srcDataV, data)
-		tsrc := make([]int32, v)
-		for i := 0; i < s; i++ {
-			for j := 0; j < s; j++ {
-				tsrc[i*s+j] = int32(j*s + i)
-			}
-		}
-		pk.RouterTransposeV(out, srcDataV, s)
-		check("RouterTranspose", ref.RouterFetch(tsrc, data))
-	}
-
 	if ref.Cycles != pk.Cycles || ref.ScanOps != pk.ScanOps ||
 		ref.RouterOps != pk.RouterOps || ref.Instr != pk.Instr {
 		t.Fatalf("counter drift: ref{cycles=%d scans=%d routers=%d instr=%d} packed{cycles=%d scans=%d routers=%d instr=%d}",
@@ -193,8 +170,7 @@ func TestPackedKernelsAtScale(t *testing.T) {
 		v := 2000 + r.intn(3000)
 		runPackedVsRef(t, v, maskStyles[r.intn(len(maskStyles))], headStyles[r.intn(len(headStyles))])
 	}
-	// Perfect grids at paper scale, including an s that is not a
-	// multiple of 64, so the transpose tiling's edge handling is hit.
+	// The PARSEC layout's S×S arrays at paper scale (S = 128, 129, 103).
 	runPackedVsRef(t, 16384, "full", "random") // s = 128
 	runPackedVsRef(t, 16641, "half", "rare")   // s = 129
 	runPackedVsRef(t, 10609, "sparse", "none") // s = 103
@@ -239,17 +215,6 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		m.PutBits(m.CopySegHead(bdata, bhead))
 	}); avg != 0 {
 		t.Errorf("recycled byte-API scans allocate %v allocs/op in steady state, want 0", avg)
-	}
-
-	// The packed router transpose and the per-segment reduce are
-	// allocation-free too, at the full machine's 256 words (a 128×128
-	// grid).
-	segOr := make([]Bit, m.Segments())
-	if avg := testing.AllocsPerRun(20, func() {
-		m.RouterTransposeV(dst, data, 128)
-		m.SegmentOrV(data, segOr)
-	}); avg != 0 {
-		t.Errorf("packed RouterTransposeV and SegmentOrV allocate %v allocs/op, want 0", avg)
 	}
 
 	// The compiled-eval propagation sweeps share the contract: once the

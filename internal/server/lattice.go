@@ -130,21 +130,37 @@ func buildLattice(slots [][]LatticeAlt) (*lattice.Lattice, error) {
 	}
 	l := lattice.New()
 	for _, slot := range slots {
-		if len(slot) == 0 {
-			return nil, errors.New("lattice slot needs at least one alternative")
-		}
-		alts := make([]lattice.Alt, len(slot))
-		for j, a := range slot {
-			if a.Word == "" {
-				return nil, errors.New("lattice alternative needs a \"word\"")
-			}
-			alts[j] = lattice.Alt{Word: a.Word, Score: a.Score}
-		}
-		if err := l.AddSlot(alts...); err != nil {
+		if err := addSlot(l, slot); err != nil {
 			return nil, err
 		}
 	}
 	return l, nil
+}
+
+// addSlot validates one wire slot — it needs an alternative, and every
+// alternative a word — and appends it to l. /v1/lattice and the stream
+// both convert their slots here.
+func addSlot(l *lattice.Lattice, slot []LatticeAlt) error {
+	if len(slot) == 0 {
+		return errors.New("lattice slot needs at least one alternative")
+	}
+	alts := make([]lattice.Alt, len(slot))
+	for j, a := range slot {
+		if a.Word == "" {
+			return errors.New("lattice alternative needs a \"word\"")
+		}
+		alts[j] = lattice.Alt{Word: a.Word, Score: a.Score}
+	}
+	return l.AddSlot(alts...)
+}
+
+// latticeMaxPaths clamps a request's candidate budget to the server's
+// ceiling; 0 or less asks for the ceiling.
+func (s *Server) latticeMaxPaths(n int) int {
+	if n <= 0 || n > s.cfg.LatticeMaxPaths {
+		return s.cfg.LatticeMaxPaths
+	}
+	return n
 }
 
 // acquireLattice bounds concurrent lattice decodes: at most Workers
@@ -174,24 +190,11 @@ func (s *Server) doLattice(ctx context.Context, req LatticeRequest) (LatticeResu
 	if err != nil {
 		return latticeErr(req, err.Error(), false), http.StatusBadRequest
 	}
-	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
+	g, key, status, err := s.lookupGrammar(req.Grammar, req.GrammarSource)
 	if err != nil {
-		status := http.StatusBadRequest
-		if req.GrammarSource == "" {
-			status = http.StatusNotFound
-		}
 		return latticeErr(req, err.Error(), false), status
 	}
-
-	maxPaths := req.MaxPaths
-	if maxPaths <= 0 || maxPaths > s.cfg.LatticeMaxPaths {
-		maxPaths = s.cfg.LatticeMaxPaths
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	jctx, cancel := context.WithTimeout(ctx, timeout)
+	jctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req.TimeoutMS))
 	defer cancel()
 
 	start := time.Now()
@@ -201,7 +204,7 @@ func (s *Server) doLattice(ctx context.Context, req LatticeRequest) (LatticeResu
 		Slots:       l.Slots(),
 		Paths:       l.Paths(),
 	}
-	status := s.latticeViaPrefix(jctx, req, g, key, l, maxPaths, &res)
+	status = s.latticeViaPrefix(jctx, req, g, key, l, s.latticeMaxPaths(req.MaxPaths), &res)
 	if status == http.StatusOK {
 		res.HostTimeUS = durationUS(time.Since(start))
 		s.m.latticeRequests.Add(1)

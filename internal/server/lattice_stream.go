@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro/internal/lattice"
 )
@@ -71,23 +70,13 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, latticeErr(req, "malformed header: "+err.Error(), false))
 		return
 	}
-	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
+	g, key, status, err := s.lookupGrammar(req.Grammar, req.GrammarSource)
 	if err != nil {
-		status := http.StatusBadRequest
-		if req.GrammarSource == "" {
-			status = http.StatusNotFound
-		}
 		s.writeJSON(w, status, latticeErr(req, err.Error(), false))
 		return
 	}
-	maxPaths := req.MaxPaths
-	if maxPaths <= 0 || maxPaths > s.cfg.LatticeMaxPaths {
-		maxPaths = s.cfg.LatticeMaxPaths
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
+	maxPaths := s.latticeMaxPaths(req.MaxPaths)
+	timeout := s.requestTimeout(req.TimeoutMS)
 
 	// From here on the response is a 200 NDJSON stream; failures travel
 	// as update lines.
@@ -107,7 +96,7 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 	var last *LatticeResult
 	// decode re-runs the prefix engine over the grown lattice and emits
 	// one update. Returns false when the stream should end.
-	decode := func(final bool) bool {
+	decode := func() bool {
 		res := LatticeResult{
 			Grammar:     key,
 			UtteranceID: req.UtteranceID,
@@ -118,7 +107,7 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 		st := s.latticeViaPrefix(jctx, req, g, key, l, maxPaths, &res)
 		cancel()
 		if st != http.StatusOK {
-			emit(LatticeStreamUpdate{Slot: l.Slots(), Final: final, Error: res.Error})
+			emit(LatticeStreamUpdate{Slot: l.Slots(), Error: res.Error})
 			return false
 		}
 		s.m.latticePaths.Add(uint64(res.Expanded))
@@ -126,16 +115,12 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 			s.m.latticeTruncations.Add(1)
 		}
 		last = &res
-		return emit(LatticeStreamUpdate{Slot: l.Slots(), Final: final, Result: &res})
+		return emit(LatticeStreamUpdate{Slot: l.Slots(), Result: &res})
 	}
 
-	addSlots := func(alts [][]LatticeAlt) bool {
-		for _, slot := range alts {
-			la := make([]lattice.Alt, len(slot))
-			for i, a := range slot {
-				la[i] = lattice.Alt{Word: a.Word, Score: a.Score}
-			}
-			if err := l.AddSlot(la...); err != nil {
+	addSlots := func(slots [][]LatticeAlt) bool {
+		for _, slot := range slots {
+			if err := addSlot(l, slot); err != nil {
 				emit(LatticeStreamUpdate{Slot: l.Slots(), Error: err.Error()})
 				return false
 			}
@@ -145,7 +130,7 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if len(req.Slots) > 0 {
-		if !addSlots(req.Slots) || !decode(false) {
+		if !addSlots(req.Slots) || !decode() {
 			return
 		}
 	}
@@ -159,7 +144,7 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 			emit(LatticeStreamUpdate{Slot: l.Slots(), Error: "malformed slot line: " + err.Error()})
 			return
 		}
-		if !addSlots([][]LatticeAlt{slot.Alts}) || !decode(false) {
+		if !addSlots([][]LatticeAlt{slot.Alts}) || !decode() {
 			return
 		}
 	}
@@ -167,17 +152,13 @@ func (s *Server) handleLatticeStream(w http.ResponseWriter, r *http.Request) {
 		emit(LatticeStreamUpdate{Slot: l.Slots(), Error: err.Error()})
 		return
 	}
-	// End of input: emit the final, complete result.
+	// End of input: emit the final, complete result. Every added slot
+	// was decoded at once, so the last update already holds it; repeat
+	// it rather than re-decoding.
 	if l.Slots() == 0 {
 		emit(LatticeStreamUpdate{Final: true, Error: "empty lattice: stream at least one slot"})
 		return
 	}
 	s.m.latticeRequests.Add(1)
-	if last != nil {
-		// The lattice has not grown since the last update; repeat it as
-		// the final answer rather than re-decoding.
-		emit(LatticeStreamUpdate{Slot: l.Slots(), Final: true, Result: last})
-		return
-	}
-	decode(true)
+	emit(LatticeStreamUpdate{Slot: l.Slots(), Final: true, Result: last})
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -512,6 +513,37 @@ func TestLatticeStreamErrors(t *testing.T) {
 	var u LatticeStreamUpdate
 	if err := json.Unmarshal([]byte(strings.SplitN(body, "\n", 2)[0]), &u); err != nil || u.Error == "" {
 		t.Errorf("expected error update, got %q (%v)", body, err)
+	}
+	// An alternative without a word is rejected as /v1/lattice rejects
+	// it, whether it comes in a header slot or on a slot line, and no
+	// hypothesis containing it is ever decoded.
+	for _, tc := range []struct{ name, body string }{
+		{"header slot", `{"grammar":"english","slots":[[{"word":"the"}],[{"word":""},{"word":"dog"}]]}` + "\n"},
+		{"slot line", `{"grammar":"english"}` + "\n" + `{"alts":[{"word":"the"}]}` + "\n" + `{"alts":[{"word":""},{"word":"dog"}]}` + "\n"},
+	} {
+		st, body := post(tc.body)
+		if st != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, st)
+		}
+		lines := strings.Split(strings.TrimSpace(body), "\n")
+		for _, line := range lines {
+			var u LatticeStreamUpdate
+			if err := json.Unmarshal([]byte(line), &u); err != nil {
+				t.Fatalf("%s: bad update line %q: %v", tc.name, line, err)
+			}
+			if u.Result == nil {
+				continue
+			}
+			for _, h := range u.Result.Hypotheses {
+				if slices.Contains(h.Words, "") {
+					t.Errorf("%s: decoded a hypothesis with an empty word: %q", tc.name, h.Words)
+				}
+			}
+		}
+		var last LatticeStreamUpdate
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || !strings.Contains(last.Error, `needs a "word"`) {
+			t.Errorf("%s: want a closing error update naming the missing word, got %q", tc.name, body)
+		}
 	}
 }
 

@@ -41,6 +41,31 @@ type jobResult struct {
 	resp   ParseResult
 }
 
+// failed is j's error answer with the given status; a 504 is marked
+// TimedOut.
+func (j *job) failed(status int, msg string) jobResult {
+	return jobResult{
+		status: status,
+		resp: ParseResult{
+			Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
+			TimedOut: status == http.StatusGatewayTimeout, Error: msg,
+		},
+	}
+}
+
+// deliver stamps jr with j's queue wait and batch size and hands it to
+// j's buffered result channel, which absorbs a delivery the handler no
+// longer waits for.
+func (j *job) deliver(jr jobResult, wait time.Duration, batchSize int) {
+	jr.resp.QueueTimeUS = durationUS(wait)
+	jr.resp.BatchSize = batchSize
+	j.result <- jr
+}
+
+// expiredInGang is the error message of a job whose deadline passed
+// while it was batched with others.
+const expiredInGang = "deadline exceeded during batched parse"
+
 // backendQueue is the bounded FIFO of one machine model. Each backend
 // gets its own queue so a pile-up of slow maspar simulations cannot
 // starve cheap serial parses.
@@ -245,46 +270,37 @@ func (p *Pool) run(jobs []*job) {
 }
 
 // deliverQueueExpired answers a job whose deadline passed while it sat
-// in the queue (the handler has already returned 504; the buffered
-// result channel absorbs the late delivery).
+// in the queue, without parsing it (the handler has already returned
+// 504).
 func (p *Pool) deliverQueueExpired(j *job, batchSize int) {
 	wait := time.Since(j.enq)
 	p.m.queueWait.Observe(wait.Seconds())
-	jr := jobResult{
-		status: http.StatusGatewayTimeout,
-		resp: ParseResult{
-			Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-			TimedOut: true, Error: "deadline exceeded while queued",
-		},
-	}
-	jr.resp.QueueTimeUS = durationUS(wait)
-	jr.resp.BatchSize = batchSize
-	j.result <- jr
+	j.deliver(j.failed(http.StatusGatewayTimeout, "deadline exceeded while queued"), wait, batchSize)
 }
 
 // gangContext derives the context a ganged run executes under: it is
 // cancelled only when EVERY member's context is done, so one request
 // hitting its deadline mid-gang cannot poison the simulation the
 // others are still waiting on (its own result is dropped at delivery
-// instead). The returned stop func releases the watcher goroutines.
+// instead). Each member's context.AfterFunc counts it down, so nothing
+// waits on a goroutine; the returned stop func unregisters the ones
+// that have not fired.
 func gangContext(jobs []*job) (context.Context, func()) {
 	gctx, cancel := context.WithCancel(context.Background())
-	stop := make(chan struct{})
 	var remaining atomic.Int64
 	remaining.Store(int64(len(jobs)))
-	for _, j := range jobs {
-		go func(done <-chan struct{}) {
-			select {
-			case <-done:
-				if remaining.Add(-1) == 0 {
-					cancel()
-				}
-			case <-stop:
+	stops := make([]func() bool, len(jobs))
+	for i, j := range jobs {
+		stops[i] = context.AfterFunc(j.ctx, func() {
+			if remaining.Add(-1) == 0 {
+				cancel()
 			}
-		}(j.ctx.Done())
+		})
 	}
 	return gctx, func() {
-		close(stop)
+		for _, stop := range stops {
+			stop()
+		}
 		cancel()
 	}
 }
@@ -329,10 +345,7 @@ func (p *Pool) runGang(parser *core.Parser, jobs []*job, batchSize int) {
 		// job runs solo, classifying its own outcome — a live member
 		// still gets its parse rather than inheriting the gang's error.
 		for i, j := range jobs {
-			jr := p.executeOrExpired(parser, j)
-			jr.resp.QueueTimeUS = durationUS(waits[i])
-			jr.resp.BatchSize = batchSize
-			j.result <- jr
+			j.deliver(p.executeOrExpired(parser, j), waits[i], batchSize)
 		}
 		return
 	}
@@ -340,23 +353,15 @@ func (p *Pool) runGang(parser *core.Parser, jobs []*job, batchSize int) {
 	p.m.gangJobs.Add(uint64(len(jobs)))
 	for i, j := range jobs {
 		var jr jobResult
-		if cerr := j.ctx.Err(); cerr != nil {
+		if j.ctx.Err() != nil {
 			// Expired while the gang ran: the handler already answered
 			// 504; drop this member's result, keep the others'.
-			jr = jobResult{
-				status: http.StatusGatewayTimeout,
-				resp: ParseResult{
-					Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-					TimedOut: true, Error: "deadline exceeded during batched parse",
-				},
-			}
+			jr = j.failed(http.StatusGatewayTimeout, expiredInGang)
 		} else {
 			p.m.addWork(results[i].Counters)
 			jr = jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), results[i], j.maxParses)}
 		}
-		jr.resp.QueueTimeUS = durationUS(waits[i])
-		jr.resp.BatchSize = batchSize
-		j.result <- jr
+		j.deliver(jr, waits[i], batchSize)
 	}
 }
 
@@ -364,38 +369,21 @@ func (p *Pool) runGang(parser *core.Parser, jobs []*job, batchSize int) {
 // job maps to 504 without parsing, a live one runs normally.
 func (p *Pool) executeOrExpired(parser *core.Parser, j *job) jobResult {
 	if j.ctx.Err() != nil {
-		return jobResult{
-			status: http.StatusGatewayTimeout,
-			resp: ParseResult{
-				Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-				TimedOut: true, Error: "deadline exceeded during batched parse",
-			},
-		}
+		return j.failed(http.StatusGatewayTimeout, expiredInGang)
 	}
 	return p.execute(parser, j)
 }
 
-// runJob executes one job with panic isolation and delivers its result.
+// runJob executes one job with panic isolation and delivers its result;
+// a job that expired in the queue is answered without parsing.
 func (p *Pool) runJob(parser *core.Parser, j *job, batchSize int) {
+	if j.ctx.Err() != nil {
+		p.deliverQueueExpired(j, batchSize)
+		return
+	}
 	wait := time.Since(j.enq)
 	p.m.queueWait.Observe(wait.Seconds())
-	var jr jobResult
-	if err := j.ctx.Err(); err != nil {
-		// The deadline expired while the job sat in the queue; the
-		// handler has already answered 504. Skip the parse entirely.
-		jr = jobResult{
-			status: http.StatusGatewayTimeout,
-			resp: ParseResult{
-				Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-				TimedOut: true, Error: "deadline exceeded while queued",
-			},
-		}
-	} else {
-		jr = p.execute(parser, j)
-	}
-	jr.resp.QueueTimeUS = durationUS(wait)
-	jr.resp.BatchSize = batchSize
-	j.result <- jr
+	j.deliver(p.execute(parser, j), wait, batchSize)
 }
 
 // execute runs the parse, converting panics to 500s so one poisoned
@@ -404,13 +392,7 @@ func (p *Pool) execute(parser *core.Parser, j *job) (jr jobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.m.panics.Add(1)
-			jr = jobResult{
-				status: http.StatusInternalServerError,
-				resp: ParseResult{
-					Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-					Error: fmt.Sprintf("panic during parse: %v", r),
-				},
-			}
+			jr = j.failed(http.StatusInternalServerError, fmt.Sprintf("panic during parse: %v", r))
 		}
 	}()
 	start := time.Now()
@@ -419,21 +401,9 @@ func (p *Pool) execute(parser *core.Parser, j *job) (jr jobResult) {
 	p.m.parseLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return jobResult{
-				status: http.StatusGatewayTimeout,
-				resp: ParseResult{
-					Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-					TimedOut: true, Error: err.Error(),
-				},
-			}
+			return j.failed(http.StatusGatewayTimeout, err.Error())
 		}
-		return jobResult{
-			status: http.StatusInternalServerError,
-			resp: ParseResult{
-				Sentence: j.words, Grammar: j.gkey, Backend: j.backend.String(),
-				Error: err.Error(),
-			},
-		}
+		return j.failed(http.StatusInternalServerError, err.Error())
 	}
 	p.m.addWork(res.Counters)
 	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), res, j.maxParses)}

@@ -369,12 +369,8 @@ func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.C
 	if err != nil {
 		return nil, nil, jobResult{http.StatusBadRequest, errResult(*req, err.Error(), false)}
 	}
-	g, key, err := s.cache.Get(req.Grammar, req.GrammarSource)
+	g, key, status, err := s.lookupGrammar(req.Grammar, req.GrammarSource)
 	if err != nil {
-		status := http.StatusBadRequest
-		if req.GrammarSource == "" {
-			status = http.StatusNotFound // unknown built-in name
-		}
 		return nil, nil, jobResult{status, errResult(*req, err.Error(), false)}
 	}
 	sent, err := cdg.Resolve(g, words, nil)
@@ -384,11 +380,7 @@ func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.C
 		return nil, nil, jobResult{http.StatusBadRequest, res}
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	jctx, cancel := context.WithTimeout(ctx, timeout)
+	jctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req.TimeoutMS))
 	opts := []core.Option{
 		core.WithBackend(backend),
 		core.WithFilter(!req.NoFilter),
@@ -409,6 +401,29 @@ func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.C
 		ctx:       jctx,
 		result:    make(chan jobResult, 1),
 	}, cancel, jobResult{}
+}
+
+// lookupGrammar resolves a request's grammar through the grammar
+// cache. A failed lookup answers 404 for an unknown built-in name and
+// 400 for an inline source that does not compile.
+func (s *Server) lookupGrammar(name, source string) (*cdg.Grammar, string, int, error) {
+	g, key, err := s.cache.Get(name, source)
+	if err != nil {
+		if source == "" {
+			return nil, "", http.StatusNotFound, err
+		}
+		return nil, "", http.StatusBadRequest, err
+	}
+	return g, key, http.StatusOK, nil
+}
+
+// requestTimeout is a request's deadline budget: timeoutMS when it is
+// positive, else the server's DefaultTimeout.
+func (s *Server) requestTimeout(timeoutMS int) time.Duration {
+	if timeoutMS > 0 {
+		return time.Duration(timeoutMS) * time.Millisecond
+	}
+	return s.cfg.DefaultTimeout
 }
 
 // await waits for a submitted job's result or its deadline, whichever
