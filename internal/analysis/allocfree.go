@@ -36,8 +36,8 @@ import (
 //     contract is compositional — an unannotated callee is an
 //     unaudited allocation surface).
 //
-// Intentional steady-state-amortized allocations (arena free-list
-// growth) are suppressed with //lint:allow allocfree and a
+// Intentional steady-state-amortized allocations (a free list's
+// growth, say) are suppressed with //lint:allow allocfree and a
 // justification.
 var AllocFree = &Analyzer{
 	Name: "allocfree",
@@ -155,7 +155,7 @@ func checkNoallocAST(pass *ProgramPass, nf *noallocFunc, annotatedNames map[stri
 					switch obj.Name() {
 					case "make":
 						pass.Reportf(nf.pkg, n.Pos(),
-							"make in noalloc function %s: reuse a caller-provided or arena buffer", nf.decl.Name.Name)
+							"make in noalloc function %s: write into a caller-provided buffer", nf.decl.Name.Name)
 						return true
 					case "new":
 						pass.Reportf(nf.pkg, n.Pos(),

@@ -1,6 +1,6 @@
 package allocfree
 
-// The arena idiom: the miss path allocates once per buffer, steady
+// The free-list idiom: the miss path allocates once per buffer, steady
 // state recycles — amortized-zero is the documented exception.
 
 //parsec:noalloc

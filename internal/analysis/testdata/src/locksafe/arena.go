@@ -2,8 +2,8 @@ package locksafe
 
 import "sync"
 
-// pool mirrors the simulator's buffer arena: a mutex-guarded free list
-// that recycles fixed-size slices on a hot path. The free list and its
+// pool is a buffer arena: a mutex-guarded free list that recycles
+// fixed-size slices on a hot path. The free list and its
 // sizing fields sit in the mutex's contiguous block, so every access
 // must hold the lock.
 type pool struct {

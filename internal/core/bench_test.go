@@ -33,11 +33,11 @@ var distinctFive = []string{
 // ParseGangContext call, so ns/op and the stage metrics share a unit
 // and the stages can be read as shares of it; sents/s is the
 // throughput. batch=1 is the serving path's latency shape; batch=32
-// amortizes layout and gang-scheduling overhead the way the batch
-// endpoint does, but its members are identical and share one class
-// representative's check work. The distinct case is the serving
-// benchmark's maspar-gang shape: eight different 5-word sentences, so
-// every member's checks run. batch=1,n=17 is a solo long sentence: a
+// is 32 copies of that one sentence, so it times ParseGangContext's
+// dedupe: one segment parses, and the 31 twins get copies of its
+// network and counters. The distinct case is the serving benchmark's
+// maspar-gang shape: eight different 5-word sentences, eight segments,
+// so every member's checks run. batch=1,n=17 is a solo long sentence: a
 // gang of one runs its binary passes on a single host worker, so this
 // row shows what that costs.
 func BenchmarkEndToEndParse(b *testing.B) {

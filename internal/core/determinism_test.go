@@ -90,8 +90,8 @@ func gangFingerprint(t *testing.T, batch [][]string) string {
 }
 
 // TestGangDeterminismAcrossGOMAXPROCS extends that guard to ganged
-// execution: a batch of same-length sentences — including duplicate
-// members, which take the shared-evaluation fast path — must produce
+// execution: a batch of same-length sentences — including a duplicate
+// member, which ParseGangContext parses once and copies — must produce
 // identical per-member accounting and parses under GOMAXPROCS 1, 2,
 // and 8.
 func TestGangDeterminismAcrossGOMAXPROCS(t *testing.T) {
@@ -101,7 +101,7 @@ func TestGangDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	batch := [][]string{
 		{"the", "program", "runs", "the", "machine"},
 		{"the", "machine", "runs", "the", "program"},
-		{"the", "program", "runs", "the", "machine"}, // duplicate: dedup path
+		{"the", "program", "runs", "the", "machine"}, // duplicate: parsed once, copied
 		{"runs", "the", "program", "the", "machine"}, // rejected input
 	}
 	runtime.GOMAXPROCS(1)

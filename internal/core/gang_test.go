@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cdg"
+	"repro/internal/cn"
 	"repro/internal/grammars"
 )
 
@@ -30,7 +31,10 @@ func resolveAll(t *testing.T, g *cdg.Grammar, sentences []string) []*cdg.Sentenc
 // round IS the solo program, so nothing about the paper's cost model
 // changes when the host batches. Sentence sets mix accepted, rejected,
 // ambiguous, and duplicated members, across several grammars and gang
-// sizes (including a gang of one, the solo path itself).
+// sizes (including a gang of one, the solo path itself, and a gang of
+// identical members, which ParseGangContext parses once). No two
+// members share a network: clearing a live arc bit in one leaves every
+// other member equal to its solo run.
 func TestGangMatchesSolo(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -67,6 +71,11 @@ func TestGangMatchesSolo(t *testing.T) {
 			name:      "paperdemo",
 			g:         grammars.PaperDemo(),
 			sentences: []string{"The program runs", "The program runs"},
+		},
+		{
+			name:      "english-all-identical",
+			g:         grammars.English(),
+			sentences: gangOf([]string{"the dog saw the man with the telescope"}, 5),
 		},
 		{
 			name:      "bounded-iters",
@@ -121,13 +130,44 @@ func TestGangMatchesSolo(t *testing.T) {
 					t.Errorf("sentence %d: ModelTime %v (gang) != %v (solo)", i, ganged[i].ModelTime, solo[i].ModelTime)
 				}
 			}
+			for i := range sents {
+				arc, r, c, ok := liveArcBit(ganged[i].Network)
+				if !ok {
+					continue
+				}
+				arc.M.ClearBit(r, c)
+				if ganged[i].Network.EqualState(solo[i].Network) {
+					t.Fatalf("sentence %d: clearing a live arc bit left it equal to solo", i)
+				}
+				for j := range sents {
+					if j != i && !ganged[j].Network.EqualState(solo[j].Network) {
+						t.Errorf("sentence %d changed when sentence %d's arc bit was cleared: the two share state", j, i)
+					}
+				}
+				arc.M.SetBit(r, c)
+			}
 		})
 	}
 }
 
+// liveArcBit returns an arc and a set matrix entry (r, c) whose two
+// role values are both live, the entries EqualState compares.
+func liveArcBit(nw *cn.Network) (arc *cn.Arc, r, c int, ok bool) {
+	for _, a := range nw.Arcs() {
+		for _, i := range nw.Domain(a.A).Ones() {
+			for _, j := range nw.Domain(a.B).Ones() {
+				if a.M.Get(i, j) {
+					return a, i, j, true
+				}
+			}
+		}
+	}
+	return nil, 0, 0, false
+}
+
 // TestGangOfOneIsSolo: a gang of one runs the identical code path as
-// ParseSentenceContext (runMasPar delegates to runMasParGang), so the
-// results must agree exactly.
+// ParseSentenceContext (a solo MasPar parse calls ParseGangContext with
+// one sentence), so the results must agree exactly.
 func TestGangOfOneIsSolo(t *testing.T) {
 	g := grammars.English()
 	p := NewParser(g)

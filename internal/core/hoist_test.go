@@ -25,9 +25,8 @@ import (
 // live label slots; the dense consistency round and read-back below
 // visit every slot.
 // TestHoistedEvalMatchesPerPE holds the two to the same plural state
-// after every step and to the same read-back networks. The reference
-// evaluates every gang segment, duplicates included, so it also pins
-// the duplicate-class shortcut.
+// after every step and to the same read-back networks, for gangs with
+// and without repeated members: the run evaluates every segment.
 
 // aliveInitRef computes the initial liveness of (group g, label slot
 // ls) for one gang member's sentence: the slot must be a real label of
@@ -150,19 +149,11 @@ func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 func (run *masparRun) consistencyRoundRef() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
-	changed := m.GetVec()
-	tmp := m.GetVec()
-	perArc := m.GetVec()
-	blockSup := m.GetVec()
-	dist := m.GetVec()
-	defer func() {
-		m.PutVec(changed)
-		m.PutVec(tmp)
-		m.PutVec(perArc)
-		m.PutVec(blockSup)
-		m.PutVec(dist)
-	}()
-	clearVec(changed)
+	changed := make([]uint64, m.WordLen())
+	tmp := make([]uint64, m.WordLen())
+	perArc := make([]uint64, m.WordLen())
+	blockSup := make([]uint64, m.WordLen())
+	dist := make([]uint64, m.WordLen())
 
 	for lc := 0; lc < ly.l; lc++ {
 		m.AllWords(func(w int, active uint64) {
@@ -189,7 +180,7 @@ func (run *masparRun) consistencyRoundRef() bool {
 		acv, arv := run.aliveColV[ls], run.aliveRowV[ls]
 		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
 		m.ChargeRouter()
-		clearVec(dist)
+		clear(dist)
 		for b := range run.sents {
 			base := b * run.stride
 			for v := 0; v < ly.v; v++ {
@@ -588,9 +579,9 @@ func TestApplyUnaryAllocatesNothing(t *testing.T) {
 }
 
 // TestConsistencyRoundAllocatesNothing holds a warmed run's consistency
-// rounds to zero allocations: the scan scratch comes from the machine's
-// arena, and the verdicts go through the run's own group sets into one
-// sweep. It runs on the same solo run and gang as
+// rounds to zero allocations: the scan scratch is the run's own, made
+// with its plural vectors, and the verdicts go through the run's own
+// group sets into one sweep. It runs on the same solo run and gang as
 // TestApplyBinaryAllocatesNothing.
 func TestConsistencyRoundAllocatesNothing(t *testing.T) {
 	g := grammars.English()
@@ -605,7 +596,7 @@ func TestConsistencyRoundAllocatesNothing(t *testing.T) {
 			run.applyBinary(c)
 		}
 		round := func() { run.consistencyRound() }
-		round() // warm: the first round fills the arena
+		round() // warm
 		if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
 			t.Errorf("%s: %v allocations per consistency round, want 0", name, allocs)
 		}

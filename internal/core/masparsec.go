@@ -42,12 +42,15 @@ package core
 // replicated per segment, and one ACU instruction stream drives all
 // segments through propagation and consistency rounds together. The
 // solo path is simply a gang of one, so every solo test pins the gang
-// code. Segment isolation holds because each segment's first active
-// lane is local lane n (column block 0's rows 0..n−1 are the disabled
-// self-arc block), which carries both an arcSegHead bit (n ≡ 0 mod n)
-// and the blockFirstActive bit — so each of the three segmented scan
-// shapes of the consistency round starts a fresh carry chain at every
-// segment boundary and nothing flows between sentences.
+// code. Every segment runs its own checks: Parser.ParseGangContext
+// hands the run distinct sentences only, and gives a repeated sentence
+// a copy of its first twin's result. Segment isolation holds because
+// each segment's first active lane is local lane n (column block 0's
+// rows 0..n−1 are the disabled self-arc block), which carries both an
+// arcSegHead bit (n ≡ 0 mod n) and the blockFirstActive bit — so each
+// of the three segmented scan shapes of the consistency round starts a
+// fresh carry chain at every segment boundary and nothing flows between
+// sentences.
 //
 // Per-sentence cost attribution: the machine charges per SEGMENT
 // (maspar.SetupGang), so its counters always read "what one member
@@ -62,8 +65,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/cdg"
 	"repro/internal/cn"
@@ -99,8 +100,8 @@ type masparRun struct {
 	aliveColV [][]uint64
 	aliveRowV [][]uint64
 
-	// sets holds a group set (see Layout) per class representative b and
-	// label slot ls, setWords words each at groupSet(b, ls): the groups
+	// sets holds a group set (see Layout) per gang member b and label
+	// slot ls, setWords words each at groupSet(b, ls): the groups
 	// whose value is live inside initAlive, then the values to clear at
 	// the next sweepDead — the violators of the unary constraints
 	// applied since the last sweep, or the values a consistency round
@@ -111,8 +112,7 @@ type masparRun struct {
 	setWords int
 	verdicts []bool
 
-	// pairs is applyBinary's scratch, refilled for each class
-	// representative in turn.
+	// pairs is applyBinary's scratch, refilled for each member in turn.
 	pairs pairScratch
 
 	// Gang-width images of the layout's packed masks: one copy per
@@ -122,22 +122,14 @@ type masparRun struct {
 	blockFirstActiveW []uint64
 	scanAndMaskW      []uint64
 
-	// marked[b] records, at each extendSets, whether class
-	// representative b's group sets hold any group; sweepDead skips the
-	// words of segments whose representative has none.
+	// marked[b] records, at each extendSets, whether member b's group
+	// sets hold any group; sweepDead skips the words of segments whose
+	// member has none.
 	marked []bool
 
-	// classRep[b] is the lowest-indexed member whose sentence is
-	// identical (words and categories) to member b's; hasDups is true
-	// when any member is a duplicate. Identical sentences produce
-	// identical per-lane constraint verdicts, so the host evaluates the
-	// propagation checks once per class: unary verdicts and initial
-	// liveness come from the representative's group sets, and binary
-	// passes copy the representative's packed words into its duplicates
-	// — the machine still charges every segment as if it ran them (a
-	// real SIMD array would), so counters are unaffected.
-	classRep []int
-	hasDups  bool
+	// tmp, perArc, blockSup and dist are the consistency round's
+	// plural scratch, owned by the run so a round allocates nothing.
+	tmp, perArc, blockSup, dist []uint64
 
 	// roundsRun counts the consistency rounds the shared instruction
 	// stream has executed; rounds[b] is the prefix charged to sentence
@@ -151,66 +143,24 @@ type masparRun struct {
 	segChanged []maspar.Bit
 }
 
-// sentenceKey is the identity duplicate detection groups by: the words
-// and resolved categories, which are everything a check verdict can
-// read through Env.Sent.
-func sentenceKey(s *cdg.Sentence) string {
-	var sb strings.Builder
-	for p := 1; p <= s.Len(); p++ {
-		c, _ := s.Cat(p)
-		sb.WriteString(s.Word(p))
-		sb.WriteByte(0x1f)
-		sb.WriteString(strconv.Itoa(int(c)))
-		sb.WriteByte(0x1e)
-	}
-	return sb.String()
-}
-
-// dupSeg reports whether segment seg is a duplicate whose check work
-// the class representative carries.
-func (run *masparRun) dupSeg(seg int) bool {
-	return run.hasDups && run.classRep[seg] != seg
-}
-
-// copyDupSegs copies the packed words a check pass computed for each
-// class representative into that class's duplicate segments. Segments
-// are word-aligned with identical replicated masks, so the word images
-// are equal by construction.
-func (run *masparRun) copyDupSegs(vecs [][]uint64) {
-	if !run.hasDups {
-		return
-	}
-	for b, rep := range run.classRep {
-		if rep == b {
-			continue
-		}
-		db, rb := b*run.segWords, rep*run.segWords
-		for _, v := range vecs {
-			copy(v[db:db+run.segWords], v[rb:rb+run.segWords])
-		}
-	}
-}
-
-// groupSet returns class representative b's group set for label slot
-// ls.
+// groupSet returns member b's group set for label slot ls.
 func (run *masparRun) groupSet(b, ls int) []uint64 {
 	i := (b*run.ly.l + ls) * run.setWords
 	return run.sets[i : i+run.setWords : i+run.setWords]
 }
 
-// wordSegment locates packed word w for the hoisted loops: the class
-// representative of its segment, the segment lane a of the word's bit
-// 0, and a mod S.
-func (run *masparRun) wordSegment(w int) (rep, a, off int) {
-	seg := w / run.segWords
+// wordSegment locates packed word w for the hoisted loops: its
+// segment, the segment lane a of the word's bit 0, and a mod S.
+func (run *masparRun) wordSegment(w int) (seg, a, off int) {
+	seg = w / run.segWords
 	a = (w - seg*run.segWords) << 6
-	return run.classRep[seg], a, a % run.ly.s
+	return seg, a, a % run.ly.s
 }
 
-// markSets adds to class representative b's group sets: group g joins
-// slot ls's set when in(i, ls) holds for the group's role value
-// ly.refs[i]. Only groups 0..S−1 are written; extendSets extends the
-// sets before any word reads them.
+// markSets adds to member b's group sets: group g joins slot ls's set
+// when in(i, ls) holds for the group's role value ly.refs[i]. Only
+// groups 0..S−1 are written; extendSets extends the sets before any
+// word reads them.
 func (run *masparRun) markSets(b int, in func(i, ls int) bool) {
 	ly := run.ly
 	for g := 0; g < ly.s; g++ {
@@ -223,16 +173,12 @@ func (run *masparRun) markSets(b int, in func(i, ls int) bool) {
 	}
 }
 
-// extendSets extends every class representative's group sets
-// periodically (see Layout) so that words can read them, and records in
-// marked[b] whether representative b has a group in any set. Empty sets
-// are left as they are.
+// extendSets extends every member's group sets periodically (see
+// Layout) so that words can read them, and records in marked[b] whether
+// member b has a group in any set. Empty sets are left as they are.
 func (run *masparRun) extendSets() {
 	for b := range run.sents {
 		run.marked[b] = false
-		if run.dupSeg(b) {
-			continue
-		}
 		for ls := 0; ls < run.ly.l; ls++ {
 			set := run.groupSet(b, ls)
 			if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
@@ -257,12 +203,6 @@ func (run *masparRun) aliveColAt(pe, ls int) maspar.Bit {
 
 func (run *masparRun) aliveRowAt(pe, ls int) maspar.Bit {
 	return maspar.Bit(run.aliveRowV[ls][pe>>6] >> (uint(pe) & 63) & 1)
-}
-
-func clearVec(v []uint64) {
-	for i := range v {
-		v[i] = 0
-	}
 }
 
 // Live-slot skips. Every step keeps the arc-element store inside the
@@ -297,24 +237,14 @@ func gangMaskW(src []uint64, segWords, segs int) []uint64 {
 	return out
 }
 
-// runMasPar executes the algorithm for one sentence — a gang of one —
-// and returns the run plus the final network read back from the PE
-// array. The context is checked between ACU constraint broadcasts and
-// between consistency rounds — a cancelled parse stops mid-algorithm
-// and the partial PE state is discarded.
-func runMasPar(ctx context.Context, sp *cdg.Space, m *maspar.Machine, consistencyPerConstraint bool, filter bool, maxIters int, attr *Attribution) (*masparRun, *cn.Network, error) {
-	run, nws, err := runMasParGang(ctx, []*cdg.Space{sp}, m, consistencyPerConstraint, filter, maxIters, attr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return run, nws[0], nil
-}
-
 // runMasParGang executes the full algorithm for a gang of same-length
 // sentences sharing one grammar and returns the run plus each
 // member's final network. See the package comment: one instruction
 // stream serves every sentence, and counters are attributed per
-// sentence exactly as a solo run would charge them.
+// sentence exactly as a solo run would charge them. The context is
+// checked between ACU constraint broadcasts and between consistency
+// rounds — a cancelled parse stops mid-algorithm and the partial PE
+// state is discarded.
 func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, consistencyPerConstraint bool, filter bool, maxIters int, attr *Attribution) (*masparRun, []*cn.Network, error) {
 	run, err := newMasParRun(sps, m, attr)
 	if err != nil {
@@ -375,7 +305,8 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 // newMasParRun sets the machine up for a gang of same-length sentences
 // sharing one grammar and loads the plural program's fixed state: the
 // layout's masks, the ACU's table-T broadcast, and zeroed plural
-// vectors. Propagation starts with initAlive.
+// vectors, which the run owns along with its round scratch.
+// Propagation starts with initAlive.
 func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masparRun, error) {
 	if len(sps) == 0 {
 		return nil, fmt.Errorf("core: a gang needs at least one sentence")
@@ -396,6 +327,7 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 	}
 	l := ly.L()
 	B := len(sps)
+	nw := m.WordLen()
 	run := &masparRun{
 		ly:         ly,
 		m:          m,
@@ -417,35 +349,24 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		done:       make([]bool, B),
 		snaps:      make([]metrics.Counters, B),
 		segChanged: make([]maspar.Bit, B),
+		tmp:        make([]uint64, nw),
+		perArc:     make([]uint64, nw),
+		blockSup:   make([]uint64, nw),
+		dist:       make([]uint64, nw),
 	}
 	for b, sp := range sps {
 		run.sents[b] = sp.Sentence()
-	}
-	run.classRep = make([]int, B)
-	seen := make(map[string]int, B)
-	for b, sent := range run.sents {
-		k := sentenceKey(sent)
-		if rep, ok := seen[k]; ok {
-			run.classRep[b] = rep
-			run.hasDups = true
-		} else {
-			seen[k] = b
-			run.classRep[b] = b
-		}
 	}
 	run.baseMaskW = gangMaskW(ly.baseMaskW, run.segWords, B)
 	run.arcSegHeadW = gangMaskW(ly.arcSegHeadW, run.segWords, B)
 	run.blockFirstActiveW = gangMaskW(ly.blockFirstActiveW, run.segWords, B)
 	run.scanAndMaskW = gangMaskW(ly.scanAndMaskW, run.segWords, B)
 	for i := range run.bitsV {
-		run.bitsV[i] = m.GetVec()
-		clearVec(run.bitsV[i])
+		run.bitsV[i] = make([]uint64, nw)
 	}
 	for ls := 0; ls < l; ls++ {
-		run.aliveColV[ls] = m.GetVec()
-		run.aliveRowV[ls] = m.GetVec()
-		clearVec(run.aliveColV[ls])
-		clearVec(run.aliveRowV[ls])
+		run.aliveColV[ls] = make([]uint64, nw)
+		run.aliveRowV[ls] = make([]uint64, nw)
 	}
 
 	// ACU broadcast: sentence words/categories and the table-T slices
@@ -476,9 +397,6 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 func (run *masparRun) initAlive() {
 	ly := run.ly
 	for b, sent := range run.sents {
-		if run.dupSeg(b) {
-			continue
-		}
 		run.markSets(b, func(i, ls int) bool {
 			cat, ok := sent.Cat(ly.refs[i].Pos)
 			return ok && ly.allowed[ly.refs[i].Role][cat][ls]
@@ -486,14 +404,14 @@ func (run *masparRun) initAlive() {
 	}
 	run.extendSets()
 	run.m.AllWords(func(w int, active uint64) {
-		rep, a, off := run.wordSegment(w)
+		seg, a, off := run.wordSegment(w)
 		for ls := 0; ls < ly.l; ls++ {
-			set := run.groupSet(rep, ls)
+			set := run.groupSet(seg, ls)
 			run.aliveColV[ls][w] = ly.colLanes(set, a) & active
 			run.aliveRowV[ls][w] = rowLanes(set, off) & active
 		}
 	})
-	clearVec(run.sets)
+	clear(run.sets)
 }
 
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
@@ -559,9 +477,6 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
 	for b := range run.sents {
-		if run.dupSeg(b) {
-			continue
-		}
 		run.cks[b].Check1Span(ly.refs, run.verdicts)
 		run.markSets(b, func(i, _ int) bool { return !run.verdicts[i] })
 	}
@@ -572,18 +487,18 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 // violators (applyUnary) or a round's unsupported values
 // (consistencyRound) — from both liveness sides, word-parallel, and
 // masks the arc elements to match, then empties the group sets. Only
-// live slots of segments whose class representative has a marked value
-// are swept, and a (lc, lr) word is re-masked only when its column or
-// row slot lost a lane. The activity mask is baseMaskW, which the
-// machine holds throughout propagation (consistencyRound restores it
-// before it sweeps). Host work only: the caller charges the
-// instructions the sweep stands for, and attributes its time.
+// live slots of segments whose member has a marked value are swept, and
+// a (lc, lr) word is re-masked only when its column or row slot lost a
+// lane. The activity mask is baseMaskW, which the machine holds
+// throughout propagation (consistencyRound restores it before it
+// sweeps). Host work only: the caller charges the instructions the
+// sweep stands for, and attributes its time.
 func (run *masparRun) sweepDead() {
 	ly := run.ly
 	run.extendSets()
 	for w, active := range run.baseMaskW {
-		rep, a, off := run.wordSegment(w)
-		if !run.marked[rep] {
+		seg, a, off := run.wordSegment(w)
+		if !run.marked[seg] {
 			continue
 		}
 		var rowLive, rowLost uint64
@@ -593,7 +508,7 @@ func (run *masparRun) sweepDead() {
 				continue
 			}
 			rowLive |= slotBit(lr)
-			if lost := rowLanes(run.groupSet(rep, lr), off) & ar & active; lost != 0 {
+			if lost := rowLanes(run.groupSet(seg, lr), off) & ar & active; lost != 0 {
 				run.aliveRowV[lr][w] = ar &^ lost
 				rowLost |= slotBit(lr)
 			}
@@ -603,7 +518,7 @@ func (run *masparRun) sweepDead() {
 			if ac == 0 {
 				continue
 			}
-			lost := ly.colLanes(run.groupSet(rep, lc), a) & ac & active
+			lost := ly.colLanes(run.groupSet(seg, lc), a) & ac & active
 			remask := rowLost
 			if lost != 0 {
 				ac &^= lost
@@ -620,43 +535,39 @@ func (run *masparRun) sweepDead() {
 			}
 		}
 	}
-	clearVec(run.sets)
+	clear(run.sets)
 }
 
 // applyBinary propagates one binary constraint. On the machine, every
 // PE tests its l×l surviving pairs in both variable orientations, so
 // each pair of role values is tested twice: at PE colGroup·S+rowGroup
 // and at its transpose mirror. The host evaluates each unordered pair
-// of live role values once instead, per class representative: it lists
-// the member's live values from column liveness at each block head, and
-// runs one Check2Span and one Check2SpanRev per value over the later
-// values of other role instances. A failing pair is cleared at its PE,
-// element (lc, lr), and at the mirror, element (lr, lc). This is exact:
-// the both-orientation test gives one verdict at both mirror positions;
-// by the live-slot invariant every set bit lies on a live×live pair;
-// and same-instance pairs sit only on masked PEs. The machine charges
-// the constraint's instruction, 2l² checks per PE as before, through
+// of live role values once instead, per member: it lists the member's
+// live values from column liveness at each block head, and runs one
+// Check2Span and one Check2SpanRev per value over the later values of
+// other role instances. A failing pair is cleared at its PE, element
+// (lc, lr), and at the mirror, element (lr, lc). This is exact: the
+// both-orientation test gives one verdict at both mirror positions; by
+// the live-slot invariant every set bit lies on a live×live pair; and
+// same-instance pairs sit only on masked PEs. The machine charges the
+// constraint's instruction, 2l² checks per PE as before, through
 // ChargeAllChecks.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
 	run.bindCheckers(c)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
 	for b := range run.sents {
-		if !run.dupSeg(b) {
-			run.binarySegment(b)
-		}
+		run.binarySegment(b)
 	}
-	run.copyDupSegs(run.bitsV)
 	run.m.ChargeAllChecks(2 * run.ly.l * run.ly.l)
 }
 
-// pairScratch is applyBinary's scratch, holding one class
-// representative's live role values at a time. refs lists them
-// group-major, at[i] gives refs[i]'s group and label slot, and inst[k]
-// is the index of the first value of role instance k or later
-// (inst[q·n] == len(refs)). fwd and rev hold one value's verdicts.
-// Liveness only shrinks, so once every member has been listed the
-// scratch is reused without allocating.
+// pairScratch is applyBinary's scratch, holding one member's live role
+// values at a time. refs lists them group-major, at[i] gives refs[i]'s
+// group and label slot, and inst[k] is the index of the first value of
+// role instance k or later (inst[q·n] == len(refs)). fwd and rev hold
+// one value's verdicts. Liveness only shrinks, so once every member has
+// been listed the scratch is reused without allocating.
 type pairScratch struct {
 	refs     []cdg.RVRef
 	at       []liveSlot
@@ -667,8 +578,7 @@ type pairScratch struct {
 // liveSlot locates a live role value: its group and label slot.
 type liveSlot struct{ g, ls int32 }
 
-// listLive fills the scratch with class representative b's live role
-// values.
+// listLive fills the scratch with member b's live role values.
 func (run *masparRun) listLive(b int) *pairScratch {
 	ly, ps := run.ly, &run.pairs
 	count := 0
@@ -715,10 +625,10 @@ func (run *masparRun) forLive(b int, f func(g, i int)) {
 	}
 }
 
-// binarySegment is applyBinary's pass over the segment of class
-// representative b: it evaluates every unordered cross-instance pair of
-// the member's live role values once, in both orientations, and clears
-// a failing pair at both of its mirrored PEs.
+// binarySegment is applyBinary's pass over member b's segment: it
+// evaluates every unordered cross-instance pair of the member's live
+// role values once, in both orientations, and clears a failing pair at
+// both of its mirrored PEs.
 func (run *masparRun) binarySegment(b int) {
 	ps := run.listLive(b)
 	ck := &run.cks[b]
@@ -753,8 +663,7 @@ func (run *masparRun) clearElem(base int, x, y liveSlot) {
 }
 
 // bindCheckers binds c's compiled form to every gang member's sentence,
-// reusing the run's checker scratch. Duplicate segments are bound too
-// (Bind is cheap and keeps indexing uniform); dupSeg skips their checks.
+// reusing the run's checker scratch.
 func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 	for b, sent := range run.sents {
 		run.cks[b] = c.Bind(sent)
@@ -775,31 +684,21 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // scalar formulation. The host runs each slot's OR and its three scans,
 // skipping the ORs of dead column slots. It then reads each live column
 // value's verdict at its block head and marks the unsupported ones in
-// the class representatives' group sets, and one sweepDead clears them
-// from both liveness sides and re-masks only the words whose liveness
-// changed. The column update, the router mirror, the zeroing and the
-// change reduce are charged through charge-only calls. This is exact:
-// column liveness and the copied verdict are uniform across a block;
-// each PE's row liveness is its row group's column liveness, so the
-// mirror of the new column side is the old row side minus the dead
-// values' row lanes; a support reads arc elements and masks, never
-// another slot's liveness, so clearing every slot after the last scan
-// changes nothing; and a duplicate segment's state, and so its change
-// bit, is its representative's. Scratch vectors come from the
-// machine's arena, so a round allocates nothing in steady state.
+// the members' group sets, and one sweepDead clears them from both
+// liveness sides and re-masks only the words whose liveness changed.
+// The column update, the router mirror, the zeroing and the change
+// reduce are charged through charge-only calls. This is exact: column
+// liveness and the copied verdict are uniform across a block; each
+// PE's row liveness is its row group's column liveness, so the mirror
+// of the new column side is the old row side minus the dead values'
+// row lanes; and a support reads arc elements and masks, never another
+// slot's liveness, so clearing every slot after the last scan changes
+// nothing. The scratch vectors are the run's own, so a round allocates
+// nothing.
 func (run *masparRun) consistencyRound() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
-	tmp := m.GetVec()
-	perArc := m.GetVec()
-	blockSup := m.GetVec()
-	dist := m.GetVec()
-	defer func() {
-		m.PutVec(tmp)
-		m.PutVec(perArc)
-		m.PutVec(blockSup)
-		m.PutVec(dist)
-	}()
+	tmp, perArc, blockSup, dist := run.tmp, run.perArc, run.blockSup, run.dist
 	clear(run.segChanged)
 
 	for lc := 0; lc < ly.l; lc++ {
@@ -852,23 +751,15 @@ func (run *masparRun) consistencyRound() bool {
 	// the gang image of the solo round's global ReduceOr, charged
 	// identically (one scan).
 	m.ChargeSegmentOr()
-	any := false
-	for b, rep := range run.classRep {
-		run.segChanged[b] = run.segChanged[rep]
-		any = any || run.segChanged[b] == 1
-	}
-	return any
+	return slices.Contains(run.segChanged, 1)
 }
 
-// markUnsupported marks, in each class representative's group set for
-// column slot lc, the live values whose support verdict dist reads 0 at
-// their block head, and records the representative's change bit.
+// markUnsupported marks, in each member's group set for column slot lc,
+// the live values whose support verdict dist reads 0 at their block
+// head, and records the member's change bit.
 func (run *masparRun) markUnsupported(lc int, dist []uint64) {
 	ly, ac := run.ly, run.aliveColV[lc]
 	for b := range run.sents {
-		if run.dupSeg(b) {
-			continue
-		}
 		base := b * run.stride
 		set := run.groupSet(b, lc)
 		for g := 0; g < ly.s; g++ {

@@ -22,7 +22,7 @@ func runDemo(t *testing.T, words []string) *masparRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := runMasPar(context.Background(), cdg.NewSpace(g, sent), m, false, true, 0, nil)
+	run, _, err := runMasParGang(context.Background(), []*cdg.Space{cdg.NewSpace(g, sent)}, m, false, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

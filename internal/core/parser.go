@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -214,16 +215,21 @@ func (p *Parser) ParseSentenceContext(ctx context.Context, sent *cdg.Sentence) (
 }
 
 // ParseGangContext parses a batch of same-length sentences. On the
-// MasPar backend they run as ONE gang program: every sentence occupies
-// its own segment of a single virtual PE array and one ACU instruction
-// stream drives the whole gang, so instruction dispatch and arena
-// traffic are paid once per batch instead of once per sentence. Each
-// result's counters and ModelTime are attributed per sentence and are
-// bit-identical to a solo run of that sentence (see runMasParGang);
-// HostTime is the batch's wall clock split evenly across members.
-// Other backends fall back to sequential solo parses. Like every parse,
-// the gang runs on the caller's goroutine: host parallelism is the
-// caller's to choose, as the serving pool does with one parse per
+// MasPar backend they run as ONE gang program: every distinct sentence
+// occupies its own segment of a single virtual PE array and one ACU
+// instruction stream drives the whole gang, so machine setup and
+// instruction dispatch are paid once per batch instead of once per
+// sentence. Identical sentences (same words and categories, see
+// sentenceKey) parse identically, so the gang runs each one once and a
+// later twin gets a clone of its first twin's network and a copy of its
+// counters — exactly what a segment of its own would compute, since the
+// machine charges per segment. Each result's counters and ModelTime
+// are attributed per sentence and are bit-identical to a solo run of
+// that sentence (see runMasParGang); HostTime is the batch's wall
+// clock split evenly across members. A solo MasPar parse is a gang of
+// one. Other backends fall back to sequential solo parses. Like every
+// parse, the gang runs on the caller's goroutine: host parallelism is
+// the caller's to choose, as the serving pool does with one parse per
 // worker.
 //
 // All sentences must have the same word count; mixed lengths are an
@@ -249,27 +255,59 @@ func (p *Parser) ParseGangContext(ctx context.Context, sents []*cdg.Sentence) ([
 	if err != nil {
 		return nil, err
 	}
-	sps := make([]*cdg.Space, len(sents))
+	// seg[i] is the gang segment that parses sentence i: its first
+	// twin's.
+	seg := make([]int, len(sents))
+	first := make(map[string]int, len(sents))
+	var sps []*cdg.Space
 	for i, s := range sents {
-		sps[i] = cdg.NewSpace(p.g, s)
+		k := sentenceKey(s)
+		b, ok := first[k]
+		if !ok {
+			b = len(sps)
+			first[k] = b
+			sps = append(sps, cdg.NewSpace(p.g, s))
+		}
+		seg[i] = b
 	}
 	run, nws, err := runMasParGang(ctx, sps, m, p.cfg.consistencyPerConstraint, p.cfg.filter, p.cfg.maxFilterIters, p.cfg.attr)
 	if err != nil {
 		return nil, err
 	}
 	per := time.Since(start) / time.Duration(len(sents))
+	taken := make([]bool, len(sps))
 	out := make([]*Result, len(sents))
-	for b := range sents {
+	for i, b := range seg {
+		nw := nws[b]
+		if taken[b] {
+			nw = nw.Clone()
+		}
+		taken[b] = true
 		c := run.countersFor(b)
-		out[b] = &Result{
+		out[i] = &Result{
 			Backend:   MasPar,
-			Network:   nws[b],
+			Network:   nw,
 			Counters:  c,
 			ModelTime: maspar.CyclesToModelTime(c.Cycles),
 			HostTime:  per,
 		}
 	}
 	return out, nil
+}
+
+// sentenceKey is the identity ParseGangContext dedupes by: the words
+// and resolved categories, which are everything a MasPar parse reads
+// of a sentence.
+func sentenceKey(s *cdg.Sentence) string {
+	var sb strings.Builder
+	for p := 1; p <= s.Len(); p++ {
+		c, _ := s.Cat(p)
+		sb.WriteString(s.Word(p))
+		sb.WriteByte(0x1f)
+		sb.WriteString(strconv.Itoa(int(c)))
+		sb.WriteByte(0x1e)
+	}
+	return sb.String()
 }
 
 func (p *Parser) parseSentence(ctx context.Context, sent *cdg.Sentence) (*Result, error) {
@@ -312,21 +350,11 @@ func (p *Parser) parseSentence(ctx context.Context, sent *cdg.Sentence) (*Result
 		return &Result{Backend: Mesh, Network: mres.Network, Counters: mres.Counters}, nil
 
 	case MasPar:
-		m, err := maspar.New(p.cfg.phys, maspar.DefaultCosts())
+		res, err := p.ParseGangContext(ctx, []*cdg.Sentence{sent})
 		if err != nil {
 			return nil, err
 		}
-		sp := cdg.NewSpace(p.g, sent)
-		run, nw, err := runMasPar(ctx, sp, m, p.cfg.consistencyPerConstraint, p.cfg.filter, p.cfg.maxFilterIters, p.cfg.attr)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Backend:   MasPar,
-			Network:   nw,
-			Counters:  run.countersFor(0),
-			ModelTime: m.ModelTime(),
-		}, nil
+		return res[0], nil
 	}
 	return nil, fmt.Errorf("core: unknown backend %d", p.cfg.backend)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/cdg"
@@ -12,20 +14,54 @@ import (
 // instruction schedule: for several sentence lengths, PlanMasPar with
 // the measured round count must reproduce the executed cycle count
 // exactly. If masparsec.go's schedule changes, this fails and plan.go
-// must be updated with it.
+// must be updated with it. Beside the demo grammar's solo parses it
+// covers English: every member of one gang, whose members settle at
+// different rounds and one of which repeats another, and a 17-word
+// sentence that spans 46 virtual layers.
 func TestPlanMatchesExecution(t *testing.T) {
-	g := grammars.PaperDemo()
+	type parsed struct {
+		g     *cdg.Grammar
+		words []string
+		res   *Result
+	}
+	var runs []parsed
+	demo := grammars.PaperDemo()
 	for _, words := range [][]string{
 		{"program", "runs"},
 		{"the", "program", "runs"},
 		{"the", "program", "runs", "the", "machine"},
 		{"the", "program", "the", "compiler", "the", "machine", "runs"},
 	} {
-		p := NewParser(g, WithBackend(MasPar))
+		p := NewParser(demo, WithBackend(MasPar))
 		res, err := p.Parse(words)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runs = append(runs, parsed{demo, words, res})
+	}
+	english := grammars.English()
+	gang := []string{"the dog saw the man", "a cat chased the ball", "the dog saw the man", "walked the dog rex quickly"}
+	results, err := NewParser(english).ParseGangContext(context.Background(), resolveAll(t, english, gang))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if want := []uint64{3, 3, 3, 2}[i]; res.Counters.FilterIterations != want {
+			t.Fatalf("gang member %d (%q) settled after %d rounds, want %d", i, gang[i], res.Counters.FilterIterations, want)
+		}
+		runs = append(runs, parsed{english, strings.Fields(gang[i]), res})
+	}
+	long := strings.Fields("the big old dog saw the old man with the telescope in the park with the ball")
+	res, err := NewParser(english).Parse(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.VirtualLayers != 46 {
+		t.Fatalf("the %d-word sentence spans %d virtual layers, want 46", len(long), res.Counters.VirtualLayers)
+	}
+	runs = append(runs, parsed{english, long, res})
+	for _, r := range runs {
+		g, words, res := r.g, r.words, r.res
 		plan := PlanMasPar(g, len(words), maspar.PhysicalPEs, maspar.DefaultCosts(), int(res.Counters.FilterIterations))
 		if plan.Cycles != res.Counters.Cycles {
 			t.Errorf("n=%d: plan cycles %d != executed cycles %d (rounds=%d)",

@@ -39,9 +39,10 @@ func BenchmarkSegScanOrRef(b *testing.B) {
 				head[i] = true
 				data[i+v/128%16] = 1
 			}
+			dst := make([]Bit, v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PutBits(m.SegScanOr(data, head))
+				m.SegScanOr(dst, data, head)
 			}
 			reportCycles(b, m)
 		})
@@ -58,9 +59,10 @@ func BenchmarkRouterFetchRef(b *testing.B) {
 			for i := range src {
 				src[i] = int32((i * 7) % v)
 			}
+			dst := make([]Bit, v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PutBits(m.RouterFetch(src, data))
+				m.RouterFetch(dst, src, data)
 			}
 			reportCycles(b, m)
 		})
@@ -78,7 +80,8 @@ func BenchmarkSegReduceOrToHead(b *testing.B) {
 		head[i] = true
 		data[(i+3)%v] = 1
 	}
-	dataV, headV, dst := m.GetVec(), m.GetVec(), m.GetVec()
+	nw := m.WordLen()
+	dataV, headV, dst := make([]uint64, nw), make([]uint64, nw), make([]uint64, nw)
 	PackBits(dataV, data)
 	PackBools(headV, head)
 	b.ResetTimer()

@@ -104,8 +104,6 @@ type Machine struct {
 	mask  []uint64
 	valid []uint64
 
-	buf arena
-
 	// Cycles is the simulated machine-cycle total.
 	Cycles uint64
 	// Instr counts elemental instructions, ScanOps segmented scans,
@@ -128,8 +126,7 @@ func New(phys int, costs CostModel) (*Machine, error) {
 }
 
 // Setup sizes the virtual PE array for a program and enables every PE.
-// It returns the virtualization layer count ⌈v/phys⌉. Buffers handed
-// out by the arena before Setup must not be reused after it.
+// It returns the virtualization layer count ⌈v/phys⌉.
 func (m *Machine) Setup(v int) (layers int, err error) {
 	return m.SetupGang(v, 1)
 }
@@ -171,7 +168,6 @@ func (m *Machine) SetupGang(vSeg, segs int) (layers int, err error) {
 	}
 	m.mask = make([]uint64, m.nw)
 	m.fillMask()
-	m.buf.reset(m.nw, m.v)
 	return m.layer, nil
 }
 

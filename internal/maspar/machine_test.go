@@ -73,7 +73,7 @@ func TestChargeAllWordsChargesLikeAllWords(t *testing.T) {
 
 func TestChargeRouterChargesLikeRouterFetch(t *testing.T) {
 	checkChargesLike(t, "ChargeRouter",
-		func(m *Machine) { m.RouterFetch(make([]int32, m.V()), make([]Bit, m.V())) },
+		func(m *Machine) { m.RouterFetch(make([]Bit, m.V()), make([]int32, m.V()), make([]Bit, m.V())) },
 		(*Machine).ChargeRouter)
 }
 
@@ -100,7 +100,7 @@ func TestRouterAccounting(t *testing.T) {
 	src := make([]int32, 1024)
 	data := make([]Bit, 1024)
 	c0 := m.Cycles
-	m.RouterFetch(src, data)
+	m.RouterFetch(make([]Bit, 1024), src, data)
 	costs := DefaultCosts()
 	want := costs.RouterBase + costs.RouterPerLevel*10 // log2(1024)=10
 	if m.Cycles-c0 != want {

@@ -126,10 +126,11 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 	ref.SetMask(pred)
 	pk.SetMask(pred)
 
-	dataV := pk.GetVec()
-	headV := pk.GetVec()
-	out := pk.GetVec()
+	dataV := make([]uint64, pk.WordLen())
+	headV := make([]uint64, pk.WordLen())
+	out := make([]uint64, pk.WordLen())
 	got := make([]Bit, v)
+	want := make([]Bit, v)
 	PackBits(dataV, data)
 	PackBools(headV, heads)
 
@@ -145,13 +146,16 @@ func runPackedVsRef(t *testing.T, v int, maskStyle, headStyle string) {
 	}
 
 	pk.CopySegHeadV(out, dataV, headV)
-	check("CopySegHead", ref.CopySegHead(data, heads))
+	ref.CopySegHead(want, data, heads)
+	check("CopySegHead", want)
 
 	pk.SegReduceOrToHeadV(out, dataV, headV)
-	check("SegReduceOrToHead", ref.SegReduceOrToHead(data, heads))
+	ref.SegReduceOrToHead(want, data, heads)
+	check("SegReduceOrToHead", want)
 
 	pk.SegReduceAndToHeadV(out, dataV, headV)
-	check("SegReduceAndToHead", ref.SegReduceAndToHead(data, heads))
+	ref.SegReduceAndToHead(want, data, heads)
+	check("SegReduceAndToHead", want)
 
 	if ref.Cycles != pk.Cycles || ref.ScanOps != pk.ScanOps ||
 		ref.RouterOps != pk.RouterOps || ref.Instr != pk.Instr {
@@ -176,9 +180,9 @@ func TestPackedKernelsAtScale(t *testing.T) {
 	runPackedVsRef(t, 10609, "sparse", "none") // s = 103
 }
 
-// TestSteadyStateScansDoNotAllocate is the allocation regression test
-// from the issue: with vectors drawn from the arena once, the packed
-// scan kernels and the recycled byte API must not allocate per call.
+// TestSteadyStateScansDoNotAllocate is the allocation regression test:
+// writing into caller-owned vectors, the packed scan kernels and the
+// byte API must not allocate per call.
 func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 	m, err := New(PhysicalPEs, DefaultCosts())
 	if err != nil {
@@ -188,9 +192,9 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := m.V()
-	data := m.GetVec()
-	head := m.GetVec()
-	dst := m.GetVec()
+	data := make([]uint64, m.WordLen())
+	head := make([]uint64, m.WordLen())
+	dst := make([]uint64, m.WordLen())
 	for w := range data {
 		data[w] = 0xaaaa5555aaaa5555
 		head[w] = 0x0000100000001000
@@ -204,17 +208,16 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		t.Errorf("packed scan kernels allocate %v allocs/op in steady state, want 0", avg)
 	}
 
-	// The byte API draws results from the arena; recycling them makes
-	// it allocation-free too.
+	// The byte API writes a caller-owned dst too.
 	bdata := make([]Bit, v)
 	bhead := make([]bool, v)
-	m.PutBits(m.SegScanOr(bdata, bhead)) // warm the free-list
+	bdst := make([]Bit, v)
 	if avg := testing.AllocsPerRun(20, func() {
-		m.PutBits(m.SegScanOr(bdata, bhead))
-		m.PutBits(m.SegReduceOrToHead(bdata, bhead))
-		m.PutBits(m.CopySegHead(bdata, bhead))
+		m.SegScanOr(bdst, bdata, bhead)
+		m.SegReduceOrToHead(bdst, bdata, bhead)
+		m.CopySegHead(bdst, bdata, bhead)
 	}); avg != 0 {
-		t.Errorf("recycled byte-API scans allocate %v allocs/op in steady state, want 0", avg)
+		t.Errorf("byte-API scans allocate %v allocs/op in steady state, want 0", avg)
 	}
 
 	// The compiled-eval propagation sweeps share the contract: once the
@@ -242,36 +245,5 @@ func TestSteadyStateScansDoNotAllocate(t *testing.T) {
 		nw.ApplyBinaryAll(g.Binary())
 	}); avg != 0 {
 		t.Errorf("compiled-eval propagation sweeps allocate %v allocs/op in steady state, want 0", avg)
-	}
-}
-
-// TestArenaReuseAcrossSetup pins the invalidation contract: buffers
-// from before a Setup must not be handed out again after it.
-func TestArenaReuseAcrossSetup(t *testing.T) {
-	m, err := New(64, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Setup(128); err != nil {
-		t.Fatal(err)
-	}
-	old := m.GetVec()
-	if _, err := m.Setup(256); err != nil {
-		t.Fatal(err)
-	}
-	m.PutVec(old) // stale size: must be dropped, not recycled
-	if got := m.GetVec(); len(got) != m.WordLen() {
-		t.Fatalf("arena handed out stale buffer of %d words, want %d", len(got), m.WordLen())
-	}
-	b := m.GetBits()
-	for i := range b {
-		b[i] = 7
-	}
-	m.PutBits(b)
-	b2 := m.GetBits()
-	for i, x := range b2 {
-		if x != 0 {
-			t.Fatalf("GetBits returned dirty buffer at %d (=%d)", i, x)
-		}
 	}
 }

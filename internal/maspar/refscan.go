@@ -15,21 +15,21 @@ package maspar
 // These scalar loops are the executable specification for the packed
 // word-parallel kernels in packed.go; the property tests in
 // packed_test.go assert both agree bit-for-bit (outputs, cycle counts,
-// scan-op counts) on random masks and segment structures. Result
-// buffers come from the Machine's arena — recycle them with PutBits to
-// make this API allocation-free in steady state.
+// scan-op counts) on random masks and segment structures. Like the
+// packed kernels, each writes its result into a caller-owned dst (V
+// bytes), which it clears first, so the byte API allocates nothing.
 
 // Bit is the plural bit type flowing through the scan network.
 type Bit = uint8
 
-// SegScanOr performs an inclusive, segmented OR-scan: each active PE
-// receives the OR of its segment's values up to and including itself.
-// Inactive PEs keep a zero result.
+// SegScanOr performs an inclusive, segmented OR-scan into dst: each
+// active PE receives the OR of its segment's values up to and
+// including itself. Inactive PEs get a zero result.
 //
 //parsec:noalloc
-func (m *Machine) SegScanOr(data []Bit, segHead []bool) []Bit {
+func (m *Machine) SegScanOr(dst, data []Bit, segHead []bool) {
 	m.chargeScan()
-	out := m.buf.getBytes()
+	clear(dst)
 	var acc Bit
 	open := false
 	for pe := 0; pe < m.v; pe++ {
@@ -41,15 +41,14 @@ func (m *Machine) SegScanOr(data []Bit, segHead []bool) []Bit {
 			open = true
 		}
 		acc |= data[pe]
-		out[pe] = acc
+		dst[pe] = acc
 	}
-	return out
 }
 
 // SegScanAnd is the AND counterpart of SegScanOr.
-func (m *Machine) SegScanAnd(data []Bit, segHead []bool) []Bit {
+func (m *Machine) SegScanAnd(dst, data []Bit, segHead []bool) {
 	m.chargeScan()
-	out := m.buf.getBytes()
+	clear(dst)
 	acc := Bit(1)
 	open := false
 	for pe := 0; pe < m.v; pe++ {
@@ -61,25 +60,24 @@ func (m *Machine) SegScanAnd(data []Bit, segHead []bool) []Bit {
 			open = true
 		}
 		acc &= data[pe]
-		out[pe] = acc
+		dst[pe] = acc
 	}
-	return out
 }
 
-// SegReduceOrToHead ORs each segment and deposits the result on the
-// segment's head PE (zero elsewhere). On the real machine this is a
-// backward scanOr read off at the boundary PEs; it costs one scan.
+// SegReduceOrToHead ORs each segment and deposits the result in dst
+// at the segment's head PE (zero elsewhere). On the real machine this
+// is a backward scanOr read off at the boundary PEs; it costs one scan.
 //
 //parsec:noalloc
-func (m *Machine) SegReduceOrToHead(data []Bit, segHead []bool) []Bit {
+func (m *Machine) SegReduceOrToHead(dst, data []Bit, segHead []bool) {
 	m.chargeScan()
-	out := m.buf.getBytes()
+	clear(dst)
 	head := -1
 	var acc Bit
 	//lint:allow allocfree (non-escaping closure: stack-allocated, AllocsPerRun==0 pins it)
 	flush := func() {
 		if head >= 0 {
-			out[head] = acc
+			dst[head] = acc
 		}
 	}
 	for pe := 0; pe < m.v; pe++ {
@@ -94,19 +92,18 @@ func (m *Machine) SegReduceOrToHead(data []Bit, segHead []bool) []Bit {
 		acc |= data[pe]
 	}
 	flush()
-	return out
 }
 
-// SegReduceAndToHead ANDs each segment to its head PE (zero elsewhere,
-// including inactive heads' positions).
-func (m *Machine) SegReduceAndToHead(data []Bit, segHead []bool) []Bit {
+// SegReduceAndToHead ANDs each segment into dst at its head PE (zero
+// elsewhere, including inactive heads' positions).
+func (m *Machine) SegReduceAndToHead(dst, data []Bit, segHead []bool) {
 	m.chargeScan()
-	out := m.buf.getBytes()
+	clear(dst)
 	head := -1
 	acc := Bit(1)
 	flush := func() {
 		if head >= 0 {
-			out[head] = acc
+			dst[head] = acc
 		}
 	}
 	for pe := 0; pe < m.v; pe++ {
@@ -121,17 +118,16 @@ func (m *Machine) SegReduceAndToHead(data []Bit, segHead []bool) []Bit {
 		acc &= data[pe]
 	}
 	flush()
-	return out
 }
 
-// CopySegHead broadcasts each segment head's value to every active PE of
-// its segment (the copy-scan idiom used to distribute consistency
-// verdicts back across a column block).
+// CopySegHead broadcasts each segment head's value into dst at every
+// active PE of its segment (the copy-scan idiom used to distribute
+// consistency verdicts back across a column block).
 //
 //parsec:noalloc
-func (m *Machine) CopySegHead(data []Bit, segHead []bool) []Bit {
+func (m *Machine) CopySegHead(dst, data []Bit, segHead []bool) {
 	m.chargeScan()
-	out := m.buf.getBytes()
+	clear(dst)
 	var cur Bit
 	open := false
 	for pe := 0; pe < m.v; pe++ {
@@ -142,9 +138,8 @@ func (m *Machine) CopySegHead(data []Bit, segHead []bool) []Bit {
 			cur = data[pe]
 			open = true
 		}
-		out[pe] = cur
+		dst[pe] = cur
 	}
-	return out
 }
 
 // ReduceOr returns the global OR over all active PEs (delivered to the
@@ -173,17 +168,16 @@ func (m *Machine) ReduceAnd(data []Bit) Bit {
 	return acc
 }
 
-// RouterFetch gathers through the global router: every active PE pe
-// receives data[src[pe]]. src indices address the full virtual array
-// (the transpose permutation of the PARSEC layout is the main user).
-// One router pass.
-func (m *Machine) RouterFetch(src []int32, data []Bit) []Bit {
+// RouterFetch gathers through the global router into dst: every
+// active PE pe receives data[src[pe]], and inactive PEs get zero. src
+// indices address the full virtual array (the transpose permutation of
+// the PARSEC layout is the main user). One router pass.
+func (m *Machine) RouterFetch(dst []Bit, src []int32, data []Bit) {
 	m.chargeRouter()
-	out := m.buf.getBytes()
+	clear(dst)
 	for pe := 0; pe < m.v; pe++ {
 		if m.Enabled(pe) {
-			out[pe] = data[src[pe]]
+			dst[pe] = data[src[pe]]
 		}
 	}
-	return out
 }

@@ -45,7 +45,8 @@ func TestSegScanOrBasic(t *testing.T) {
 	m := newTestMachine(t, 16, 8)
 	data := []Bit{0, 1, 0, 0, 1, 0, 0, 0}
 	head := []bool{true, false, false, false, true, false, false, false}
-	got := m.SegScanOr(data, head)
+	got := make([]Bit, m.V())
+	m.SegScanOr(got, data, head)
 	want := []Bit{0, 1, 1, 1, 1, 1, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -58,7 +59,8 @@ func TestSegScanAndBasic(t *testing.T) {
 	m := newTestMachine(t, 16, 6)
 	data := []Bit{1, 1, 0, 1, 1, 1}
 	head := []bool{true, false, false, true, false, false}
-	got := m.SegScanAnd(data, head)
+	got := make([]Bit, m.V())
+	m.SegScanAnd(got, data, head)
 	want := []Bit{1, 1, 0, 1, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -73,7 +75,8 @@ func TestScansSkipInactivePEs(t *testing.T) {
 	m.SetMask(func(pe int) bool { return pe != 1 })
 	data := []Bit{0, 1, 0, 0, 0, 0}
 	head := []bool{true, false, false, false, false, false}
-	got := m.SegScanOr(data, head)
+	got := make([]Bit, m.V())
+	m.SegScanOr(got, data, head)
 	for i, v := range got {
 		if v != 0 {
 			t.Errorf("pe %d: got %d, want 0 (inactive PE contributed)", i, v)
@@ -88,7 +91,8 @@ func TestSegHeadOnInactivePEIgnored(t *testing.T) {
 	m.SetMask(func(pe int) bool { return pe != 2 })
 	data := []Bit{1, 0, 0, 0, 0}
 	head := []bool{true, false, true, false, false}
-	got := m.SegScanOr(data, head)
+	got := make([]Bit, m.V())
+	m.SegScanOr(got, data, head)
 	if got[3] != 1 || got[4] != 1 {
 		t.Errorf("segment should flow across the disabled head: %v", got)
 	}
@@ -98,14 +102,16 @@ func TestSegReduceToHead(t *testing.T) {
 	m := newTestMachine(t, 16, 8)
 	data := []Bit{0, 1, 0, 0, 1, 1, 0, 0}
 	head := []bool{true, false, false, false, true, false, true, false}
-	or := m.SegReduceOrToHead(data, head)
+	or := make([]Bit, m.V())
+	m.SegReduceOrToHead(or, data, head)
 	wantOr := []Bit{1, 0, 0, 0, 1, 0, 0, 0}
 	for i := range wantOr {
 		if or[i] != wantOr[i] {
 			t.Errorf("or pe %d: got %d want %d", i, or[i], wantOr[i])
 		}
 	}
-	and := m.SegReduceAndToHead(data, head)
+	and := make([]Bit, m.V())
+	m.SegReduceAndToHead(and, data, head)
 	wantAnd := []Bit{0, 0, 0, 0, 1, 0, 0, 0}
 	for i := range wantAnd {
 		if and[i] != wantAnd[i] {
@@ -118,7 +124,8 @@ func TestCopySegHead(t *testing.T) {
 	m := newTestMachine(t, 16, 6)
 	data := []Bit{1, 0, 0, 0, 0, 0}
 	head := []bool{true, false, false, true, false, false}
-	got := m.CopySegHead(data, head)
+	got := make([]Bit, m.V())
+	m.CopySegHead(got, data, head)
 	want := []Bit{1, 1, 1, 0, 0, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -143,6 +150,36 @@ func TestReduceOrAnd(t *testing.T) {
 	}
 }
 
+// TestByteKernelsClearDst: every byte kernel overwrites a dirty dst,
+// so inactive PEs and lanes a kernel does not write read 0.
+func TestByteKernelsClearDst(t *testing.T) {
+	m := newTestMachine(t, 16, 6)
+	m.SetMask(func(pe int) bool { return pe != 4 })
+	data := []Bit{1, 1, 0, 1, 1, 1}
+	head := []bool{true, false, false, true, false, false}
+	src := []int32{5, 4, 3, 2, 1, 0}
+	for _, tc := range []struct {
+		name string
+		run  func(dst []Bit)
+		want []Bit
+	}{
+		{"SegScanOr", func(dst []Bit) { m.SegScanOr(dst, data, head) }, []Bit{1, 1, 1, 1, 0, 1}},
+		{"SegScanAnd", func(dst []Bit) { m.SegScanAnd(dst, data, head) }, []Bit{1, 1, 0, 1, 0, 1}},
+		{"SegReduceOrToHead", func(dst []Bit) { m.SegReduceOrToHead(dst, data, head) }, []Bit{1, 0, 0, 1, 0, 0}},
+		{"SegReduceAndToHead", func(dst []Bit) { m.SegReduceAndToHead(dst, data, head) }, []Bit{0, 0, 0, 1, 0, 0}},
+		{"CopySegHead", func(dst []Bit) { m.CopySegHead(dst, data, head) }, []Bit{1, 1, 1, 1, 0, 1}},
+		{"RouterFetch", func(dst []Bit) { m.RouterFetch(dst, src, data) }, []Bit{1, 1, 1, 0, 0, 1}},
+	} {
+		dst := []Bit{7, 7, 7, 7, 7, 7}
+		tc.run(dst)
+		for i := range tc.want {
+			if dst[i] != tc.want[i] {
+				t.Errorf("%s: pe %d: got %d want %d", tc.name, i, dst[i], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestRouterFetchTranspose(t *testing.T) {
 	// 3x3 grid transpose: pe = r*3+c fetches from c*3+r.
 	m := newTestMachine(t, 16, 9)
@@ -154,7 +191,8 @@ func TestRouterFetchTranspose(t *testing.T) {
 			src[r*3+c] = int32(c*3 + r)
 		}
 	}
-	got := m.RouterFetch(src, data)
+	got := make([]Bit, m.V())
+	m.RouterFetch(got, src, data)
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
 			if got[r*3+c] != data[c*3+r] {
@@ -176,7 +214,7 @@ func TestCycleAccounting(t *testing.T) {
 		t.Errorf("elemental charge = %d, want %d", oneAll, DefaultCosts().Elemental*2)
 	}
 	c0 = m.Cycles
-	m.SegScanOr(make([]Bit, 2048), make([]bool, 2048))
+	m.SegScanOr(make([]Bit, 2048), make([]Bit, 2048), make([]bool, 2048))
 	scanCharge := m.Cycles - c0
 	wantScan := (DefaultCosts().ScanBase + DefaultCosts().ScanPerLevel*10) * 2 // log2(1024)=10
 	if scanCharge != wantScan {
@@ -261,7 +299,8 @@ func TestQuickSegScanOrMatchesReference(t *testing.T) {
 			mask[i] = rnd(5) != 0
 		}
 		m.SetMask(func(pe int) bool { return mask[pe] })
-		got := m.SegScanOr(data, head)
+		got := make([]Bit, m.V())
+		m.SegScanOr(got, data, head)
 		want := refSegOr(data, head, mask)
 		for i := range want {
 			if got[i] != want[i] {
@@ -299,8 +338,10 @@ func TestQuickReduceConsistentWithScan(t *testing.T) {
 			head[i] = rnd(3) == 0
 		}
 		head[0] = true
-		scan := m.SegScanOr(data, head)
-		reduced := m.SegReduceOrToHead(data, head)
+		scan := make([]Bit, m.V())
+		m.SegScanOr(scan, data, head)
+		reduced := make([]Bit, m.V())
+		m.SegReduceOrToHead(reduced, data, head)
 		// Walk segments; compare the reduction at each head with the
 		// scan value at the segment's last PE.
 		lastOf := map[int]int{}

@@ -3,6 +3,7 @@ package clustertest
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -223,6 +224,51 @@ func TestBatchShardsAndMergesInOrder(t *testing.T) {
 	}
 	if shardsHit < 2 {
 		t.Errorf("batch did not shard: %d shards hit", shardsHit)
+	}
+}
+
+// TestBatchReplyOverOneMiB: a batch answer may be far larger than the
+// 1 MiB request bound. 400 english entries (a ~35 KB request) answer
+// with more than 1 MiB, and every entry must come back through a
+// one-shard router as the shard sent it, not as a "bad batch response"
+// error.
+func TestBatchReplyOverOneMiB(t *testing.T) {
+	c := New(t, 1, server.Config{}, router.Config{})
+	breq := server.BatchRequest{}
+	for _, backend := range []string{"serial", "pram"} {
+		for i := 0; i < 200; i++ {
+			breq.Requests = append(breq.Requests, server.ParseRequest{
+				Grammar: "english", Backend: backend, Text: "the dog saw the man with the telescope",
+			})
+		}
+	}
+	body, _ := json.Marshal(breq)
+	resp, err := http.Post(c.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	var bres server.BatchResult
+	if err := json.Unmarshal(data, &bres); err != nil {
+		t.Fatal(err)
+	}
+	if len(bres.Results) != len(breq.Requests) {
+		t.Fatalf("got %d results for %d requests", len(bres.Results), len(breq.Requests))
+	}
+	for i, res := range bres.Results {
+		if res.Error != "" || !res.Accepted {
+			t.Fatalf("result %d: error %q accepted %v", i, res.Error, res.Accepted)
+		}
+	}
+	if len(data) <= 1<<20 {
+		t.Fatalf("batch reply is %d bytes; the case needs more than 1 MiB", len(data))
 	}
 }
 

@@ -48,12 +48,21 @@ type latencyDigest struct {
 	perShard map[string]*shardDigest
 }
 
-func newLatencyDigest() *latencyDigest {
+// newLatencyDigest returns the router's digest, or nil when hedging is
+// off: only hedgeDelay reads it.
+func newLatencyDigest(hedge bool) *latencyDigest {
+	if !hedge {
+		return nil
+	}
 	return &latencyDigest{perShard: make(map[string]*shardDigest)}
 }
 
-// observe folds one completed forward into shard's digest.
+// observe folds one completed forward into shard's digest (a no-op on
+// a nil digest).
 func (d *latencyDigest) observe(shard string, lat time.Duration) {
+	if d == nil {
+		return
+	}
 	d.mu.Lock()
 	sd, ok := d.perShard[shard]
 	if !ok {

@@ -84,3 +84,32 @@ func TestHedgedWinnerContextLivesUntilBodyClosed(t *testing.T) {
 		})
 	}
 }
+
+// TestLatencyDigestOnlyWhenHedging: only hedgeDelay reads the latency
+// digest, so a router without hedging builds none and its forwards
+// record nothing, while a hedging router records each successful
+// forward.
+func TestLatencyDigestOnlyWhenHedging(t *testing.T) {
+	for _, hedge := range []bool{false, true} {
+		r, err := New(Config{
+			Shards:        []string{"http://a:1"},
+			ProbeInterval: -1,
+			Hedge:         hedge,
+			Client:        &http.Client{Transport: fakeShards{"a:1": fakeShard(http.StatusOK, http.StatusOK, "")}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (r.digest != nil) != hedge {
+			t.Fatalf("hedge=%v: digest built = %v", hedge, r.digest != nil)
+		}
+		resp, shed, err := r.forwardOnce(context.Background(), "http://a:1", "/v1/parse", "application/json", []byte(`{}`), classInteractive)
+		if err != nil || shed {
+			t.Fatalf("hedge=%v: forward err=%v shed=%v", hedge, err, shed)
+		}
+		resp.Body.Close()
+		if hedge && r.digest.perShard["http://a:1"].n != 1 {
+			t.Errorf("hedging router recorded %d observations, want 1", r.digest.perShard["http://a:1"].n)
+		}
+	}
+}

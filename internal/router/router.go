@@ -124,7 +124,7 @@ type Router struct {
 	m      *routerMetrics
 	mux    *http.ServeMux
 	hot    *hotTracker    // nil when replication is off
-	digest *latencyDigest // per-shard latency distribution (hedge budget)
+	digest *latencyDigest // per-shard latency distribution (hedge budget); nil when hedging is off
 	admit  *admitState    // nil when admission control is off
 
 	mu sync.Mutex
@@ -159,7 +159,7 @@ func New(cfg Config) (*Router, error) {
 		m:      m,
 		mux:    http.NewServeMux(),
 		hot:    newHotTracker(cfg.ReplicateTop, cfg.ReplicaFactor, cfg.HotKeyWindow, cfg.HotKeyShare),
-		digest: newLatencyDigest(),
+		digest: newLatencyDigest(cfg.Hedge),
 		admit:  newAdmitState(cfg.MaxInflight, m),
 	}
 	r.mux.HandleFunc("/v1/parse", r.handleParse)
@@ -570,8 +570,11 @@ func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest
 		return
 	}
 	defer fr.resp.Body.Close()
+	// A batch reply can be many times larger than its request, so
+	// maxBody, the request bound, does not apply; relay streams /v1/parse
+	// replies unbounded too.
 	var bres server.BatchResult
-	if err := json.NewDecoder(io.LimitReader(fr.resp.Body, maxBody)).Decode(&bres); err != nil || len(bres.Results) != len(idxs) {
+	if err := json.NewDecoder(fr.resp.Body).Decode(&bres); err != nil || len(bres.Results) != len(idxs) {
 		fail(fmt.Sprintf("shard %s: bad batch response", fr.shard))
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/cdg"
@@ -11,32 +12,37 @@ import (
 	"repro/internal/grammars"
 )
 
-// benchSentences builds n resolved copies of one 8-word english
-// sentence — the gang path packs them side by side on one PE array, so
-// identical members exercise exactly the batch-size scaling we want to
-// measure.
+// benchSentences builds n distinct resolved 8-word english sentences,
+// drawn from the lexicon with fixed seeds. They must be distinct:
+// ParseGangContext parses a repeated sentence once, so copies of one
+// sentence would run as a single segment however large the batch.
 func benchSentences(b *testing.B, g *cdg.Grammar, n int) []*cdg.Sentence {
 	b.Helper()
-	words := []string{"the", "dog", "saw", "the", "man", "with", "the", "telescope"}
-	sents := make([]*cdg.Sentence, n)
-	for i := range sents {
+	seen := make(map[string]bool, n)
+	sents := make([]*cdg.Sentence, 0, n)
+	for seed := uint64(1); len(sents) < n; seed++ {
+		words := grammars.RandomSentence(g, seed, 8)
+		k := strings.Join(words, " ")
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
 		sent, err := cdg.Resolve(g, words, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sents[i] = sent
+		sents = append(sents, sent)
 	}
 	return sents
 }
 
 // BenchmarkGangThroughput measures serving-path sentence throughput of
 // ganged MasPar execution as the batch grows: batch=1 is the solo
-// baseline, batch=8/32 run as one plural program over a packed PE
-// array. The headline metric is sents/s — the per-sentence fixed costs
-// (machine setup, mask replication, the broadcast of the lexical
-// tables, per-kernel dispatch) amortize across the gang while the
-// word-parallel inner loops stay proportional, so sents/s should rise
-// steeply with batch size.
+// baseline, batch=8/32 run distinct sentences as one plural program
+// over a packed PE array. The headline metric is sents/s — the
+// per-sentence fixed costs (machine setup, mask replication, the
+// broadcast of the lexical tables, per-kernel dispatch) amortize across
+// the gang while the word-parallel inner loops stay proportional.
 func BenchmarkGangThroughput(b *testing.B) {
 	g := grammars.English()
 	parser := core.NewParser(g, core.WithBackend(core.MasPar))
