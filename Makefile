@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-pool vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race race-pool race-router vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -44,13 +44,22 @@ POOL_TESTS = ^Test(Gang|WorkerGangs|Batch|Deadline|QueueFull|Shutdown|SerialJobs
 race-pool:
 	$(GO) test -race -count=10 -run '$(POOL_TESTS)' ./internal/server/
 
+# race-router does the same for the router: membership churn,
+# sub-batches, failover (the lattice stream's included), 4xx/504
+# handling, hedges, admission and the latency digest, ten times each
+# under the race detector. TestBatchReplyOverOneMiB is left out (about
+# 7 s a run under -race); race runs it once.
+ROUTER_TESTS = ^Test(MembershipChurn|ChurnWith|KilledShard|BatchShards|4xx|504|Retryable5xx|Hedge|Admission|RetryAfter|ClusterSmokeHedged|Lattice|LatencyDigest)
+race-router:
+	$(GO) test -race -count=10 -run '$(ROUTER_TESTS)' ./internal/router/...
+
 # ci is the gate: formatting and static checks, the full suite under
 # the race detector (the server/pool/router tests are written to be
-# hammered) plus ten more rounds of the pool tests, a bounded fuzz pass
-# over the request-decoding,
+# hammered) plus ten more rounds of the pool and router tests, a
+# bounded fuzz pass over the request-decoding,
 # cache-key canonicalization and /metrics parsing surfaces, and the
 # serving benchmark's own module.
-ci: fmt-check vet lint race race-pool fuzz-smoke perfbench-check
+ci: fmt-check vet lint race race-pool race-router fuzz-smoke perfbench-check
 
 # perfbench-check vets and tests the serving benchmark. perfbench is its
 # own Go module, so ./... above does not reach it, though it imports

@@ -233,8 +233,8 @@ func (p *Parser) ParseSentenceContext(ctx context.Context, sent *cdg.Sentence) (
 // worker.
 //
 // All sentences must have the same word count; mixed lengths are an
-// error on the MasPar backend (the server's pool groups by length
-// before calling this).
+// error on the MasPar backend (the server's pool takes only jobs of one
+// length into a gang).
 func (p *Parser) ParseGangContext(ctx context.Context, sents []*cdg.Sentence) ([]*Result, error) {
 	if len(sents) == 0 {
 		return nil, nil

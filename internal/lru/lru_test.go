@@ -19,8 +19,10 @@ func (c *Cache[K, V]) contents() []entry[K, V] {
 // a capacity of 1–8 and, after every step, holds the cache to a slice
 // kept in recency order: the entries and their order (and so which
 // entry an Add evicted), the value a Get returns, the count an Add
-// returns, and Len, which never exceeds the capacity. Each op byte is
-// one step: bit 0 picks Add (1) or Get (0), the bits above it the key.
+// returns, and Len, which never exceeds the capacity. After every step
+// it also Peeks every key and lists Keys, which must match the model
+// without moving any entry. Each op byte is one step: bit 0 picks Add
+// (1) or Get (0), the bits above it the key.
 func FuzzLRUMatchesModel(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 3, 0, 2, 5})
 	f.Add(uint8(1), []byte{1, 3, 0, 5, 2, 1, 7})
@@ -54,6 +56,19 @@ func FuzzLRUMatchesModel(f *testing.F) {
 				}
 				if got := c.Add(key, step); got != want {
 					t.Fatalf("step %d: Add(%d) evicted %d, want %d", step, key, got, want)
+				}
+			}
+			keys := make([]int, len(model))
+			for k, e := range model {
+				keys[k] = e.key
+			}
+			if got := c.Keys(); !slices.Equal(got, keys) {
+				t.Fatalf("step %d: Keys %v, want %v", step, got, keys)
+			}
+			for k := 0; k < 10; k++ {
+				i := slices.Index(keys, k)
+				if got, ok := c.Peek(k); ok != (i >= 0) || ok && got != model[i].val {
+					t.Fatalf("step %d: Peek(%d) = %d, %v; model %v", step, k, got, ok, model)
 				}
 			}
 			if got := c.contents(); !slices.Equal(got, model) {

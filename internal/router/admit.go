@@ -38,17 +38,12 @@ func (c reqClass) String() string {
 	return "interactive"
 }
 
-// classOf derives the admission class from the request: an explicit
+// classOf derives the admission class from the request by the
+// service's one class rule (server.BulkRequest): an explicit
 // ClassHeader wins, otherwise /v1/batch is bulk and everything else is
 // interactive.
 func classOf(req *http.Request) reqClass {
-	switch req.Header.Get(server.ClassHeader) {
-	case "bulk":
-		return classBulk
-	case "interactive":
-		return classInteractive
-	}
-	if req.URL.Path == "/v1/batch" {
+	if server.BulkRequest(req) {
 		return classBulk
 	}
 	return classInteractive
@@ -67,21 +62,13 @@ type admitState struct {
 }
 
 // newAdmitState returns the admission policy, or nil when maxInflight
-// is 0 (admission off). Bulk headroom is a quarter of the cap (at
-// least one slot), so bulk traffic sheds strictly before interactive.
+// is 0 (admission off). Bulk traffic gets server.BulkLimit of the cap,
+// so it sheds strictly before interactive.
 func newAdmitState(maxInflight int, m *routerMetrics) *admitState {
 	if maxInflight <= 0 {
 		return nil
 	}
-	head := maxInflight / 4
-	if head < 1 {
-		head = 1
-	}
-	bulk := maxInflight - head
-	if bulk < 1 {
-		bulk = 1
-	}
-	return &admitState{cap: maxInflight, bulkCap: bulk, m: m}
+	return &admitState{cap: maxInflight, bulkCap: server.BulkLimit(maxInflight), m: m}
 }
 
 // acquire claims an in-flight slot on shard for a request of the given

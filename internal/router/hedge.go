@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -149,7 +150,7 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 	pctx, pcancel := context.WithCancel(ctx)
 	sctx, scancel := context.WithCancel(ctx)
 	launch := func(actx context.Context, shard string, hedge bool) {
-		resp, shed, err := r.forwardOnce(actx, shard, path, contentType, body, class)
+		resp, shed, err := r.forwardOnce(actx, shard, path, contentType, bytes.NewReader(body), class)
 		results <- attemptOut{resp: resp, shard: shard, err: err, shed: shed, hedge: hedge}
 	}
 	go launch(pctx, primary, false)

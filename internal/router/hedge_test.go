@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestLatencyDigestOnlyWhenHedging(t *testing.T) {
 		if (r.digest != nil) != hedge {
 			t.Fatalf("hedge=%v: digest built = %v", hedge, r.digest != nil)
 		}
-		resp, shed, err := r.forwardOnce(context.Background(), "http://a:1", "/v1/parse", "application/json", []byte(`{}`), classInteractive)
+		resp, shed, err := r.forwardOnce(context.Background(), "http://a:1", "/v1/parse", "application/json", strings.NewReader(`{}`), classInteractive)
 		if err != nil || shed {
 			t.Fatalf("hedge=%v: forward err=%v shed=%v", hedge, err, shed)
 		}

@@ -260,18 +260,20 @@ type forwardResult struct {
 	err   error
 }
 
-// forwardOnce is the single forwarding primitive every parse path —
-// failover, hedge, warm-up — goes through: admission check, one POST
-// to shard, latency fed into the hedge digest. shed=true means
-// admission control refused the slot (no request was sent). The
+// forwardOnce is the only place a POST leaves the router: failover,
+// hedge, warm-up and stream forwards all go through it. It makes the
+// admission check, sends one POST of body to shard, marked with the
+// request class, and feeds the latency into the hedge digest. shed=true
+// means admission control refused the slot (no request was sent). The
 // in-flight slot is held for the shard's service time (until response
-// headers arrive), which is what the per-shard cap bounds.
-func (r *Router) forwardOnce(ctx context.Context, shard, path, contentType string, body []byte, class reqClass) (*http.Response, bool, error) {
+// headers arrive), which is what the per-shard cap bounds; a stream
+// therefore holds no slot once its shard has answered.
+func (r *Router) forwardOnce(ctx context.Context, shard, path, contentType string, body io.Reader, class reqClass) (*http.Response, bool, error) {
 	if !r.admit.acquire(shard, class) {
 		return nil, true, nil
 	}
 	defer r.admit.release(shard)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, shard+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, shard+path, body)
 	if err != nil {
 		return nil, false, err
 	}
@@ -291,31 +293,42 @@ func (r *Router) forwardOnce(ctx context.Context, shard, path, contentType strin
 	return resp, false, nil
 }
 
-// tryShards forwards body to the ranked candidates in order until one
-// yields a terminal response: any status outside the retryable set, or
-// the last candidate's answer whatever it is. The attempt budget is
-// 1+Retries; the request context bounds the whole sequence. shed=true
-// means admission control refused a slot — the request is answered 429
-// rather than spilled to a shard outside its placement, which would
-// trade a fast refusal for a guaranteed cache miss. The returned
-// response's body is open; the caller must close it.
-func (r *Router) tryShards(ctx context.Context, path string, contentType string, body []byte, order []string, class reqClass) (forwardResult, bool, bool) {
-	attempts := r.cfg.Retries + 1
-	if attempts > len(order) {
-		attempts = len(order)
-	}
+// replay is the body factory of a request read whole: every attempt
+// sends the same bytes.
+func replay(body []byte) func() io.Reader {
+	return func() io.Reader { return bytes.NewReader(body) }
+}
+
+// tryShards is the router's one failover loop. It forwards to the
+// ranked candidates in order until one yields a terminal response: any
+// status outside the retryable set, or the last candidate's answer
+// whatever it is. body builds an attempt's request body. It is called
+// once up front and again only after an attempt fails with a candidate
+// left, so a first-try success builds one reader; it returns nil once
+// the request can no longer be replayed, which makes the failed
+// attempt's response the terminal one (or ends the loop after a
+// transport error). The attempt budget is 1+Retries; the request
+// context bounds the whole sequence. shed=true means admission control
+// refused a slot — the request is answered 429 rather than spilled to
+// a shard outside its placement, which would trade a fast refusal for
+// a guaranteed cache miss. The returned response's body is open; the
+// caller must close it.
+func (r *Router) tryShards(ctx context.Context, path string, contentType string, body func() io.Reader, order []string, class reqClass) (forwardResult, bool, bool) {
+	attempts := min(r.cfg.Retries+1, len(order))
 	var last forwardResult
-	for i := 0; i < attempts; i++ {
-		if ctx.Err() != nil {
-			break
-		}
+	rd := body()
+	for i := 0; i < attempts && rd != nil && ctx.Err() == nil; i++ {
 		shard := order[i]
 		if i > 0 {
 			r.m.countFailover()
 		}
-		resp, shed, err := r.forwardOnce(ctx, shard, path, contentType, body, class)
+		resp, shed, err := r.forwardOnce(ctx, shard, path, contentType, rd, class)
 		if shed {
 			return forwardResult{shard: shard}, false, true
+		}
+		rd = nil
+		if (err != nil || retryable(resp.StatusCode)) && i+1 < attempts {
+			rd = body()
 		}
 		if err != nil {
 			// Connect/transport failure: count it and fail over.
@@ -323,28 +336,40 @@ func (r *Router) tryShards(ctx context.Context, path string, contentType string,
 			last = forwardResult{shard: shard, err: err}
 			continue
 		}
-		if retryable(resp.StatusCode) && i+1 < attempts {
-			r.m.countError(shard)
-			drain(resp.Body)
-			resp.Body.Close()
-			last = forwardResult{shard: shard, err: fmt.Errorf("shard %s: status %d", shard, resp.StatusCode)}
-			continue
+		if rd == nil {
+			r.m.countServed(shard)
+			return forwardResult{resp: resp, shard: shard}, true, false
 		}
-		r.m.countServed(shard)
-		return forwardResult{resp: resp, shard: shard}, true, false
+		r.m.countError(shard)
+		drain(resp.Body)
+		resp.Body.Close()
+		last = forwardResult{shard: shard, err: fmt.Errorf("shard %s: status %d", shard, resp.StatusCode)}
 	}
 	return last, false, false
 }
 
-// shed answers a request refused by admission control: 429 with a
-// Retry-After hint, in the server's error schema.
-func (r *Router) shed(w http.ResponseWriter, class reqClass, preq server.ParseRequest) {
-	r.m.countShed(class)
-	w.Header().Set("Retry-After", "1")
-	r.writeJSON(w, http.StatusTooManyRequests, errorResult(preq, "shard at capacity; retry later"))
+// shedMsg is the error a request refused by admission control carries.
+const shedMsg = "shard at capacity; retry later"
+
+// forward ends a forwarded request: it relays the shard's answer, sheds
+// with 429 and a Retry-After hint when admission control refused it, or
+// gives up with 503 when every candidate failed. errBody renders a
+// message in the route's error schema, so clients see one schema
+// whether the router or a shard rejected them.
+func (r *Router) forward(w http.ResponseWriter, fr forwardResult, ok, shedded bool, class reqClass, errBody func(msg string) any) {
+	switch {
+	case shedded:
+		r.m.countShed(class)
+		w.Header().Set("Retry-After", "1")
+		r.writeJSON(w, http.StatusTooManyRequests, errBody(shedMsg))
+	case !ok:
+		r.writeJSON(w, http.StatusServiceUnavailable, errBody(fmt.Sprintf("all candidate shards failed: %v", fr.err)))
+	default:
+		r.relay(w, fr)
+	}
 }
 
-// relay streams a shard response to the client, preserving the
+// relay copies a shard response to the client, preserving the
 // response schema and attributing the shard (the backend's own
 // X-Parsec-Shard header wins; an anonymous backend is attributed by
 // URL).
@@ -411,30 +436,18 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 			go r.warmReplicas(key, body, replicaPrefix(order, r.cfg.ReplicaFactor))
 		}
 	}
+	errBody := func(msg string) any { return errorResult(preq, msg) }
 	if r.cfg.Hedge && d.replicated && d.next != d.primary {
 		fr, ok, shedded := r.hedgedDo(req.Context(), "/v1/parse", "application/json", body, d.primary, d.next, class)
-		if shedded {
-			r.shed(w, class, preq)
-			return
-		}
-		if ok {
-			r.relay(w, fr)
+		if ok || shedded {
+			r.forward(w, fr, ok, shedded, class, errBody)
 			return
 		}
 		// Both replicas failed retryably: fall through to ordinary
 		// failover over the full HRW order.
 	}
-	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", body, orderFrom(order, d.primary), class)
-	if shedded {
-		r.shed(w, class, preq)
-		return
-	}
-	if !ok {
-		r.writeJSON(w, http.StatusServiceUnavailable,
-			errorResult(preq, fmt.Sprintf("all candidate shards failed: %v", fr.err)))
-		return
-	}
-	r.relay(w, fr)
+	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), orderFrom(order, d.primary), class)
+	r.forward(w, fr, ok, shedded, class, errBody)
 }
 
 // orderFrom rotates order so primary is attempted first, keeping the
@@ -468,7 +481,7 @@ func (r *Router) warmReplicas(key string, body []byte, prefix []string) {
 	defer cancel()
 	warms := 0
 	for _, shard := range prefix[1:] {
-		resp, shedded, err := r.forwardOnce(ctx, shard, "/v1/parse", "application/json", body, classInteractive)
+		resp, shedded, err := r.forwardOnce(ctx, shard, "/v1/parse", "application/json", bytes.NewReader(body), classInteractive)
 		if err == nil && !shedded {
 			drain(resp.Body)
 			resp.Body.Close()
@@ -556,13 +569,13 @@ func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest
 			results[i] = errorResult(reqs[i], msg)
 		}
 	}
-	fr, ok, shedded := r.tryShards(ctx, "/v1/batch", "application/json", body, order, class)
+	fr, ok, shedded := r.tryShards(ctx, "/v1/batch", "application/json", replay(body), order, class)
 	if shedded {
 		// The batch schema has no per-result status, so a shed sub-batch
 		// surfaces as per-request errors; the shed is still counted so
 		// /metrics shows bulk losing headroom before interactive.
 		r.m.countShed(class)
-		fail("shard at capacity; retry later")
+		fail(shedMsg)
 		return
 	}
 	if !ok {

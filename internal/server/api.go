@@ -8,6 +8,7 @@
 package server
 
 import (
+	"net/http"
 	"strings"
 	"time"
 
@@ -120,6 +121,28 @@ const ShardHeader = "X-Parsec-Shard"
 // submissions less queue headroom so interactive parses still land
 // while a bulk ramp is saturating the pool.
 const ClassHeader = "X-Parsec-Class"
+
+// BulkRequest reports whether r is of the bulk class: an explicit
+// ClassHeader wins, otherwise /v1/batch is bulk and every other route
+// interactive.
+func BulkRequest(r *http.Request) bool {
+	switch r.Header.Get(ClassHeader) {
+	case "bulk":
+		return true
+	case "interactive":
+		return false
+	}
+	return r.URL.Path == "/v1/batch"
+}
+
+// BulkLimit is how much of a capacity bulk-class traffic may fill: a
+// quarter of it, at least one slot, is kept for interactive traffic,
+// and bulk keeps at least one slot, so bulk sheds strictly before
+// interactive. The router applies it to each shard's in-flight cap and
+// the pool to each backend's queue depth.
+func BulkLimit(capacity int) int {
+	return max(capacity-max(capacity/4, 1), 1)
+}
 
 // NewResult renders a finished parse into the shared wire schema.
 // maxParses follows the ParseRequest convention (0: default, -1: all).

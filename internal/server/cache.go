@@ -9,22 +9,34 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/grammars"
+	"repro/internal/lru"
 )
+
+// grammarCacheEntries bounds the compiled grammars a Cache keeps. Each
+// distinct inline source is one entry, so without a bound a client
+// could grow the daemon's heap (and /v1/grammars) one source at a time.
+const grammarCacheEntries = 64
 
 // Cache is the compiled-grammar cache: built-in grammars are
 // constructed once per name, inline grammar sources are compiled once
-// per content hash. Safe for concurrent use; a compile in flight for
-// one key does not block lookups of other keys.
+// per content hash, and the grammarCacheEntries most recently used are
+// kept. An evicted built-in name resolves again to the registry's same
+// grammar; an evicted source compiles again. Safe for concurrent use;
+// a compile in flight for one key does not block lookups of other
+// keys, and concurrent requests for one key compile it once.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	hits    uint64
-	misses  uint64
+	mu sync.Mutex
+	// Guarded by mu (contiguous block): the compiled grammars, the
+	// compiles in flight and the hit/miss counts.
+	grammars *lru.Cache[string, *cdg.Grammar]
+	compiles map[string]*compile
+	hits     uint64
+	misses   uint64
 }
 
-// entry publishes its fields by closing ready; readers wait on the
-// channel (or poll it, for Lookup) before touching g/err.
-type entry struct {
+// compile is one grammar build in flight. It publishes g and err by
+// closing ready; waiters read them only after ready is closed.
+type compile struct {
 	ready chan struct{}
 	g     *cdg.Grammar
 	err   error
@@ -32,7 +44,10 @@ type entry struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*entry)}
+	return &Cache{
+		grammars: lru.New[string, *cdg.Grammar](grammarCacheEntries),
+		compiles: make(map[string]*compile),
+	}
 }
 
 // SourceKey is the cache key of an inline grammar source: the prefix
@@ -61,71 +76,53 @@ func (c *Cache) Get(name, source string) (*cdg.Grammar, string, error) {
 	}
 
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	if g, ok := c.grammars.Get(key); ok {
+		c.hits++
+		c.mu.Unlock()
+		return g, key, nil
+	}
+	cp, ok := c.compiles[key]
 	if ok {
 		c.hits++
 		c.mu.Unlock()
-		<-e.ready
+		<-cp.ready
 	} else {
-		e = &entry{ready: make(chan struct{})}
-		c.entries[key] = e
+		cp = &compile{ready: make(chan struct{})}
+		c.compiles[key] = cp
 		c.misses++
 		c.mu.Unlock()
-		e.g, e.err = build()
-		close(e.ready)
-		if e.err != nil {
-			// Do not cache failures: a later identical request
-			// recompiles, and the key stays out of /v1/grammars.
-			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-			}
-			c.mu.Unlock()
+		cp.g, cp.err = build()
+		// A failed compile is not stored: a later identical request
+		// compiles again, and the key stays out of /v1/grammars.
+		c.mu.Lock()
+		delete(c.compiles, key)
+		if cp.err == nil {
+			c.grammars.Add(key, cp.g)
 		}
+		c.mu.Unlock()
+		close(cp.ready)
 	}
-	if e.err != nil {
-		return nil, key, fmt.Errorf("grammar %s: %w", key, e.err)
+	if cp.err != nil {
+		return nil, key, fmt.Errorf("grammar %s: %w", key, cp.err)
 	}
-	return e.g, key, nil
+	return cp.g, key, nil
 }
 
-// Keys lists the successfully compiled grammar keys, sorted.
+// Keys lists the compiled grammar keys the cache holds, sorted.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
-	entries := make(map[string]*entry, len(c.entries))
-	for k, e := range c.entries {
-		entries[k] = e
-	}
+	keys := c.grammars.Keys()
 	c.mu.Unlock()
-	out := make([]string, 0, len(entries))
-	for k, e := range entries {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, k)
-			}
-		default: // still compiling
-		}
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
-// Lookup returns an already-compiled grammar without compiling
-// anything.
+// Lookup returns a grammar the cache holds without compiling anything
+// or counting as a use of it.
 func (c *Cache) Lookup(key string) (*cdg.Grammar, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-		return e.g, e.err == nil
-	default:
-		return nil, false
-	}
+	defer c.mu.Unlock()
+	return c.grammars.Peek(key)
 }
 
 // Stats returns the hit/miss counts.

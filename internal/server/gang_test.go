@@ -243,3 +243,35 @@ func TestBatchRunsAsOneGang(t *testing.T) {
 		t.Errorf("gang runs +%d, jobs +%d; want +1, +8", runs, jobs)
 	}
 }
+
+// TestTakeGroupsByConfigAndLength: a MasPar worker takes the head with
+// the queued jobs of its cfgKey and sentence length only, in queue
+// order, so every taken batch is one gang; jobs of another length or
+// configuration stay queued, in order, for the next free worker.
+func TestTakeGroupsByConfigAndLength(t *testing.T) {
+	g := grammars.English()
+	ctx := context.Background()
+	a := gangTestJob(t, g, ctx, "the dog walked")
+	b := gangTestJob(t, g, ctx, "rex caught the ball")
+	c := gangTestJob(t, g, ctx, "fido took rex")
+	d := gangTestJob(t, g, ctx, "the man saw rex")
+	e := gangTestJob(t, g, ctx, "rex caught fido")
+	e.cfgKey = "english|maspar|nofilter"
+	f := gangTestJob(t, g, ctx, "the cat slept")
+	q := &backendQueue{backend: core.MasPar, jobs: []*job{a, b, c, d, e, f}}
+	for _, want := range [][]*job{{a, c, f}, {b, d}, {e}, nil} {
+		got := q.take(8)
+		if len(got) != len(want) {
+			t.Fatalf("took %d jobs, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("job %d of the batch is %v, want %v", i, got[i].words, want[i].words)
+			}
+		}
+	}
+	q.jobs = []*job{a, c, f}
+	if got := q.take(2); len(got) != 2 || got[0] != a || got[1] != c || len(q.jobs) != 1 || q.jobs[0] != f {
+		t.Errorf("take(2) took %d jobs and left %d; want a and c taken, f queued", len(got), len(q.jobs))
+	}
+}

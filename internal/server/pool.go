@@ -26,7 +26,7 @@ type job struct {
 	// cfgKey is the batching key: grammar key + backend + every parser
 	// option that affects the run. MasPar jobs share a batch (one
 	// compiled parser, one simulator configuration) only when the whole
-	// key matches.
+	// key and the sentence length match.
 	cfgKey    string
 	opts      []core.Option
 	maxParses int
@@ -61,10 +61,6 @@ func (j *job) deliver(jr jobResult, wait time.Duration, batchSize int) {
 	jr.resp.BatchSize = batchSize
 	j.result <- jr
 }
-
-// expiredInGang is the error message of a job whose deadline passed
-// while it was batched with others.
-const expiredInGang = "deadline exceeded during batched parse"
 
 // backendQueue is the bounded FIFO of one machine model. Each backend
 // gets its own queue so a pile-up of slow maspar simulations cannot
@@ -131,23 +127,6 @@ func (p *Pool) start() {
 	}
 }
 
-// bulkDepth is the queue depth available to bulk-class submissions: a
-// quarter of the queue (at least one slot) is reserved for interactive
-// traffic, so a bulk ramp saturating the pool sheds before it can
-// starve single parses — the same priority order the router applies
-// when shedding (see ClassHeader).
-func (p *Pool) bulkDepth() int {
-	head := p.depth / 4
-	if head < 1 {
-		head = 1
-	}
-	d := p.depth - head
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // Submit enqueues a unit — one job, or every job one request sends to
 // one backend — all or nothing: when the backend's queue has no room
 // for the whole unit (less room for bulk-class jobs) it rejects with
@@ -158,9 +137,13 @@ func (p *Pool) Submit(unit []*job, bulk bool) error {
 	if p.closed {
 		return errors.New("server is draining")
 	}
+	// Bulk-class units keep a quarter of the queue (at least one slot)
+	// free for interactive traffic, so a bulk ramp saturating the pool
+	// sheds before it can starve single parses: the priority order the
+	// router applies when shedding (see ClassHeader).
 	limit := p.depth
 	if bulk {
-		limit = p.bulkDepth()
+		limit = BulkLimit(p.depth)
 	}
 	q := p.queues[unit[0].backend]
 	now := time.Now()
@@ -185,10 +168,12 @@ func (p *Pool) Submit(unit []*job, bulk bool) error {
 }
 
 // take removes what one free worker runs next: the FIFO head and, on
-// MasPar, every queued job sharing its cfgKey up to maxBatch, in queue
-// order — one gang program serves them all. On every other backend a
-// shared batch would only run parses back to back on one worker while
-// another idles, so the worker takes the head alone.
+// MasPar, every queued job sharing its cfgKey and its sentence length
+// up to maxBatch, in queue order — one gang program, which shares one
+// PE layout, serves them all. Jobs of other lengths stay queued for the
+// next free worker. On every other backend a shared batch would only
+// run parses back to back on one worker while another idles, so the
+// worker takes the head alone.
 func (q *backendQueue) take(maxBatch int) []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -204,7 +189,7 @@ func (q *backendQueue) take(maxBatch int) []*job {
 	batch := []*job{head}
 	rest := q.jobs[:0]
 	for _, j := range q.jobs[1:] {
-		if len(batch) < maxBatch && j.cfgKey == head.cfgKey {
+		if len(batch) < maxBatch && j.cfgKey == head.cfgKey && len(j.words) == len(head.words) {
 			batch = append(batch, j)
 		} else {
 			rest = append(rest, j)
@@ -228,63 +213,37 @@ func (p *Pool) worker(q *backendQueue) {
 	}
 }
 
-// run executes one taken batch with one compiled parser, jobs in queue
-// order. Live same-length MasPar jobs run as ONE gang program — a
-// single instruction stream over one packed PE array — instead of
-// sequential solo simulations.
+// run executes one taken batch with one compiled parser: jobs whose
+// deadline already expired in the queue answer 504 without occupying
+// the simulator, and the rest run as one gang.
 func (p *Pool) run(jobs []*job) {
 	p.m.batches.Add(1)
 	p.m.batchSize.Observe(float64(len(jobs)))
-	parser := core.NewParser(jobs[0].g, jobs[0].opts...)
-	if len(jobs) == 1 {
-		p.runJob(parser, jobs[0], 1)
-		return
+	if len(jobs) > 1 {
+		p.m.coalesced.Add(uint64(len(jobs)))
 	}
-	p.m.coalesced.Add(uint64(len(jobs)))
-	// Partition: jobs whose deadline already expired in the queue
-	// answer 504 without occupying the simulator; the rest gang up by
-	// sentence length (a gang shares one PE layout).
-	var groups [][]*job
-	index := make(map[int]int)
+	live := jobs[:0]
 	for _, j := range jobs {
 		if j.ctx.Err() != nil {
-			p.deliverQueueExpired(j, len(jobs))
+			wait := time.Since(j.enq)
+			p.m.queueWait.Observe(wait.Seconds())
+			j.deliver(j.failed(http.StatusGatewayTimeout, "deadline exceeded while queued"), wait, len(jobs))
 			continue
 		}
-		n := len(j.words)
-		gi, ok := index[n]
-		if !ok {
-			gi = len(groups)
-			index[n] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], j)
+		live = append(live, j)
 	}
-	for _, g := range groups {
-		if len(g) == 1 {
-			p.runJob(parser, g[0], len(jobs))
-			continue
-		}
-		p.runGang(parser, g, len(jobs))
+	if len(live) > 0 {
+		p.runGang(core.NewParser(live[0].g, live[0].opts...), live, len(jobs))
 	}
 }
 
-// deliverQueueExpired answers a job whose deadline passed while it sat
-// in the queue, without parsing it (the handler has already returned
-// 504).
-func (p *Pool) deliverQueueExpired(j *job, batchSize int) {
-	wait := time.Since(j.enq)
-	p.m.queueWait.Observe(wait.Seconds())
-	j.deliver(j.failed(http.StatusGatewayTimeout, "deadline exceeded while queued"), wait, batchSize)
-}
-
-// gangContext derives the context a ganged run executes under: it is
-// cancelled only when EVERY member's context is done, so one request
-// hitting its deadline mid-gang cannot poison the simulation the
-// others are still waiting on (its own result is dropped at delivery
-// instead). Each member's context.AfterFunc counts it down, so nothing
-// waits on a goroutine; the returned stop func unregisters the ones
-// that have not fired.
+// gangContext derives the context a gang of two or more executes
+// under: it is cancelled only when EVERY member's context is done, so
+// one request hitting its deadline mid-gang cannot poison the
+// simulation the others are still waiting on (its own result is
+// dropped at delivery instead). Each member's context.AfterFunc counts
+// it down, so nothing waits on a goroutine; the returned stop func
+// unregisters the ones that have not fired.
 func gangContext(jobs []*job) (context.Context, func()) {
 	gctx, cancel := context.WithCancel(context.Background())
 	var remaining atomic.Int64
@@ -305,108 +264,82 @@ func gangContext(jobs []*job) (context.Context, func()) {
 	}
 }
 
-// runGang executes ≥2 same-length jobs as one gang program with panic
-// isolation. A panic or a whole-gang error falls back to solo runs per
-// job (which classify their own errors); on success each member is
-// delivered individually, and a member whose deadline expired while
-// the gang was running gets a 504 without disturbing the rest.
+// runGang executes live same-length jobs as one gang program — a
+// single instruction stream over one packed PE array on MasPar — and
+// delivers each member. A solo job is a gang of one. When a gang of two
+// or more fails as a whole (every deadline expired, a panic, or an
+// error), each live member reruns as a gang of one and gets its own
+// outcome rather than the gang's error.
 func (p *Pool) runGang(parser *core.Parser, jobs []*job, batchSize int) {
 	waits := make([]time.Duration, len(jobs))
 	for i, j := range jobs {
 		waits[i] = time.Since(j.enq)
 		p.m.queueWait.Observe(waits[i].Seconds())
 	}
-	sents := make([]*cdg.Sentence, len(jobs))
-	for i, j := range jobs {
-		sents[i] = j.sent
+	results, err := p.parse(parser, jobs)
+	if err == nil && len(jobs) > 1 {
+		p.m.gangRuns.Add(1)
+		p.m.gangJobs.Add(uint64(len(jobs)))
 	}
-	gctx, stop := gangContext(jobs)
-	results, err := func() (res []*core.Result, err error) {
-		defer stop()
-		defer func() {
-			if r := recover(); r != nil {
-				p.m.panics.Add(1)
-				err = fmt.Errorf("panic during ganged parse: %v", r)
-			}
-		}()
-		start := time.Now()
-		res, err = parser.ParseGangContext(gctx, sents)
-		if err == nil {
-			per := time.Since(start) / time.Duration(len(jobs))
-			for range jobs {
-				p.m.parses.Add(1)
-				p.m.parseLatency.Observe(per.Seconds())
-			}
-		}
-		return res, err
-	}()
-	if err != nil {
-		// Whole-gang failure (every deadline expired, or a panic): each
-		// job runs solo, classifying its own outcome — a live member
-		// still gets its parse rather than inheriting the gang's error.
-		for i, j := range jobs {
-			j.deliver(p.executeOrExpired(parser, j), waits[i], batchSize)
-		}
-		return
-	}
-	p.m.gangRuns.Add(1)
-	p.m.gangJobs.Add(uint64(len(jobs)))
 	for i, j := range jobs {
 		var jr jobResult
-		if j.ctx.Err() != nil {
-			// Expired while the gang ran: the handler already answered
-			// 504; drop this member's result, keep the others'.
-			jr = j.failed(http.StatusGatewayTimeout, expiredInGang)
+		if err != nil && len(jobs) > 1 && j.ctx.Err() == nil {
+			solo, soloErr := p.parse(parser, jobs[i:i+1])
+			jr = p.answer(j, solo, 0, soloErr)
 		} else {
-			p.m.addWork(results[i].Counters)
-			jr = jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), results[i], j.maxParses)}
+			jr = p.answer(j, results, i, err)
 		}
 		j.deliver(jr, waits[i], batchSize)
 	}
 }
 
-// executeOrExpired is the solo fallback of a failed gang: an expired
-// job maps to 504 without parsing, a live one runs normally.
-func (p *Pool) executeOrExpired(parser *core.Parser, j *job) jobResult {
-	if j.ctx.Err() != nil {
-		return j.failed(http.StatusGatewayTimeout, expiredInGang)
+// parse runs jobs as one gang with panic isolation, so one poisoned
+// request cannot take the worker (or the daemon) down: a solo job
+// under its own context, a gang of two or more under gangContext.
+// Each parse a member gets counts once in parsecd_parses_total: a gang
+// of one whatever its outcome, a larger gang only when it succeeds,
+// since a failed one reruns its members.
+func (p *Pool) parse(parser *core.Parser, jobs []*job) (results []*core.Result, err error) {
+	ctx, stop := jobs[0].ctx, func() {}
+	if len(jobs) > 1 {
+		ctx, stop = gangContext(jobs)
 	}
-	return p.execute(parser, j)
-}
-
-// runJob executes one job with panic isolation and delivers its result;
-// a job that expired in the queue is answered without parsing.
-func (p *Pool) runJob(parser *core.Parser, j *job, batchSize int) {
-	if j.ctx.Err() != nil {
-		p.deliverQueueExpired(j, batchSize)
-		return
-	}
-	wait := time.Since(j.enq)
-	p.m.queueWait.Observe(wait.Seconds())
-	j.deliver(p.execute(parser, j), wait, batchSize)
-}
-
-// execute runs the parse, converting panics to 500s so one poisoned
-// request cannot take the worker (or the daemon) down.
-func (p *Pool) execute(parser *core.Parser, j *job) (jr jobResult) {
+	defer stop()
 	defer func() {
 		if r := recover(); r != nil {
 			p.m.panics.Add(1)
-			jr = j.failed(http.StatusInternalServerError, fmt.Sprintf("panic during parse: %v", r))
+			err = fmt.Errorf("panic during parse: %v", r)
 		}
 	}()
+	sents := make([]*cdg.Sentence, len(jobs))
+	for i, j := range jobs {
+		sents[i] = j.sent
+	}
 	start := time.Now()
-	res, err := parser.ParseSentenceContext(j.ctx, j.sent)
-	p.m.parses.Add(1)
-	p.m.parseLatency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return j.failed(http.StatusGatewayTimeout, err.Error())
+	results, err = parser.ParseGangContext(ctx, sents)
+	if err == nil || len(jobs) == 1 {
+		per := time.Since(start) / time.Duration(len(jobs))
+		for range jobs {
+			p.m.parses.Add(1)
+			p.m.parseLatency.Observe(per.Seconds())
 		}
+	}
+	return results, err
+}
+
+// answer classifies member i's outcome of its gang: 504 when its
+// deadline has ended, during the parse or while its gang ran, with the
+// text of the handler's own timeout answer; 500 for any other error, a
+// panic included; else 200 with its parse.
+func (p *Pool) answer(j *job, results []*core.Result, i int, err error) jobResult {
+	if cerr := j.ctx.Err(); cerr != nil {
+		return j.failed(http.StatusGatewayTimeout, cerr.Error())
+	}
+	if err != nil {
 		return j.failed(http.StatusInternalServerError, err.Error())
 	}
-	p.m.addWork(res.Counters)
-	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), res, j.maxParses)}
+	p.m.addWork(results[i].Counters)
+	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), results[i], j.maxParses)}
 }
 
 // Close drains the pool: no new submits are accepted, queued jobs

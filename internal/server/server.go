@@ -470,7 +470,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errResult(req, "malformed request: "+err.Error(), false))
 		return
 	}
-	jr := s.serve(r.Context(), []ParseRequest{req}, r.Header.Get(ClassHeader) == "bulk")[0]
+	jr := s.serve(r.Context(), []ParseRequest{req}, BulkRequest(r))[0]
 	s.writeJSON(w, jr.status, jr.resp)
 }
 
@@ -488,9 +488,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, BatchResult{})
 		return
 	}
-	// Batches are bulk-class unless the client explicitly marks them
-	// interactive.
-	answers := s.serve(r.Context(), breq.Requests, r.Header.Get(ClassHeader) != "interactive")
+	answers := s.serve(r.Context(), breq.Requests, BulkRequest(r))
 	results := make([]ParseResult, len(answers))
 	for i, jr := range answers {
 		results[i] = jr.resp

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +174,65 @@ func TestInlineGrammarCompiledOnceAndCached(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(data), key) {
 		t.Errorf("/v1/grammars missing %q:\n%s", key, data)
+	}
+}
+
+// TestGrammarCacheStaysBounded: every distinct inline source is one
+// grammar-cache entry, so a client sending more distinct sources than
+// the cache holds must not grow it, or /v1/grammars, past its bound.
+// The newest source stays listed, and a built-in name evicted by the
+// flood resolves again to the registry's same grammar.
+func TestGrammarCacheStaysBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	demo, _, err := s.cache.Get("demo", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	for i := 0; i < grammarCacheEntries+16; i++ {
+		src := fmt.Sprintf(`(grammar (labels L%[1]d) (categories c) (role r L%[1]d) (word w c)
+  (constraint "r" (if (eq (role x) r) (and (eq (lab x) L%[1]d) (eq (mod x) nil)))))`, i)
+		status, data := postJSON(t, ts.URL+"/v1/parse", ParseRequest{
+			GrammarSource: src, Backend: "serial", Sentence: []string{"w"}, NoCache: true,
+		})
+		if status != http.StatusOK {
+			t.Fatalf("source %d: status %d: %s", i, status, data)
+		}
+		last = decodeResult(t, data).Grammar
+	}
+	keys := s.cache.Keys()
+	if len(keys) > grammarCacheEntries {
+		t.Errorf("grammar cache holds %d keys, want at most %d", len(keys), grammarCacheEntries)
+	}
+	if !slices.Contains(keys, last) {
+		t.Errorf("newest source %s evicted; keys %v", last, keys)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/grammars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inv struct{ Grammars []grammarInfo }
+	err = json.NewDecoder(resp.Body).Decode(&inv)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := 0
+	for _, g := range inv.Grammars {
+		if g.Cached {
+			cached++
+		}
+	}
+	if cached > grammarCacheEntries {
+		t.Errorf("/v1/grammars lists %d cached grammars, want at most %d", cached, grammarCacheEntries)
+	}
+
+	if slices.Contains(s.cache.Keys(), "demo") {
+		t.Fatal("the flood did not evict demo; the test proves nothing about re-resolving it")
+	}
+	if again, _, err := s.cache.Get("demo", ""); err != nil || again != demo {
+		t.Errorf("evicted demo re-resolved to %p (err %v), want the registry's %p", again, err, demo)
 	}
 }
 
