@@ -111,9 +111,7 @@ func run(args []string, out io.Writer) error {
 		if mp == 0 {
 			mp = -1 // CLI 0 means all; the wire convention is -1
 		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(server.NewResult(words, key, *backend, res, mp))
+		return json.NewEncoder(out).Encode(server.NewResult(words, key, *backend, res, mp))
 	}
 
 	fmt.Fprintf(out, "sentence: %s\n", strings.Join(words, " "))

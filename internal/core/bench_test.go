@@ -37,9 +37,11 @@ var distinctFive = []string{
 // dedupe: one segment parses, and the 31 twins get copies of its
 // network and counters. The distinct case is the serving benchmark's
 // maspar-gang shape: eight different 5-word sentences, eight segments,
-// so every member's checks run. batch=1,n=17 is a solo long sentence: a
-// gang of one runs its binary passes on a single host worker, so this
-// row shows what that costs.
+// so every member's checks run. solo×8,distinct,n=5 parses the same
+// eight sentences as eight gangs of one per op, so its ns/op over
+// batch=8,distinct,n=5's is the gang's host speedup per sentence.
+// batch=1,n=17 is a solo long sentence: a gang of one runs its binary
+// passes on a single host worker, so this row shows what that costs.
 func BenchmarkEndToEndParse(b *testing.B) {
 	g := grammars.English()
 	eight := strings.Fields("the dog saw the man with the telescope")
@@ -58,11 +60,13 @@ func BenchmarkEndToEndParse(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
 		words [][]string
+		solo  bool // one gang of one per sentence, not one gang of all
 	}{
-		{"batch=1", same(1)},
-		{"batch=1,n=17", [][]string{long}},
-		{"batch=32", same(32)},
-		{"batch=8,distinct,n=5", gang5},
+		{"batch=1", same(1), false},
+		{"batch=1,n=17", [][]string{long}, false},
+		{"batch=32", same(32), false},
+		{"batch=8,distinct,n=5", gang5, false},
+		{"solo×8,distinct,n=5", gang5, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var attr Attribution
@@ -78,9 +82,18 @@ func BenchmarkEndToEndParse(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
+			gangs := [][]*cdg.Sentence{sents}
+			if tc.solo {
+				gangs = make([][]*cdg.Sentence, len(sents))
+				for i := range sents {
+					gangs[i] = sents[i : i+1]
+				}
+			}
 			for n := 0; n < b.N; n++ {
-				if _, err := p.ParseGangContext(ctx, sents); err != nil {
-					b.Fatal(err)
+				for _, gang := range gangs {
+					if _, err := p.ParseGangContext(ctx, gang); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()

@@ -227,16 +227,70 @@ func TestBatchShardsAndMergesInOrder(t *testing.T) {
 	}
 }
 
+// TestBatchSplicedBodyMatchesEncoder: the router splices each shard's
+// encoded batch entries into one answer without re-encoding them, and
+// that answer — a hit, a leader, a duplicate coalesced onto it, a
+// no_cache entry, a 400 entry and distinct sentences spread over both
+// shards — is byte for byte what json.Encoder writes for the
+// BatchResult it decodes to.
+func TestBatchSplicedBodyMatchesEncoder(t *testing.T) {
+	c := New(t, 2, server.Config{}, router.Config{})
+	hit := server.ParseRequest{Grammar: "english", Backend: "serial", Text: "the dog slept"}
+	if status, _, _ := c.Parse(t, hit); status != http.StatusOK {
+		t.Fatalf("priming the hit: status %d", status)
+	}
+	lead := server.ParseRequest{Grammar: "english", Backend: "serial", Text: "the man saw the dog"}
+	bypass := hit
+	bypass.NoCache = true
+	bad := server.ParseRequest{Grammar: "english", Backend: "serial", Text: "the zebra slept"}
+	breq := server.BatchRequest{Requests: []server.ParseRequest{hit, lead, lead, bypass, bad}}
+	for _, s := range sentences(16) {
+		breq.Requests = append(breq.Requests, serialReq(s))
+	}
+	body, _ := json.Marshal(breq)
+	resp, err := http.Post(c.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var bres server.BatchResult
+	if err := json.Unmarshal(data, &bres); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(bres); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Errorf("batch body is not json.Encoder's encoding:\n got: %s\nwant: %s", data, want.Bytes())
+	}
+	if r := bres.Results; !r[0].Cached || r[1].Cached || !r[2].Cached || r[3].Cached || r[4].Error == "" {
+		t.Errorf("entries 0-4 do not read hit, leader, coalesced follower, no_cache, 400: %+v", r[:5])
+	}
+	for i, sh := range c.Shards {
+		if sh.BatchHits() == 0 {
+			t.Errorf("shard %d took no sub-batch; the splice merged one shard's entries only", i)
+		}
+	}
+}
+
 // TestBatchReplyOverOneMiB: a batch answer may be far larger than the
-// 1 MiB request bound. 400 english entries (a ~35 KB request) answer
-// with more than 1 MiB, and every entry must come back through a
-// one-shard router as the shard sent it, not as a "bad batch response"
-// error.
+// 1 MiB request bound. 500 english entries (a ~44 KB request) answer
+// with more than 1 MiB of compact JSON, and every entry must come back
+// through a one-shard router as the shard sent it, not as a "bad batch
+// response" error.
 func TestBatchReplyOverOneMiB(t *testing.T) {
 	c := New(t, 1, server.Config{}, router.Config{})
 	breq := server.BatchRequest{}
 	for _, backend := range []string{"serial", "pram"} {
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 250; i++ {
 			breq.Requests = append(breq.Requests, server.ParseRequest{
 				Grammar: "english", Backend: backend, Text: "the dog saw the man with the telescope",
 			})

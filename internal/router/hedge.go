@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -196,6 +197,7 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 		// than waiting out the timer against a dead shard.
 		if out.resp != nil {
 			r.m.countError(out.shard)
+			out.err = fmt.Errorf("shard %s: status %d", out.shard, out.resp.StatusCode)
 			drain(out.resp.Body)
 			out.resp.Body.Close()
 		} else if out.err != nil {
@@ -204,7 +206,9 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 		if out.shed {
 			shedCount++
 		}
-		last = out
+		if out.err != nil || last.err == nil {
+			last = out // a refused slot carries no error to report
+		}
 		if !hedged {
 			fireHedge()
 		}

@@ -2,12 +2,18 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // ctxRecorder records the request context of every forward it
@@ -112,5 +118,119 @@ func TestLatencyDigestOnlyWhenHedging(t *testing.T) {
 		if hedge && r.digest.perShard["http://a:1"].n != 1 {
 			t.Errorf("hedging router recorded %d observations, want 1", r.digest.perShard["http://a:1"].n)
 		}
+	}
+}
+
+// TestHedgeFallbackSkipsFailedReplicas: when both hedged replicas of a
+// promoted key answer a retryable 500, the fallback fails over to the
+// rest of the HRW order and never sends the request to either replica
+// again, so every shard sees it at most once. With a third shard the
+// client gets its 200; when the replicas are the whole fleet it gets a
+// 503 naming their failure.
+func TestHedgeFallbackSkipsFailedReplicas(t *testing.T) {
+	body := `{"text":"the program runs","backend":"serial"}`
+	var preq server.ParseRequest
+	if err := json.Unmarshal([]byte(body), &preq); err != nil {
+		t.Fatal(err)
+	}
+	key, err := server.CacheKey(preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		shards        []string
+		wantStatus    int
+		wantFailovers uint64
+	}{
+		{"third shard left", []string{"http://a:1", "http://b:1", "http://c:1"}, http.StatusOK, 1},
+		{"no shard left", []string{"http://a:1", "http://b:1"}, http.StatusServiceUnavailable, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			order := RankShards(tc.shards, key)
+			replicas := order[:2]
+			var failing atomic.Bool
+			var mu sync.Mutex
+			got := map[string]int{}
+			fleet := fakeShards{}
+			for _, s := range tc.shards {
+				fleet[strings.TrimPrefix(s, "http://")] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+					mu.Lock()
+					got[s]++
+					mu.Unlock()
+					if failing.Load() && (s == replicas[0] || s == replicas[1]) {
+						w.WriteHeader(http.StatusInternalServerError)
+						return
+					}
+					w.Header().Set("Content-Type", "application/json")
+					io.WriteString(w, `{"accepted":true}`) //nolint:errcheck
+				})
+			}
+			r, err := New(Config{
+				Shards:        tc.shards,
+				ProbeInterval: -1,
+				ReplicateTop:  1,
+				ReplicaFactor: 2,
+				HotKeyShare:   0.5,
+				HotKeyWindow:  4,
+				Hedge:         true,
+				HedgeDelay:    -1,
+				Client:        &http.Client{Transport: fleet},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/parse", strings.NewReader(body)))
+				return rec
+			}
+			// Two requests promote the key; the promoting one warms the
+			// second replica in the background, and round-robin starts
+			// once that is done.
+			for i := 0; i < 2; i++ {
+				if rec := post(); rec.Code != http.StatusOK {
+					t.Fatalf("warm-up request %d: status %d", i, rec.Code)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for r.Stats().HotKeyWarms < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("timed out waiting for the replica warm-up")
+				}
+				runtime.Gosched()
+			}
+
+			failing.Store(true)
+			mu.Lock()
+			clear(got)
+			mu.Unlock()
+			before := r.Stats()
+			rec := post()
+			if rec.Code != tc.wantStatus {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.wantStatus, rec.Body)
+			}
+			if tc.wantStatus == http.StatusOK {
+				if shard := rec.Header().Get(server.ShardHeader); shard != order[2] {
+					t.Errorf("answered by %s, want the third shard %s", shard, order[2])
+				}
+			} else if !strings.Contains(rec.Body.String(), "status 500") {
+				t.Errorf("503 does not name the replicas' failure: %s", rec.Body)
+			}
+			mu.Lock()
+			for shard, n := range got {
+				if n > 1 {
+					t.Errorf("shard %s received the request %d times, want at most once: %v", shard, n, got)
+				}
+			}
+			mu.Unlock()
+			after := r.Stats()
+			if hedges := after.Hedges - before.Hedges; hedges != 1 {
+				t.Errorf("hedges %d, want 1", hedges)
+			}
+			if failovers := after.Failovers - before.Failovers; failovers != tc.wantFailovers {
+				t.Errorf("failovers %d, want %d", failovers, tc.wantFailovers)
+			}
+		})
 	}
 }

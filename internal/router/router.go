@@ -219,12 +219,11 @@ func (r *Router) Shutdown(ctx context.Context) error {
 // maxBody mirrors the server's request-body bound.
 const maxBody = 1 << 20
 
+// writeJSON answers with v's compact encoding, as parsecd does.
 func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
 }
 
 // errorResult mirrors the server's error responses so clients see one
@@ -437,17 +436,33 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	errBody := func(msg string) any { return errorResult(preq, msg) }
+	var candidates []string
 	if r.cfg.Hedge && d.replicated && d.next != d.primary {
 		fr, ok, shedded := r.hedgedDo(req.Context(), "/v1/parse", "application/json", body, d.primary, d.next, class)
-		if ok || shedded {
+		candidates = without(order, d.primary, d.next)
+		if ok || shedded || len(candidates) == 0 {
 			r.forward(w, fr, ok, shedded, class, errBody)
 			return
 		}
-		// Both replicas failed retryably: fall through to ordinary
-		// failover over the full HRW order.
+		// Both replicas failed retryably: fail over to the rest of the
+		// HRW order, which neither of them is in.
+		r.m.countFailover()
+	} else {
+		candidates = orderFrom(order, d.primary)
 	}
-	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), orderFrom(order, d.primary), class)
+	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), candidates, class)
 	r.forward(w, fr, ok, shedded, class, errBody)
+}
+
+// without returns order less the shards a and b, in HRW rank.
+func without(order []string, a, b string) []string {
+	out := make([]string, 0, len(order))
+	for _, s := range order {
+		if s != a && s != b {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // orderFrom rotates order so primary is attempted first, keeping the
@@ -535,7 +550,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		groups[top] = append(groups[top], i)
 	}
 	class := classOf(req)
-	results := make([]server.ParseResult, len(breq.Requests))
+	results := make([]json.RawMessage, len(breq.Requests))
 	var wg sync.WaitGroup
 	for top, idxs := range groups {
 		wg.Add(1)
@@ -545,29 +560,30 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}(top, idxs)
 	}
 	wg.Wait()
-	r.writeJSON(w, http.StatusOK, server.BatchResult{Results: results})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	server.WriteBatch(w, results) //nolint:errcheck // client gone
 }
 
 // forwardSubBatch sends the requests at idxs as one batch to the
-// group's ranked shards and scatters the results back into place. A
-// sub-batch that exhausts its candidates reports per-request errors
-// (the batch schema has no per-result status).
-func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest, idxs []int, order []string, results []server.ParseResult, class reqClass) {
+// group's ranked shards and scatters the shard's encoded results back
+// into place, unparsed. A sub-batch that exhausts its candidates
+// reports per-request errors (the batch schema has no per-result
+// status).
+func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest, idxs []int, order []string, results []json.RawMessage, class reqClass) {
+	fail := func(msg string) {
+		for _, i := range idxs {
+			results[i], _ = json.Marshal(errorResult(reqs[i], msg)) //nolint:errcheck // strings only: cannot fail
+		}
+	}
 	sub := server.BatchRequest{Requests: make([]server.ParseRequest, len(idxs))}
 	for j, i := range idxs {
 		sub.Requests[j] = reqs[i]
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {
-		for _, i := range idxs {
-			results[i] = errorResult(reqs[i], "marshal sub-batch: "+err.Error())
-		}
+		fail("marshal sub-batch: " + err.Error())
 		return
-	}
-	fail := func(msg string) {
-		for _, i := range idxs {
-			results[i] = errorResult(reqs[i], msg)
-		}
 	}
 	fr, ok, shedded := r.tryShards(ctx, "/v1/batch", "application/json", replay(body), order, class)
 	if shedded {
@@ -586,7 +602,9 @@ func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest
 	// A batch reply can be many times larger than its request, so
 	// maxBody, the request bound, does not apply; relay streams /v1/parse
 	// replies unbounded too.
-	var bres server.BatchResult
+	var bres struct {
+		Results []json.RawMessage `json:"results"`
+	}
 	if err := json.NewDecoder(fr.resp.Body).Decode(&bres); err != nil || len(bres.Results) != len(idxs) {
 		fail(fmt.Sprintf("shard %s: bad batch response", fr.shard))
 		return

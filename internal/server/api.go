@@ -8,6 +8,8 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -101,6 +103,27 @@ type BatchRequest struct {
 // to Requests[i].
 type BatchResult struct {
 	Results []ParseResult `json:"results"`
+}
+
+// WriteBatch writes a /v1/batch answer's body from the compact
+// encoding of each of its results, byte for byte what json.Encoder
+// writes for the BatchResult they encode. It splices the entries
+// without decoding or re-encoding them.
+func WriteBatch(w io.Writer, entries []json.RawMessage) error {
+	const head, tail = `{"results":[`, "]}\n"
+	n := len(head) + len(entries) + len(tail)
+	for _, e := range entries {
+		n += len(e)
+	}
+	buf := append(make([]byte, 0, n), head...)
+	for i, e := range entries {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, e...)
+	}
+	_, err := w.Write(append(buf, tail...))
+	return err
 }
 
 // DefaultMaxParses bounds rendered precedence graphs when a request

@@ -35,10 +35,22 @@ type job struct {
 	result    chan jobResult
 }
 
-// jobResult pairs the wire result with the HTTP status it maps to.
+// jobResult pairs the wire result with the HTTP status it maps to. An
+// answer from the result cache carries the entry's stored encoding in
+// body and leaves resp empty.
 type jobResult struct {
 	status int
 	resp   ParseResult
+	body   []byte
+}
+
+// encoded is jr's compact JSON: a cached answer's stored bytes as they
+// are, any other answer encoded now.
+func (jr jobResult) encoded() []byte {
+	if jr.body != nil {
+		return jr.body
+	}
+	return encodeResult(jr.resp)
 }
 
 // failed is j's error answer with the given status; a 504 is marked

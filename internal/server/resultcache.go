@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -18,15 +19,16 @@ import (
 // must be byte-identical. A parse is a pure function of that identity,
 // so an entry never goes stale; capacity alone bounds memory.
 //
-// Only 200s are stored, and stored values are sanitized: the volatile
+// Only 200s are stored, each as the compact JSON encoding of its
+// sanitized result, made once when the parse finishes: the volatile
 // observability fields (HostTimeUS, QueueTimeUS, BatchSize) are zeroed
-// and Cached is set, so a hit is byte-identical to the deterministic
-// part of an uncached response (TestCachedResultByteIdentical).
+// and Cached is set, so every hit and every coalesced follower writes
+// the same bytes without encoding anything (TestCachedResultByteIdentical).
 type resultCache struct {
 	mu sync.Mutex
 	// Guarded by mu (contiguous block): the memoized 200s and the
 	// in-flight table.
-	entries *lru.Cache[string, ParseResult]
+	entries *lru.Cache[string, []byte]
 	flights map[string]*flight
 
 	hits      atomic.Uint64
@@ -36,11 +38,12 @@ type resultCache struct {
 }
 
 // flight is one in-progress parse other identical requests wait on.
-// done is closed exactly once, after resp/status/panicked are final.
+// done is closed exactly once, after body/panicked are final.
 type flight struct {
-	done     chan struct{}
-	resp     ParseResult
-	status   int
+	done chan struct{}
+	// body is the stored encoding of the leader's 200; nil when the
+	// leader failed.
+	body     []byte
 	panicked any
 }
 
@@ -56,8 +59,8 @@ const (
 	// rcCoalesced: served by another request's in-flight parse.
 	rcCoalesced
 	// rcExpiredWait: the caller's context ended while waiting on an
-	// in-flight parse; the returned result is a placeholder the caller
-	// must replace with its own timeout response.
+	// in-flight parse; the caller answers with its own timeout
+	// response.
 	rcExpiredWait
 )
 
@@ -66,45 +69,61 @@ const (
 // constructing one).
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		entries: lru.New[string, ParseResult](capacity),
+		entries: lru.New[string, []byte](capacity),
 		flights: make(map[string]*flight),
 	}
 }
 
-// claim looks key up without blocking. A memo entry answers at once
-// (f == nil). Otherwise the caller gets the key's flight: a parse
-// already in progress to follow with wait (leads == false), or a new
-// one it now leads and must end with finish or abandon. Leading counts
-// as a miss.
-func (rc *resultCache) claim(key string) (resp ParseResult, status int, f *flight, leads bool) {
+// lookup answers key from the memo without opening a flight: the
+// stored bytes of a hit, counted as one, or nil.
+func (rc *resultCache) lookup(key string) []byte {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if resp, ok := rc.entries.Get(key); ok {
+	return rc.getLocked(key)
+}
+
+// getLocked returns key's stored bytes and counts the hit, or returns
+// nil. Caller holds mu.
+func (rc *resultCache) getLocked(key string) []byte {
+	body, ok := rc.entries.Get(key)
+	if ok {
 		rc.hits.Add(1)
-		return resp, http.StatusOK, nil, false
+	}
+	return body
+}
+
+// claim looks key up without blocking. A memo entry answers at once
+// with its stored bytes (f == nil). Otherwise the caller gets the key's
+// flight: a parse already in progress to follow with wait (leads ==
+// false), or a new one it now leads and must end with finish or
+// abandon. Leading counts as a miss.
+func (rc *resultCache) claim(key string) (body []byte, f *flight, leads bool) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if body := rc.getLocked(key); body != nil {
+		return body, nil, false
 	}
 	if f, ok := rc.flights[key]; ok {
-		return ParseResult{}, 0, f, false
+		return nil, f, false
 	}
 	f = &flight{done: make(chan struct{})}
 	rc.flights[key] = f
 	rc.misses.Add(1)
-	return ParseResult{}, 0, f, true
+	return nil, f, true
 }
 
 // finish ends the flight the caller leads with its parse's outcome: a
-// 200 is memoized, and every follower is released with it.
+// 200 is encoded once and memoized, and every follower is released
+// with those bytes.
 func (rc *resultCache) finish(key string, f *flight, resp ParseResult, status int) {
-	if status == http.StatusOK {
-		resp = sanitizeCached(resp)
-	}
+	body := cachedBody(resp, status)
 	rc.mu.Lock()
 	delete(rc.flights, key)
-	if status == http.StatusOK {
-		rc.insertLocked(key, resp)
+	if body != nil {
+		rc.insertLocked(key, body)
 	}
 	rc.mu.Unlock()
-	f.resp, f.status = resp, status
+	f.body = body
 	close(f.done)
 }
 
@@ -120,43 +139,54 @@ func (rc *resultCache) abandon(key string, f *flight, panicked any) {
 }
 
 // wait follows a flight to its end, or until ctx ends (rcExpiredWait).
-// A leader's 200 is the follower's answer (rcCoalesced). A leader's
-// failure — its deadline, a 500 — may be specific to that request, so
-// it is not inherited: wait returns rcMiss, and the caller runs its own
-// parse and offers the outcome to store.
-func (rc *resultCache) wait(ctx context.Context, f *flight) (ParseResult, int, rcOutcome) {
+// A leader's 200 is the follower's answer: its stored bytes
+// (rcCoalesced). A leader's failure — its deadline, a 500 — may be
+// specific to that request, so it is not inherited: wait returns
+// rcMiss, and the caller runs its own parse and offers the outcome to
+// store.
+func (rc *resultCache) wait(ctx context.Context, f *flight) ([]byte, rcOutcome) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
-		return ParseResult{}, http.StatusGatewayTimeout, rcExpiredWait
+		return nil, rcExpiredWait
 	}
 	if f.panicked != nil {
 		panic(f.panicked)
 	}
-	if f.status == http.StatusOK {
+	if f.body != nil {
 		rc.coalesced.Add(1)
-		return f.resp, f.status, rcCoalesced
+		return f.body, rcCoalesced
 	}
 	rc.misses.Add(1)
-	return ParseResult{}, f.status, rcMiss
+	return nil, rcMiss
 }
 
 // store memoizes the outcome of a parse run outside any flight (a
 // follower's own, after its leader failed) when it is a 200.
 func (rc *resultCache) store(key string, resp ParseResult, status int) {
-	if status != http.StatusOK {
+	body := cachedBody(resp, status)
+	if body == nil {
 		return
 	}
 	rc.mu.Lock()
-	rc.insertLocked(key, sanitizeCached(resp))
+	rc.insertLocked(key, body)
 	rc.mu.Unlock()
 }
 
-// insertLocked stores one sanitized 200, evicting the least recently
+// insertLocked stores one entry's bytes, evicting the least recently
 // used entries to stay within capacity. A key already stored (a
 // follower's own parse finished first) is refreshed. Caller holds mu.
-func (rc *resultCache) insertLocked(key string, resp ParseResult) {
-	rc.evictions.Add(uint64(rc.entries.Add(key, resp)))
+func (rc *resultCache) insertLocked(key string, body []byte) {
+	rc.evictions.Add(uint64(rc.entries.Add(key, body)))
+}
+
+// cachedBody is what the cache keeps of a parse's outcome: the compact
+// encoding of a sanitized 200, nil for any other status.
+func cachedBody(resp ParseResult, status int) []byte {
+	if status != http.StatusOK {
+		return nil
+	}
+	return encodeResult(sanitizeCached(resp))
 }
 
 // sanitizeCached zeroes the per-execution observability fields so every
@@ -167,6 +197,17 @@ func sanitizeCached(r ParseResult) ParseResult {
 	r.BatchSize = 0
 	r.Cached = true
 	return r
+}
+
+// encodeResult is r's compact JSON encoding, without the newline
+// json.Encoder would add. ParseResult holds only strings, bools and
+// integers, so encoding cannot fail.
+func encodeResult(r ParseResult) []byte {
+	body, err := json.Marshal(r)
+	if err != nil {
+		panic(err)
+	}
+	return body
 }
 
 // Len reports the current entry count (tests).

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,18 +18,22 @@ import (
 // do is the claim/finish sequence serve runs for one entry, in one
 // blocking call, with fn standing in for submitting a job and awaiting
 // it: the tests below drive the cache's singleflight, panic and
-// leader-failure rules through it.
+// leader-failure rules through it. A hit or a coalesced answer is the
+// entry's stored bytes, decoded here.
 func (rc *resultCache) do(ctx context.Context, key string, fn func() (ParseResult, int)) (ParseResult, int, rcOutcome) {
-	resp, status, f, leads := rc.claim(key)
+	body, f, leads := rc.claim(key)
 	switch {
 	case f == nil:
-		return resp, status, rcHit
+		return decodeStored(body), http.StatusOK, rcHit
 	case !leads:
-		resp, status, out := rc.wait(ctx, f)
-		if out != rcMiss {
-			return resp, status, out
+		body, out := rc.wait(ctx, f)
+		switch out {
+		case rcCoalesced:
+			return decodeStored(body), http.StatusOK, out
+		case rcExpiredWait:
+			return ParseResult{}, http.StatusGatewayTimeout, out
 		}
-		resp, status = fn()
+		resp, status := fn()
 		rc.store(key, resp, status)
 		return resp, status, rcMiss
 	}
@@ -35,9 +43,18 @@ func (rc *resultCache) do(ctx context.Context, key string, fn func() (ParseResul
 			panic(r)
 		}
 	}()
-	resp, status = fn()
+	resp, status := fn()
 	rc.finish(key, f, resp, status)
 	return resp, status, rcMiss
+}
+
+// decodeStored decodes an entry's stored bytes.
+func decodeStored(body []byte) ParseResult {
+	var r ParseResult
+	if err := json.Unmarshal(body, &r); err != nil {
+		panic(err)
+	}
+	return r
 }
 
 func okResult(tag string) ParseResult {
@@ -312,6 +329,7 @@ func TestCachedResultByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := ParseRequest{Grammar: "english", Backend: "maspar", Text: "the dog saw the man with the telescope"}
 
+	var raw []byte // the last response body, as sent
 	get := func(nocache bool) ParseResult {
 		r := req
 		r.NoCache = nocache
@@ -319,10 +337,12 @@ func TestCachedResultByteIdentical(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, data)
 		}
+		raw = data
 		return decodeResult(t, data)
 	}
 	first := get(false)
 	cached := get(false)
+	cachedRaw := raw
 	bypass := get(true)
 
 	if first.Cached || !cached.Cached || bypass.Cached {
@@ -356,6 +376,97 @@ func TestCachedResultByteIdentical(t *testing.T) {
 	// no_cache really re-parsed: three requests, two pool executions.
 	if st.Parses != 2 {
 		t.Errorf("pool parses=%d, want 2 (first + no_cache)", st.Parses)
+	}
+	// A hit's body is the stored encoding of the sanitized first result
+	// and the newline json.Encoder ends a document with.
+	stored, err := json.Marshal(sanitizeCached(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(cachedRaw) != string(stored)+"\n" {
+		t.Errorf("hit body is not the stored encoding:\n got: %q\nwant: %q", cachedRaw, string(stored)+"\n")
+	}
+}
+
+// TestBatchBodyMatchesEncoder: a /v1/batch answer spliced from a hit's
+// stored bytes, a leader, a duplicate coalesced onto it, a no_cache
+// entry and a 400 entry is byte for byte what json.Encoder writes for
+// the BatchResult it decodes to.
+func TestBatchBodyMatchesEncoder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	hit := ParseRequest{Grammar: "english", Backend: "serial", Text: "the dog slept"}
+	if status, data := postJSON(t, ts.URL+"/v1/parse", hit); status != http.StatusOK {
+		t.Fatalf("priming the hit: status %d: %s", status, data)
+	}
+	lead := ParseRequest{Grammar: "english", Backend: "serial", Text: "the man saw the dog"}
+	bypass := hit
+	bypass.NoCache = true
+	bad := ParseRequest{Grammar: "english", Backend: "serial", Text: "the zebra slept"}
+	status, data := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Requests: []ParseRequest{hit, lead, lead, bypass, bad}})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	var bres BatchResult
+	if err := json.Unmarshal(data, &bres); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(bres); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Errorf("batch body is not json.Encoder's encoding:\n got: %s\nwant: %s", data, want.Bytes())
+	}
+	var cached []bool
+	for _, r := range bres.Results {
+		cached = append(cached, r.Cached)
+	}
+	if want := []bool{true, false, true, false, false}; !slices.Equal(cached, want) {
+		t.Errorf("cached flags %v, want %v (hit, leader, coalesced follower, no_cache, 400)", cached, want)
+	}
+	if bres.Results[4].Error == "" {
+		t.Errorf("unknown-word entry answered without an error: %+v", bres.Results[4])
+	}
+}
+
+// TestResultCacheRacesHitsAndEvictions races hits, leaders, followers
+// and evictions on a two-entry cache: eight goroutines over three
+// keys, each checking that the bytes it is answered with are its own
+// sentence's.
+func TestResultCacheRacesHitsAndEvictions(t *testing.T) {
+	s := New(Config{ResultCacheEntries: 2})
+	t.Cleanup(s.pool.Close)
+	h := s.Handler()
+	texts := []string{"the dog slept", "a cat ran", "rex slept"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				text := texts[(g+i)%len(texts)]
+				body, _ := json.Marshal(ParseRequest{Grammar: "english", Backend: "serial", Text: text}) //nolint:errcheck
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/parse", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("goroutine %d %q: status %d: %s", g, text, rec.Code, rec.Body)
+					return
+				}
+				var res ParseResult
+				if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+					t.Errorf("goroutine %d %q: %v", g, text, err)
+					return
+				}
+				if got := strings.Join(res.Sentence, " "); got != text {
+					t.Errorf("goroutine %d asked for %q, was answered for %q", g, text, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.ResultCacheEvictions == 0 || st.ResultCacheHits == 0 {
+		t.Errorf("hits %d, evictions %d: the run must exercise both", st.ResultCacheHits, st.ResultCacheEvictions)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -217,15 +218,20 @@ const maxBody = 1 << 20
 // whole-second value; parsecload -ramp honors it when backing off.
 const retryAfterHint = "1"
 
+// writeJSON answers with v's compact encoding and the newline
+// json.Encoder ends it with.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	startJSON(w, status)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
+}
+
+// startJSON sets a JSON response's headers and writes its status.
+func startJSON(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterHint)
 	}
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
 }
 
 func errResult(req ParseRequest, msg string, timedOut bool) ParseResult {
@@ -251,14 +257,16 @@ type pending struct {
 }
 
 // serve answers reqs — one /v1/parse or a /v1/batch — in three
-// phases. Resolve: validate every entry and claim its result-cache key
-// without blocking, so each entry is answered (an error or a hit),
-// follows an identical parse already in flight, or leads a new one.
-// Submit: every leader and no_cache job goes to the pool as one unit
-// per backend (bulk-class units get less queue headroom). Wait: leaders
-// and no_cache jobs first, then followers. Every leader has submitted
-// before anything waits, and a leader waits only for its own job, so no
-// two requests can wait on each other.
+// phases. Resolve: check every entry and answer a result-cache hit
+// from its stored bytes before anything else is built; only a miss
+// resolves its sentence into a job bound to its deadline and claims
+// the key without blocking, so each entry is answered (an error or a
+// hit), follows an identical parse already in flight, or leads a new
+// one. Submit: every leader and no_cache job goes to the pool as one
+// unit per backend (bulk-class units get less queue headroom). Wait:
+// leaders and no_cache jobs first, then followers. Every leader has
+// submitted before anything waits, and a leader waits only for its own
+// job, so no two requests can wait on each other.
 func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jobResult {
 	out := make([]jobResult, len(reqs))
 	ps := make([]pending, len(reqs))
@@ -281,21 +289,35 @@ func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jo
 
 	for i := range reqs {
 		req, p := &reqs[i], &ps[i]
-		p.j, p.cancel, out[i] = s.newJob(ctx, req)
-		if p.j == nil || s.rcache == nil || req.NoCache {
+		c, bad := s.check(req)
+		if bad.status != 0 {
+			out[i] = bad
 			continue
 		}
-		// The cache key extends the pool's batching key with
-		// everything else the response bytes depend on: the sentence
-		// itself and the parse-rendering bound (see key.go — CacheKey
-		// derives the same string for the router).
-		p.key = cacheKeyOf(p.j.cfgKey, req.MaxParses, p.j.words)
-		resp, status, f, leads := s.rcache.claim(p.key)
+		cached := s.rcache != nil && !req.NoCache
+		var key string
+		if cached {
+			// The cache key extends the pool's batching key with
+			// everything else the response bytes depend on: the sentence
+			// itself and the parse-rendering bound (see key.go — CacheKey
+			// derives the same string for the router).
+			key = cacheKeyOf(c.cfgKey, req.MaxParses, c.words)
+			if body := s.rcache.lookup(key); body != nil {
+				out[i] = jobResult{status: http.StatusOK, body: body}
+				continue
+			}
+		}
+		p.j, p.cancel, out[i] = s.newJob(ctx, req, c)
+		if p.j == nil || !cached {
+			continue
+		}
+		// A parse of the same key may have finished since the lookup.
+		body, f, leads := s.rcache.claim(key)
 		if f == nil {
-			out[i], p.j = jobResult{status: status, resp: resp}, nil
+			out[i], p.j = jobResult{status: http.StatusOK, body: body}, nil
 			continue
 		}
-		p.f, p.follows = f, !leads
+		p.key, p.f, p.follows = key, f, !leads
 	}
 
 	for _, b := range core.Backends() {
@@ -335,10 +357,10 @@ func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jo
 		if !p.follows {
 			continue
 		}
-		resp, status, outcome := s.rcache.wait(p.j.ctx, p.f)
+		body, outcome := s.rcache.wait(p.j.ctx, p.f)
 		switch outcome {
 		case rcCoalesced:
-			out[i] = jobResult{status: status, resp: resp}
+			out[i] = jobResult{status: http.StatusOK, body: body}
 		case rcExpiredWait:
 			// Our deadline ended while an identical parse was in flight.
 			s.m.timeouts.Add(1)
@@ -357,32 +379,50 @@ func (s *Server) serve(ctx context.Context, reqs []ParseRequest, bulk bool) []jo
 	return out
 }
 
-// newJob validates req and resolves its grammar and sentence into a job
-// bound to the request's own deadline. A request that fails validation
-// gets its answer instead of a job.
-func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.CancelFunc, jobResult) {
+// checked is a request that passed the checks that cost no parse
+// work: its words, machine model and compiled grammar, and the pool's
+// batching key.
+type checked struct {
+	words   []string
+	backend core.Backend
+	g       *cdg.Grammar
+	gkey    string
+	cfgKey  string
+}
+
+// check validates req without resolving its sentence: a non-empty
+// sentence, a known backend, then the grammar through the grammar
+// cache. A request that fails gets its answer instead.
+func (s *Server) check(req *ParseRequest) (checked, jobResult) {
 	words := req.Words()
 	if len(words) == 0 {
-		return nil, nil, jobResult{http.StatusBadRequest, errResult(*req, "empty sentence: set \"sentence\" or \"text\"", false)}
+		return checked{}, jobResult{status: http.StatusBadRequest, resp: errResult(*req, "empty sentence: set \"sentence\" or \"text\"", false)}
 	}
 	backend, err := ParseBackend(req.Backend)
 	if err != nil {
-		return nil, nil, jobResult{http.StatusBadRequest, errResult(*req, err.Error(), false)}
+		return checked{}, jobResult{status: http.StatusBadRequest, resp: errResult(*req, err.Error(), false)}
 	}
 	g, key, status, err := s.lookupGrammar(req.Grammar, req.GrammarSource)
 	if err != nil {
-		return nil, nil, jobResult{status, errResult(*req, err.Error(), false)}
+		return checked{}, jobResult{status: status, resp: errResult(*req, err.Error(), false)}
 	}
-	sent, err := cdg.Resolve(g, words, nil)
+	return checked{words: words, backend: backend, g: g, gkey: key, cfgKey: cfgKeyOf(key, backend, *req)}, jobResult{}
+}
+
+// newJob resolves a checked request's sentence against its grammar
+// into a job bound to the request's own deadline. A sentence that does
+// not resolve gets its 400 instead of a job.
+func (s *Server) newJob(ctx context.Context, req *ParseRequest, c checked) (*job, context.CancelFunc, jobResult) {
+	sent, err := cdg.Resolve(c.g, c.words, nil)
 	if err != nil {
 		res := errResult(*req, err.Error(), false)
-		res.Grammar = key
-		return nil, nil, jobResult{http.StatusBadRequest, res}
+		res.Grammar = c.gkey
+		return nil, nil, jobResult{status: http.StatusBadRequest, resp: res}
 	}
 
 	jctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req.TimeoutMS))
 	opts := []core.Option{
-		core.WithBackend(backend),
+		core.WithBackend(c.backend),
 		core.WithFilter(!req.NoFilter),
 		core.WithMaxFilterIters(req.MaxFilterIters),
 	}
@@ -390,12 +430,12 @@ func (s *Server) newJob(ctx context.Context, req *ParseRequest) (*job, context.C
 		opts = append(opts, core.WithPEs(req.PEs))
 	}
 	return &job{
-		words:     words,
+		words:     c.words,
 		sent:      sent,
-		g:         g,
-		gkey:      key,
-		backend:   backend,
-		cfgKey:    cfgKeyOf(key, backend, *req),
+		g:         c.g,
+		gkey:      c.gkey,
+		backend:   c.backend,
+		cfgKey:    c.cfgKey,
 		opts:      opts,
 		maxParses: req.MaxParses,
 		ctx:       jctx,
@@ -447,7 +487,7 @@ func (s *Server) await(req ParseRequest, j *job) jobResult {
 func timedOut(req ParseRequest, j *job) jobResult {
 	res := errResult(req, j.ctx.Err().Error(), true)
 	res.Grammar = j.gkey
-	return jobResult{http.StatusGatewayTimeout, res}
+	return jobResult{status: http.StatusGatewayTimeout, resp: res}
 }
 
 // refused maps a refused submit to 429 (queue full) or 503 (draining).
@@ -455,9 +495,9 @@ func refused(req ParseRequest, gkey string, err error) jobResult {
 	res := errResult(req, err.Error(), false)
 	res.Grammar = gkey
 	if errors.Is(err, errQueueFull) {
-		return jobResult{http.StatusTooManyRequests, res}
+		return jobResult{status: http.StatusTooManyRequests, resp: res}
 	}
-	return jobResult{http.StatusServiceUnavailable, res}
+	return jobResult{status: http.StatusServiceUnavailable, resp: res}
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
@@ -471,7 +511,11 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jr := s.serve(r.Context(), []ParseRequest{req}, BulkRequest(r))[0]
-	s.writeJSON(w, jr.status, jr.resp)
+	startJSON(w, jr.status)
+	// A cached answer's bytes are shared by every hit, so the newline
+	// is written after them, never appended to them.
+	w.Write(jr.encoded())   //nolint:errcheck // client gone
+	io.WriteString(w, "\n") //nolint:errcheck // client gone
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -489,11 +533,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	answers := s.serve(r.Context(), breq.Requests, BulkRequest(r))
-	results := make([]ParseResult, len(answers))
+	entries := make([]json.RawMessage, len(answers))
 	for i, jr := range answers {
-		results[i] = jr.resp
+		entries[i] = jr.encoded()
 	}
-	s.writeJSON(w, http.StatusOK, BatchResult{Results: results})
+	startJSON(w, http.StatusOK)
+	WriteBatch(w, entries) //nolint:errcheck // client gone
 }
 
 // grammarInfo is one entry of GET /v1/grammars.
