@@ -46,10 +46,11 @@ race-pool:
 
 # race-router does the same for the router: membership churn,
 # sub-batches, failover (the lattice stream's included), 4xx/504
-# handling, hedges, admission and the latency digest, ten times each
-# under the race detector. TestBatchReplyOverOneMiB is left out (about
-# 7 s a run under -race); race runs it once.
-ROUTER_TESTS = ^Test(MembershipChurn|ChurnWith|KilledShard|BatchShards|4xx|504|Retryable5xx|Hedge|Admission|RetryAfter|ClusterSmokeHedged|Lattice|LatencyDigest)
+# handling, hedges, admission, the latency digest and the router's
+# result cache, ten times each under the race detector.
+# TestBatchReplyOverOneMiB is left out (about 7 s a run under -race);
+# race runs it once.
+ROUTER_TESTS = ^Test(MembershipChurn|ChurnWith|KilledShard|BatchShards|4xx|504|Retryable5xx|Hedge|Admission|RetryAfter|ClusterSmokeHedged|Lattice|LatencyDigest|RouterResultCacheRaces)
 race-router:
 	$(GO) test -race -count=10 -run '$(ROUTER_TESTS)' ./internal/router/...
 

@@ -5,6 +5,9 @@
 // health probes and retried on the next-ranked candidate, GET /metrics
 // re-emits the fleet's parsecd_* counters summed plus the router's own
 // parsecrouter_* series, and /v1/grammars merges the fleet inventory.
+// A /v1/parse answer a shard served from its own result cache is kept
+// in a small router cache (-cache-entries), which answers its repeats
+// without a forward.
 //
 // Usage:
 //
@@ -57,6 +60,7 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		hedge         = fs.Bool("hedge", false, "hedge replicated-key requests to the next replica at half the p99 budget")
 		hedgeDelay    = fs.Duration("hedge-delay", 25*time.Millisecond, "earliest hedge: cold-start delay and floor under the adaptive p99/2 budget (negative hedges immediately)")
 		maxInflight   = fs.Int("max-inflight", 0, "per-shard in-flight forward cap; beyond it requests shed with 429, bulk first (0 disables)")
+		cacheEntries  = fs.Int("cache-entries", 256, "router result cache capacity in entries: a /v1/parse answer a shard served from its own result cache is kept, and repeats are answered here without a forward (-1 disables). Kept small on purpose: the router holds the head of the request distribution, the shards' caches the tail")
 		drain         = fs.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -74,20 +78,21 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	logger := log.New(logw, "parsecrouter ", log.LstdFlags|log.Lmsgprefix)
 
 	r, err := router.New(router.Config{
-		Addr:          *addr,
-		Shards:        fleet,
-		ProbeInterval: *probeInterval,
-		ProbeTimeout:  *probeTimeout,
-		EjectAfter:    *ejectAfter,
-		ReadmitAfter:  *readmitAfter,
-		Retries:       *retries,
-		ReplicateTop:  *replicateTop,
-		ReplicaFactor: *replicaFactor,
-		HotKeyShare:   *hotShare,
-		HotKeyWindow:  *hotWindow,
-		Hedge:         *hedge,
-		HedgeDelay:    *hedgeDelay,
-		MaxInflight:   *maxInflight,
+		Addr:               *addr,
+		Shards:             fleet,
+		ProbeInterval:      *probeInterval,
+		ProbeTimeout:       *probeTimeout,
+		EjectAfter:         *ejectAfter,
+		ReadmitAfter:       *readmitAfter,
+		Retries:            *retries,
+		ReplicateTop:       *replicateTop,
+		ReplicaFactor:      *replicaFactor,
+		HotKeyShare:        *hotShare,
+		HotKeyWindow:       *hotWindow,
+		Hedge:              *hedge,
+		HedgeDelay:         *hedgeDelay,
+		MaxInflight:        *maxInflight,
+		ResultCacheEntries: *cacheEntries,
 	})
 	if err != nil {
 		return err
@@ -100,8 +105,8 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	// soon as the address is known is caught, not fatal.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	logger.Printf("routing on http://%s across %d shards (probe=%v eject-after=%d readmit-after=%d retries=%d replicate-top=%d replica-factor=%d hedge=%v max-inflight=%d)",
-		bound, len(fleet), *probeInterval, *ejectAfter, *readmitAfter, *retries, *replicateTop, *replicaFactor, *hedge, *maxInflight)
+	logger.Printf("routing on http://%s across %d shards (probe=%v eject-after=%d readmit-after=%d retries=%d replicate-top=%d replica-factor=%d hedge=%v max-inflight=%d cache-entries=%d)",
+		bound, len(fleet), *probeInterval, *ejectAfter, *readmitAfter, *retries, *replicateTop, *replicaFactor, *hedge, *maxInflight, *cacheEntries)
 	if ready != nil {
 		ready <- bound
 	}
@@ -126,9 +131,9 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	for _, u := range urls {
 		logger.Printf("shard %s: requests=%d errors=%d ejections=%d", u, st.Requests[u], st.Errors[u], st.Ejections[u])
 	}
-	logger.Printf("drained: requests=%d failovers=%d empty-fleet=%d probes=%d (failed=%d) hotkeys=%d/%d hedges=%d (wins=%d) sheds=%d+%d",
+	logger.Printf("drained: requests=%d failovers=%d empty-fleet=%d probes=%d (failed=%d) hotkeys=%d/%d hedges=%d (wins=%d) sheds=%d+%d cache-hits=%d (misses=%d)",
 		total, st.Failovers, st.EmptyFleet, st.Probes, st.ProbeFailures,
 		st.HotKeyPromotions, st.HotKeyDemotions, st.Hedges, st.HedgeWins,
-		st.ShedsInteractive, st.ShedsBulk)
+		st.ShedsInteractive, st.ShedsBulk, st.CacheHits, st.CacheMisses)
 	return nil
 }

@@ -25,8 +25,13 @@ type HarnessFleet struct {
 
 // NewHarnessFleet boots sc.Shards in-process backends plus a router.
 // scfg/rcfg follow clustertest.Boot's conventions (ShardName and
-// Shards are filled in; the background prober is disabled).
+// Shards are filled in; the background prober is disabled). The
+// router's result cache is off unless rcfg sizes it: the scenarios
+// measure shard faults, so every request must reach a shard.
 func NewHarnessFleet(sc *Scenario, scfg server.Config, rcfg router.Config) (*HarnessFleet, error) {
+	if rcfg.ResultCacheEntries == 0 {
+		rcfg.ResultCacheEntries = -1
+	}
 	c, err := clustertest.Boot(sc.Shards, scfg, rcfg)
 	if err != nil {
 		return nil, err

@@ -91,10 +91,13 @@ func NewProcFleet(sc *Scenario, cfg ProcConfig) (*ProcFleet, error) {
 	for _, sh := range f.shards {
 		urls = append(urls, sh.url)
 	}
+	// The router cache is off, as on the in-process fleet: the scenarios
+	// measure shard faults. RouterArgs come last and may turn it on.
 	rargs := append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", rport),
 		"-shards", strings.Join(urls, ","),
 		"-probe-interval", fmt.Sprintf("%dms", probeMS),
+		"-cache-entries", "-1",
 	}, cfg.RouterArgs...)
 	cmd, err := f.launch("parsecrouter", "router", rargs)
 	if err != nil {

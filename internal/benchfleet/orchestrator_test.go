@@ -169,50 +169,61 @@ func checkShardRowsSum(t *testing.T, rep *benchjson.Report, sc *Scenario) {
 
 // placeKeys bounds the kill and recover phases' sentence lengths so
 // that both survivors own a kill-phase key and the revived shard owns
-// a recover-phase key. Demo sentences depend on length only, so a
-// phase's keys are at most MaxLen distinct sentences, and the router
-// places each by its HRW ranking of the shard URLs, which are random
-// loopback ports: with the default bound of 7, some runs leave a
-// checked shard with no key. The ranking is the router's own.
+// a recover-phase key (see placePhase).
 func placeKeys(t *testing.T, sc *Scenario, fleet *HarnessFleet) {
 	t.Helper()
+	urls := shardURLs(fleet)
+	placePhase(t, sc, 1, urls[:2], urls[0], urls[1]) // shard2 is dead through the kill phase
+	placePhase(t, sc, 2, urls, urls[2])              // and serves again in the recover phase
+}
+
+// shardURLs lists the fleet's shard URLs, the names the router ranks.
+func shardURLs(fleet *HarnessFleet) []string {
 	var urls []string
 	for _, sh := range fleet.Cluster().Shards {
 		urls = append(urls, sh.URL)
 	}
-	place := func(pi int, eligible []string, owners ...string) {
-		p := &sc.Phases[pi]
-		for maxLen := 7; maxLen <= 40; maxLen++ {
-			p.MaxLen = maxLen
-			// Phase pi runs on seed Seed+pi.
-			bodies, err := buildRequests(*p, sc.BackendOrDefault(), sc.Seed+int64(pi))
+	return urls
+}
+
+// placePhase bounds phase pi's sentence length so that each of owners
+// ranks first among eligible for at least one of its keys. Demo
+// sentences depend on length only, so a phase's keys are at most
+// MaxLen distinct sentences, and the router places each by its HRW
+// ranking of the shard URLs, which are random loopback ports: with the
+// default bound of 7, some runs leave a checked shard with no key. The
+// ranking is the router's own.
+func placePhase(t *testing.T, sc *Scenario, pi int, eligible []string, owners ...string) {
+	t.Helper()
+	p := &sc.Phases[pi]
+	for maxLen := 7; maxLen <= 40; maxLen++ {
+		p.MaxLen = maxLen
+		// Phase pi runs on seed Seed+pi.
+		bodies, err := buildRequests(*p, sc.BackendOrDefault(), sc.Seed+int64(pi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := map[string]bool{}
+		for _, body := range bodies {
+			var req server.ParseRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			key, err := router.AffinityKey(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			owned := map[string]bool{}
-			for _, body := range bodies {
-				var req server.ParseRequest
-				if err := json.Unmarshal(body, &req); err != nil {
-					t.Fatal(err)
-				}
-				key, err := router.AffinityKey(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				owned[router.RankShards(eligible, key)[0]] = true
-			}
-			missing := false
-			for _, u := range owners {
-				missing = missing || !owned[u]
-			}
-			if !missing {
-				return
-			}
+			owned[router.RankShards(eligible, key)[0]] = true
 		}
-		t.Fatalf("phase %s: no length bound up to 40 gives every checked shard a key", sc.Phases[pi].Name)
+		missing := false
+		for _, u := range owners {
+			missing = missing || !owned[u]
+		}
+		if !missing {
+			return
+		}
 	}
-	place(1, urls[:2], urls[0], urls[1]) // shard2 is dead through the kill phase
-	place(2, urls, urls[2])              // and serves again in the recover phase
+	t.Fatalf("phase %s: no length bound up to 40 gives every checked shard a key", p.Name)
 }
 
 // TestRunDelayScenarioInProcess exercises the delay/clear-delay fault
@@ -236,6 +247,8 @@ func TestRunDelayScenarioInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close() //nolint:errcheck
+	urls := shardURLs(fleet)
+	placePhase(t, sc, 0, urls, urls[0]) // the delayed shard owns a slow-phase key
 
 	res, err := Run(context.Background(), fleet, sc)
 	if err != nil {

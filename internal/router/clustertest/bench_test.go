@@ -27,6 +27,8 @@ func BenchmarkHedgedFleet(b *testing.B) {
 		Hedge:       true,
 		HedgeDelay:  time.Millisecond,
 		MaxInflight: 256,
+		// Off, or repeats of the head keys never reach a replica to hedge.
+		ResultCacheEntries: -1,
 	})
 	// Zipf head over a small key pool: the top key carries a large
 	// share of the traffic and promotes quickly. Seeded, so every run
@@ -70,4 +72,43 @@ func BenchmarkHedgedFleet(b *testing.B) {
 	p99 := lat[(99*len(lat)-1)/100]
 	b.ReportMetric(float64(len(lat))/elapsed.Seconds(), "sents/s")
 	b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/op")
+}
+
+// BenchmarkFleetHit times one warm /v1/parse through a 2-shard fleet:
+// with the router cache at its default (router-cache, answered at the
+// router) and off (shard-hit, answered by the owning shard's result
+// cache after the router→shard hop).
+func BenchmarkFleetHit(b *testing.B) {
+	body, err := json.Marshal(serialReq(sentences(6)[5]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		entries int
+	}{{"router-cache", 0}, {"shard-hit", -1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(b, 2, server.Config{}, router.Config{ResultCacheEntries: bc.entries})
+			hit := func() {
+				resp, err := http.Post(c.URL+"/v1/parse", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d", resp.StatusCode)
+				}
+			}
+			// The first request parses and the second is the shard's hit,
+			// which the router cache keeps when it is on.
+			hit()
+			hit()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hit()
+			}
+		})
+	}
 }

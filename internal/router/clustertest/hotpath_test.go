@@ -146,9 +146,11 @@ func TestHotKeyReplicationSpreadsPrefixKeepsHitRate(t *testing.T) {
 		return cached, byShard, c
 	}
 
-	baseCached, baseShards, _ := run(router.Config{})
+	// The router cache is off: this pins which shard serves each repeat.
+	baseCached, baseShards, _ := run(router.Config{ResultCacheEntries: -1})
 	repCached, repShards, rc := run(router.Config{
 		ReplicateTop: 1, ReplicaFactor: 2, HotKeyShare: hotShare, HotKeyWindow: hotWindow,
+		ResultCacheEntries: -1,
 	})
 
 	if len(baseShards) != 1 {
@@ -188,9 +190,10 @@ func TestHedgeFiresOnceCancelsLoserCountsOnce(t *testing.T) {
 	gated := &gatedTransport{}
 	c := New(t, 3, server.Config{}, router.Config{
 		ReplicateTop: 1, ReplicaFactor: 2, HotKeyShare: hotShare, HotKeyWindow: hotWindow,
-		Hedge:      true,
-		HedgeDelay: -1, // hedge immediately: the deterministic-test setting
-		Client:     &http.Client{Transport: gated},
+		Hedge:              true,
+		HedgeDelay:         -1, // hedge immediately: the deterministic-test setting
+		Client:             &http.Client{Transport: gated},
+		ResultCacheEntries: -1, // every repeat must reach the shards
 	})
 	hot := serialReq(workload.DemoSentence(5))
 	var owner string
@@ -372,8 +375,9 @@ func TestRetryAfterPropagatesFromShard(t *testing.T) {
 func TestClusterSmokeHedged(t *testing.T) {
 	c := New(t, 3, server.Config{}, router.Config{
 		ReplicateTop: 2, ReplicaFactor: 2, HotKeyShare: hotShare, HotKeyWindow: hotWindow,
-		Hedge:       true,
-		MaxInflight: 64,
+		Hedge:              true,
+		MaxInflight:        64,
+		ResultCacheEntries: -1, // repeats must reach the hot-key tracker
 	})
 	hot := serialReq(workload.DemoSentence(6))
 	for i := 0; i < promoteAt+4; i++ {

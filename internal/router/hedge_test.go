@@ -234,3 +234,85 @@ func TestHedgeFallbackSkipsFailedReplicas(t *testing.T) {
 		})
 	}
 }
+
+// TestHedgedAttemptsCountAgainstRetries: a request reaches at most
+// 1+Retries shards, and the two hedged attempts count against that
+// budget. On five shards that all answer 500 once a key is promoted and
+// warmed, the fallback after both replicas fail gets Retries-1 shards,
+// so one request makes 1+Retries forwards, each to a different shard.
+func TestHedgedAttemptsCountAgainstRetries(t *testing.T) {
+	const body = `{"text":"the program runs","backend":"serial"}`
+	shards := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
+	var failing atomic.Bool
+	var mu sync.Mutex
+	got := map[string]int{}
+	fleet := fakeShards{}
+	for _, s := range shards {
+		fleet[strings.TrimPrefix(s, "http://")] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			mu.Lock()
+			got[s]++
+			mu.Unlock()
+			if failing.Load() {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"accepted":true}`) //nolint:errcheck
+		})
+	}
+	r, err := New(Config{
+		Shards:        shards,
+		ProbeInterval: -1,
+		ReplicateTop:  1,
+		ReplicaFactor: 2,
+		HotKeyShare:   0.5,
+		HotKeyWindow:  4,
+		Hedge:         true,
+		HedgeDelay:    -1,
+		Client:        &http.Client{Transport: fleet},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/parse", strings.NewReader(body)))
+		return rec
+	}
+	for i := 0; i < 2; i++ {
+		if rec := post(); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up request %d: status %d", i, rec.Code)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Stats().HotKeyWarms < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the replica warm-up")
+		}
+		runtime.Gosched()
+	}
+
+	failing.Store(true)
+	mu.Lock()
+	clear(got)
+	mu.Unlock()
+	before := r.Stats()
+	if rec := post(); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want the last attempt's 500 relayed: %s", rec.Code, rec.Body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	forwards := 0
+	for shard, n := range got {
+		forwards += n
+		if n > 1 {
+			t.Errorf("shard %s received the request %d times, want at most once: %v", shard, n, got)
+		}
+	}
+	if budget := 1 + r.cfg.Retries; forwards > budget {
+		t.Errorf("%d forwards for one request, want at most 1+Retries = %d: %v", forwards, budget, got)
+	}
+	if failovers := r.Stats().Failovers - before.Failovers; failovers != 1 {
+		t.Errorf("failovers %d, want 1 (to the one fallback shard)", failovers)
+	}
+}

@@ -49,7 +49,7 @@ func (r *Router) handleLattice(w http.ResponseWriter, req *http.Request) {
 	}
 	class := classOf(req)
 	fr, ok, shedded := r.tryShards(req.Context(), "/v1/lattice", "application/json", replay(body), order, class)
-	r.forward(w, fr, ok, shedded, class, func(msg string) any { return latticeError(lreq, msg) })
+	r.forward(w, fr, ok, shedded, class, func(msg string) any { return latticeError(lreq, msg) }, "")
 }
 
 // countingReader counts bytes handed out so the stream proxy knows
@@ -122,5 +122,5 @@ func (r *Router) handleLatticeStream(w http.ResponseWriter, req *http.Request) {
 	}
 	class := classOf(req)
 	fr, ok, shedded := r.tryShards(req.Context(), "/v1/lattice/stream", "application/x-ndjson", body, order, class)
-	r.forward(flushWriter{w}, fr, ok, shedded, class, func(msg string) any { return latticeError(lreq, msg) })
+	r.forward(flushWriter{w}, fr, ok, shedded, class, func(msg string) any { return latticeError(lreq, msg) }, "")
 }

@@ -44,6 +44,8 @@ type routerMetrics struct {
 	hedgeCancels     uint64 // losing attempts observed context-cancelled
 	shedsInteractive uint64 // interactive requests refused by admission
 	shedsBulk        uint64 // bulk requests refused by admission
+	cacheHits        uint64 // /v1/parse requests answered from the router cache
+	cacheMisses      uint64 // router-cache lookups whose request went on to a shard
 }
 
 func newRouterMetrics() *routerMetrics {
@@ -166,6 +168,18 @@ func (m *routerMetrics) countShed(class reqClass) {
 	m.mu.Unlock()
 }
 
+func (m *routerMetrics) countCacheHit() {
+	m.mu.Lock()
+	m.cacheHits++
+	m.mu.Unlock()
+}
+
+func (m *routerMetrics) countCacheMiss() {
+	m.mu.Lock()
+	m.cacheMisses++
+	m.mu.Unlock()
+}
+
 // admitInflight claims an in-flight slot on url unless limit is
 // reached, tracking the high-water mark. It is the admission-control
 // hot path: one mutex hold, no allocation past the first request per
@@ -217,6 +231,8 @@ type Stats struct {
 	HedgeCancels     uint64
 	ShedsInteractive uint64
 	ShedsBulk        uint64
+	CacheHits        uint64 // /v1/parse requests answered from the router cache
+	CacheMisses      uint64 // router-cache lookups whose request went on to a shard
 }
 
 func (m *routerMetrics) stats() Stats {
@@ -242,6 +258,8 @@ func (m *routerMetrics) stats() Stats {
 		HedgeCancels:     m.hedgeCancels,
 		ShedsInteractive: m.shedsInteractive,
 		ShedsBulk:        m.shedsBulk,
+		CacheHits:        m.cacheHits,
+		CacheMisses:      m.cacheMisses,
 	}
 	for url, sc := range m.perShard {
 		st.Requests[url] = sc.requests
@@ -276,6 +294,7 @@ func (m *routerMetrics) writePrometheus(out io.Writer, statuses []ShardStatus) {
 	promotions, demotions, warms := m.hotKeyPromotions, m.hotKeyDemotions, m.hotKeyWarms
 	hedges, hedgeWins, hedgeCancels := m.hedges, m.hedgeWins, m.hedgeCancels
 	shedInteractive, shedBulk := m.shedsInteractive, m.shedsBulk
+	cacheHits, cacheMisses := m.cacheHits, m.cacheMisses
 	started := m.started
 	m.mu.Unlock()
 
@@ -306,6 +325,8 @@ func (m *routerMetrics) writePrometheus(out io.Writer, statuses []ShardStatus) {
 	w.Header("parsecrouter_sheds_total", "counter", "requests refused by admission control per class")
 	w.Sample("parsecrouter_sheds_total", float64(shedInteractive), "class", "interactive")
 	w.Sample("parsecrouter_sheds_total", float64(shedBulk), "class", "bulk")
+	w.Counter("parsecrouter_result_cache_hits_total", "parse requests answered from the router's result cache", cacheHits)
+	w.Counter("parsecrouter_result_cache_misses_total", "router result-cache lookups whose request went on to a shard", cacheMisses)
 
 	w.Header("parsecrouter_shard_inflight", "gauge", "forwards currently in flight per shard (admission control)")
 	for i, u := range urls {

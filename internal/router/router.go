@@ -5,7 +5,9 @@
 // land on the same node and its result cache stays hot; membership is
 // probe-driven (consecutive-failure ejection, probation re-admission);
 // failed shards are retried on the next-ranked candidate, bounded by
-// the retry budget and the request deadline. /metrics re-emits every
+// the retry budget and the request deadline. A small LRU keeps the
+// /v1/parse answers shards served from their result caches and answers
+// repeats without a forward (cache.go). /metrics re-emits every
 // shard's parsecd_* families summed, plus the router's own
 // parsecrouter_* series; /v1/grammars fans out and merges
 // deterministically.
@@ -45,7 +47,8 @@ type Config struct {
 	// needs (first one enters probation) to return to live (default 2).
 	ReadmitAfter int
 	// Retries bounds failover: a request may be forwarded to at most
-	// 1+Retries shards (default 2).
+	// 1+Retries shards, the two attempts of a hedged request included
+	// (default 2).
 	Retries int
 	// ReplicateTop promotes up to this many hot keys to replicated
 	// placement across their HRW prefix (0 disables replication).
@@ -73,6 +76,13 @@ type Config struct {
 	// beyond it requests are shed with 429 (0 disables admission
 	// control). Bulk-class requests shed at 3/4 of the cap.
 	MaxInflight int
+	// ResultCacheEntries caps the /v1/parse answers the router keeps to
+	// answer repeats itself, without a forward (default 256; negative
+	// disables the router cache). It keeps only 200s a shard served from
+	// its own result cache, byte for byte, of at most 64 KiB each. The
+	// default is small: the router keeps the head of the request
+	// distribution, and the shards' larger caches keep the tail.
+	ResultCacheEntries int
 	// Client overrides the forwarding HTTP client (tests).
 	Client *http.Client
 }
@@ -110,6 +120,9 @@ func (c Config) withDefaults() Config {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
 	}
+	if c.ResultCacheEntries == 0 {
+		c.ResultCacheEntries = defaultCacheEntries
+	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -126,6 +139,7 @@ type Router struct {
 	hot    *hotTracker    // nil when replication is off
 	digest *latencyDigest // per-shard latency distribution (hedge budget); nil when hedging is off
 	admit  *admitState    // nil when admission control is off
+	cache  *resultCache   // nil when the router cache is off
 
 	mu sync.Mutex
 	// Guarded by mu: the listener state and the prober's cancel.
@@ -161,6 +175,7 @@ func New(cfg Config) (*Router, error) {
 		hot:    newHotTracker(cfg.ReplicateTop, cfg.ReplicaFactor, cfg.HotKeyWindow, cfg.HotKeyShare),
 		digest: newLatencyDigest(cfg.Hedge),
 		admit:  newAdmitState(cfg.MaxInflight, m),
+		cache:  newResultCache(cfg.ResultCacheEntries),
 	}
 	r.mux.HandleFunc("/v1/parse", r.handleParse)
 	r.mux.HandleFunc("/v1/batch", r.handleBatch)
@@ -354,8 +369,9 @@ const shedMsg = "shard at capacity; retry later"
 // with 429 and a Retry-After hint when admission control refused it, or
 // gives up with 503 when every candidate failed. errBody renders a
 // message in the route's error schema, so clients see one schema
-// whether the router or a shard rejected them.
-func (r *Router) forward(w http.ResponseWriter, fr forwardResult, ok, shedded bool, class reqClass, errBody func(msg string) any) {
+// whether the router or a shard rejected them. keep is the router-cache
+// key a /v1/parse answer may be kept under, "" for none (see relay).
+func (r *Router) forward(w http.ResponseWriter, fr forwardResult, ok, shedded bool, class reqClass, errBody func(msg string) any, keep string) {
 	switch {
 	case shedded:
 		r.m.countShed(class)
@@ -364,17 +380,29 @@ func (r *Router) forward(w http.ResponseWriter, fr forwardResult, ok, shedded bo
 	case !ok:
 		r.writeJSON(w, http.StatusServiceUnavailable, errBody(fmt.Sprintf("all candidate shards failed: %v", fr.err)))
 	default:
-		r.relay(w, fr)
+		r.relay(w, fr, keep)
 	}
 }
 
 // relay copies a shard response to the client, preserving the
 // response schema and attributing the shard (the backend's own
 // X-Parsec-Shard header wins; an anonymous backend is attributed by
-// URL).
-func (r *Router) relay(w http.ResponseWriter, fr forwardResult) {
+// URL). It is the one place the router cache is filled, whichever path
+// (forward, failover or hedge) produced the answer: when keep is set
+// and the shard answered 200 from its own result cache, a body of at
+// most maxCachedBody is read whole, kept under keep, and written as
+// read.
+func (r *Router) relay(w http.ResponseWriter, fr forwardResult, keep string) {
 	resp := fr.resp
 	defer resp.Body.Close()
+	var head []byte
+	if keep != "" && resp.StatusCode == http.StatusOK && resp.Header.Get(server.CacheHeader) == "hit" {
+		var err error
+		head, err = io.ReadAll(io.LimitReader(resp.Body, maxCachedBody+1))
+		if err == nil && len(head) <= maxCachedBody {
+			r.cache.add(keep, head)
+		}
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -389,6 +417,9 @@ func (r *Router) relay(w http.ResponseWriter, fr forwardResult) {
 	}
 	w.Header().Set(server.ShardHeader, shard)
 	w.WriteHeader(resp.StatusCode)
+	if head != nil {
+		w.Write(head) //nolint:errcheck // client gone
+	}
 	io.Copy(w, resp.Body) //nolint:errcheck // client gone
 }
 
@@ -414,11 +445,28 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 		r.writeJSON(w, http.StatusBadRequest, errorResult(preq, err.Error()))
 		return
 	}
+	keep := ""
+	if r.cache != nil && !preq.NoCache {
+		// A kept answer is a pure function of its key, so it is served
+		// even when no shard is eligible.
+		if cached, ok := r.cache.get(key); ok {
+			r.m.countCacheHit()
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set(server.ShardHeader, cacheAnswerer)
+			w.WriteHeader(http.StatusOK)
+			w.Write(cached) //nolint:errcheck // client gone
+			return
+		}
+		keep = key
+	}
 	order := RankShards(r.fleet.eligible(), key)
 	if len(order) == 0 {
 		r.m.countEmptyFleet()
 		r.writeJSON(w, http.StatusServiceUnavailable, errorResult(preq, "no live shards"))
 		return
+	}
+	if keep != "" {
+		r.m.countCacheMiss()
 	}
 	class := classOf(req)
 	d := hotDecision{primary: order[0]}
@@ -435,23 +483,24 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 			go r.warmReplicas(key, body, replicaPrefix(order, r.cfg.ReplicaFactor))
 		}
 	}
-	errBody := func(msg string) any { return errorResult(preq, msg) }
-	var candidates []string
+	var fr forwardResult
+	var ok, shedded bool
 	if r.cfg.Hedge && d.replicated && d.next != d.primary {
-		fr, ok, shedded := r.hedgedDo(req.Context(), "/v1/parse", "application/json", body, d.primary, d.next, class)
-		candidates = without(order, d.primary, d.next)
-		if ok || shedded || len(candidates) == 0 {
-			r.forward(w, fr, ok, shedded, class, errBody)
-			return
+		fr, ok, shedded = r.hedgedDo(req.Context(), "/v1/parse", "application/json", body, d.primary, d.next, class)
+		// The two hedged attempts count against the 1+Retries budget, so
+		// the fallback gets the rest of the HRW order, which neither
+		// replica is in, cut to Retries-1 shards.
+		rest := without(order, d.primary, d.next)
+		rest = rest[:max(0, min(len(rest), r.cfg.Retries-1))]
+		if !ok && !shedded && len(rest) > 0 {
+			// Both replicas failed retryably.
+			r.m.countFailover()
+			fr, ok, shedded = r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), rest, class)
 		}
-		// Both replicas failed retryably: fail over to the rest of the
-		// HRW order, which neither of them is in.
-		r.m.countFailover()
 	} else {
-		candidates = orderFrom(order, d.primary)
+		fr, ok, shedded = r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), orderFrom(order, d.primary), class)
 	}
-	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), candidates, class)
-	r.forward(w, fr, ok, shedded, class, errBody)
+	r.forward(w, fr, ok, shedded, class, func(msg string) any { return errorResult(preq, msg) }, keep)
 }
 
 // without returns order less the shards a and b, in HRW rank.

@@ -137,6 +137,13 @@ const DefaultMaxParses = 10
 // attribute per-shard traffic.
 const ShardHeader = "X-Parsec-Shard"
 
+// CacheHeader is set to "hit" on a /v1/parse answer that is the result
+// cache's stored bytes: a hit, or a request that waited on an identical
+// in-flight parse. Such a body is the same on every shard for one
+// CacheKey, so the sharding router may keep it and answer repeats
+// itself.
+const CacheHeader = "X-Parsec-Cache"
+
 // ClassHeader is the request header naming the admission class of a
 // request: "interactive" (default for /v1/parse and lattice calls) or
 // "bulk" (default for /v1/batch). The router sheds bulk traffic first

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -565,5 +566,37 @@ func TestResultCacheManyKeysStayBounded(t *testing.T) {
 	}
 	if st := rc.stats(); st.Evictions != 200-16 {
 		t.Errorf("evictions=%d, want %d", st.Evictions, 200-16)
+	}
+}
+
+// TestCacheHeaderMarksStoredBytes: a /v1/parse answer carries
+// X-Parsec-Cache: hit exactly when it is the result cache's stored
+// bytes, so the first answer, a no_cache answer and an error carry no
+// header, and a repeat does.
+func TestCacheHeaderMarksStoredBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/parse", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get(CacheHeader)
+	}
+	const req = `{"backend":"serial","text":"the program runs"}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		header     string
+	}{
+		{"first answer", req, http.StatusOK, ""},
+		{"repeat", req, http.StatusOK, "hit"},
+		{"no_cache", `{"backend":"serial","text":"the program runs","no_cache":true}`, http.StatusOK, ""},
+		{"error", `{"backend":"serial","text":"the zebra runs"}`, http.StatusBadRequest, ""},
+	} {
+		if status, header := post(tc.body); status != tc.status || header != tc.header {
+			t.Errorf("%s: status %d %s %q, want %d and %q", tc.name, status, CacheHeader, header, tc.status, tc.header)
+		}
 	}
 }

@@ -511,6 +511,9 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jr := s.serve(r.Context(), []ParseRequest{req}, BulkRequest(r))[0]
+	if jr.body != nil {
+		w.Header().Set(CacheHeader, "hit")
+	}
 	startJSON(w, jr.status)
 	// A cached answer's bytes are shared by every hit, so the newline
 	// is written after them, never appended to them.
