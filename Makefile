@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-pool race-router vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race race-pool race-router race-patterns vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -46,21 +46,35 @@ race-pool:
 
 # race-router does the same for the router: membership churn,
 # sub-batches, failover (the lattice stream's included), 4xx/504
-# handling, hedges, admission, the latency digest and the router's
-# result cache, ten times each under the race detector.
-# TestBatchReplyOverOneMiB is left out (about 7 s a run under -race);
-# race runs it once.
-ROUTER_TESTS = ^Test(MembershipChurn|ChurnWith|KilledShard|BatchShards|4xx|504|Retryable5xx|Hedge|Admission|RetryAfter|ClusterSmokeHedged|Lattice|LatencyDigest|RouterResultCacheRaces)
+# handling, admission and the router's result cache, ten times each
+# under the race detector. TestBatchReplyOverOneMiB is left out (about
+# 7 s a run under -race); race runs it once.
+ROUTER_TESTS = ^Test(MembershipChurn|ChurnWith|KilledShard|BatchShards|4xx|504|Retryable5xx|Admission|RetryAfter|Lattice|RouterResultCacheRaces)
 race-router:
 	$(GO) test -race -count=10 -run '$(ROUTER_TESTS)' ./internal/router/...
 
+# race-patterns fails when an alternative of POOL_TESTS or ROUTER_TESTS
+# matches no test. A renamed or deleted test would otherwise leave its
+# alternative matching nothing while race-pool and race-router still
+# pass. It lists each pattern's tests with go test -list and checks
+# every alternative names the prefix of at least one of them.
+race-patterns:
+	@check() { \
+		list=$$($(GO) test -list "$$1" $$2 | grep '^Test') || { echo "$$1 matches no test in $$2"; exit 1; }; \
+		alts=$${1#^Test(}; \
+		for alt in $$(echo "$${alts%)}" | tr '|' ' '); do \
+			echo "$$list" | grep -q "^Test$$alt" || { echo "race-patterns: Test$$alt matches no test in $$2"; exit 1; }; \
+		done; \
+	}; \
+	check '$(POOL_TESTS)' ./internal/server/ && check '$(ROUTER_TESTS)' ./internal/router/...
+
 # ci is the gate: formatting and static checks, the full suite under
 # the race detector (the server/pool/router tests are written to be
-# hammered) plus ten more rounds of the pool and router tests, a
-# bounded fuzz pass over the request-decoding,
-# cache-key canonicalization and /metrics parsing surfaces, and the
-# serving benchmark's own module.
-ci: fmt-check vet lint race race-pool race-router fuzz-smoke perfbench-check
+# hammered) plus ten more rounds of the pool and router tests, whose
+# patterns race-patterns checks first, a bounded fuzz pass over the
+# request-decoding, cache-key canonicalization and /metrics parsing
+# surfaces, and the serving benchmark's own module.
+ci: fmt-check vet lint race-patterns race race-pool race-router fuzz-smoke perfbench-check
 
 # perfbench-check vets and tests the serving benchmark. perfbench is its
 # own Go module, so ./... above does not reach it, though it imports
@@ -107,11 +121,11 @@ load:
 	$(GO) run ./cmd/parsecload -c 16 -n 400
 
 # bench runs the paper-figure (Fig. 8, E3–E8: the root package), simulator,
-# network, constraint-eval, end-to-end, serving-path, and hedged-fleet
+# network, constraint-eval, end-to-end, serving-path, and fleet-hit
 # benchmarks with allocation accounting and writes the machine-readable
 # report the perf work tracks (ns/op, B/op, allocs/op, simulated
-# cycles/op, sents/s, p99-ns/op, and the end-to-end parse's
-# eval/scan/router stage attribution), each row tagged with its package.
+# cycles/op, sents/s, and the end-to-end parse's eval/scan/router stage
+# attribution), each row tagged with its package.
 # Every benchmark runs BENCH_COUNT times; benchjson folds the repeats into
 # one row of medians with the ns/op range and the run count.
 BENCH_PKGS = . ./internal/maspar/ ./internal/cn/ ./internal/cdg/ ./internal/core/ ./internal/latticeserve/ ./internal/server/ ./internal/router/clustertest/

@@ -363,10 +363,14 @@ func printServerSide(out io.Writer, client *http.Client, url string) {
 	if hits+misses > 0 {
 		fmt.Fprintf(out, "server prefix cache: hits=%.0f misses=%.0f hit-rate=%.1f%%\n", hits, misses, 100*hits/(hits+misses))
 	}
-	promotions, hedges, sheds := v["parsecrouter_hotkey_promotions_total"], v["parsecrouter_hedges_total"], v["parsecrouter_sheds_total"]
-	if promotions+hedges+sheds > 0 {
-		fmt.Fprintf(out, "router hot path: hotkey promotions=%.0f demotions=%.0f hedges=%.0f (wins=%.0f) sheds=%.0f\n",
-			promotions, v["parsecrouter_hotkey_demotions_total"], hedges, v["parsecrouter_hedge_wins_total"], sheds)
+	// Through a router, the shards' cache sees only the router cache's
+	// misses, so the router's own line says how many answers were cached.
+	hits, misses = v["parsecrouter_result_cache_hits_total"], v["parsecrouter_result_cache_misses_total"]
+	if hits+misses > 0 {
+		fmt.Fprintf(out, "router result cache: hits=%.0f misses=%.0f hit-rate=%.1f%%\n", hits, misses, 100*hits/(hits+misses))
+	}
+	if sheds := v["parsecrouter_sheds_total"]; sheds > 0 {
+		fmt.Fprintf(out, "router sheds: %.0f\n", sheds)
 	}
 }
 

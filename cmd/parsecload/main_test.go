@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/router"
+	"repro/internal/router/clustertest"
 	"repro/internal/server"
 )
 
@@ -262,5 +264,38 @@ func TestServerSideReadsLargeCountersThroughRouter(t *testing.T) {
 	printServerSide(&out, ts.Client(), ts.URL)
 	if want := "server result cache: hits=1200000 misses=2"; !strings.Contains(out.String(), want) {
 		t.Fatalf("report %q lacks %q", out.String(), want)
+	}
+}
+
+// TestReportsRouterCacheThroughRouter: driven through a router, the
+// report carries the router's own result-cache line, read from
+// parsecrouter_result_cache_*, and its hits are the requests the
+// router answered itself — which the shards' cache line cannot show,
+// since the shards see only the router cache's misses.
+func TestReportsRouterCacheThroughRouter(t *testing.T) {
+	c := clustertest.New(t, 2, server.Config{Workers: 2}, router.Config{})
+	var out bytes.Buffer
+	err := run([]string{"-url", c.URL, "-backend", "serial",
+		"-zipf", "1.3", "-zipf-pool", "12", "-n", "400"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	var hits, misses int
+	i := strings.Index(report, "router result cache: ")
+	if i < 0 {
+		t.Fatalf("report has no router result-cache line:\n%s", report)
+	}
+	if _, err := fmt.Sscanf(report[i:], "router result cache: hits=%d misses=%d", &hits, &misses); err != nil {
+		t.Fatalf("router result-cache line: %v\n%s", err, report)
+	}
+	if st := c.Router.Stats(); uint64(hits) != st.CacheHits || uint64(misses) != st.CacheMisses {
+		t.Errorf("report reads hits=%d misses=%d, router counted %d and %d", hits, misses, st.CacheHits, st.CacheMisses)
+	}
+	if hits == 0 {
+		t.Errorf("400 Zipf requests over 12 sentences got no router-cache hit:\n%s", report)
+	}
+	if strings.Contains(report, "router sheds:") {
+		t.Errorf("sheds reported without admission control:\n%s", report)
 	}
 }

@@ -53,12 +53,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		ejectAfter    = fs.Int("eject-after", 3, "consecutive probe failures that eject a shard")
 		readmitAfter  = fs.Int("readmit-after", 2, "consecutive probe successes that re-admit an ejected shard")
 		retries       = fs.Int("retries", 2, "failover attempts after the first shard (so a request touches at most 1+retries shards)")
-		replicateTop  = fs.Int("replicate-top", 0, "replicate up to this many hot keys across their HRW prefix (0 disables)")
-		replicaFactor = fs.Int("replica-factor", 2, "replica prefix length R for promoted hot keys")
-		hotShare      = fs.Float64("hot-share", 0.05, "request share of the window that promotes a key")
-		hotWindow     = fs.Int("hot-window", 2048, "hot-key tracker sliding-window size, in requests")
-		hedge         = fs.Bool("hedge", false, "hedge replicated-key requests to the next replica at half the p99 budget")
-		hedgeDelay    = fs.Duration("hedge-delay", 25*time.Millisecond, "earliest hedge: cold-start delay and floor under the adaptive p99/2 budget (negative hedges immediately)")
 		maxInflight   = fs.Int("max-inflight", 0, "per-shard in-flight forward cap; beyond it requests shed with 429, bulk first (0 disables)")
 		cacheEntries  = fs.Int("cache-entries", 256, "router result cache capacity in entries: a /v1/parse answer a shard served from its own result cache is kept, and repeats are answered here without a forward (-1 disables). Kept small on purpose: the router holds the head of the request distribution, the shards' caches the tail")
 		drain         = fs.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
@@ -85,12 +79,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		EjectAfter:         *ejectAfter,
 		ReadmitAfter:       *readmitAfter,
 		Retries:            *retries,
-		ReplicateTop:       *replicateTop,
-		ReplicaFactor:      *replicaFactor,
-		HotKeyShare:        *hotShare,
-		HotKeyWindow:       *hotWindow,
-		Hedge:              *hedge,
-		HedgeDelay:         *hedgeDelay,
 		MaxInflight:        *maxInflight,
 		ResultCacheEntries: *cacheEntries,
 	})
@@ -105,8 +93,8 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	// soon as the address is known is caught, not fatal.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	logger.Printf("routing on http://%s across %d shards (probe=%v eject-after=%d readmit-after=%d retries=%d replicate-top=%d replica-factor=%d hedge=%v max-inflight=%d cache-entries=%d)",
-		bound, len(fleet), *probeInterval, *ejectAfter, *readmitAfter, *retries, *replicateTop, *replicaFactor, *hedge, *maxInflight, *cacheEntries)
+	logger.Printf("routing on http://%s across %d shards (probe=%v eject-after=%d readmit-after=%d retries=%d max-inflight=%d cache-entries=%d)",
+		bound, len(fleet), *probeInterval, *ejectAfter, *readmitAfter, *retries, *maxInflight, *cacheEntries)
 	if ready != nil {
 		ready <- bound
 	}
@@ -131,9 +119,8 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	for _, u := range urls {
 		logger.Printf("shard %s: requests=%d errors=%d ejections=%d", u, st.Requests[u], st.Errors[u], st.Ejections[u])
 	}
-	logger.Printf("drained: requests=%d failovers=%d empty-fleet=%d probes=%d (failed=%d) hotkeys=%d/%d hedges=%d (wins=%d) sheds=%d+%d cache-hits=%d (misses=%d)",
+	logger.Printf("drained: requests=%d failovers=%d empty-fleet=%d probes=%d (failed=%d) sheds=%d+%d cache-hits=%d (misses=%d)",
 		total, st.Failovers, st.EmptyFleet, st.Probes, st.ProbeFailures,
-		st.HotKeyPromotions, st.HotKeyDemotions, st.Hedges, st.HedgeWins,
 		st.ShedsInteractive, st.ShedsBulk, st.CacheHits, st.CacheMisses)
 	return nil
 }

@@ -93,3 +93,17 @@ func TestRouterRequiresShards(t *testing.T) {
 		t.Fatal("run without -shards should fail")
 	}
 }
+
+// TestRouterRefusesDeletedPolicyFlags: the hot-key replication and
+// hedging flags are gone, so a command line that still passes one fails
+// at start-up instead of running without the policy it asked for. No
+// -shards is given, so a router that accepted the flag would fail fast
+// on the missing fleet instead of serving.
+func TestRouterRefusesDeletedPolicyFlags(t *testing.T) {
+	for _, flag := range []string{"-replicate-top=4", "-replica-factor=2", "-hot-share=0.1", "-hot-window=64", "-hedge", "-hedge-delay=10ms"} {
+		err := run([]string{"-addr", "127.0.0.1:0", flag}, io.Discard, nil)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err %v, want an undefined-flag error", flag, err)
+		}
+	}
+}

@@ -26,7 +26,7 @@ type ProcConfig struct {
 	// StartTimeout bounds each process's /healthz wait (default 15s).
 	StartTimeout time.Duration
 	// RouterArgs / ServerArgs append extra flags to the respective
-	// command lines (e.g. enabling hedging for a delay scenario).
+	// command lines (e.g. -max-inflight to cap the router's forwards).
 	RouterArgs []string
 	ServerArgs []string
 }

@@ -86,9 +86,9 @@ func TestRunKillScenarioInProcess(t *testing.T) {
 		t.Fatal("revived shard2 served nothing in the recover phase")
 	}
 	// Every parse is one result-cache lookup at the shard that answered
-	// it (no hedging, no hot-key warming), so each shard's scrape
-	// deltas account for exactly its records — shard2's in recover
-	// too, whose server kept its counters through the kill.
+	// it, so each shard's scrape deltas account for exactly its records
+	// — shard2's in recover too, whose server kept its counters through
+	// the kill.
 	for _, p := range sc.Phases {
 		for _, shard := range res.Shards {
 			lookups := 0.0
@@ -209,7 +209,7 @@ func placePhase(t *testing.T, sc *Scenario, pi int, eligible []string, owners ..
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatal(err)
 			}
-			key, err := router.AffinityKey(req)
+			key, err := server.CacheKey(req)
 			if err != nil {
 				t.Fatal(err)
 			}

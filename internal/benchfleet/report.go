@@ -16,7 +16,6 @@ const (
 	famCacheHits   = "parsecd_result_cache_hits_total"
 	famCacheMisses = "parsecd_result_cache_misses_total"
 	famFailovers   = "parsecrouter_failovers_total"
-	famHedges      = "parsecrouter_hedges_total"
 	famSheds       = "parsecrouter_sheds_total"
 )
 
@@ -183,7 +182,7 @@ func BuildReport(res *RunResult) (*benchjson.Report, error) {
 
 // row reduces the records of one phase and shard to a report row.
 // elapsedNs, zero for a shard row, gives ns/op and throughput; the
-// router's failover, hedge and shed deltas fill the fleet rows.
+// router's failover and shed deltas fill the fleet rows.
 func (r *RunResult) row(name, phase, shard string, elapsedNs int64) benchjson.Result {
 	row := benchjson.Result{Name: name, Iterations: int64(r.CountRequests(phase, shard, nil))}
 	if row.Iterations > 0 && elapsedNs > 0 {
@@ -199,7 +198,6 @@ func (r *RunResult) row(name, phase, shard string, elapsedNs int64) benchjson.Re
 	row.HitRate, _ = r.HitRate(shard, phase)
 	if shard == "" {
 		row.Failovers, _ = r.Delta(famFailovers, RouterSource, phase)
-		row.Hedges, _ = r.Delta(famHedges, RouterSource, phase)
 		row.Sheds, _ = r.Delta(famSheds, RouterSource, phase)
 	}
 	return row

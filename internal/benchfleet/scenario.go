@@ -7,8 +7,8 @@
 // every request's status, serving shard and latency, plus each shard's
 // and the router's /metrics at the phase's closing boundary. The run
 // reduces to a benchjson Report (BENCH_cluster.json) so fleet
-// throughput, latency quantiles, hit rate, failovers, hedges, and
-// sheds become a per-PR trajectory exactly like BENCH_scan.json.
+// throughput, latency quantiles, hit rate, failovers and sheds become
+// a per-PR trajectory exactly like BENCH_scan.json.
 package benchfleet
 
 import (

@@ -37,11 +37,10 @@ type Result struct {
 
 	// Fleet-run metrics (BENCH_cluster.json): client-observed median,
 	// fleet/shard result-cache hit rate for the measured span, and the
-	// router's failover/hedge/shed counts over the same span.
+	// router's failover and shed counts over the same span.
 	P50Ns     float64 `json:"p50_ns_per_op,omitempty"`
 	HitRate   float64 `json:"hit_rate,omitempty"`
 	Failovers float64 `json:"failovers,omitempty"`
-	Hedges    float64 `json:"hedges,omitempty"`
 	Sheds     float64 `json:"sheds,omitempty"`
 
 	// Spread of a folded row (see Fold): the number of runs behind it,
@@ -68,7 +67,6 @@ var metricFields = []struct {
 	{"p50_ns_per_op", func(r *Result) *float64 { return &r.P50Ns }},
 	{"hit_rate", func(r *Result) *float64 { return &r.HitRate }},
 	{"failovers", func(r *Result) *float64 { return &r.Failovers }},
-	{"hedges", func(r *Result) *float64 { return &r.Hedges }},
 	{"sheds", func(r *Result) *float64 { return &r.Sheds }},
 	{"ns_per_op_min", func(r *Result) *float64 { return &r.NsMinOp }},
 	{"ns_per_op_max", func(r *Result) *float64 { return &r.NsMaxOp }},
@@ -162,8 +160,6 @@ func ParseLine(line string) (Result, bool) {
 			res.HitRate = v
 		case "failovers":
 			res.Failovers = v
-		case "hedges":
-			res.Hedges = v
 		case "sheds":
 			res.Sheds = v
 		}

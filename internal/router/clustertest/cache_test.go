@@ -38,6 +38,14 @@ func (c *Cluster) parseHits() (n int64) {
 	return n
 }
 
+// servedTotal sums terminal responses across shards.
+func servedTotal(st router.Stats) (n uint64) {
+	for _, v := range st.Requests {
+		n += v
+	}
+	return n
+}
+
 // TestRouterHitIsShardHitBytes: through a 2-shard fleet with the router
 // cache at its default, a key's first request misses at its shard, its
 // second is that shard's hit, which the router keeps, and its third is

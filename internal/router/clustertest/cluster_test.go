@@ -85,6 +85,35 @@ func TestSameSentenceAffinityHitsCache(t *testing.T) {
 	}
 }
 
+// TestReplicateTopIsInert: a router-cache miss has one path, to the
+// key's top-ranked shard, whatever the deprecated ReplicateTop says.
+// With the router cache off, 200 repeats of one key all reach one
+// shard, and /metrics exposes no hot-key or hedge series.
+func TestReplicateTopIsInert(t *testing.T) {
+	c := New(t, 3, server.Config{}, router.Config{ReplicateTop: 8, ResultCacheEntries: -1})
+	req := serialReq(workload.DemoSentence(4))
+	byShard := make(map[string]int)
+	for i := 0; i < 200; i++ {
+		status, _, shard := c.Parse(t, req)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, status)
+		}
+		byShard[shard]++
+	}
+	if len(byShard) != 1 {
+		t.Errorf("200 repeats of one key spread across shards: %v", byShard)
+	}
+	status, body := Get(t, c.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: %d", status)
+	}
+	for _, prefix := range []string{"parsecrouter_hotkey_", "parsecrouter_hedge"} {
+		if strings.Contains(body, prefix) {
+			t.Errorf("/metrics carries a %s* series", prefix)
+		}
+	}
+}
+
 // TestKilledShardEjectedAndKeysFailOver kills the shard owning a key:
 // before any probe the router must fail over within the request; after
 // EjectAfter probe rounds the shard must be ejected and stop being a

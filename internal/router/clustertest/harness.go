@@ -36,7 +36,6 @@ type Shard struct {
 	force       atomic.Int64 // when non-zero, /v1/* responds with this status
 	delay       atomic.Int64 // when non-zero, /v1/* stalls this many ns (or until ctx cancel)
 	delayHits   atomic.Int64 // /v1/* requests that entered a forced delay
-	delayCancel atomic.Int64 // forced delays cut short by request-context cancellation
 	parseHits   atomic.Int64
 	batchHits   atomic.Int64
 	latticeHits atomic.Int64
@@ -62,16 +61,12 @@ func (s *Shard) ForceStatus(code int) { s.force.Store(int64(code)) }
 // use an effectively infinite d and still tear down instantly: the
 // blocked attempt just waits to observe its own cancellation. Probes
 // are unaffected, so the shard stays live; this is the latency-fault
-// twin of ForceStatus, backing the hedging tests.
+// twin of ForceStatus, backing the admission tests and benchfleet's
+// delay faults.
 func (s *Shard) ForceDelay(d time.Duration) { s.delay.Store(int64(d)) }
 
 // DelayHits reports how many /v1/* requests entered a forced delay.
 func (s *Shard) DelayHits() int64 { return s.delayHits.Load() }
-
-// DelayCancels reports how many forced delays were cut short by the
-// request context being cancelled (a hedge winner cancelling the
-// loser).
-func (s *Shard) DelayCancels() int64 { return s.delayCancel.Load() }
 
 // ParseHits reports how many /v1/parse requests reached the backend.
 func (s *Shard) ParseHits() int64 { return s.parseHits.Load() }
@@ -121,9 +116,8 @@ func (s *Shard) handler(inner http.Handler) http.Handler {
 			select {
 			case <-time.After(time.Duration(d)):
 			case <-r.Context().Done():
-				// The caller gave up (hedge winner cancelled this attempt):
-				// hijack and drop the connection so no response is written.
-				s.delayCancel.Add(1)
+				// The caller gave up: hijack and drop the connection so no
+				// response is written.
 				if hj, ok := w.(http.Hijacker); ok {
 					if conn, _, err := hj.Hijack(); err == nil {
 						conn.Close()

@@ -3,8 +3,6 @@ package router
 import (
 	"hash/fnv"
 	"sort"
-
-	"repro/internal/server"
 )
 
 // Rendezvous (highest-random-weight) hashing ranks every shard for
@@ -15,14 +13,6 @@ import (
 // movement on membership change (only the ejected shard's keys move,
 // each to its second-ranked shard), and the full failover order falls
 // out of one sort instead of ring walks.
-
-// AffinityKey is the router-side routing key of one parse request. It
-// is, by construction, exactly the server's result-cache identity
-// (server.CacheKey) — the invariant cache affinity depends on, pinned
-// byte-for-byte by FuzzCacheKey in internal/server.
-func AffinityKey(req server.ParseRequest) (string, error) {
-	return server.CacheKey(req)
-}
 
 // hrwScore is the rendezvous weight of key on shard. The raw FNV-1a
 // sum is pushed through a 64-bit avalanche finalizer (splitmix64's):

@@ -36,12 +36,6 @@ type routerMetrics struct {
 	probeFailures uint64
 	scrapeErrors  uint64 // /metrics scrapes of a shard that failed
 
-	hotKeyPromotions uint64 // keys promoted to replicated
-	hotKeyDemotions  uint64 // promoted keys demoted back to their primary
-	hotKeyWarms      uint64 // replica warm-up requests completed
-	hedges           uint64 // duplicate requests fired at the next replica
-	hedgeWins        uint64 // hedged duplicates that answered first
-	hedgeCancels     uint64 // losing attempts observed context-cancelled
 	shedsInteractive uint64 // interactive requests refused by admission
 	shedsBulk        uint64 // bulk requests refused by admission
 	cacheHits        uint64 // /v1/parse requests answered from the router cache
@@ -120,44 +114,6 @@ func (m *routerMetrics) countScrapeError() {
 	m.mu.Unlock()
 }
 
-func (m *routerMetrics) countHotKeyPromotion() {
-	// Called with hotTracker.mu held; mu nests strictly inside it
-	// (routerMetrics never calls back into the tracker).
-	m.mu.Lock()
-	m.hotKeyPromotions++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHotKeyDemotion() {
-	m.mu.Lock()
-	m.hotKeyDemotions++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHotKeyWarm() {
-	m.mu.Lock()
-	m.hotKeyWarms++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedgeCancel() {
-	m.mu.Lock()
-	m.hedgeCancels++
-	m.mu.Unlock()
-}
-
 func (m *routerMetrics) countShed(class reqClass) {
 	m.mu.Lock()
 	if class == classBulk {
@@ -223,16 +179,27 @@ type Stats struct {
 	Probes        uint64
 	ProbeFailures uint64
 
-	HotKeyPromotions uint64
-	HotKeyDemotions  uint64
-	HotKeyWarms      uint64
-	Hedges           uint64
-	HedgeWins        uint64
-	HedgeCancels     uint64
 	ShedsInteractive uint64
 	ShedsBulk        uint64
 	CacheHits        uint64 // /v1/parse requests answered from the router cache
 	CacheMisses      uint64 // router-cache lookups whose request went on to a shard
+
+	// HotKeyPromotions always reads 0: the router no longer replicates
+	// hot keys.
+	//
+	// Deprecated: kept only because perfbench still reads it; it goes
+	// with perfbench's router-policy metrics (ROADMAP item 1).
+	HotKeyPromotions uint64
+	// Hedges always reads 0: the router no longer hedges.
+	//
+	// Deprecated: kept only because perfbench still reads it; it goes
+	// with perfbench's router-policy metrics (ROADMAP item 1).
+	Hedges uint64
+	// HedgeWins always reads 0: the router no longer hedges.
+	//
+	// Deprecated: kept only because perfbench still reads it; it goes
+	// with perfbench's router-policy metrics (ROADMAP item 1).
+	HedgeWins uint64
 }
 
 func (m *routerMetrics) stats() Stats {
@@ -250,12 +217,6 @@ func (m *routerMetrics) stats() Stats {
 		Probes:        m.probes,
 		ProbeFailures: m.probeFailures,
 
-		HotKeyPromotions: m.hotKeyPromotions,
-		HotKeyDemotions:  m.hotKeyDemotions,
-		HotKeyWarms:      m.hotKeyWarms,
-		Hedges:           m.hedges,
-		HedgeWins:        m.hedgeWins,
-		HedgeCancels:     m.hedgeCancels,
 		ShedsInteractive: m.shedsInteractive,
 		ShedsBulk:        m.shedsBulk,
 		CacheHits:        m.cacheHits,
@@ -291,8 +252,6 @@ func (m *routerMetrics) writePrometheus(out io.Writer, statuses []ShardStatus) {
 	}
 	failovers, emptyFleet := m.failovers, m.emptyFleet
 	probes, probeFailures, scrapeErrors := m.probes, m.probeFailures, m.scrapeErrors
-	promotions, demotions, warms := m.hotKeyPromotions, m.hotKeyDemotions, m.hotKeyWarms
-	hedges, hedgeWins, hedgeCancels := m.hedges, m.hedgeWins, m.hedgeCancels
 	shedInteractive, shedBulk := m.shedsInteractive, m.shedsBulk
 	cacheHits, cacheMisses := m.cacheHits, m.cacheMisses
 	started := m.started
@@ -316,12 +275,6 @@ func (m *routerMetrics) writePrometheus(out io.Writer, statuses []ShardStatus) {
 	w.Counter("parsecrouter_probes_total", "health probes sent", probes)
 	w.Counter("parsecrouter_probe_failures_total", "health probes that failed", probeFailures)
 	w.Counter("parsecrouter_scrape_errors_total", "per-shard /metrics scrapes that failed during aggregation", scrapeErrors)
-	w.Counter("parsecrouter_hotkey_promotions_total", "keys promoted to replicated across their HRW prefix", promotions)
-	w.Counter("parsecrouter_hotkey_demotions_total", "promoted keys demoted back to their primary shard", demotions)
-	w.Counter("parsecrouter_hotkey_warms_total", "replica warm-up requests completed after promotion", warms)
-	w.Counter("parsecrouter_hedges_total", "duplicate requests fired at the next replica", hedges)
-	w.Counter("parsecrouter_hedge_wins_total", "hedged duplicates that answered before the primary", hedgeWins)
-	w.Counter("parsecrouter_hedge_cancels_total", "losing hedge attempts observed context-cancelled", hedgeCancels)
 	w.Header("parsecrouter_sheds_total", "counter", "requests refused by admission control per class")
 	w.Sample("parsecrouter_sheds_total", float64(shedInteractive), "class", "interactive")
 	w.Sample("parsecrouter_sheds_total", float64(shedBulk), "class", "bulk")

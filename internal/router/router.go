@@ -7,7 +7,9 @@
 // failed shards are retried on the next-ranked candidate, bounded by
 // the retry budget and the request deadline. A small LRU keeps the
 // /v1/parse answers shards served from their result caches and answers
-// repeats without a forward (cache.go). /metrics re-emits every
+// repeats without a forward (cache.go); every other request goes to
+// its key's top-ranked shard and fails over down the same order, with
+// no per-key policy in between. /metrics re-emits every
 // shard's parsecd_* families summed, plus the router's own
 // parsecrouter_* series; /v1/grammars fans out and merges
 // deterministically.
@@ -47,31 +49,13 @@ type Config struct {
 	// needs (first one enters probation) to return to live (default 2).
 	ReadmitAfter int
 	// Retries bounds failover: a request may be forwarded to at most
-	// 1+Retries shards, the two attempts of a hedged request included
-	// (default 2).
+	// 1+Retries shards (default 2).
 	Retries int
-	// ReplicateTop promotes up to this many hot keys to replicated
-	// placement across their HRW prefix (0 disables replication).
+	// ReplicateTop is ignored: the router no longer replicates hot keys.
+	//
+	// Deprecated: kept only because perfbench still sets it; it goes
+	// with perfbench's router-policy metrics (ROADMAP item 1).
 	ReplicateTop int
-	// ReplicaFactor is the replica prefix length R for promoted keys
-	// (default 2 when replication is on).
-	ReplicaFactor int
-	// HotKeyShare is the fraction of the observation window a key must
-	// carry to promote (default 0.05).
-	HotKeyShare float64
-	// HotKeyWindow is the sliding-window size, in requests, of the
-	// hot-key tracker (default 2048).
-	HotKeyWindow int
-	// Hedge enables duplicate requests to the next replica for
-	// replicated keys when the latency budget is half spent.
-	Hedge bool
-	// HedgeDelay is the earliest a hedge may fire (default 25ms): the
-	// cold-start delay while a shard's latency digest has too few
-	// samples, and the floor under the adaptive p99/2 budget once it
-	// is warm — the floor is what keeps the hedge rate low on a
-	// healthy fleet. Negative hedges immediately (deterministic
-	// tests).
-	HedgeDelay time.Duration
 	// MaxInflight caps the router-side in-flight forwards per shard;
 	// beyond it requests are shed with 429 (0 disables admission
 	// control). Bulk-class requests shed at 3/4 of the cap.
@@ -108,18 +92,6 @@ func (c Config) withDefaults() Config {
 	} else if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.ReplicateTop > 0 && c.ReplicaFactor <= 0 {
-		c.ReplicaFactor = 2
-	}
-	if c.HotKeyShare <= 0 {
-		c.HotKeyShare = 0.05
-	}
-	if c.HotKeyWindow <= 0 {
-		c.HotKeyWindow = 2048
-	}
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = 25 * time.Millisecond
-	}
 	if c.ResultCacheEntries == 0 {
 		c.ResultCacheEntries = defaultCacheEntries
 	}
@@ -136,10 +108,8 @@ type Router struct {
 	client *http.Client
 	m      *routerMetrics
 	mux    *http.ServeMux
-	hot    *hotTracker    // nil when replication is off
-	digest *latencyDigest // per-shard latency distribution (hedge budget); nil when hedging is off
-	admit  *admitState    // nil when admission control is off
-	cache  *resultCache   // nil when the router cache is off
+	admit  *admitState  // nil when admission control is off
+	cache  *resultCache // nil when the router cache is off
 
 	mu sync.Mutex
 	// Guarded by mu: the listener state and the prober's cancel.
@@ -172,8 +142,6 @@ func New(cfg Config) (*Router, error) {
 		client: cfg.Client,
 		m:      m,
 		mux:    http.NewServeMux(),
-		hot:    newHotTracker(cfg.ReplicateTop, cfg.ReplicaFactor, cfg.HotKeyWindow, cfg.HotKeyShare),
-		digest: newLatencyDigest(cfg.Hedge),
 		admit:  newAdmitState(cfg.MaxInflight, m),
 		cache:  newResultCache(cfg.ResultCacheEntries),
 	}
@@ -274,14 +242,14 @@ type forwardResult struct {
 	err   error
 }
 
-// forwardOnce is the only place a POST leaves the router: failover,
-// hedge, warm-up and stream forwards all go through it. It makes the
-// admission check, sends one POST of body to shard, marked with the
-// request class, and feeds the latency into the hedge digest. shed=true
-// means admission control refused the slot (no request was sent). The
-// in-flight slot is held for the shard's service time (until response
-// headers arrive), which is what the per-shard cap bounds; a stream
-// therefore holds no slot once its shard has answered.
+// forwardOnce is the only place a POST leaves the router: every
+// attempt of a parse, batch, lattice or stream forward goes through
+// it. It makes the admission check and sends one POST of body to
+// shard, marked with the request class. shed=true means admission
+// control refused the slot (no request was sent). The in-flight slot
+// is held for the shard's service time (until response headers
+// arrive), which is what the per-shard cap bounds; a stream therefore
+// holds no slot once its shard has answered.
 func (r *Router) forwardOnce(ctx context.Context, shard, path, contentType string, body io.Reader, class reqClass) (*http.Response, bool, error) {
 	if !r.admit.acquire(shard, class) {
 		return nil, true, nil
@@ -293,18 +261,8 @@ func (r *Router) forwardOnce(ctx context.Context, shard, path, contentType strin
 	}
 	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(server.ClassHeader, class.String())
-	start := time.Now()
 	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode < 500 {
-		// Only successful service times train the hedge budget: fail-fast
-		// 5xx and deadline expiries would drag the p99 toward zero or
-		// infinity and mis-time every future hedge.
-		r.digest.observe(shard, time.Since(start))
-	}
-	return resp, false, nil
+	return resp, false, err
 }
 
 // replay is the body factory of a request read whole: every attempt
@@ -387,8 +345,8 @@ func (r *Router) forward(w http.ResponseWriter, fr forwardResult, ok, shedded bo
 // relay copies a shard response to the client, preserving the
 // response schema and attributing the shard (the backend's own
 // X-Parsec-Shard header wins; an anonymous backend is attributed by
-// URL). It is the one place the router cache is filled, whichever path
-// (forward, failover or hedge) produced the answer: when keep is set
+// URL). It is the one place the router cache is filled, whether the
+// first-ranked shard or a failover produced the answer: when keep is set
 // and the shard answered 200 from its own result cache, a body of at
 // most maxCachedBody is read whole, kept under keep, and written as
 // read.
@@ -469,96 +427,8 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 		r.m.countCacheMiss()
 	}
 	class := classOf(req)
-	d := hotDecision{primary: order[0]}
-	if len(order) > 1 {
-		d.next = order[1]
-	}
-	if r.hot != nil {
-		d = r.hot.observe(key, order, r.m)
-		if d.promoted {
-			// Warm the other prefix members with this very request before
-			// round-robin starts, so no client ever pays a replica's cold
-			// miss (detached from the request context: the warm-up must
-			// outlive this response).
-			go r.warmReplicas(key, body, replicaPrefix(order, r.cfg.ReplicaFactor))
-		}
-	}
-	var fr forwardResult
-	var ok, shedded bool
-	if r.cfg.Hedge && d.replicated && d.next != d.primary {
-		fr, ok, shedded = r.hedgedDo(req.Context(), "/v1/parse", "application/json", body, d.primary, d.next, class)
-		// The two hedged attempts count against the 1+Retries budget, so
-		// the fallback gets the rest of the HRW order, which neither
-		// replica is in, cut to Retries-1 shards.
-		rest := without(order, d.primary, d.next)
-		rest = rest[:max(0, min(len(rest), r.cfg.Retries-1))]
-		if !ok && !shedded && len(rest) > 0 {
-			// Both replicas failed retryably.
-			r.m.countFailover()
-			fr, ok, shedded = r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), rest, class)
-		}
-	} else {
-		fr, ok, shedded = r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), orderFrom(order, d.primary), class)
-	}
+	fr, ok, shedded := r.tryShards(req.Context(), "/v1/parse", "application/json", replay(body), order, class)
 	r.forward(w, fr, ok, shedded, class, func(msg string) any { return errorResult(preq, msg) }, keep)
-}
-
-// without returns order less the shards a and b, in HRW rank.
-func without(order []string, a, b string) []string {
-	out := make([]string, 0, len(order))
-	for _, s := range order {
-		if s != a && s != b {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// orderFrom rotates order so primary is attempted first, keeping the
-// rest in HRW rank for failover. For unreplicated keys primary is
-// order[0] already and the slice passes through untouched.
-func orderFrom(order []string, primary string) []string {
-	if len(order) == 0 || order[0] == primary {
-		return order
-	}
-	out := make([]string, 0, len(order))
-	out = append(out, primary)
-	for _, s := range order {
-		if s != primary {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// warmTimeout bounds one replica warm-up round.
-const warmTimeout = 10 * time.Second
-
-// warmReplicas primes a freshly promoted key's replicas (every prefix
-// member past the rank-0 primary, which served it all along) by
-// replaying the promoting request at each, then marks the key warm so
-// observe starts round-robining. Counted per replica attempt in
-// parsecrouter_hotkey_warms_total whether or not the warm succeeded —
-// a failed warm just means that replica pays one cold miss later.
-func (r *Router) warmReplicas(key string, body []byte, prefix []string) {
-	ctx, cancel := context.WithTimeout(context.Background(), warmTimeout)
-	defer cancel()
-	warms := 0
-	for _, shard := range prefix[1:] {
-		resp, shedded, err := r.forwardOnce(ctx, shard, "/v1/parse", "application/json", bytes.NewReader(body), classInteractive)
-		if err == nil && !shedded {
-			drain(resp.Body)
-			resp.Body.Close()
-		}
-		warms++
-	}
-	// Mark the key warm BEFORE publishing the warm counters: a non-zero
-	// warms count is the observable signal (tests, /metrics) that the
-	// round-robin is active, so the ready flag must already be set.
-	r.hot.warmed(key)
-	for ; warms > 0; warms-- {
-		r.m.countHotKeyWarm()
-	}
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {

@@ -1,7 +1,11 @@
 package router
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -59,28 +63,15 @@ func TestRankShardsMinimalDisruption(t *testing.T) {
 			t.Errorf("orphaned key %q went to %s, want prior second choice %s", key, after[0], want)
 		}
 	}
-}
 
-// TestReplicaPrefixChurnStable is the property hot-key replication
-// leans on: the replica set is the first R shards of the HRW order, so
-// ejecting one shard only rebuilds the replica sets that contained it.
-// Every other key keeps its exact prefix — no cache identity moves, no
-// warm replica goes cold — because HRW scores are independent per
-// (shard, key) pair and survivors keep their relative order.
-func TestReplicaPrefixChurnStable(t *testing.T) {
-	shards := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
-	const r = 2
-	keys := make([]string, 120)
+	// Strong form, over five shards with each removed in turn: the
+	// survivor ranking is the full ranking with the removed shard
+	// deleted in place. Failover walks that order, so every surviving
+	// shard keeps its rank relative to the others for every key.
+	shards = []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
+	keys = make([]string, 120)
 	for i := range keys {
 		keys[i] = strings.Repeat("key", 1+i%5) + string(rune('a'+i%26)) + string(rune('0'+i%10))
-	}
-	contains := func(set []string, s string) bool {
-		for _, v := range set {
-			if v == s {
-				return true
-			}
-		}
-		return false
 	}
 	for _, removed := range shards {
 		survivors := make([]string, 0, len(shards)-1)
@@ -89,57 +80,16 @@ func TestReplicaPrefixChurnStable(t *testing.T) {
 				survivors = append(survivors, s)
 			}
 		}
-		moved := 0
 		for _, key := range keys {
-			full := RankShards(shards, key)
-			before := replicaPrefix(full, r)
-			after := replicaPrefix(RankShards(survivors, key), r)
-			// Strong form: the survivor ranking is the full ranking with
-			// the ejected shard deleted in place.
-			want := make([]string, 0, r)
-			for _, s := range full {
+			want := make([]string, 0, len(survivors))
+			for _, s := range RankShards(shards, key) {
 				if s != removed {
 					want = append(want, s)
 				}
-				if len(want) == r {
-					break
-				}
 			}
-			if strings.Join(after, ",") != strings.Join(want, ",") {
-				t.Fatalf("eject %s key %q: prefix %v, want full order minus ejected %v", removed, key, after, want)
+			if got := RankShards(survivors, key); strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("remove %s key %q: ranking %v, want the full ranking minus the removed shard %v", removed, key, got, want)
 			}
-			if contains(before, removed) {
-				moved++
-				continue
-			}
-			// Weak form (the operational promise): a replica set that did
-			// not contain the ejected shard is byte-identical.
-			if strings.Join(after, ",") != strings.Join(before, ",") {
-				t.Errorf("eject %s moved key %q replica set %v -> %v though it held no replica", removed, key, before, after)
-			}
-		}
-		// Sanity: some keys did have the ejected shard in their prefix
-		// (otherwise the test proves nothing about rebuild behavior).
-		if moved == 0 {
-			t.Errorf("eject %s: no key's replica set contained it (degenerate key sample)", removed)
-		}
-	}
-}
-
-func TestAffinityKeyMatchesServerCacheKey(t *testing.T) {
-	reqs := []server.ParseRequest{
-		{Text: "the program runs"},
-		{Grammar: "english", Backend: "serial", Sentence: []string{"the", "dog", "runs"}},
-		{GrammarSource: "(grammar)", Backend: "maspar", Text: "a b", MaxParses: 3, NoFilter: true, PEs: 64},
-	}
-	for _, req := range reqs {
-		want, err := server.CacheKey(req)
-		if err != nil {
-			t.Fatalf("CacheKey(%+v): %v", req, err)
-		}
-		got, err := AffinityKey(req)
-		if err != nil || got != want {
-			t.Errorf("AffinityKey diverged: %q vs %q (err %v)", got, want, err)
 		}
 	}
 }
@@ -197,5 +147,73 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	}
 	if _, err := New(Config{Shards: []string{""}}); err == nil {
 		t.Error("New with an empty shard URL should fail")
+	}
+}
+
+// TestFailoverWalksRankOrderWithinRetryBudget pins Config.Retries on
+// the one forwarding path: on five shards that all answer a retryable
+// 500, one request is forwarded to 1+Retries different shards in
+// RankShards order, each move counts one failover, and the last
+// attempt's 500 is relayed. Retries -1 means no failover at all.
+func TestFailoverWalksRankOrderWithinRetryBudget(t *testing.T) {
+	const body = `{"text":"the program runs","backend":"serial"}`
+	shards := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
+	var preq server.ParseRequest
+	if err := json.Unmarshal([]byte(body), &preq); err != nil {
+		t.Fatal(err)
+	}
+	key, err := server.CacheKey(preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := RankShards(shards, key)
+	for _, tc := range []struct {
+		name          string
+		retries       int
+		wantForwards  []string
+		wantFailovers uint64
+	}{
+		{"default retries", 0, order[:3], 2},
+		{"no retries", -1, order[:1], 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var got []string
+			fleet := fakeShards{}
+			for _, s := range shards {
+				fleet[strings.TrimPrefix(s, "http://")] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+					mu.Lock()
+					got = append(got, s)
+					mu.Unlock()
+					w.WriteHeader(http.StatusInternalServerError)
+				})
+			}
+			r, err := New(Config{
+				Shards:             shards,
+				ProbeInterval:      -1,
+				Retries:            tc.retries,
+				ResultCacheEntries: -1,
+				Client:             &http.Client{Transport: fleet},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/parse", strings.NewReader(body)))
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("status %d, want the last attempt's 500 relayed: %s", rec.Code, rec.Body)
+			}
+			if shard := rec.Header().Get(server.ShardHeader); shard != tc.wantForwards[len(tc.wantForwards)-1] {
+				t.Errorf("relayed from %s, want the last attempt %s", shard, tc.wantForwards[len(tc.wantForwards)-1])
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if strings.Join(got, ",") != strings.Join(tc.wantForwards, ",") {
+				t.Errorf("forwards %v, want %v (RankShards order, 1+Retries shards)", got, tc.wantForwards)
+			}
+			if failovers := r.Stats().Failovers; failovers != tc.wantFailovers {
+				t.Errorf("failovers %d, want %d", failovers, tc.wantFailovers)
+			}
+		})
 	}
 }
