@@ -88,17 +88,26 @@ perfbench-check:
 # budget; set FUZZTIME=5s for a quick local pass or point -fuzztime
 # at something much larger for a real soak. Targets are pkg:Name pairs
 # so surfaces outside the server package (the VM-vs-AST differential
-# target in internal/cdg) ride the same harness.
+# target in internal/cdg, the MasPar-vs-serial one in internal/core)
+# ride the same harness. go test -fuzz passes, with only a warning,
+# when its pattern names no fuzz test, so fuzz-smoke first fails on any
+# entry whose package lists no fuzz test of exactly that name.
 FUZZTIME ?= 30s
 FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/server/:FuzzCacheKey \
 	./internal/server/:FuzzLatticeRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
 	./internal/cn/:FuzzNetworkMatchesPerValue \
+	./internal/core/:FuzzMasParMatchesReference \
 	./internal/lru/:FuzzLRUMatchesModel \
 	./internal/benchfleet/:FuzzScenarioDecode \
 	./internal/metrics/:FuzzParseText
 fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		case "$$name" in Fuzz*) ;; *) echo "fuzz-smoke: $$name is not a fuzz test name"; exit 1;; esac; \
+		$(GO) test -list "^$$name$$" $$pkg | grep -qx "$$name" || { echo "fuzz-smoke: $$pkg has no fuzz test $$name"; exit 1; }; \
+	done
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "== fuzz $$name ($(FUZZTIME))"; \

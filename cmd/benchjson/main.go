@@ -2,8 +2,8 @@
 // stdin into a JSON benchmark report on stdout (or -o file). It keeps
 // the metrics the scan/router optimization work tracks: ns/op, B/op,
 // allocs/op, the simulator's custom cycles/op metric, the serving
-// path's sents/s throughput and p50/p99-ns/op latency metrics, and
-// the end-to-end parse benchmark's eval/scan/router stage attribution.
+// path's sents/s throughput, and the end-to-end parse benchmark's
+// eval/scan/router stage attribution.
 // Repeated rows of one benchmark (`go test -count N`) are folded into
 // one row carrying their medians, the ns/op range and the run count.
 // The schema lives in internal/benchjson, shared with the fleet

@@ -152,16 +152,6 @@ func ParseLine(line string) (Result, bool) {
 			res.ScanNsPer = v
 		case "router-ns/op":
 			res.RouterNs = v
-		case "p99-ns/op":
-			res.P99Ns = v
-		case "p50-ns/op":
-			res.P50Ns = v
-		case "hit-rate":
-			res.HitRate = v
-		case "failovers":
-			res.Failovers = v
-		case "sheds":
-			res.Sheds = v
 		}
 	}
 	return res, true

@@ -1,11 +1,84 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cdg"
 	"repro/internal/grammars"
 )
+
+// FuzzMasParMatchesReference runs one MasPar gang and holds every
+// member to two references: its network must equal the serial engine's
+// (EqualState), and its counters a solo MasPar parse of the same
+// sentence with the same options. The inputs pick the grammar (grammar
+// mod 3: English, the demo grammar, or grammars.Random(gseed)), the
+// length (2 + n mod 5 words), the gang size (1 + gang mod 8), the
+// machine size (32 << (pes mod 10) PEs, so a small machine spans many
+// virtual layers) and per-constraint consistency rounds. Member b's
+// words are grammars.RandomSentence(g, sseed+b, length), unless bit b
+// of dups is set (b ≥ 1): then member b repeats member b−1, so
+// ParseGangContext parses the twins once and clones the result. The
+// seed corpus in testdata/fuzz holds the rows of
+// TestHoistedEvalMatchesPerPE (grammar, length, gangs of 1, 3 and 8,
+// per-constraint flag; the random rows with their own sentence seeds),
+// the regression sentences of TestRegressionPRAMConvergenceFlag and
+// TestEvalModesBitEqualAcrossBackends, and two small machines.
+func FuzzMasParMatchesReference(f *testing.F) {
+	english, demo := grammars.English(), grammars.PaperDemo()
+	f.Fuzz(func(t *testing.T, grammar uint8, gseed, sseed uint64, n, gang, dups, pes uint8, perConstraint bool) {
+		var g *cdg.Grammar
+		switch grammar % 3 {
+		case 0:
+			g = english
+		case 1:
+			g = demo
+		default:
+			g = grammars.Random(gseed)
+		}
+		words := make([][]string, 1+int(gang)%8)
+		sents := make([]*cdg.Sentence, len(words))
+		for b := range words {
+			if b > 0 && dups&(1<<b) != 0 {
+				words[b], sents[b] = words[b-1], sents[b-1]
+				continue
+			}
+			words[b] = grammars.RandomSentence(g, sseed+uint64(b), 2+int(n)%5)
+			sent, err := cdg.Resolve(g, words[b], nil)
+			if err != nil {
+				t.Fatalf("member %d %v: %v", b, words[b], err)
+			}
+			sents[b] = sent
+		}
+		phys := 32 << (pes % 10)
+		p := NewParser(g, WithPEs(phys), WithConsistencyPerConstraint(perConstraint))
+		ganged, err := p.ParseGangContext(context.Background(), sents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := NewParser(g, WithBackend(Serial))
+		for b, sent := range sents {
+			ref, err := serial.ParseSentence(sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ref.Network.EqualState(ganged[b].Network) {
+				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v): network differs from serial\nserial:\n%s\nmaspar:\n%s",
+					b, len(sents), words[b], phys, perConstraint, ref.Network.Render(), ganged[b].Network.Render())
+			}
+			solo, err := p.ParseSentence(sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(solo.Counters, ganged[b].Counters) {
+				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v): counters differ from a solo parse\nsolo: %v\ngang: %v",
+					b, len(sents), words[b], phys, perConstraint, solo.Counters, ganged[b].Counters)
+			}
+		}
+	})
+}
 
 // TestQuickDifferentialRandomGrammars is the heavyweight confidence
 // test: on randomly generated CDG grammars and sentences, the serial,

@@ -528,8 +528,9 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 
 // TestApplyBinaryAllocatesNothing holds a warmed run's binary passes to
 // zero allocations, solo and in a gang of 12 at the ambient GOMAXPROCS:
-// the live-value list and verdict spans are sized once per run and
-// reused for every member and constraint.
+// each member's live-value list and the shared verdict spans are sized
+// once per run, and a list is rebuilt in place only when its member's
+// liveness changes.
 func TestApplyBinaryAllocatesNothing(t *testing.T) {
 	g := grammars.English()
 	check := func(name string, run *masparRun) {
@@ -551,6 +552,46 @@ func TestApplyBinaryAllocatesNothing(t *testing.T) {
 	}
 	check("solo", newTestRun(t, g, distinctFive[:1]))
 	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
+}
+
+// TestBinaryListingFollowsLiveness holds each member's live-value list
+// to its liveness. A stale list cannot show in the end state: it only
+// adds dead values, whose arc elements are already zero, so the binary
+// pass wastes host time on them and changes nothing. So on an English
+// gang with per-constraint rounds, where each round's sweep kills
+// values between binary constraints, every list a binary pass used must
+// equal a fresh listLive of its member.
+func TestBinaryListingFollowsLiveness(t *testing.T) {
+	g := grammars.English()
+	run := newTestRun(t, g, distinctFive)
+	run.initAlive()
+	run.initBits()
+	if err := run.propagateUnary(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	shrunk := 0
+	for _, c := range g.Binary() {
+		before := make([]int, len(run.lists))
+		for b := range run.lists {
+			before[b] = len(run.lists[b].refs)
+		}
+		run.applyBinary(c)
+		for b := range run.sents {
+			var fresh liveList
+			run.listLive(b, &fresh)
+			got := &run.lists[b]
+			if !slices.Equal(got.refs, fresh.refs) || !slices.Equal(got.at, fresh.at) || !slices.Equal(got.inst, fresh.inst) {
+				t.Fatalf("binary %s, member %d: the pass listed %d live values, a fresh listing %d", c.Name, b, len(got.refs), len(fresh.refs))
+			}
+			if len(got.refs) < before[b] {
+				shrunk++
+			}
+		}
+		run.consistencyRound()
+	}
+	if shrunk == 0 {
+		t.Fatal("no round between binary constraints killed a value; the check is vacuous")
+	}
 }
 
 // TestApplyUnaryAllocatesNothing holds a warmed run's unary phase and

@@ -112,8 +112,14 @@ type masparRun struct {
 	setWords int
 	verdicts []bool
 
-	// pairs is applyBinary's scratch, refilled for each member in turn.
-	pairs pairScratch
+	// lists[b] is member b's live role values as applyBinary pairs
+	// them, valid while listed[b] holds; initAlive and sweepDead, the
+	// only writers of column liveness, clear listed for the members they
+	// change. fwd and rev are one value's binary verdicts, shared by all
+	// members.
+	lists    []liveList
+	listed   []bool
+	fwd, rev []bool
 
 	// Gang-width images of the layout's packed masks: one copy per
 	// segment (a gang of one aliases the layout's own vectors).
@@ -344,6 +350,8 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		sets:       make([]uint64, B*l*ly.groupSetWords()),
 		setWords:   ly.groupSetWords(),
 		verdicts:   make([]bool, len(ly.refs)),
+		lists:      make([]liveList, B),
+		listed:     make([]bool, B),
 		marked:     make([]bool, B),
 		rounds:     make([]int, B),
 		done:       make([]bool, B),
@@ -412,6 +420,7 @@ func (run *masparRun) initAlive() {
 		}
 	})
 	clear(run.sets)
+	clear(run.listed)
 }
 
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
@@ -491,11 +500,17 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 // a (lc, lr) word is re-masked only when its column or row slot lost a
 // lane. The activity mask is baseMaskW, which the machine holds
 // throughout propagation (consistencyRound restores it before it
-// sweeps). Host work only: the caller charges the instructions the
-// sweep stands for, and attributes its time.
+// sweeps). A member with a marked value needs its live values listed
+// again before the next binary pass. Host work only: the caller charges
+// the instructions the sweep stands for, and attributes its time.
 func (run *masparRun) sweepDead() {
 	ly := run.ly
 	run.extendSets()
+	for b, marked := range run.marked {
+		if marked {
+			run.listed[b] = false
+		}
+	}
 	for w, active := range run.baseMaskW {
 		seg, a, off := run.wordSegment(w)
 		if !run.marked[seg] {
@@ -549,57 +564,62 @@ func (run *masparRun) sweepDead() {
 // (lc, lr), and at the mirror, element (lr, lc). This is exact: the
 // both-orientation test gives one verdict at both mirror positions; by
 // the live-slot invariant every set bit lies on a live×live pair; and
-// same-instance pairs sit only on masked PEs. The machine charges the
-// constraint's instruction, 2l² checks per PE as before, through
-// ChargeAllChecks.
+// same-instance pairs sit only on masked PEs. A binary pass clears arc
+// elements, never liveness, so a member's list is kept until a sweep
+// changes its liveness: it is listed once for all the binary
+// constraints, or again after each round's sweep with per-constraint
+// rounds. The machine charges the constraint's instruction, 2l² checks
+// per PE as before, through ChargeAllChecks.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
 	run.bindCheckers(c)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
 	for b := range run.sents {
+		if !run.listed[b] {
+			run.listLive(b, &run.lists[b])
+			run.listed[b] = true
+		}
 		run.binarySegment(b)
 	}
 	run.m.ChargeAllChecks(2 * run.ly.l * run.ly.l)
 }
 
-// pairScratch is applyBinary's scratch, holding one member's live role
-// values at a time. refs lists them group-major, at[i] gives refs[i]'s
-// group and label slot, and inst[k] is the index of the first value of
-// role instance k or later (inst[q·n] == len(refs)). fwd and rev hold
-// one value's verdicts. Liveness only shrinks, so once every member has
-// been listed the scratch is reused without allocating.
-type pairScratch struct {
-	refs     []cdg.RVRef
-	at       []liveSlot
-	inst     []int32
-	fwd, rev []bool
+// liveList holds one member's live role values for the binary pass.
+// refs lists them group-major, at[i] gives refs[i]'s group and label
+// slot, and inst[k] is the index of the first value of role instance k
+// or later (inst[q·n] == len(refs)). Liveness only shrinks, so a list
+// is rebuilt in place without allocating.
+type liveList struct {
+	refs []cdg.RVRef
+	at   []liveSlot
+	inst []int32
 }
 
 // liveSlot locates a live role value: its group and label slot.
 type liveSlot struct{ g, ls int32 }
 
-// listLive fills the scratch with member b's live role values.
-func (run *masparRun) listLive(b int) *pairScratch {
-	ly, ps := run.ly, &run.pairs
+// listLive fills ll with member b's live role values and grows the
+// verdict spans to hold them.
+func (run *masparRun) listLive(b int, ll *liveList) {
+	ly := run.ly
 	count := 0
 	run.forLive(b, func(int, int) { count++ })
-	ps.refs = slices.Grow(ps.refs[:0], count)
-	ps.at = slices.Grow(ps.at[:0], count)
-	ps.fwd = slices.Grow(ps.fwd[:0], count)
-	ps.rev = slices.Grow(ps.rev[:0], count)
+	ll.refs = slices.Grow(ll.refs[:0], count)
+	ll.at = slices.Grow(ll.at[:0], count)
+	run.fwd = slices.Grow(run.fwd[:0], count)
+	run.rev = slices.Grow(run.rev[:0], count)
 	insts := ly.s / ly.n
-	ps.inst = slices.Grow(ps.inst[:0], insts+1)
+	ll.inst = slices.Grow(ll.inst[:0], insts+1)
 	run.forLive(b, func(g, i int) {
-		for len(ps.inst) <= g/ly.n {
-			ps.inst = append(ps.inst, int32(len(ps.refs)))
+		for len(ll.inst) <= g/ly.n {
+			ll.inst = append(ll.inst, int32(len(ll.refs)))
 		}
-		ps.refs = append(ps.refs, ly.refs[i])
-		ps.at = append(ps.at, liveSlot{int32(g), int32(i) - ly.refOff[g]})
+		ll.refs = append(ll.refs, ly.refs[i])
+		ll.at = append(ll.at, liveSlot{int32(g), int32(i) - ly.refOff[g]})
 	})
-	for len(ps.inst) <= insts {
-		ps.inst = append(ps.inst, int32(len(ps.refs)))
+	for len(ll.inst) <= insts {
+		ll.inst = append(ll.inst, int32(len(ll.refs)))
 	}
-	return ps
 }
 
 // forLive calls f(g, i) for each live role value of member b in group
@@ -626,27 +646,27 @@ func (run *masparRun) forLive(b int, f func(g, i int)) {
 }
 
 // binarySegment is applyBinary's pass over member b's segment: it
-// evaluates every unordered cross-instance pair of the member's live
-// role values once, in both orientations, and clears a failing pair at
-// both of its mirrored PEs.
+// evaluates every unordered cross-instance pair of the member's listed
+// live role values once, in both orientations, and clears a failing
+// pair at both of its mirrored PEs.
 func (run *masparRun) binarySegment(b int) {
-	ps := run.listLive(b)
+	ll := &run.lists[b]
 	ck := &run.cks[b]
 	base := b * run.stride
-	for k := 0; k+1 < len(ps.inst); k++ {
-		lo, hi := ps.inst[k], ps.inst[k+1]
-		ys := ps.refs[hi:]
+	for k := 0; k+1 < len(ll.inst); k++ {
+		lo, hi := ll.inst[k], ll.inst[k+1]
+		ys := ll.refs[hi:]
 		if len(ys) == 0 {
 			break
 		}
-		fwd, rev := ps.fwd[:len(ys)], ps.rev[:len(ys)]
+		fwd, rev := run.fwd[:len(ys)], run.rev[:len(ys)]
 		for i := lo; i < hi; i++ {
-			ck.Check2Span(ps.refs[i], ys, fwd)
-			ck.Check2SpanRev(ps.refs[i], ys, rev)
-			x := ps.at[i]
+			ck.Check2Span(ll.refs[i], ys, fwd)
+			ck.Check2SpanRev(ll.refs[i], ys, rev)
+			x := ll.at[i]
 			for t, ok := range fwd {
 				if !ok || !rev[t] {
-					y := ps.at[int(hi)+t]
+					y := ll.at[int(hi)+t]
 					run.clearElem(base, x, y)
 					run.clearElem(base, y, x)
 				}

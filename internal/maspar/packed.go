@@ -9,8 +9,8 @@ import "math/bits"
 // property tests in packed_test.go — host word-parallelism is a
 // simulation speedup, not a model change.
 //
-// The segment machinery rides the binary-add carry chain. Every
-// segmented primitive here reduces to the lane recurrence
+// The copy-scan rides the binary-add carry chain: CopySegHeadV
+// reduces to the lane recurrence
 //
 //	acc[i] = gen[i] | (^reset[i] & acc[i-1])        (acc[-1] = 0)
 //
@@ -25,6 +25,10 @@ import "math/bits"
 // precisely where b[i] would be set, so the per-lane carries are
 // recovered as C = P ^ G ^ S and b = (C >> 1) | (cout << 63). The
 // chain starts with cin = 1 so that acc[-1] = ^b[-1] = 0.
+//
+// The reductions to segment heads run the mirrored recurrence, from
+// high lanes down, as blocked shift-ors (segFlowDown): the in-word
+// image of the machine's log-depth scan.
 //
 //parsec:noalloc
 func segFillWord(gen, reset, cin uint64) (acc, cout uint64) {
@@ -72,14 +76,14 @@ func (m *Machine) CopySegHeadV(dst, data, segHead []uint64) {
 }
 
 // SegReduceOrToHeadV is the packed SegReduceOrToHead: each segment's
-// OR lands on its head lane, zero elsewhere. The backward recurrence
+// OR lands on its head lane, zero elsewhere. It runs the backward
+// recurrence
 //
 //	r[i] = gen[i] | (^reset[i+1] & r[i+1])
 //
-// runs on bit-reversed words from the top word down, so the same
-// adder-carry kernel serves; the reset stream is pre-shifted down one
-// lane because lane i stops absorbing from above when lane i+1 starts
-// a new segment. dst must not alias data or segHead.
+// from the top word down: lane i stops absorbing from above when lane
+// i+1 starts a new segment, and a word's lane 63 absorbs lane 0 of the
+// word above. dst must not alias data or segHead.
 //
 //parsec:noalloc
 func (m *Machine) SegReduceOrToHeadV(dst, data, segHead []uint64) {
@@ -96,33 +100,60 @@ func (m *Machine) SegReduceAndToHeadV(dst, data, segHead []uint64) {
 	m.segReduceToHead(dst, data, segHead, true)
 }
 
+// segReduceToHead ORs each segment to its head (an AND is the
+// complement of the OR of the complements). The value flowing down
+// from the word above enters at lane 63, unless lane 0 of that word
+// heads a segment.
+//
 //parsec:noalloc
 func (m *Machine) segReduceToHead(dst, data, segHead []uint64, and bool) {
 	fw, fbit, _ := m.firstActive()
-	cin := uint64(1)
+	var flow uint64       // r at lane 0 of the word above
 	var resetAbove uint64 // reset word at w+1, for the lane shift
 	for w := len(m.mask) - 1; w >= 0; w-- {
 		e := m.mask[w]
 		reset := segHead[w] & e
-		// Lane i's backward flow is blocked by a head at lane i+1.
-		s1 := (reset >> 1) | (resetAbove << 63)
+		// Lane i absorbs lane i+1 unless lane i+1 heads a segment.
+		open := ^((reset >> 1) | (resetAbove << 63))
 		resetAbove = reset
 		gen := data[w] & e
 		if and {
 			gen = ^data[w] & e
 		}
-		acc, co := segFillWord(bits.Reverse64(gen), bits.Reverse64(s1), cin)
-		cin = co
+		r := segFlowDown(gen|((flow<<63)&open), open)
+		flow = r & 1
 		heads := reset
 		if w == fw {
 			heads |= fbit
 		}
-		r := bits.Reverse64(acc)
 		if and {
 			r = ^r
 		}
 		dst[w] = r & heads
 	}
+}
+
+// segFlowDown evaluates r[i] = x[i] | (open[i] & r[i+1]) inside one
+// word (r[64] = 0) in six blocked shift-ors, where open[i] says that
+// lane i+1 heads no segment. After the step of width k, x[i] is the OR
+// of the lanes in [i, i+2k) whose values reach lane i, and open[i]
+// says that no lane in [i+1, i+2k] heads a segment. Each step carries
+// a value only across lanes with no head, so nothing flows past a
+// segment head.
+//
+//parsec:noalloc
+func segFlowDown(x, open uint64) uint64 {
+	x |= (x >> 1) & open
+	open &= open >> 1
+	x |= (x >> 2) & open
+	open &= open >> 2
+	x |= (x >> 4) & open
+	open &= open >> 4
+	x |= (x >> 8) & open
+	open &= open >> 8
+	x |= (x >> 16) & open
+	open &= open >> 16
+	return x | (x>>32)&open
 }
 
 // WordsFor returns the packed vector length covering n PEs.
