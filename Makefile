@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-pool race-router race-patterns vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
+.PHONY: build test race race-pool race-router race-patterns vet fmt-check lint lint-json ci perfbench-check serve load bench bench-smoke bench-ab fuzz-smoke cluster-smoke bench-cluster-bin bench-cluster bench-cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,7 @@ FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
 	./internal/cn/:FuzzNetworkMatchesPerValue \
 	./internal/core/:FuzzMasParMatchesReference \
+	./internal/maspar/:FuzzRangeKernelsMatchFullWidth \
 	./internal/lru/:FuzzLRUMatchesModel \
 	./internal/benchfleet/:FuzzScenarioDecode \
 	./internal/metrics/:FuzzParseText
@@ -152,6 +153,49 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
 	@echo wrote BENCH_smoke.json
+
+# bench-ab compares this tree (head) with the revision BASE in one
+# session, so host drift between sessions cannot read as a change:
+#
+#	make bench-ab BASE=<rev> BENCH=EndToEndParse BENCH_COUNT=10
+#
+# It checks BASE out into a git worktree under a temp dir, builds
+# go test -c for each BENCH_AB_PKGS package in both trees, with
+# -trimpath so that a checkout's path cannot change its binary (an A/A
+# run, BASE=HEAD on a clean tree, compares identical binaries), and
+# runs the two sides' binaries alternately BENCH_COUNT times, the side
+# that goes first alternating, each with the same -test.bench,
+# -test.benchmem, -test.cpu 1 and -test.timeout. cmd/benchjson
+# then prints, per benchmark and metric, both medians, the median
+# head/base ratio over the pairs with its min and max, and head's wins.
+# It writes no file in the tree, and removes the worktree when it is
+# done.
+BASE ?=
+BENCH ?= .
+BENCH_AB_PKGS ?= ./internal/core/
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>"; exit 1; }
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" "$(BASE)"; \
+	i=0; for pkg in $(BENCH_AB_PKGS); do \
+		i=$$((i+1)); \
+		$(GO) test -c -trimpath -o "$$tmp/head$$i.test" "$$pkg"; \
+		(cd "$$tmp/base" && $(GO) test -c -trimpath -o "$$tmp/base$$i.test" "$$pkg"); \
+	done; \
+	for n in $$(seq 1 $(BENCH_COUNT)); do \
+		order="base head"; [ $$((n % 2)) = 1 ] || order="head base"; \
+		for side in $$order; do \
+			root="$(CURDIR)"; [ $$side = head ] || root="$$tmp/base"; \
+			i=0; for pkg in $(BENCH_AB_PKGS); do \
+				i=$$((i+1)); \
+				(cd "$$root/$$pkg" && "$$tmp/$$side$$i.test" -test.run '^$$' -test.bench '$(BENCH)' \
+					-test.benchmem -test.cpu 1 -test.timeout 30m) >> "$$tmp/$$side.txt"; \
+			done; \
+		done; \
+		echo "bench-ab: pair $$n of $(BENCH_COUNT) done ($$order)" >&2; \
+	done; \
+	$(GO) run ./cmd/benchjson -base "$$tmp/base.txt" -head "$$tmp/head.txt"
 
 # Fleet benchmarking: cmd/parsecbench boots an N-shard parsecd fleet
 # plus parsecrouter as real local processes, drives a declarative

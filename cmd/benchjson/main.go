@@ -10,9 +10,18 @@
 // benchmark orchestrator (cmd/parsecbench) so BENCH_scan.json and
 // BENCH_cluster.json stay one format.
 //
+// With -base and -head it compares two trees instead: each file holds
+// one side's runs of the same benchmarks, as `make bench-ab` runs the
+// two sides' test binaries alternately, and the i-th runs of a
+// benchmark on the two sides form a pair. It prints a table, with a
+// row per benchmark and metric: both sides' medians, the median
+// head/base ratio over the pairs with its min and max, and the pairs
+// head wins.
+//
 // Usage:
 //
 //	go test -bench . -benchmem -count 5 ./internal/maspar/ | benchjson -o BENCH_scan.json
+//	benchjson -base base.txt -head head.txt
 package main
 
 import (
@@ -21,13 +30,24 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
+	"text/tabwriter"
 
 	"repro/internal/benchjson"
 )
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
+	base := flag.String("base", "", "with -head: the base side's `go test -bench` output to compare")
+	head := flag.String("head", "", "with -base: the head side's `go test -bench` output to compare")
 	flag.Parse()
+	if *base != "" || *head != "" {
+		if err := compare(os.Stdout, *base, *head); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	rep, err := benchjson.Parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -50,4 +70,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// compare prints the A/B table of the runs in the base and head files.
+func compare(w io.Writer, basePath, headPath string) error {
+	if basePath == "" || headPath == "" {
+		return fmt.Errorf("-base and -head go together")
+	}
+	var sides [2][]benchjson.Result
+	for i, path := range []string{basePath, headPath} {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		rep, err := benchjson.Parse(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		sides[i] = rep.Results
+	}
+	rows := benchjson.CompareAB(sides[0], sides[1])
+	if len(rows) == 0 {
+		return fmt.Errorf("no benchmark ran on both sides")
+	}
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tmetric\tbase\thead\thead/base\tmin\tmax\thead wins")
+	for _, r := range rows {
+		name := r.Name
+		if pkg := r.Pkg[strings.LastIndexByte(r.Pkg, '/')+1:]; pkg != "" {
+			name = pkg + "." + name
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%.3f\t%.3f\t%.3f\t%d/%d\n",
+			name, r.Metric, r.Base, r.Head, r.Ratio, r.RatioMin, r.RatioMax, r.Wins, r.Pairs)
+	}
+	return tw.Flush()
 }

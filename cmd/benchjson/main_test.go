@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,5 +20,34 @@ func TestCommandUsesSharedParser(t *testing.T) {
 	}
 	if len(rep.Results) != 1 || rep.Results[0].Name != "BenchmarkX" {
 		t.Fatalf("unexpected report: %+v", rep)
+	}
+}
+
+// The -base/-head mode prints one row per benchmark and metric with
+// both medians, the ratio range and the win count.
+func TestCompareTable(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.txt", "pkg: repro/internal/core\nBenchmarkX-1 10 100 ns/op\nBenchmarkX-1 10 120 ns/op\n")
+	head := write("head.txt", "pkg: repro/internal/core\nBenchmarkX-1 10 90 ns/op\nBenchmarkX-1 10 60 ns/op\n")
+	var out strings.Builder
+	if err := compare(&out, base, head); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want a header and one row:\n%s", len(lines), out.String())
+	}
+	if got := strings.Fields(lines[1]); strings.Join(got, " ") != "core.BenchmarkX ns_per_op 110 75 0.700 0.500 0.900 2/2" {
+		t.Errorf("row %q", lines[1])
+	}
+	if err := compare(&out, base, ""); err == nil {
+		t.Error("-base without -head: no error")
 	}
 }

@@ -165,3 +165,43 @@ func TestValidateBytes(t *testing.T) {
 		t.Fatal("bad JSON accepted")
 	}
 }
+
+// CompareAB pairs the i-th runs of a benchmark on the two sides: the
+// ratio is the median of the pairs' head/base ratios, with their range,
+// and a win is a pair head is better in (higher, for sents/s). Metrics
+// zero on both sides and benchmarks one side lacks get no row.
+func TestCompareAB(t *testing.T) {
+	parse := func(text string) []Result {
+		t.Helper()
+		rep, err := Parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results
+	}
+	base := parse(`pkg: repro/internal/core
+BenchmarkA-2   10   100 ns/op   50 sents/s   0 allocs/op
+BenchmarkOnlyBase-2   10   100 ns/op
+BenchmarkA-2   10   200 ns/op   40 sents/s   0 allocs/op
+BenchmarkA-2   10   100 ns/op   50 sents/s   0 allocs/op
+`)
+	head := parse(`pkg: repro/internal/core
+BenchmarkA-2   10   50 ns/op   60 sents/s   0 allocs/op
+BenchmarkA-2   10   220 ns/op   30 sents/s   0 allocs/op
+BenchmarkA-2   10   90 ns/op   50 sents/s   0 allocs/op
+`)
+	rows := CompareAB(base, head)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want ns_per_op and sents_per_sec of BenchmarkA: %+v", len(rows), rows)
+	}
+	ns, sents := rows[0], rows[1]
+	if ns.Name != "BenchmarkA" || ns.Metric != "ns_per_op" || ns.Pkg != "repro/internal/core" {
+		t.Fatalf("first row %+v, want BenchmarkA ns_per_op", ns)
+	}
+	if ns.Base != 100 || ns.Head != 90 || ns.Ratio != 0.9 || ns.RatioMin != 0.5 || ns.RatioMax != 1.1 || ns.Wins != 2 || ns.Pairs != 3 {
+		t.Errorf("ns_per_op row %+v, want medians 100/90, ratio 0.9 in [0.5, 1.1], 2 wins of 3", ns)
+	}
+	if sents.Metric != "sents_per_sec" || sents.Wins != 1 || sents.Ratio != 1 {
+		t.Errorf("sents_per_sec row %+v, want 1 win (higher is better) and ratio 1", sents)
+	}
+}

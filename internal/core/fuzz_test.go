@@ -8,24 +8,28 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/grammars"
+	"repro/internal/maspar"
 )
 
 // FuzzMasParMatchesReference runs one MasPar gang and holds every
-// member to two references: its network must equal the serial engine's
-// (EqualState), and its counters a solo MasPar parse of the same
-// sentence with the same options. The inputs pick the grammar (grammar
-// mod 3: English, the demo grammar, or grammars.Random(gseed)), the
-// length (2 + n mod 5 words), the gang size (1 + gang mod 8), the
-// machine size (32 << (pes mod 10) PEs, so a small machine spans many
-// virtual layers) and per-constraint consistency rounds. Member b's
-// words are grammars.RandomSentence(g, sseed+b, length), unless bit b
-// of dups is set (b ≥ 1): then member b repeats member b−1, so
-// ParseGangContext parses the twins once and clones the result. The
-// seed corpus in testdata/fuzz holds the rows of
-// TestHoistedEvalMatchesPerPE (grammar, length, gangs of 1, 3 and 8,
-// per-constraint flag; the random rows with their own sentence seeds),
-// the regression sentences of TestRegressionPRAMConvergenceFlag and
-// TestEvalModesBitEqualAcrossBackends, and two small machines.
+// member to three references: its network must equal the serial
+// engine's (EqualState), its counters a solo MasPar parse of the same
+// sentence with the same options, and its cycles, scans, router
+// operations, processors and layers PlanMasPar's price of the parse at
+// the member's round count. Gang and solo runs share every charge, so
+// only the plan catches a charge both get wrong. The inputs pick the
+// grammar (grammar mod 3: English, the demo grammar, or
+// grammars.Random(gseed)), the length (2 + n mod 5 words), the gang
+// size (1 + gang mod 8), the machine size (32 << (pes mod 10) PEs, so
+// a small machine spans many virtual layers) and per-constraint
+// consistency rounds. Member b's words are grammars.RandomSentence(g,
+// sseed+b, length), unless bit b of dups is set (b ≥ 1): then member b
+// repeats member b−1, so ParseGangContext parses the twins once and
+// clones the result. The seed corpus in testdata/fuzz holds the rows
+// of TestHoistedEvalMatchesPerPE (grammar, length, gangs of 1, 3 and
+// 8, per-constraint flag; the random rows with their own sentence
+// seeds), the regression sentences of TestRegressionPRAMConvergenceFlag
+// and TestEvalModesBitEqualAcrossBackends, and two small machines.
 func FuzzMasParMatchesReference(f *testing.F) {
 	english, demo := grammars.English(), grammars.PaperDemo()
 	f.Fuzz(func(t *testing.T, grammar uint8, gseed, sseed uint64, n, gang, dups, pes uint8, perConstraint bool) {
@@ -75,6 +79,15 @@ func FuzzMasParMatchesReference(f *testing.F) {
 			if !reflect.DeepEqual(solo.Counters, ganged[b].Counters) {
 				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v): counters differ from a solo parse\nsolo: %v\ngang: %v",
 					b, len(sents), words[b], phys, perConstraint, solo.Counters, ganged[b].Counters)
+			}
+			c := ganged[b].Counters
+			plan := PlanMasPar(g, len(words[b]), phys, maspar.DefaultCosts(), int(c.FilterIterations))
+			if c.Cycles != plan.Cycles || c.ScanOps != plan.Scans || c.RouterOps != plan.Routers ||
+				c.Processors != uint64(plan.V) || c.VirtualLayers != uint64(plan.Layers) {
+				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v, %d rounds): counters differ from the plan\nplan: cycles=%d scans=%d routers=%d processors=%d layers=%d\ngang: cycles=%d scans=%d routers=%d processors=%d layers=%d",
+					b, len(sents), words[b], phys, perConstraint, c.FilterIterations,
+					plan.Cycles, plan.Scans, plan.Routers, plan.V, plan.Layers,
+					c.Cycles, c.ScanOps, c.RouterOps, c.Processors, c.VirtualLayers)
 			}
 		}
 	})

@@ -72,7 +72,14 @@ type Layout struct {
 	arcSegHeadW       []uint64
 	blockFirstActiveW []uint64
 	scanAndMaskW      []uint64
+
+	// heads lists, in group order, each column block that has an active
+	// PE, with its head: the set bits of blockFirstActiveW.
+	heads []colHead
 }
+
+// colHead is column block g and its head PE (blockHead).
+type colHead struct{ g, pe int }
 
 // NewLayout computes the allocation for one (grammar, sentence) space.
 // Everything in a Layout depends only on the grammar and the sentence
@@ -124,6 +131,7 @@ func buildLayout(g *cdg.Grammar, n, q int) *Layout {
 	for col := 0; col < s; col++ {
 		if v := ly.blockHead(col); v < (col+1)*s {
 			ly.blockFirstActiveW[v>>6] |= uint64(1) << (uint(v) & 63)
+			ly.heads = append(ly.heads, colHead{col, v})
 		}
 	}
 	for w := 0; w < nw; w++ {

@@ -115,8 +115,8 @@ type masparRun struct {
 	// lists[b] is member b's live role values as applyBinary pairs
 	// them, valid while listed[b] holds; initAlive and sweepDead, the
 	// only writers of column liveness, clear listed for the members they
-	// change. fwd and rev are one value's binary verdicts, shared by all
-	// members.
+	// change. fwd and rev are one value's binary verdicts against the
+	// later and the earlier values, shared by all members.
 	lists    []liveList
 	listed   []bool
 	fwd, rev []bool
@@ -135,7 +135,12 @@ type masparRun struct {
 
 	// tmp, perArc, blockSup and dist are the consistency round's
 	// plural scratch, owned by the run so a round allocates nothing.
+	// heads lists, for the column slot a round is scanning, the blocks
+	// whose head holds a live value of it, and ranges the words those
+	// blocks span from their heads, merged where two share a word.
 	tmp, perArc, blockSup, dist []uint64
+	heads                       []liveBlock
+	ranges                      []maspar.WordRange
 
 	// roundsRun counts the consistency rounds the shared instruction
 	// stream has executed; rounds[b] is the prefix charged to sentence
@@ -361,6 +366,8 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 		perArc:     make([]uint64, nw),
 		blockSup:   make([]uint64, nw),
 		dist:       make([]uint64, nw),
+		heads:      make([]liveBlock, 0, B*ly.s),
+		ranges:     make([]maspar.WordRange, 0, B*ly.s),
 	}
 	for b, sp := range sps {
 		run.sents[b] = sp.Sentence()
@@ -558,9 +565,10 @@ func (run *masparRun) sweepDead() {
 // each pair of role values is tested twice: at PE colGroup·S+rowGroup
 // and at its transpose mirror. The host evaluates each unordered pair
 // of live role values once instead, per member: it lists the member's
-// live values from column liveness at each block head, and runs one
-// Check2Span and one Check2SpanRev per value over the later values of
-// other role instances. A failing pair is cleared at its PE, element
+// live values from column liveness at each block head and, per role
+// instance, tests its values against the later values of other role
+// instances in both orientations, each from a fixed side (see
+// binarySegment). A failing pair is cleared at its PE, element
 // (lc, lr), and at the mirror, element (lr, lc). This is exact: the
 // both-orientation test gives one verdict at both mirror positions; by
 // the live-slot invariant every set bit lies on a live×live pair; and
@@ -629,17 +637,13 @@ func (run *masparRun) listLive(b int, ll *liveList) {
 func (run *masparRun) forLive(b int, f func(g, i int)) {
 	ly := run.ly
 	base := b * run.stride
-	for g := 0; g < ly.s; g++ {
-		head := ly.blockHead(g)
-		if head >= (g+1)*ly.s {
-			continue
-		}
-		pe := base + head
+	for _, h := range ly.heads {
+		pe := base + h.pe
 		w, bit := pe>>6, uint64(1)<<(uint(pe)&63)
-		lo := int(ly.refOff[g])
-		for i := lo; i < int(ly.refOff[g+1]); i++ {
+		lo := int(ly.refOff[h.g])
+		for i := lo; i < int(ly.refOff[h.g+1]); i++ {
 			if run.aliveColV[i-lo][w]&bit != 0 {
-				f(g, i)
+				f(h.g, i)
 			}
 		}
 	}
@@ -647,30 +651,38 @@ func (run *masparRun) forLive(b int, f func(g, i int)) {
 
 // binarySegment is applyBinary's pass over member b's segment: it
 // evaluates every unordered cross-instance pair of the member's listed
-// live role values once, in both orientations, and clears a failing
-// pair at both of its mirrored PEs.
+// live role values once in each orientation, and clears a pair that
+// fails either at both of its mirrored PEs. Each verdict is evaluated
+// from a fixed side, so a fixed value that fails the constraint's
+// antecedent fills its whole span at once: one Check2Span per value x
+// gives c(x, y) over the later values, and one per value y gives
+// c(y, x) over the earlier values, the reverse orientation's verdicts
+// in transposed order. Clearing is idempotent, so each orientation
+// clears its own failures.
 func (run *masparRun) binarySegment(b int) {
 	ll := &run.lists[b]
 	ck := &run.cks[b]
 	base := b * run.stride
 	for k := 0; k+1 < len(ll.inst); k++ {
-		lo, hi := ll.inst[k], ll.inst[k+1]
-		ys := ll.refs[hi:]
-		if len(ys) == 0 {
-			break
-		}
-		fwd, rev := run.fwd[:len(ys)], run.rev[:len(ys)]
+		lo, hi := int(ll.inst[k]), int(ll.inst[k+1])
+		later, earlier := ll.refs[hi:], ll.refs[:lo]
+		fwd, rev := run.fwd[:len(later)], run.rev[:len(earlier)]
 		for i := lo; i < hi; i++ {
-			ck.Check2Span(ll.refs[i], ys, fwd)
-			ck.Check2SpanRev(ll.refs[i], ys, rev)
-			x := ll.at[i]
-			for t, ok := range fwd {
-				if !ok || !rev[t] {
-					y := ll.at[int(hi)+t]
-					run.clearElem(base, x, y)
-					run.clearElem(base, y, x)
-				}
-			}
+			ck.Check2Span(ll.refs[i], later, fwd)
+			run.clearFailed(base, ll.at[i], ll.at[hi:], fwd)
+			ck.Check2Span(ll.refs[i], earlier, rev)
+			run.clearFailed(base, ll.at[i], ll.at[:lo], rev)
+		}
+	}
+}
+
+// clearFailed clears, at both mirrored PEs, the pair of x with each
+// ys[t] whose verdict ok[t] is false.
+func (run *masparRun) clearFailed(base int, x liveSlot, ys []liveSlot, ok []bool) {
+	for t, v := range ok {
+		if !v {
+			run.clearElem(base, x, ys[t])
+			run.clearElem(base, ys[t], x)
 		}
 	}
 }
@@ -701,19 +713,28 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // The instruction schedule is the cycle-accounting contract (PlanMasPar
 // counts 6l+1 elementals, 3l+1 scans, and l routers per round): every
 // charged operation below corresponds one-to-one to an operation of the
-// scalar formulation. The host runs each slot's OR and its three scans,
-// skipping the ORs of dead column slots. It then reads each live column
-// value's verdict at its block head and marks the unsupported ones in
-// the members' group sets, and one sweepDead clears them from both
-// liveness sides and re-masks only the words whose liveness changed.
-// The column update, the router mirror, the zeroing and the change
-// reduce are charged through charge-only calls. This is exact: column
-// liveness and the copied verdict are uniform across a block; each
-// PE's row liveness is its row group's column liveness, so the mirror
-// of the new column side is the old row side minus the dead values'
-// row lanes; and a support reads arc elements and masks, never another
-// slot's liveness, so clearing every slot after the last scan changes
-// nothing. The scratch vectors are the run's own, so a round allocates
+// scalar formulation. Per column slot, the host lists the column blocks
+// whose head holds a live value of the slot (liveBlocks) and runs the
+// slot's OR and its three scans over those blocks' words only, each
+// scan through a Ranges entry point that charges it once. It then reads
+// each live block's verdict at its head and marks the unsupported
+// values in the members' group sets, and one sweepDead clears them from
+// both liveness sides and re-masks only the words whose liveness
+// changed. The column update, the router mirror, the zeroing and the
+// change reduce are charged through charge-only calls. This is exact:
+// column liveness and the copied verdict are uniform across a block, so
+// a dead block has nothing to clear, and only live blocks' heads are
+// read. Every segment of the three scans starts inside its own column
+// block — arc segments at row groups divisible by n, the AND and copy
+// segments at the block's head — and the lanes between a block's end
+// and the next head are inactive self-arc lanes, which carry nothing.
+// So no lane of a live block reads a lane outside it, and the scratch
+// lanes outside the ranges, never read, may hold an earlier slot's
+// values. Each PE's row liveness is its row group's column liveness, so
+// the mirror of the new column side is the old row side minus the dead
+// values' row lanes; and a support reads arc elements and masks, never
+// another slot's liveness, so clearing every slot after the last scan
+// changes nothing. The scratch is the run's own, so a round allocates
 // nothing.
 func (run *masparRun) consistencyRound() bool {
 	ly, m := run.ly, run.m
@@ -722,30 +743,31 @@ func (run *masparRun) consistencyRound() bool {
 	clear(run.segChanged)
 
 	for lc := 0; lc < ly.l; lc++ {
-		// Per-PE OR over the row label slots of this column value.
-		ac := run.aliveColV[lc]
-		m.AllWords(func(w int, active uint64) {
-			if ac[w] == 0 {
-				tmp[w] = 0
-				return
+		run.liveBlocks(lc)
+		// Per-PE OR over the row label slots of this column value. The
+		// machine holds baseMaskW here.
+		m.ChargeAllWords()
+		elems := run.bitsV[lc*ly.l : (lc+1)*ly.l]
+		for _, r := range run.ranges {
+			for w := r.Lo; w < r.Hi; w++ {
+				var t uint64
+				for _, bv := range elems {
+					t |= bv[w]
+				}
+				tmp[w] = t & run.baseMaskW[w]
 			}
-			var t uint64
-			for lr := 0; lr < ly.l; lr++ {
-				t |= run.bitsV[lc*ly.l+lr][w]
-			}
-			tmp[w] = t & active
-		})
+		}
 		// OR along each arc segment, result at the arc's first PE.
 		t0 := run.attr.start()
-		m.SegReduceOrToHeadV(perArc, tmp, run.arcSegHeadW)
+		m.SegReduceOrToHeadRanges(perArc, tmp, run.arcSegHeadW, run.ranges)
 		// AND the per-arc results across the column block: only the
 		// boundary PEs participate (Figure 12's "PE disabled only
 		// during the scanAnd").
 		m.SetMaskWords(run.scanAndMaskW)
-		m.SegReduceAndToHeadV(blockSup, perArc, run.blockFirstActiveW)
+		m.SegReduceAndToHeadRanges(blockSup, perArc, run.blockFirstActiveW, run.ranges)
 		// Re-enable the block and distribute the verdict.
 		m.SetMaskWords(run.baseMaskW)
-		m.CopySegHeadV(dist, blockSup, run.blockFirstActiveW)
+		m.CopySegHeadRanges(dist, blockSup, run.blockFirstActiveW, run.ranges)
 		run.attr.scan(t0)
 		// A value stays alive only if it was alive and is supported.
 		m.ChargeAllWords()
@@ -774,25 +796,46 @@ func (run *masparRun) consistencyRound() bool {
 	return slices.Contains(run.segChanged, 1)
 }
 
-// markUnsupported marks, in each member's group set for column slot lc,
-// the live values whose support verdict dist reads 0 at their block
-// head, and records the member's change bit.
-func (run *masparRun) markUnsupported(lc int, dist []uint64) {
+// liveBlock is a column block of one gang member, member b's group g,
+// with its head PE in the gang's lanes.
+type liveBlock struct {
+	pe   int
+	b, g int32
+}
+
+// liveBlocks fills heads with the column blocks, across all members,
+// whose head holds a live value of column slot lc, and ranges with the
+// words they span from their heads, merged where two share a word.
+func (run *masparRun) liveBlocks(lc int) {
 	ly, ac := run.ly, run.aliveColV[lc]
+	run.heads, run.ranges = run.heads[:0], run.ranges[:0]
 	for b := range run.sents {
 		base := b * run.stride
-		set := run.groupSet(b, lc)
-		for g := 0; g < ly.s; g++ {
-			head := ly.blockHead(g)
-			if head >= (g+1)*ly.s {
+		for _, h := range ly.heads {
+			pe := base + h.pe
+			if ac[pe>>6]>>(uint(pe)&63)&1 == 0 {
 				continue
 			}
-			pe := base + head
-			w, bit := pe>>6, uint64(1)<<(uint(pe)&63)
-			if ac[w]&bit != 0 && dist[w]&bit == 0 {
-				set[g>>6] |= uint64(1) << (uint(g) & 63)
-				run.segChanged[b] = 1
+			run.heads = append(run.heads, liveBlock{pe, int32(b), int32(h.g)})
+			lo, hi := pe>>6, (base+(h.g+1)*ly.s-1)>>6+1
+			if k := len(run.ranges) - 1; k >= 0 && run.ranges[k].Hi > lo {
+				run.ranges[k].Hi = hi
+			} else {
+				run.ranges = append(run.ranges, maspar.WordRange{Lo: lo, Hi: hi})
 			}
+		}
+	}
+}
+
+// markUnsupported marks, in each member's group set for column slot lc,
+// the live values whose support verdict dist reads 0 at their block
+// head, and records the member's change bit. It reads only the heads
+// liveBlocks listed.
+func (run *masparRun) markUnsupported(lc int, dist []uint64) {
+	for _, h := range run.heads {
+		if dist[h.pe>>6]>>(uint(h.pe)&63)&1 == 0 {
+			run.groupSet(int(h.b), lc)[h.g>>6] |= uint64(1) << (uint(h.g) & 63)
+			run.segChanged[h.b] = 1
 		}
 	}
 }
@@ -849,20 +892,14 @@ func (run *masparRun) readBack(b int) *cn.Network {
 	nw := cn.NewShell(sp)
 	n := sp.N()
 
-	// Domains.
-	for g := 0; g < ly.s; g++ {
-		pos, role, mod := ly.Group(g)
+	// Domains. The block's first active PE carries the authoritative
+	// liveness for the column group.
+	for _, h := range ly.heads {
+		pos, role, mod := ly.Group(h.g)
 		gr := sp.GlobalRole(pos, role)
-		// The block's first active PE carries the authoritative
-		// liveness for the column group.
-		first := ly.blockHead(g)
-		if first >= (g+1)*ly.s {
-			continue
-		}
-		first += base
 		labels := sp.Grammar().RoleLabels(role)
 		for ls := range labels {
-			if run.aliveColAt(first, ls) == 1 {
+			if run.aliveColAt(base+h.pe, ls) == 1 {
 				nw.Domain(gr).SetBit(ls*(n+1) + mod)
 			}
 		}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,36 +91,88 @@ func TestE1ContainsFigures(t *testing.T) {
 	}
 }
 
-// TestE1GoldenFile pins the entire walkthrough output byte-for-byte.
-// Regenerate after an intentional rendering change with:
+// update rewrites every golden file from this tree's output:
 //
-//	go run ./cmd/experiments -e E1 > internal/experiments/testdata/e1_golden.txt
+//	go test ./internal/experiments/ -run Golden -update
+//
+// A change that moves a paper number regenerates the goldens and says
+// why in CHANGES.md.
+var update = flag.Bool("update", false, "rewrite the experiments' golden files")
+
+// TestE1GoldenFile pins the entire walkthrough output byte-for-byte.
 func TestE1GoldenFile(t *testing.T) {
-	want, err := os.ReadFile("testdata/e1_golden.txt")
+	checkGolden(t, "E1", E1Walkthrough)
+}
+
+// TestGoldenFiles pins the reports of E2–E8 byte for byte, as
+// TestE1GoldenFile pins E1: the measured growth exponents, the MasPar
+// cycle, scan and router counts, the mesh ticks, the staircase, the
+// filtering rounds and the ablations. E3's serial host time is the one
+// cell read from the host clock; it is masked.
+func TestGoldenFiles(t *testing.T) {
+	for _, e := range All()[1:] {
+		t.Run(e.ID, func(t *testing.T) { checkGolden(t, e.ID, e.Run) })
+	}
+}
+
+// checkGolden compares run's report, as cmd/experiments prints it, with
+// testdata/<id>_golden.txt, or rewrites the file under -update.
+func checkGolden(t *testing.T, id string, run func() string) {
+	t.Helper()
+	path := filepath.Join("testdata", strings.ToLower(id)+"_golden.txt")
+	got := maskHostTime(run() + "\n") // cmd prints with a trailing newline
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := E1Walkthrough() + "\n" // cmd prints with a trailing newline
-	if got != string(want) {
-		// Find the first divergence for a useful message.
-		g, w := got, string(want)
-		i := 0
-		for i < len(g) && i < len(w) && g[i] == w[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		hiG, hiW := i+80, i+80
-		if hiG > len(g) {
-			hiG = len(g)
-		}
-		if hiW > len(w) {
-			hiW = len(w)
-		}
-		t.Errorf("E1 output diverges from golden at byte %d:\n got: …%q…\nwant: …%q…", i, g[lo:hiG], w[lo:hiW])
+	if got == string(want) {
+		return
 	}
+	// Find the first divergence for a useful message.
+	g, w := got, string(want)
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	t.Errorf("%s output diverges from %s at byte %d:\n got: …%q…\nwant: …%q…", id, path, i, g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
+}
+
+// hostTimeHeader heads E3's column of serial parse times.
+const hostTimeHeader = "serial host time"
+
+// maskHostTime overwrites every cell of the column headed
+// hostTimeHeader with asterisks, leaving all other bytes in place.
+// The column's width is read from the rule under its header, and
+// cells are padded by runes ("µs"), so the mask counts runes too.
+func maskHostTime(out string) string {
+	lines := strings.Split(out, "\n")
+	for i := 0; i+1 < len(lines); i++ {
+		col := strings.Index(lines[i], hostTimeHeader)
+		if col < 0 {
+			continue
+		}
+		width := len(hostTimeHeader)
+		rule := lines[i+1]
+		for col+width < len(rule) && rule[col+width] == '-' {
+			width++
+		}
+		mask := []rune(strings.Repeat("*", width))
+		for j := i + 2; j < len(lines) && lines[j] != ""; j++ {
+			row := []rune(lines[j])
+			if len(row) >= col+width {
+				copy(row[col:col+width], mask)
+				lines[j] = string(row)
+			}
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 func TestE2ShapeHolds(t *testing.T) {

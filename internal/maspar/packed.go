@@ -54,6 +54,25 @@ func (m *Machine) firstActive() (w int, bit uint64, ok bool) {
 	return 0, 0, false
 }
 
+// WordRange is a half-open range [Lo, Hi) of packed-vector words.
+//
+// Each scan kernel has one loop, over a list of word ranges. Its
+// full-width entry point (…V) passes the whole vector as one range; its
+// Ranges entry point passes the caller's ranges, for a caller that reads
+// the result only where it is exact. Either charges the kernel's one
+// scan. The loop starts each range as it starts the whole vector: no
+// carry enters from below a range, and nothing flows down from above
+// it. So a range result equals the full-width kernel's on every lane of
+// the range whose segment lies inside it, from its head through its
+// last active lane (inactive lanes carry nothing). A range need not
+// start or end on a segment: when its first head or the end of its last
+// whole segment lies mid-word, the lanes from that head to that end are
+// exact, and the lanes of the range below and above them may hold
+// anything. Lanes outside every range are not written. The first
+// active PE still heads a segment wherever it lies. Ranges must not
+// share a word.
+type WordRange struct{ Lo, Hi int }
+
 // CopySegHeadV is the packed CopySegHead: every active lane receives
 // its segment head's data value. With gen = data & effectiveHead and
 // reset = effectiveHead the shared recurrence loads the head's value
@@ -61,17 +80,27 @@ func (m *Machine) firstActive() (w int, bit uint64, ok bool) {
 //
 //parsec:noalloc
 func (m *Machine) CopySegHeadV(dst, data, segHead []uint64) {
+	m.CopySegHeadRanges(dst, data, segHead, []WordRange{{0, len(m.mask)}})
+}
+
+// CopySegHeadRanges is CopySegHeadV over ranges only.
+//
+//parsec:noalloc
+func (m *Machine) CopySegHeadRanges(dst, data, segHead []uint64, ranges []WordRange) {
 	m.chargeScan()
 	fw, fbit, _ := m.firstActive()
-	cin := uint64(1)
-	for w, e := range m.mask {
-		reset := segHead[w] & e
-		if w == fw {
-			reset |= fbit
+	for _, r := range ranges {
+		cin := uint64(1)
+		for w := r.Lo; w < r.Hi; w++ {
+			e := m.mask[w]
+			reset := segHead[w] & e
+			if w == fw {
+				reset |= fbit
+			}
+			acc, co := segFillWord(data[w]&reset, reset, cin)
+			dst[w] = acc & e
+			cin = co
 		}
-		acc, co := segFillWord(data[w]&reset, reset, cin)
-		dst[w] = acc & e
-		cin = co
 	}
 }
 
@@ -87,8 +116,15 @@ func (m *Machine) CopySegHeadV(dst, data, segHead []uint64) {
 //
 //parsec:noalloc
 func (m *Machine) SegReduceOrToHeadV(dst, data, segHead []uint64) {
+	m.SegReduceOrToHeadRanges(dst, data, segHead, []WordRange{{0, len(m.mask)}})
+}
+
+// SegReduceOrToHeadRanges is SegReduceOrToHeadV over ranges only.
+//
+//parsec:noalloc
+func (m *Machine) SegReduceOrToHeadRanges(dst, data, segHead []uint64, ranges []WordRange) {
 	m.chargeScan()
-	m.segReduceToHead(dst, data, segHead, false)
+	m.segReduceToHead(dst, data, segHead, false, ranges)
 }
 
 // SegReduceAndToHeadV is the packed SegReduceAndToHead (each segment's
@@ -96,40 +132,49 @@ func (m *Machine) SegReduceOrToHeadV(dst, data, segHead []uint64) {
 //
 //parsec:noalloc
 func (m *Machine) SegReduceAndToHeadV(dst, data, segHead []uint64) {
-	m.chargeScan()
-	m.segReduceToHead(dst, data, segHead, true)
+	m.SegReduceAndToHeadRanges(dst, data, segHead, []WordRange{{0, len(m.mask)}})
 }
 
-// segReduceToHead ORs each segment to its head (an AND is the
-// complement of the OR of the complements). The value flowing down
-// from the word above enters at lane 63, unless lane 0 of that word
-// heads a segment.
+// SegReduceAndToHeadRanges is SegReduceAndToHeadV over ranges only.
 //
 //parsec:noalloc
-func (m *Machine) segReduceToHead(dst, data, segHead []uint64, and bool) {
+func (m *Machine) SegReduceAndToHeadRanges(dst, data, segHead []uint64, ranges []WordRange) {
+	m.chargeScan()
+	m.segReduceToHead(dst, data, segHead, true, ranges)
+}
+
+// segReduceToHead ORs each segment to its head over the words of ranges
+// (an AND is the complement of the OR of the complements). The value
+// flowing down from the word above enters at lane 63, unless lane 0 of
+// that word heads a segment.
+//
+//parsec:noalloc
+func (m *Machine) segReduceToHead(dst, data, segHead []uint64, and bool, ranges []WordRange) {
 	fw, fbit, _ := m.firstActive()
-	var flow uint64       // r at lane 0 of the word above
-	var resetAbove uint64 // reset word at w+1, for the lane shift
-	for w := len(m.mask) - 1; w >= 0; w-- {
-		e := m.mask[w]
-		reset := segHead[w] & e
-		// Lane i absorbs lane i+1 unless lane i+1 heads a segment.
-		open := ^((reset >> 1) | (resetAbove << 63))
-		resetAbove = reset
-		gen := data[w] & e
-		if and {
-			gen = ^data[w] & e
+	for _, span := range ranges {
+		var flow uint64       // r at lane 0 of the word above
+		var resetAbove uint64 // reset word at w+1, for the lane shift
+		for w := span.Hi - 1; w >= span.Lo; w-- {
+			e := m.mask[w]
+			reset := segHead[w] & e
+			// Lane i absorbs lane i+1 unless lane i+1 heads a segment.
+			open := ^((reset >> 1) | (resetAbove << 63))
+			resetAbove = reset
+			gen := data[w] & e
+			if and {
+				gen = ^data[w] & e
+			}
+			r := segFlowDown(gen|((flow<<63)&open), open)
+			flow = r & 1
+			heads := reset
+			if w == fw {
+				heads |= fbit
+			}
+			if and {
+				r = ^r
+			}
+			dst[w] = r & heads
 		}
-		r := segFlowDown(gen|((flow<<63)&open), open)
-		flow = r & 1
-		heads := reset
-		if w == fw {
-			heads |= fbit
-		}
-		if and {
-			r = ^r
-		}
-		dst[w] = r & heads
 	}
 }
 

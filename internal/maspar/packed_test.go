@@ -180,6 +180,159 @@ func TestPackedKernelsAtScale(t *testing.T) {
 	runPackedVsRef(t, 10609, "sparse", "none") // s = 103
 }
 
+// randomRanges picks sorted word ranges of a v-lane vector that share
+// no word and, in each, a lane span [first, end) that a Ranges kernel
+// must get exactly right: first becomes an active segment head, and so
+// does end when it is a lane, so every segment of the span lies inside
+// the range. Either edge falls on the range's word edge or mid-word. It
+// returns the ranges and the spans' lanes, packed.
+func randomRanges(r *rng, v int, mask, heads []bool) ([]WordRange, []uint64) {
+	nw := WordsFor(v)
+	exact := make([]uint64, nw)
+	var out []WordRange
+	for lo := r.intn(3); lo < nw; {
+		hi := min(lo+1+r.intn(4), nw)
+		out = append(out, WordRange{lo, hi})
+		first, end := lo<<6, min(hi<<6, v)
+		if r.coin(50) {
+			first += r.intn(end - first)
+		}
+		if r.coin(50) {
+			end = first + 1 + r.intn(end-first)
+		}
+		for _, lane := range []int{first, end} {
+			if lane < v {
+				mask[lane], heads[lane] = true, true
+			}
+		}
+		for i := first; i < end; i++ {
+			exact[i>>6] |= uint64(1) << (uint(i) & 63)
+		}
+		lo = hi + r.intn(3)
+	}
+	return out, exact
+}
+
+// checkRangesMatchFullWidth runs each scan kernel's Ranges entry point
+// on one machine and its full-width kernel on another with the same
+// mask. Every lane marked in exact must match, every word outside the
+// ranges must be left as it was, and each call must charge exactly what
+// the full-width call charges: one scan.
+func checkRangesMatchFullWidth(t *testing.T, v int, mask, heads []bool, data []Bit, ranges []WordRange, exact []uint64) {
+	t.Helper()
+	var full, part *Machine
+	for _, m := range []**Machine{&full, &part} {
+		var err error
+		if *m, err = New(64, DefaultCosts()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (*m).Setup(v); err != nil {
+			t.Fatal(err)
+		}
+		(*m).SetMask(func(pe int) bool { return mask[pe] })
+	}
+	nw := full.WordLen()
+	dataV, headV, inside := make([]uint64, nw), make([]uint64, nw), make([]bool, nw)
+	PackBits(dataV, data)
+	PackBools(headV, heads)
+	for _, r := range ranges {
+		for w := r.Lo; w < r.Hi; w++ {
+			inside[w] = true
+		}
+	}
+	const untouched = 0x5a5a5a5a5a5a5a5a
+	for _, k := range []struct {
+		name       string
+		full, part func(dst []uint64)
+	}{
+		{"CopySegHead",
+			func(dst []uint64) { full.CopySegHeadV(dst, dataV, headV) },
+			func(dst []uint64) { part.CopySegHeadRanges(dst, dataV, headV, ranges) }},
+		{"SegReduceOrToHead",
+			func(dst []uint64) { full.SegReduceOrToHeadV(dst, dataV, headV) },
+			func(dst []uint64) { part.SegReduceOrToHeadRanges(dst, dataV, headV, ranges) }},
+		{"SegReduceAndToHead",
+			func(dst []uint64) { full.SegReduceAndToHeadV(dst, dataV, headV) },
+			func(dst []uint64) { part.SegReduceAndToHeadRanges(dst, dataV, headV, ranges) }},
+	} {
+		want, got := make([]uint64, nw), make([]uint64, nw)
+		for w := range got {
+			got[w] = untouched
+		}
+		fullCycles, partCycles, partScans := full.Cycles, part.Cycles, part.ScanOps
+		k.full(want)
+		k.part(got)
+		if part.ScanOps != partScans+1 || part.Cycles-partCycles != full.Cycles-fullCycles {
+			t.Fatalf("%s: a Ranges call charged %d scans and %d cycles, want 1 scan and %d cycles",
+				k.name, part.ScanOps-partScans, part.Cycles-partCycles, full.Cycles-fullCycles)
+		}
+		for w := range got {
+			if diff := (got[w] ^ want[w]) & exact[w]; diff != 0 {
+				t.Fatalf("%s: word %d, exact lanes %#x of %v: ranges %#x, full width %#x (v=%d)",
+					k.name, w, exact[w], ranges, got[w], want[w], v)
+			}
+			if !inside[w] && got[w] != untouched {
+				t.Fatalf("%s: word %d outside %v was written (v=%d)", k.name, w, ranges, v)
+			}
+		}
+	}
+	if full.Instr != part.Instr || full.RouterOps != part.RouterOps || full.ScanOps != part.ScanOps {
+		t.Fatalf("counter drift: full width instr=%d routers=%d scans=%d, ranges %d/%d/%d",
+			full.Instr, full.RouterOps, full.ScanOps, part.Instr, part.RouterOps, part.ScanOps)
+	}
+}
+
+// rangeCase builds one random range case from seed: a v-lane vector
+// with the given mask and head styles, random data, and random ranges
+// with their exact lanes (randomRanges).
+func rangeCase(seed uint64, v int, maskStyle, headStyle string) (mask, heads []bool, data []Bit, ranges []WordRange, exact []uint64) {
+	r := &rng{s: seed}
+	mask, heads = buildMask(maskStyle, v, r), buildHeads(headStyle, v, r)
+	data = make([]Bit, v)
+	for i := range data {
+		if r.coin(50) {
+			data[i] = 1
+		}
+	}
+	ranges, exact = randomRanges(r, v, mask, heads)
+	return mask, heads, data, ranges, exact
+}
+
+// TestRangeKernelsMatchFullWidth holds the Ranges entry points to their
+// full-width kernels on random data, masks and segment heads, over
+// random ranges whose exact span starts on a segment head and ends on a
+// segment boundary, at a word edge or mid-word: equal on the span,
+// untouched outside the ranges, and one scan charged per call.
+func TestRangeKernelsMatchFullWidth(t *testing.T) {
+	for _, v := range []int{1, 63, 64, 65, 129, 300, 517, 1024, 4096} {
+		for _, ms := range maskStyles {
+			for _, hs := range headStyles {
+				t.Run(fmt.Sprintf("v=%d/mask=%s/heads=%s", v, ms, hs), func(t *testing.T) {
+					for seed := uint64(0); seed < 4; seed++ {
+						mask, heads, data, ranges, exact := rangeCase(uint64(v)*7919+seed, v, ms, hs)
+						checkRangesMatchFullWidth(t, v, mask, heads, data, ranges, exact)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzRangeKernelsMatchFullWidth is TestRangeKernelsMatchFullWidth's
+// property over fuzzed seeds, sizes (1 + size mod 4096 lanes) and mask
+// and head styles.
+func FuzzRangeKernelsMatchFullWidth(f *testing.F) {
+	f.Add(uint64(1), uint16(1024), uint8(0), uint8(2))
+	f.Add(uint64(2), uint16(299), uint8(3), uint8(3))
+	f.Add(uint64(3), uint16(64), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, maskStyle, headStyle uint8) {
+		v := 1 + int(size)%4096
+		ms, hs := maskStyles[int(maskStyle)%len(maskStyles)], headStyles[int(headStyle)%len(headStyles)]
+		mask, heads, data, ranges, exact := rangeCase(seed, v, ms, hs)
+		checkRangesMatchFullWidth(t, v, mask, heads, data, ranges, exact)
+	})
+}
+
 // TestSteadyStateScansDoNotAllocate is the allocation regression test:
 // writing into caller-owned vectors, the packed scan kernels and the
 // byte API must not allocate per call.
