@@ -38,9 +38,9 @@ race:
 
 # race-pool hammers the parse pool's concurrency under the race
 # detector ten times over, where race runs each test once: the pool's
-# queues and workers, /v1/batch units and gangs, a lattice decode, and
-# the result cache's flights.
-POOL_TESTS = ^Test(Gang|WorkerGangs|Batch|Deadline|QueueFull|Shutdown|SerialJobs|OppositeOrder|ConcurrentHammer|LatticeUnknownWord|ResultCache|CachedResult)
+# queues and workers, /v1/batch units and the batches workers take, a
+# lattice decode, and the result cache's flights.
+POOL_TESTS = ^Test(Batch|Deadline|QueueFull|Shutdown|SerialJobs|OppositeOrder|ConcurrentHammer|LatticeUnknownWord|ResultCache|CachedResult)
 race-pool:
 	$(GO) test -race -count=10 -run '$(POOL_TESTS)' ./internal/server/
 
@@ -159,40 +159,49 @@ bench-smoke:
 #
 #	make bench-ab BASE=<rev> BENCH=EndToEndParse BENCH_COUNT=10
 #
-# It checks BASE out into a git worktree under a temp dir, builds
+# It extracts BASE with git archive into a temp dir and builds
 # go test -c for each BENCH_AB_PKGS package in both trees, with
 # -trimpath so that a checkout's path cannot change its binary (an A/A
-# run, BASE=HEAD on a clean tree, compares identical binaries), and
-# runs the two sides' binaries alternately BENCH_COUNT times, the side
-# that goes first alternating, each with the same -test.bench,
-# -test.benchmem, -test.cpu 1 and -test.timeout. cmd/benchjson
-# then prints, per benchmark and metric, both medians, the median
-# head/base ratio over the pairs with its min and max, and head's wins.
-# It writes no file in the tree, and removes the worktree when it is
-# done.
+# run, BASE=HEAD on a clean tree, compares identical binaries). One
+# -test.benchtime 1x pass lists the rows BENCH selects on each side.
+# Then, BENCH_COUNT times, it runs each row on both sides back to back,
+# the side that goes first alternating from pair to pair, each with
+# -test.benchmem, -test.cpu 1 and -test.timeout, so a row's two sides
+# run seconds apart; a row found on one side only runs on that side.
+# cmd/benchjson then prints, per benchmark and metric, both medians,
+# the median head/base ratio over the pairs with its min and max, and
+# head's wins, and after them each one-sided row with its side's
+# medians. It writes no file in the tree.
 BASE ?=
 BENCH ?= .
 BENCH_AB_PKGS ?= ./internal/core/
 bench-ab:
 	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>"; exit 1; }
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	git worktree add --quiet --detach "$$tmp/base" "$(BASE)"; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	run() { \
+		root="$(CURDIR)"; [ $$1 = head ] || root="$$tmp/base"; \
+		(cd "$$root/$$3" && "$$tmp/$$1$$2.test" -test.run '^$$' -test.bench "$$4" -test.cpu 1 $$5); \
+	}; \
 	i=0; for pkg in $(BENCH_AB_PKGS); do \
 		i=$$((i+1)); \
 		$(GO) test -c -trimpath -o "$$tmp/head$$i.test" "$$pkg"; \
 		(cd "$$tmp/base" && $(GO) test -c -trimpath -o "$$tmp/base$$i.test" "$$pkg"); \
+		for side in base head; do \
+			run $$side $$i "$$pkg" '$(BENCH)' '-test.benchtime 1x' | \
+				awk -v i=$$i -v pkg="$$pkg" '/^Benchmark/ {print i, pkg, $$1}' >> "$$tmp/$$side.rows"; \
+		done; \
 	done; \
+	sort -u "$$tmp/base.rows" "$$tmp/head.rows" > "$$tmp/rows"; \
 	for n in $$(seq 1 $(BENCH_COUNT)); do \
 		order="base head"; [ $$((n % 2)) = 1 ] || order="head base"; \
-		for side in $$order; do \
-			root="$(CURDIR)"; [ $$side = head ] || root="$$tmp/base"; \
-			i=0; for pkg in $(BENCH_AB_PKGS); do \
-				i=$$((i+1)); \
-				(cd "$$root/$$pkg" && "$$tmp/$$side$$i.test" -test.run '^$$' -test.bench '$(BENCH)' \
-					-test.benchmem -test.cpu 1 -test.timeout 30m) >> "$$tmp/$$side.txt"; \
+		while read -r i pkg row; do \
+			pat=$$(printf '%s\n' "$$row" | sed -e 's/[][\.*^$$+?(){}|]/\\&/g' -e 's|/|$$/^|g' -e 's|^|^|' -e 's|$$|$$|'); \
+			for side in $$order; do \
+				grep -qxF "$$i $$pkg $$row" "$$tmp/$$side.rows" || continue; \
+				run $$side $$i "$$pkg" "$$pat" '-test.benchmem -test.timeout 30m' < /dev/null >> "$$tmp/$$side.txt"; \
 			done; \
-		done; \
+		done < "$$tmp/rows"; \
 		echo "bench-ab: pair $$n of $(BENCH_COUNT) done ($$order)" >&2; \
 	done; \
 	$(GO) run ./cmd/benchjson -base "$$tmp/base.txt" -head "$$tmp/head.txt"

@@ -16,7 +16,8 @@
 // benchmark on the two sides form a pair. It prints a table, with a
 // row per benchmark and metric: both sides' medians, the median
 // head/base ratio over the pairs with its min and max, and the pairs
-// head wins.
+// head wins. A benchmark only one side ran follows the table, with that
+// side's medians.
 //
 // Usage:
 //
@@ -104,5 +105,29 @@ func compare(w io.Writer, basePath, headPath string) error {
 		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%.3f\t%.3f\t%.3f\t%d/%d\n",
 			name, r.Metric, r.Base, r.Head, r.Ratio, r.RatioMin, r.RatioMax, r.Wins, r.Pairs)
 	}
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	oneSided(w, "base", sides[0], sides[1])
+	oneSided(w, "head", sides[1], sides[0])
+	return nil
+}
+
+// oneSided prints, for each benchmark of side that other never ran, its
+// median ns/op, B/op and allocs/op over its runs.
+func oneSided(w io.Writer, label string, side, other []benchjson.Result) {
+	ran := make(map[[2]string]bool)
+	for _, r := range other {
+		ran[[2]string{r.Pkg, r.Name}] = true
+	}
+	var only []benchjson.Result
+	for _, r := range side {
+		if !ran[[2]string{r.Pkg, r.Name}] {
+			only = append(only, r)
+		}
+	}
+	for _, r := range benchjson.Fold(only) {
+		fmt.Fprintf(w, "only on %s: %s %.4g ns/op %.4g B/op %.4g allocs/op (%d runs)\n",
+			label, r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPer, r.Runs)
+	}
 }

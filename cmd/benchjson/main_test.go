@@ -50,4 +50,12 @@ func TestCompareTable(t *testing.T) {
 	if err := compare(&out, base, ""); err == nil {
 		t.Error("-base without -head: no error")
 	}
+	out.Reset()
+	base = write("base2.txt", "pkg: repro/internal/core\nBenchmarkX-1 10 100 ns/op\nBenchmarkY-1 10 50 ns/op 8 B/op 2 allocs/op\n")
+	if err := compare(&out, base, head); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "only on base: BenchmarkY 50 ns/op 8 B/op 2 allocs/op (1 runs)\n") {
+		t.Errorf("a benchmark only base ran is not reported on its side:\n%s", out.String())
+	}
 }

@@ -1,8 +1,8 @@
 // Command parsecd serves CDG parsing over HTTP/JSON: POST /v1/parse and
 // /v1/batch run sentences through the PARSEC backends with a
 // compiled-grammar cache and per-backend worker queues, where a free
-// MasPar worker gangs the same-configuration jobs queued for it into
-// one simulator run; GET /metrics exposes
+// MasPar worker takes the queued jobs of one configuration and sentence
+// length and parses them back to back; GET /metrics exposes
 // Prometheus text metrics (machine-work counters, queue wait, parse
 // latency, batch size), /healthz liveness, and /v1/grammars the grammar
 // inventory. SIGTERM/SIGINT drain gracefully: accepted requests finish,
@@ -44,7 +44,7 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		addr        = fs.String("addr", "127.0.0.1:8723", "listen address (use :0 for an ephemeral port)")
 		workers     = fs.Int("workers", 2, "workers per backend queue")
 		queueDepth  = fs.Int("queue", 256, "max queued requests per backend before 429s")
-		maxBatch    = fs.Int("max-batch", 16, "max queued maspar requests ganged into one run")
+		maxBatch    = fs.Int("max-batch", 16, "max queued maspar requests of one configuration and length taken by one worker")
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 		drain       = fs.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
 		cacheSize   = fs.Int("cache-entries", 4096, "result cache capacity in entries (-1 disables the result cache)")

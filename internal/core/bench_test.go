@@ -29,51 +29,29 @@ var distinctFive = []string{
 // exported eval-ns/op, scan-ns/op, and router-ns/op metrics are what
 // let BENCH_scan.json say how much of an end-to-end parse the bytecode
 // VM actually owns (and therefore what the measured constraint-eval
-// speedup is worth at the pipeline level). One op is one
-// ParseGangContext call, so ns/op and the stage metrics share a unit
-// and the stages can be read as shares of it; sents/s is the
-// throughput. batch=1 is the serving path's latency shape; batch=32
-// is 32 copies of that one sentence, so it times ParseGangContext's
-// dedupe: one segment parses, and the 31 twins get copies of its
-// network and counters. The distinct case is the serving benchmark's
-// maspar-gang shape: eight different 5-word sentences, eight segments,
-// so every member's checks run. solo×8,distinct,n=5 parses the same
-// eight sentences as eight gangs of one per op, so its ns/op over
-// batch=8,distinct,n=5's is the gang's host speedup per sentence.
-// batch=1,n=17 is a solo long sentence: a gang of one runs its binary
-// passes on a single host worker, so this row shows what that costs.
+// speedup is worth at the pipeline level). One op parses every sentence
+// of its row, one after another, so ns/op and the stage metrics share a
+// unit and the stages can be read as shares of it; sents/s is the
+// throughput. batch=1 is the serving path's latency shape, an 8-word
+// sentence; batch=1,n=17 is a long sentence; solo×8,distinct,n=5 is
+// the serving benchmark's maspar-gang batch, eight different 5-word
+// sentences, as a pool worker parses it.
 func BenchmarkEndToEndParse(b *testing.B) {
 	g := grammars.English()
-	eight := strings.Fields("the dog saw the man with the telescope")
-	long := strings.Fields("the big old dog saw the old man with the telescope in the park with the ball")
-	same := func(batch int) [][]string {
-		out := make([][]string, batch)
-		for i := range out {
-			out[i] = eight
-		}
-		return out
-	}
-	var gang5 [][]string
-	for _, s := range distinctFive {
-		gang5 = append(gang5, strings.Fields(s))
-	}
 	for _, tc := range []struct {
-		name  string
-		words [][]string
-		solo  bool // one gang of one per sentence, not one gang of all
+		name      string
+		sentences []string
 	}{
-		{"batch=1", same(1), false},
-		{"batch=1,n=17", [][]string{long}, false},
-		{"batch=32", same(32), false},
-		{"batch=8,distinct,n=5", gang5, false},
-		{"solo×8,distinct,n=5", gang5, true},
+		{"batch=1", []string{"the dog saw the man with the telescope"}},
+		{"batch=1,n=17", []string{"the big old dog saw the old man with the telescope in the park with the ball"}},
+		{"solo×8,distinct,n=5", distinctFive},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var attr Attribution
 			p := NewParser(g, WithBackend(MasPar), WithAttribution(&attr))
-			sents := make([]*cdg.Sentence, len(tc.words))
-			for i, words := range tc.words {
-				sent, err := cdg.Resolve(g, words, nil)
+			sents := make([]*cdg.Sentence, len(tc.sentences))
+			for i, s := range tc.sentences {
+				sent, err := cdg.Resolve(g, strings.Fields(s), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,16 +60,9 @@ func BenchmarkEndToEndParse(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
-			gangs := [][]*cdg.Sentence{sents}
-			if tc.solo {
-				gangs = make([][]*cdg.Sentence, len(sents))
-				for i := range sents {
-					gangs[i] = sents[i : i+1]
-				}
-			}
 			for n := 0; n < b.N; n++ {
-				for _, gang := range gangs {
-					if _, err := p.ParseGangContext(ctx, gang); err != nil {
+				for _, sent := range sents {
+					if _, err := p.ParseSentenceContext(ctx, sent); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"context"
-	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,25 +10,26 @@ import (
 	"repro/internal/maspar"
 )
 
-// FuzzMasParMatchesReference runs one MasPar gang and holds every
-// member to three references: its network must equal the serial
-// engine's (EqualState), its counters a solo MasPar parse of the same
-// sentence with the same options, and its cycles, scans, router
-// operations, processors and layers PlanMasPar's price of the parse at
-// the member's round count. Gang and solo runs share every charge, so
-// only the plan catches a charge both get wrong. The inputs pick the
-// grammar (grammar mod 3: English, the demo grammar, or
-// grammars.Random(gseed)), the length (2 + n mod 5 words), the gang
-// size (1 + gang mod 8), the machine size (32 << (pes mod 10) PEs, so
-// a small machine spans many virtual layers) and per-constraint
-// consistency rounds. Member b's words are grammars.RandomSentence(g,
-// sseed+b, length), unless bit b of dups is set (b ≥ 1): then member b
-// repeats member b−1, so ParseGangContext parses the twins once and
-// clones the result. The seed corpus in testdata/fuzz holds the rows
-// of TestHoistedEvalMatchesPerPE (grammar, length, gangs of 1, 3 and
-// 8, per-constraint flag; the random rows with their own sentence
-// seeds), the regression sentences of TestRegressionPRAMConvergenceFlag
-// and TestEvalModesBitEqualAcrossBackends, and two small machines.
+// FuzzMasParMatchesReference parses a batch of sentences on the MasPar
+// backend, one after another, and holds every member to two
+// references: its network must equal the serial engine's (EqualState),
+// and its cycles, scans, router operations, processors and layers
+// PlanMasPar's price of the parse at the member's round count. The
+// first member is also run step by step against the per-PE reference
+// of hoist_test.go (checkHoistedMatchesPerPE) on the input's machine,
+// which holds the plural state after every step, and the counters at
+// the end, to the per-PE formulation. The inputs pick the grammar
+// (grammar mod 3: English, the demo grammar, or grammars.Random(gseed)),
+// the length (2 + n mod 5 words), the batch size (1 + gang mod 8), the
+// machine size (32 << (pes mod 10) PEs, so a small machine spans many
+// virtual layers) and per-constraint consistency rounds. Member b's
+// words are grammars.RandomSentence(g, sseed+b, length), unless bit b of
+// dups is set (b ≥ 1): then member b repeats member b−1. The seed
+// corpus in testdata/fuzz holds the rows of TestHoistedEvalMatchesPerPE
+// (grammar, length, batches of 1, 3 and 8, per-constraint flag; the
+// random rows with their own sentence seeds), the regression sentences
+// of TestRegressionPRAMConvergenceFlag and
+// TestEvalModesBitEqualAcrossBackends, and two small machines.
 func FuzzMasParMatchesReference(f *testing.F) {
 	english, demo := grammars.English(), grammars.PaperDemo()
 	f.Fuzz(func(t *testing.T, grammar uint8, gseed, sseed uint64, n, gang, dups, pes uint8, perConstraint bool) {
@@ -43,53 +43,40 @@ func FuzzMasParMatchesReference(f *testing.F) {
 			g = grammars.Random(gseed)
 		}
 		words := make([][]string, 1+int(gang)%8)
-		sents := make([]*cdg.Sentence, len(words))
 		for b := range words {
 			if b > 0 && dups&(1<<b) != 0 {
-				words[b], sents[b] = words[b-1], sents[b-1]
+				words[b] = words[b-1]
 				continue
 			}
 			words[b] = grammars.RandomSentence(g, sseed+uint64(b), 2+int(n)%5)
-			sent, err := cdg.Resolve(g, words[b], nil)
-			if err != nil {
-				t.Fatalf("member %d %v: %v", b, words[b], err)
-			}
-			sents[b] = sent
 		}
 		phys := 32 << (pes % 10)
 		p := NewParser(g, WithPEs(phys), WithConsistencyPerConstraint(perConstraint))
-		ganged, err := p.ParseGangContext(context.Background(), sents)
-		if err != nil {
-			t.Fatal(err)
-		}
 		serial := NewParser(g, WithBackend(Serial))
-		for b, sent := range sents {
-			ref, err := serial.ParseSentence(sent)
+		for b := range words {
+			res, err := p.Parse(words[b])
+			if err != nil {
+				t.Fatalf("member %d %v: %v", b, words[b], err)
+			}
+			ref, err := serial.Parse(words[b])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ref.Network.EqualState(ganged[b].Network) {
+			if !ref.Network.EqualState(res.Network) {
 				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v): network differs from serial\nserial:\n%s\nmaspar:\n%s",
-					b, len(sents), words[b], phys, perConstraint, ref.Network.Render(), ganged[b].Network.Render())
+					b, len(words), words[b], phys, perConstraint, ref.Network.Render(), res.Network.Render())
 			}
-			solo, err := p.ParseSentence(sent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(solo.Counters, ganged[b].Counters) {
-				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v): counters differ from a solo parse\nsolo: %v\ngang: %v",
-					b, len(sents), words[b], phys, perConstraint, solo.Counters, ganged[b].Counters)
-			}
-			c := ganged[b].Counters
+			c := res.Counters
 			plan := PlanMasPar(g, len(words[b]), phys, maspar.DefaultCosts(), int(c.FilterIterations))
 			if c.Cycles != plan.Cycles || c.ScanOps != plan.Scans || c.RouterOps != plan.Routers ||
 				c.Processors != uint64(plan.V) || c.VirtualLayers != uint64(plan.Layers) {
-				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v, %d rounds): counters differ from the plan\nplan: cycles=%d scans=%d routers=%d processors=%d layers=%d\ngang: cycles=%d scans=%d routers=%d processors=%d layers=%d",
-					b, len(sents), words[b], phys, perConstraint, c.FilterIterations,
+				t.Fatalf("member %d of %d %v (%d PEs, per-constraint %v, %d rounds): counters differ from the plan\nplan: cycles=%d scans=%d routers=%d processors=%d layers=%d\nmaspar: cycles=%d scans=%d routers=%d processors=%d layers=%d",
+					b, len(words), words[b], phys, perConstraint, c.FilterIterations,
 					plan.Cycles, plan.Scans, plan.Routers, plan.V, plan.Layers,
 					c.Cycles, c.ScanOps, c.RouterOps, c.Processors, c.VirtualLayers)
 			}
 		}
+		checkHoistedMatchesPerPE(t, g, strings.Join(words[0], " "), phys, perConstraint)
 	})
 }
 

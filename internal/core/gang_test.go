@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cdg"
-	"repro/internal/cn"
 	"repro/internal/grammars"
 )
 
@@ -24,17 +23,11 @@ func resolveAll(t *testing.T, g *cdg.Grammar, sentences []string) []*cdg.Sentenc
 	return out
 }
 
-// TestGangMatchesSolo is the gang-execution contract: a ganged run
-// produces, for every member, the same network AND the same
-// cycle/scan/router/check counters as a solo run of that sentence —
-// the shared instruction stream's prefix up to a member's settling
-// round IS the solo program, so nothing about the paper's cost model
-// changes when the host batches. Sentence sets mix accepted, rejected,
-// ambiguous, and duplicated members, across several grammars and gang
-// sizes (including a gang of one, the solo path itself, and a gang of
-// identical members, which ParseGangContext parses once). No two
-// members share a network: clearing a live arc bit in one leaves every
-// other member equal to its solo run.
+// TestGangMatchesSolo holds the deprecated ParseGangContext to its
+// contract: every sentence of a batch gets the network, counters and
+// ModelTime that ParseSentenceContext gives it, in order. The batches
+// mix accepted, rejected, ambiguous and repeated sentences across
+// grammars and options.
 func TestGangMatchesSolo(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -75,7 +68,7 @@ func TestGangMatchesSolo(t *testing.T) {
 		{
 			name:      "english-all-identical",
 			g:         grammars.English(),
-			sentences: gangOf([]string{"the dog saw the man with the telescope"}, 5),
+			sentences: batchOf([]string{"the dog saw the man with the telescope"}, 5),
 		},
 		{
 			name:      "bounded-iters",
@@ -130,44 +123,12 @@ func TestGangMatchesSolo(t *testing.T) {
 					t.Errorf("sentence %d: ModelTime %v (gang) != %v (solo)", i, ganged[i].ModelTime, solo[i].ModelTime)
 				}
 			}
-			for i := range sents {
-				arc, r, c, ok := liveArcBit(ganged[i].Network)
-				if !ok {
-					continue
-				}
-				arc.M.ClearBit(r, c)
-				if ganged[i].Network.EqualState(solo[i].Network) {
-					t.Fatalf("sentence %d: clearing a live arc bit left it equal to solo", i)
-				}
-				for j := range sents {
-					if j != i && !ganged[j].Network.EqualState(solo[j].Network) {
-						t.Errorf("sentence %d changed when sentence %d's arc bit was cleared: the two share state", j, i)
-					}
-				}
-				arc.M.SetBit(r, c)
-			}
 		})
 	}
 }
 
-// liveArcBit returns an arc and a set matrix entry (r, c) whose two
-// role values are both live, the entries EqualState compares.
-func liveArcBit(nw *cn.Network) (arc *cn.Arc, r, c int, ok bool) {
-	for _, a := range nw.Arcs() {
-		for _, i := range nw.Domain(a.A).Ones() {
-			for _, j := range nw.Domain(a.B).Ones() {
-				if a.M.Get(i, j) {
-					return a, i, j, true
-				}
-			}
-		}
-	}
-	return nil, 0, 0, false
-}
-
-// TestGangOfOneIsSolo: a gang of one runs the identical code path as
-// ParseSentenceContext (a solo MasPar parse calls ParseGangContext with
-// one sentence), so the results must agree exactly.
+// TestGangOfOneIsSolo: a batch of one answers exactly as
+// ParseSentenceContext does.
 func TestGangOfOneIsSolo(t *testing.T) {
 	g := grammars.English()
 	p := NewParser(g)
@@ -185,19 +146,8 @@ func TestGangOfOneIsSolo(t *testing.T) {
 	}
 }
 
-// TestGangMixedLengthsRejected: the gang API requires one sentence
-// length (the server's pool groups by length before calling it).
-func TestGangMixedLengthsRejected(t *testing.T) {
-	g := grammars.English()
-	p := NewParser(g)
-	sents := resolveAll(t, g, []string{"the dog walked", "rex caught the ball"})
-	if _, err := p.ParseGangContext(context.Background(), sents); err == nil {
-		t.Fatal("mixed-length gang should be rejected on the MasPar backend")
-	}
-}
-
-// TestGangFallbackBackends: non-MasPar backends serve gangs as
-// sequential solo parses with identical results.
+// TestGangFallbackBackends: ParseGangContext serves a serial batch as
+// ParseSentenceContext does.
 func TestGangFallbackBackends(t *testing.T) {
 	g := grammars.English()
 	p := NewParser(g, WithBackend(Serial))
@@ -212,16 +162,16 @@ func TestGangFallbackBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !solo.Network.EqualState(ganged[i].Network) {
-			t.Errorf("serial gang fallback differs from solo at %d", i)
+			t.Errorf("serial batch differs from solo at %d", i)
 		}
 	}
 }
 
-// TestGangEmpty: an empty gang is a no-op.
+// TestGangEmpty: an empty batch is a no-op.
 func TestGangEmpty(t *testing.T) {
 	p := NewParser(grammars.English())
 	res, err := p.ParseGangContext(context.Background(), nil)
 	if err != nil || len(res) != 0 {
-		t.Fatalf("empty gang: res=%v err=%v", res, err)
+		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
 }

@@ -18,45 +18,39 @@ import (
 // The per-PE formulation of the propagation steps: every PE decodes its
 // column and row groups from its id and evaluates each of its role
 // values (and each of its l×l pairs) itself, exactly as the SIMD array
-// does. masparsec.go evaluates each unary verdict once per (member,
-// group, slot) and each binary verdict once per unordered pair of live
-// role values instead, clears a run of unary constraints' violators,
-// and a round's unsupported values, with one sweep, and sweeps only
-// live label slots; the dense consistency round and read-back below
-// visit every slot.
+// does. masparsec.go evaluates each unary verdict once per (group,
+// slot) and each binary verdict once per unordered pair of live role
+// values instead, clears a run of unary constraints' violators, and a
+// round's unsupported values, with one sweep, and sweeps only live
+// label slots; the dense consistency round and read-back below visit
+// every slot.
 // TestHoistedEvalMatchesPerPE holds the two to the same plural state
-// after every step and to the same read-back networks, for gangs with
-// and without repeated members: the run evaluates every segment.
+// after every step and to the same read-back networks.
 
 // aliveInitRef computes the initial liveness of (group g, label slot
-// ls) for one gang member's sentence: the slot must be a real label of
-// the role, and table T (with the per-category restriction) must admit
-// it for the word's category.
-func (run *masparRun) aliveInitRef(sent *cdg.Sentence, g, ls int) bool {
+// ls): the slot must be a real label of the role, and table T (with
+// the per-category restriction) must admit it for the word's category.
+func (run *masparRun) aliveInitRef(g, ls int) bool {
 	pos, role, _ := run.ly.Group(g)
 	if ls >= len(run.gr.RoleLabels(role)) {
 		return false
 	}
-	cat, ok := sent.Cat(pos)
+	cat, ok := run.sent.Cat(pos)
 	return ok && run.ly.allowed[role][cat][ls]
 }
 
 func (run *masparRun) initAliveRef() {
 	ly := run.ly
 	run.m.AllWords(func(w int, active uint64) {
-		seg := w / run.segWords
-		base := seg * run.stride
-		sent := run.sents[seg]
 		for bset := active; bset != 0; bset &= bset - 1 {
 			pe := w<<6 + bits.TrailingZeros64(bset)
 			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
+			col, row := ly.ColGroup(pe), ly.RowGroup(pe)
 			for ls := 0; ls < ly.l; ls++ {
-				if run.aliveInitRef(sent, col, ls) {
+				if run.aliveInitRef(col, ls) {
 					run.aliveColV[ls][w] |= bit
 				}
-				if run.aliveInitRef(sent, row, ls) {
+				if run.aliveInitRef(row, ls) {
 					run.aliveRowV[ls][w] |= bit
 				}
 			}
@@ -69,17 +63,14 @@ func (run *masparRun) initAliveRef() {
 // PE over the words of the propagation mask.
 func (run *masparRun) applyUnaryRef(c *cdg.Constraint) {
 	ly := run.ly
-	run.bindCheckers(c)
+	run.ck = c.Bind(run.sent)
+	ck := &run.ck
 	run.m.ChargeAllChecks(2 * ly.l)
-	for w, active := range run.baseMaskW {
-		seg := w / run.segWords
-		base := seg * run.stride
-		ck := &run.cks[seg]
+	for w, active := range ly.baseMaskW {
 		for bset := active; bset != 0; bset &= bset - 1 {
 			pe := w<<6 + bits.TrailingZeros64(bset)
 			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
+			col, row := ly.ColGroup(pe), ly.RowGroup(pe)
 			for ls := 0; ls < ly.l; ls++ {
 				if run.aliveColV[ls][w]&bit != 0 {
 					if ref, ok := ly.RVRef(col, ls); ok && !ck.Check1(ref) {
@@ -104,17 +95,14 @@ func (run *masparRun) applyUnaryRef(c *cdg.Constraint) {
 
 func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 	ly := run.ly
-	run.bindCheckers(c)
+	run.ck = c.Bind(run.sent)
+	ck := &run.ck
 	run.m.ChargeAllChecks(2 * ly.l * ly.l)
-	for w, active := range run.baseMaskW {
-		seg := w / run.segWords
-		base := seg * run.stride
-		ck := &run.cks[seg]
+	for w, active := range ly.baseMaskW {
 		for bset := active; bset != 0; bset &= bset - 1 {
 			pe := w<<6 + bits.TrailingZeros64(bset)
 			bit := uint64(1) << (uint(pe) & 63)
-			lane := pe - base
-			col, row := ly.ColGroup(lane), ly.RowGroup(lane)
+			col, row := ly.ColGroup(pe), ly.RowGroup(pe)
 			for lc := 0; lc < ly.l; lc++ {
 				refC, okC := ly.RVRef(col, lc)
 				if !okC {
@@ -143,9 +131,8 @@ func (run *masparRun) applyBinaryRef(c *cdg.Constraint) {
 // column verdicts are applied per PE, the row side is the transpose of
 // the column side, mirrored lane by lane through transposeOf under one
 // router charge per slot, every word is re-masked whether or not its
-// liveness changed, and each segment ORs its own column changes under
-// one segmented-reduce charge. It makes every charge
-// consistencyRound makes.
+// liveness changed, and the column changes are ORed under one global
+// reduce charge. It makes every charge consistencyRound makes.
 func (run *masparRun) consistencyRoundRef() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
@@ -163,11 +150,11 @@ func (run *masparRun) consistencyRoundRef() bool {
 			}
 			tmp[w] = t & active
 		})
-		m.SegReduceOrToHeadV(perArc, tmp, run.arcSegHeadW)
-		m.SetMaskWords(run.scanAndMaskW)
-		m.SegReduceAndToHeadV(blockSup, perArc, run.blockFirstActiveW)
-		m.SetMaskWords(run.baseMaskW)
-		m.CopySegHeadV(dist, blockSup, run.blockFirstActiveW)
+		m.SegReduceOrToHeadV(perArc, tmp, ly.arcSegHeadW)
+		m.SetMaskWords(ly.scanAndMaskW)
+		m.SegReduceAndToHeadV(blockSup, perArc, ly.blockFirstActiveW)
+		m.SetMaskWords(ly.baseMaskW)
+		m.CopySegHeadV(dist, blockSup, ly.blockFirstActiveW)
 		ac := run.aliveColV[lc]
 		m.AllWords(func(w int, active uint64) {
 			old := ac[w]
@@ -181,13 +168,9 @@ func (run *masparRun) consistencyRoundRef() bool {
 		m.AllWords(func(w int, active uint64) { tmp[w] = acv[w] & active })
 		m.ChargeRouter()
 		clear(dist)
-		for b := range run.sents {
-			base := b * run.stride
-			for v := 0; v < ly.v; v++ {
-				if src := base + transposeOf(ly, v); tmp[src>>6]>>(uint(src)&63)&1 == 1 {
-					pe := base + v
-					dist[pe>>6] |= 1 << (uint(pe) & 63)
-				}
+		for v := 0; v < ly.v; v++ {
+			if src := transposeOf(ly, v); tmp[src>>6]>>(uint(src)&63)&1 == 1 {
+				dist[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
 		m.AllWords(func(w int, active uint64) {
@@ -202,27 +185,19 @@ func (run *masparRun) consistencyRoundRef() bool {
 			}
 		}
 	})
-	m.ChargeSegmentOr()
-	any := false
-	for b := range run.segChanged {
-		var or uint64
-		for w := b * run.segWords; w < (b+1)*run.segWords; w++ {
-			or |= changed[w] & run.baseMaskW[w]
-		}
-		run.segChanged[b] = 0
-		if or != 0 {
-			run.segChanged[b] = 1
-			any = true
-		}
+	m.ChargeReduceOr()
+	var or uint64
+	for w, c := range changed {
+		or |= c & ly.baseMaskW[w]
 	}
-	return any
+	run.changed = or != 0
+	return run.changed
 }
 
 // readBackRef is readBack reading every (modifiee, modifiee, slot,
 // slot) matrix bit of every arc from the PE owning its group pair.
-func (run *masparRun) readBackRef(b int) *cn.Network {
-	ly, sp := run.ly, run.sps[b]
-	base := b * run.stride
+func (run *masparRun) readBackRef() *cn.Network {
+	ly, sp := run.ly, run.sp
 	nw := cn.NewShell(sp)
 	n := sp.N()
 	for g := 0; g < ly.s; g++ {
@@ -232,7 +207,6 @@ func (run *masparRun) readBackRef(b int) *cn.Network {
 		if first >= (g+1)*ly.s {
 			continue
 		}
-		first += base
 		for ls := range sp.Grammar().RoleLabels(role) {
 			if run.aliveColAt(first, ls) == 1 {
 				nw.Domain(gr).SetBit(ls*(n+1) + mod)
@@ -253,7 +227,7 @@ func (run *masparRun) readBackRef(b int) *cn.Network {
 				if modB == posB {
 					continue
 				}
-				pe := base + colG*ly.s + ly.GroupOf(posB, rb, modB)
+				pe := colG*ly.s + ly.GroupOf(posB, rb, modB)
 				for lsA := range labsA {
 					for lsB := range labsB {
 						if run.bitAt(pe, lsA, lsB) == 1 {
@@ -275,7 +249,7 @@ func liveSlotViolation(run *masparRun) string {
 	for lc := 0; lc < l; lc++ {
 		for lr := 0; lr < l; lr++ {
 			for w, x := range run.bitsV[lc*l+lr] {
-				if stray := x &^ (run.aliveColV[lc][w] & run.aliveRowV[lr][w] & run.baseMaskW[w]); stray != 0 {
+				if stray := x &^ (run.aliveColV[lc][w] & run.aliveRowV[lr][w] & run.ly.baseMaskW[w]); stray != 0 {
 					return fmt.Sprintf("bitsV[%d·l+%d] word %d has %#x outside aliveCol ∧ aliveRow ∧ mask", lc, lr, w, stray)
 				}
 			}
@@ -323,27 +297,28 @@ func samePluralState(got, want *masparRun) string {
 	return ""
 }
 
-// checkHoistedMatchesPerPE runs one gang three times on identically
-// set-up machines: propagation, then filtering to fixpoint. The per-PE
-// run is the reference and uses the dense consistency round. The
-// hoisted run sweeps after every unary constraint, so its plural state
-// is compared with the reference, and the live-slot invariant
+// checkHoistedMatchesPerPE runs one sentence three times on identically
+// set-up machines of phys PEs: propagation, then filtering to fixpoint.
+// The per-PE run is the reference and uses the dense consistency round.
+// The hoisted run sweeps after every unary constraint, so its plural
+// state is compared with the reference, and the live-slot invariant
 // asserted, after every step and every round. The accumulated run
-// propagates the unary constraints as runMasParGang does
+// propagates the unary constraints as runMasPar does
 // (propagateUnary: one sweep for the whole run, or one before each
 // per-constraint round), and joins the comparisons from the end of the
-// unary phase on. Then each member's read-back networks are compared
-// exactly. With perConstraint, a consistency round follows each
-// constraint, so later constraints meet states with dead values too.
-// All machines must end with equal counters: the hoisting, the
-// accumulation and the skips change host work only.
-func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, perConstraint bool) {
+// unary phase on. Then the read-back networks are compared exactly.
+// With perConstraint, a consistency round follows each constraint, so
+// later constraints meet states with dead values too. All machines must
+// end with equal counters: the hoisting, the accumulation and the skips
+// change host work only. It returns how many arc elements survived
+// propagation: with none, every comparison after it is vacuous.
+func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentence string, phys int, perConstraint bool) (alive int) {
 	t.Helper()
 	type side struct {
 		name string
 		run  *masparRun
 	}
-	hot, acc, ref := newTestRun(t, g, sentences), newTestRun(t, g, sentences), newTestRun(t, g, sentences)
+	hot, acc, ref := newTestRun(t, g, sentence, phys), newTestRun(t, g, sentence, phys), newTestRun(t, g, sentence, phys)
 	sides := []side{{"hoisted", hot}, {"accumulated", acc}}
 	live := sides[:1] // the accumulated run joins after the unary phase
 	compare := func(name string) {
@@ -355,9 +330,9 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 			if bad := liveSlotViolation(s.run); bad != "" {
 				t.Fatalf("%s run after %s: %s", s.name, name, bad)
 			}
-			if s.run.roundsRun != ref.roundsRun || !slices.Equal(s.run.segChanged, ref.segChanged) {
-				t.Fatalf("%s run after %s: %d rounds changed segments %v, dense %d rounds %v",
-					s.name, name, s.run.roundsRun, s.run.segChanged, ref.roundsRun, ref.segChanged)
+			if s.run.roundsRun != ref.roundsRun || s.run.changed != ref.changed {
+				t.Fatalf("%s run after %s: %d rounds changed %v, dense %d rounds changed %v",
+					s.name, name, s.run.roundsRun, s.run.changed, ref.roundsRun, ref.changed)
 			}
 		}
 	}
@@ -405,19 +380,15 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 	for _, c := range g.Binary() {
 		step("binary "+c.Name, func(run *masparRun) { run.applyBinary(c) }, func() { ref.applyBinaryRef(c) })
 	}
-	if bitsAlive(hot) == 0 {
-		t.Fatal("no arc element survived propagation; the comparison is vacuous")
-	}
+	alive = bitsAlive(hot)
 	for i := 1; ; i++ {
 		if !round(fmt.Sprintf("filter round %d", i)) {
 			break
 		}
 	}
 	for _, s := range sides {
-		for b := range s.run.sps {
-			if diff := sameNetwork(s.run.readBack(b), ref.readBackRef(b)); diff != "" {
-				t.Fatalf("%s run member %d read-back: %s", s.name, b, diff)
-			}
+		if diff := sameNetwork(s.run.readBack(), ref.readBackRef()); diff != "" {
+			t.Fatalf("%s run read-back: %s", s.name, diff)
 		}
 		hm, rm := s.run.m, ref.m
 		if hm.Cycles != rm.Cycles || hm.ScanOps != rm.ScanOps || hm.RouterOps != rm.RouterOps ||
@@ -427,21 +398,18 @@ func checkHoistedMatchesPerPE(t *testing.T, g *cdg.Grammar, sentences []string, 
 				rm.Cycles, rm.ScanOps, rm.RouterOps, rm.ConstraintChecks, rm.Broadcasts)
 		}
 	}
+	return alive
 }
 
-// newTestRun sets up a gang run of sentences on a fresh full-size
-// machine, ready for initAlive.
-func newTestRun(t *testing.T, g *cdg.Grammar, sentences []string) *masparRun {
+// newTestRun sets up a run of sentence on a fresh machine of phys PEs,
+// ready for initAlive.
+func newTestRun(t *testing.T, g *cdg.Grammar, sentence string, phys int) *masparRun {
 	t.Helper()
-	var sps []*cdg.Space
-	for _, sent := range resolveAll(t, g, sentences) {
-		sps = append(sps, cdg.NewSpace(g, sent))
-	}
-	m, err := maspar.New(maspar.PhysicalPEs, maspar.DefaultCosts())
+	m, err := maspar.New(phys, maspar.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := newMasParRun(sps, m, nil)
+	run, err := newMasParRun(cdg.NewSpace(g, resolveAll(t, g, []string{sentence})[0]), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,9 +427,9 @@ func bitsAlive(run *masparRun) int {
 	return n
 }
 
-// gangOf returns a gang of size members cycling through distinct, so
-// every gang larger than len(distinct) holds duplicates.
-func gangOf(distinct []string, size int) []string {
+// batchOf returns a batch of size members cycling through distinct, so
+// every batch larger than len(distinct) holds duplicates.
+func batchOf(distinct []string, size int) []string {
 	out := make([]string, size)
 	for i := range out {
 		out[i] = distinct[i%len(distinct)]
@@ -474,20 +442,21 @@ func gangOf(distinct []string, size int) []string {
 // readBack bit-identical to the per-PE and dense references after
 // every step, and the live-slot invariant true, on the demo and English
 // grammars and on the random grammars of
-// TestQuickDifferentialRandomGrammars, for gangs of 1, 3 and 8
-// (duplicates included), with and without per-constraint consistency
-// rounds, at several GOMAXPROCS settings. The english5 rows
-// are BenchmarkEndToEndParse's distinct gang: eight different 5-word
-// sentences in one gang of 8.
+// TestQuickDifferentialRandomGrammars, with and without per-constraint
+// consistency rounds, at several GOMAXPROCS settings. Subtest gangK
+// runs a batch of K members cycling through the case's sentences
+// (duplicates included), one after another, each on its own machine,
+// as a pool worker parses a batch it took. The english5 rows are the
+// serving benchmark's batch shape: eight different 5-word sentences.
 func TestHoistedEvalMatchesPerPE(t *testing.T) {
-	type gangCase struct {
+	type hoistCase struct {
 		name      string
 		g         *cdg.Grammar
 		distinct  []string
 		perConstr bool
-		sizes     []int // gang sizes; nil means 1, 3 and 8
+		sizes     []int // batch sizes; nil means 1, 3 and 8
 	}
-	cases := []gangCase{
+	cases := []hoistCase{
 		{"demo3-rounds", grammars.PaperDemo(), []string{"the program runs", "a machine halts"}, true, nil},
 		{"demo5", grammars.PaperDemo(), []string{"the program runs the machine", "runs program the a parser"}, false, nil},
 		{"english4", grammars.English(), []string{"rex caught the ball", "the dog walked quickly", "walked the dog rex"}, false, nil},
@@ -498,7 +467,7 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 	for _, seed := range []uint64{3, 14, 27, 14791735527896900715} {
 		g := grammars.Random(seed)
 		n := 2 + int(seed%4)
-		cases = append(cases, gangCase{
+		cases = append(cases, hoistCase{
 			name: fmt.Sprintf("random%d", seed),
 			g:    g,
 			distinct: []string{
@@ -519,7 +488,11 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 			}
 			for _, size := range sizes {
 				t.Run(fmt.Sprintf("procs%d/%s/gang%d", procs, tc.name, size), func(t *testing.T) {
-					checkHoistedMatchesPerPE(t, tc.g, gangOf(tc.distinct, size), tc.perConstr)
+					for _, sentence := range batchOf(tc.distinct, size) {
+						if checkHoistedMatchesPerPE(t, tc.g, sentence, maspar.PhysicalPEs, tc.perConstr) == 0 {
+							t.Fatalf("%q: no arc element survived propagation; the comparison is vacuous", sentence)
+						}
+					}
 				})
 			}
 		}
@@ -527,67 +500,59 @@ func TestHoistedEvalMatchesPerPE(t *testing.T) {
 }
 
 // TestApplyBinaryAllocatesNothing holds a warmed run's binary passes to
-// zero allocations, solo and in a gang of 12 at the ambient GOMAXPROCS:
-// each member's live-value list and the shared verdict spans are sized
-// once per run, and a list is rebuilt in place only when its member's
-// liveness changes.
+// zero allocations: the live-value list and the verdict spans are sized
+// once per run, and the list is rebuilt in place only when liveness
+// changes.
 func TestApplyBinaryAllocatesNothing(t *testing.T) {
 	g := grammars.English()
-	check := func(name string, run *masparRun) {
-		t.Helper()
-		run.initAlive()
-		run.initBits()
-		for _, c := range g.Unary() {
-			run.applyUnary(c)
-		}
-		binary := func() {
-			for _, c := range g.Binary() {
-				run.applyBinary(c)
-			}
-		}
-		binary() // warm: the first pass sizes the scratch
-		if allocs := testing.AllocsPerRun(5, binary); allocs != 0 {
-			t.Errorf("%s: %v allocations per sweep of %d binary constraints, want 0", name, allocs, len(g.Binary()))
-		}
-	}
-	check("solo", newTestRun(t, g, distinctFive[:1]))
-	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
-}
-
-// TestBinaryListingFollowsLiveness holds each member's live-value list
-// to its liveness. A stale list cannot show in the end state: it only
-// adds dead values, whose arc elements are already zero, so the binary
-// pass wastes host time on them and changes nothing. So on an English
-// gang with per-constraint rounds, where each round's sweep kills
-// values between binary constraints, every list a binary pass used must
-// equal a fresh listLive of its member.
-func TestBinaryListingFollowsLiveness(t *testing.T) {
-	g := grammars.English()
-	run := newTestRun(t, g, distinctFive)
+	run := newTestRun(t, g, distinctFive[0], maspar.PhysicalPEs)
 	run.initAlive()
 	run.initBits()
-	if err := run.propagateUnary(context.Background(), true); err != nil {
-		t.Fatal(err)
+	for _, c := range g.Unary() {
+		run.applyUnary(c)
 	}
-	shrunk := 0
-	for _, c := range g.Binary() {
-		before := make([]int, len(run.lists))
-		for b := range run.lists {
-			before[b] = len(run.lists[b].refs)
+	binary := func() {
+		for _, c := range g.Binary() {
+			run.applyBinary(c)
 		}
-		run.applyBinary(c)
-		for b := range run.sents {
+	}
+	binary() // warm: the first pass sizes the scratch
+	if allocs := testing.AllocsPerRun(5, binary); allocs != 0 {
+		t.Errorf("%v allocations per sweep of %d binary constraints, want 0", allocs, len(g.Binary()))
+	}
+}
+
+// TestBinaryListingFollowsLiveness holds the live-value list to
+// liveness. A stale list cannot show in the end state: it only adds
+// dead values, whose arc elements are already zero, so the binary pass
+// wastes host time on them and changes nothing. So on English
+// sentences with per-constraint rounds, where each round's sweep kills
+// values between binary constraints, every list a binary pass used must
+// equal a fresh listLive.
+func TestBinaryListingFollowsLiveness(t *testing.T) {
+	g := grammars.English()
+	shrunk := 0
+	for _, sentence := range distinctFive {
+		run := newTestRun(t, g, sentence, maspar.PhysicalPEs)
+		run.initAlive()
+		run.initBits()
+		if err := run.propagateUnary(context.Background(), true); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range g.Binary() {
+			before := len(run.list.refs)
+			run.applyBinary(c)
 			var fresh liveList
-			run.listLive(b, &fresh)
-			got := &run.lists[b]
+			run.listLive(&fresh)
+			got := &run.list
 			if !slices.Equal(got.refs, fresh.refs) || !slices.Equal(got.at, fresh.at) || !slices.Equal(got.inst, fresh.inst) {
-				t.Fatalf("binary %s, member %d: the pass listed %d live values, a fresh listing %d", c.Name, b, len(got.refs), len(fresh.refs))
+				t.Fatalf("%q, binary %s: the pass listed %d live values, a fresh listing %d", sentence, c.Name, len(got.refs), len(fresh.refs))
 			}
-			if len(got.refs) < before[b] {
+			if len(got.refs) < before {
 				shrunk++
 			}
+			run.consistencyRound()
 		}
-		run.consistencyRound()
 	}
 	if shrunk == 0 {
 		t.Fatal("no round between binary constraints killed a value; the check is vacuous")
@@ -597,51 +562,41 @@ func TestBinaryListingFollowsLiveness(t *testing.T) {
 // TestApplyUnaryAllocatesNothing holds a warmed run's unary phase and
 // its sweep to zero allocations: the verdicts and group sets are sized
 // once per run, and the sweep is a host loop over the run's own
-// vectors. It runs on the same solo run and gang as
-// TestApplyBinaryAllocatesNothing.
+// vectors.
 func TestApplyUnaryAllocatesNothing(t *testing.T) {
 	g := grammars.English()
-	check := func(name string, run *masparRun) {
-		t.Helper()
-		run.initAlive()
-		run.initBits()
-		unary := func() {
-			if err := run.propagateUnary(context.Background(), false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		unary() // warm
-		if allocs := testing.AllocsPerRun(5, unary); allocs != 0 {
-			t.Errorf("%s: %v allocations per unary phase of %d constraints, want 0", name, allocs, len(g.Unary()))
+	run := newTestRun(t, g, distinctFive[0], maspar.PhysicalPEs)
+	run.initAlive()
+	run.initBits()
+	unary := func() {
+		if err := run.propagateUnary(context.Background(), false); err != nil {
+			t.Fatal(err)
 		}
 	}
-	check("solo", newTestRun(t, g, distinctFive[:1]))
-	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
+	unary() // warm
+	if allocs := testing.AllocsPerRun(5, unary); allocs != 0 {
+		t.Errorf("%v allocations per unary phase of %d constraints, want 0", allocs, len(g.Unary()))
+	}
 }
 
 // TestConsistencyRoundAllocatesNothing holds a warmed run's consistency
 // rounds to zero allocations: the scan scratch is the run's own, made
 // with its plural vectors, and the verdicts go through the run's own
-// group sets into one sweep. It runs on the same solo run and gang as
-// TestApplyBinaryAllocatesNothing.
+// group sets into one sweep.
 func TestConsistencyRoundAllocatesNothing(t *testing.T) {
 	g := grammars.English()
-	check := func(name string, run *masparRun) {
-		t.Helper()
-		run.initAlive()
-		run.initBits()
-		if err := run.propagateUnary(context.Background(), false); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range g.Binary() {
-			run.applyBinary(c)
-		}
-		round := func() { run.consistencyRound() }
-		round() // warm
-		if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
-			t.Errorf("%s: %v allocations per consistency round, want 0", name, allocs)
-		}
+	run := newTestRun(t, g, distinctFive[0], maspar.PhysicalPEs)
+	run.initAlive()
+	run.initBits()
+	if err := run.propagateUnary(context.Background(), false); err != nil {
+		t.Fatal(err)
 	}
-	check("solo", newTestRun(t, g, distinctFive[:1]))
-	check("gang", newTestRun(t, g, gangOf(distinctFive, 12)))
+	for _, c := range g.Binary() {
+		run.applyBinary(c)
+	}
+	round := func() { run.consistencyRound() }
+	round() // warm
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Errorf("%v allocations per consistency round, want 0", allocs)
+	}
 }

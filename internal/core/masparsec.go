@@ -34,32 +34,6 @@ package core
 // formulation (PlanMasPar depends on that); only the host-side
 // execution of each lockstep instruction is word-parallel. See
 // DESIGN.md "Packed plural state".
-//
-// Gang execution. A run executes B ≥ 1 same-length sentences of one
-// grammar as ONE plural program: sentence b occupies gang segment b of
-// the machine (lanes [b·stride, b·stride+V), stride word-aligned — see
-// maspar.SetupGang), every activity/head mask is the layout's mask
-// replicated per segment, and one ACU instruction stream drives all
-// segments through propagation and consistency rounds together. The
-// solo path is simply a gang of one, so every solo test pins the gang
-// code. Every segment runs its own checks: Parser.ParseGangContext
-// hands the run distinct sentences only, and gives a repeated sentence
-// a copy of its first twin's result. Segment isolation holds because
-// each segment's first active lane is local lane n (column block 0's
-// rows 0..n−1 are the disabled self-arc block), which carries both an
-// arcSegHead bit (n ≡ 0 mod n) and the blockFirstActive bit — so each
-// of the three segmented scan shapes of the consistency round starts a
-// fresh carry chain at every segment boundary and nothing flows between
-// sentences.
-//
-// Per-sentence cost attribution: the machine charges per SEGMENT
-// (maspar.SetupGang), so its counters always read "what one member
-// cost so far". A sentence is settled — its counters snapshotted and
-// its round count fixed — after the first round in which its segment
-// reports no change; the rounds the gang keeps running for slower
-// members are fixpoint no-ops for it and are not charged to it. The
-// snapshot therefore equals a solo run's counters bit-for-bit
-// (asserted by TestGangMatchesSolo).
 
 import (
 	"context"
@@ -72,25 +46,19 @@ import (
 	"repro/internal/metrics"
 )
 
-// masparRun holds the plural state of one gang run (B ≥ 1 sentences).
+// masparRun holds the plural state of one sentence's run.
 type masparRun struct {
-	ly *Layout
-	m  *maspar.Machine
-	gr *cdg.Grammar
+	ly   *Layout
+	m    *maspar.Machine
+	gr   *cdg.Grammar
+	sp   *cdg.Space
+	sent *cdg.Sentence
 
-	// sps[b] / sents[b] is gang member b; all share gr and the layout.
-	sps   []*cdg.Space
-	sents []*cdg.Sentence
-
-	// cks[b] is the compiled checker of the constraint currently being
-	// propagated, bound to member b's sentence (scratch reused across
-	// constraints so the hot loops never allocate). attr, when non-nil,
-	// receives per-stage wall-clock attribution.
-	cks  []cdg.Checker
+	// ck is the compiled checker of the constraint currently being
+	// propagated, bound to the sentence. attr, when non-nil, receives
+	// per-stage wall-clock attribution.
+	ck   cdg.Checker
 	attr *Attribution
-
-	segWords int // packed words per gang segment
-	stride   int // lane stride between segments (64·segWords)
 
 	// bitsV[lc·l+lr] is the packed plural vector of arc-element (lc,lr)
 	// across all PEs — the mirrored arc-element store, l×l bits per PE.
@@ -100,38 +68,26 @@ type masparRun struct {
 	aliveColV [][]uint64
 	aliveRowV [][]uint64
 
-	// sets holds a group set (see Layout) per gang member b and label
-	// slot ls, setWords words each at groupSet(b, ls): the groups
-	// whose value is live inside initAlive, then the values to clear at
-	// the next sweepDead — the violators of the unary constraints
-	// applied since the last sweep, or the values a consistency round
-	// found unsupported. The sets are empty between those steps.
-	// verdicts is the Check1Span output over the layout's refs. Both
-	// are host buffers reused across constraints.
+	// sets holds a group set (see Layout) per label slot ls, setWords
+	// words each at groupSet(ls): the groups whose value is live inside
+	// initAlive, then the values to clear at the next sweepDead — the
+	// violators of the unary constraints applied since the last sweep,
+	// or the values a consistency round found unsupported. The sets are
+	// empty between those steps. verdicts is the Check1Span output over
+	// the layout's refs. Both are host buffers reused across
+	// constraints.
 	sets     []uint64
 	setWords int
 	verdicts []bool
 
-	// lists[b] is member b's live role values as applyBinary pairs
-	// them, valid while listed[b] holds; initAlive and sweepDead, the
-	// only writers of column liveness, clear listed for the members they
-	// change. fwd and rev are one value's binary verdicts against the
-	// later and the earlier values, shared by all members.
-	lists    []liveList
-	listed   []bool
+	// list is the live role values as applyBinary pairs them, valid
+	// while listed holds; initAlive and sweepDead, the only writers of
+	// column liveness, clear listed when they change it. fwd and rev are
+	// one value's binary verdicts against the later and the earlier
+	// values.
+	list     liveList
+	listed   bool
 	fwd, rev []bool
-
-	// Gang-width images of the layout's packed masks: one copy per
-	// segment (a gang of one aliases the layout's own vectors).
-	baseMaskW         []uint64
-	arcSegHeadW       []uint64
-	blockFirstActiveW []uint64
-	scanAndMaskW      []uint64
-
-	// marked[b] records, at each extendSets, whether member b's group
-	// sets hold any group; sweepDead skips the words of segments whose
-	// member has none.
-	marked []bool
 
 	// tmp, perArc, blockSup and dist are the consistency round's
 	// plural scratch, owned by the run so a round allocates nothing.
@@ -139,70 +95,53 @@ type masparRun struct {
 	// whose head holds a live value of it, and ranges the words those
 	// blocks span from their heads, merged where two share a word.
 	tmp, perArc, blockSup, dist []uint64
-	heads                       []liveBlock
+	heads                       []colHead
 	ranges                      []maspar.WordRange
 
-	// roundsRun counts the consistency rounds the shared instruction
-	// stream has executed; rounds[b] is the prefix charged to sentence
-	// b, fixed when it settles. segChanged is the per-segment result of
-	// the round-ending change reduce: whether any of the segment's role
-	// values died in the round.
-	roundsRun  int
-	rounds     []int
-	done       []bool
-	snaps      []metrics.Counters
-	segChanged []maspar.Bit
+	// roundsRun counts the consistency rounds run. changed is the last
+	// round's change reduce: whether any role value died in it.
+	roundsRun int
+	changed   bool
 }
 
-// groupSet returns member b's group set for label slot ls.
-func (run *masparRun) groupSet(b, ls int) []uint64 {
-	i := (b*run.ly.l + ls) * run.setWords
+// groupSet returns the group set of label slot ls.
+func (run *masparRun) groupSet(ls int) []uint64 {
+	i := ls * run.setWords
 	return run.sets[i : i+run.setWords : i+run.setWords]
 }
 
-// wordSegment locates packed word w for the hoisted loops: its
-// segment, the segment lane a of the word's bit 0, and a mod S.
-func (run *masparRun) wordSegment(w int) (seg, a, off int) {
-	seg = w / run.segWords
-	a = (w - seg*run.segWords) << 6
-	return seg, a, a % run.ly.s
-}
-
-// markSets adds to member b's group sets: group g joins slot ls's set
-// when in(i, ls) holds for the group's role value ly.refs[i]. Only
-// groups 0..S−1 are written; extendSets extends the sets before any
-// word reads them.
-func (run *masparRun) markSets(b int, in func(i, ls int) bool) {
+// markSets adds to the group sets: group g joins slot ls's set when
+// in(i, ls) holds for the group's role value ly.refs[i]. Only groups
+// 0..S−1 are written; extendSets extends the sets before any word reads
+// them.
+func (run *masparRun) markSets(in func(i, ls int) bool) {
 	ly := run.ly
 	for g := 0; g < ly.s; g++ {
 		lo := int(ly.refOff[g])
 		for i := lo; i < int(ly.refOff[g+1]); i++ {
 			if in(i, i-lo) {
-				run.groupSet(b, i-lo)[g>>6] |= uint64(1) << (uint(g) & 63)
+				run.groupSet(i - lo)[g>>6] |= uint64(1) << (uint(g) & 63)
 			}
 		}
 	}
 }
 
-// extendSets extends every member's group sets periodically (see
-// Layout) so that words can read them, and records in marked[b] whether
-// member b has a group in any set. Empty sets are left as they are.
-func (run *masparRun) extendSets() {
-	for b := range run.sents {
-		run.marked[b] = false
-		for ls := 0; ls < run.ly.l; ls++ {
-			set := run.groupSet(b, ls)
-			if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
-				run.ly.extendGroupSet(set)
-				run.marked[b] = true
-			}
+// extendSets extends every group set periodically (see Layout) so that
+// words can read them, and reports whether any set holds a group.
+// Empty sets are left as they are.
+func (run *masparRun) extendSets() (marked bool) {
+	for ls := 0; ls < run.ly.l; ls++ {
+		set := run.groupSet(ls)
+		if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
+			run.ly.extendGroupSet(set)
+			marked = true
 		}
 	}
+	return marked
 }
 
 // Accessors for the packed plural state (tests and readBack use these;
-// the hot loops below work on whole words). pe indexes the gang-wide
-// lane space.
+// the hot loops below work on whole words).
 
 func (run *masparRun) bitAt(pe, lc, lr int) maspar.Bit {
 	return maspar.Bit(run.bitsV[lc*run.ly.l+lr][pe>>6] >> (uint(pe) & 63) & 1)
@@ -234,35 +173,16 @@ func (run *masparRun) aliveRowAt(pe, ls int) maspar.Bit {
 // slots, and sweeping a slot the mask adds is a no-op by the invariant.
 func slotBit(ls int) uint64 { return uint64(1) << (uint(ls) & 63) }
 
-// gangMaskW replicates one segment's packed mask across the gang's
-// word space. A gang of one returns the source unchanged (the solo
-// path allocates nothing here).
-func gangMaskW(src []uint64, segWords, segs int) []uint64 {
-	if segs == 1 {
-		return src
-	}
-	out := make([]uint64, segWords*segs)
-	for b := 0; b < segs; b++ {
-		copy(out[b*segWords:(b+1)*segWords], src)
-	}
-	return out
-}
-
-// runMasParGang executes the full algorithm for a gang of same-length
-// sentences sharing one grammar and returns the run plus each
-// member's final network. See the package comment: one instruction
-// stream serves every sentence, and counters are attributed per
-// sentence exactly as a solo run would charge them. The context is
-// checked between ACU constraint broadcasts and between consistency
-// rounds — a cancelled parse stops mid-algorithm and the partial PE
-// state is discarded.
-func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, consistencyPerConstraint bool, filter bool, maxIters int, attr *Attribution) (*masparRun, []*cn.Network, error) {
-	run, err := newMasParRun(sps, m, attr)
+// runMasPar executes the full algorithm for one sentence on m and
+// returns the run and the final network. The context is checked
+// between ACU constraint broadcasts and between consistency rounds — a
+// cancelled parse stops mid-algorithm and the partial PE state is
+// discarded.
+func runMasPar(ctx context.Context, sp *cdg.Space, m *maspar.Machine, consistencyPerConstraint bool, filter bool, maxIters int, attr *Attribution) (*masparRun, *cn.Network, error) {
+	run, err := newMasParRun(sp, m, attr)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := run.gr
-	B := len(sps)
 	run.initAlive()
 	run.initBits()
 
@@ -271,7 +191,7 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 	if err := run.propagateUnary(ctx, consistencyPerConstraint); err != nil {
 		return nil, nil, err
 	}
-	for _, bc := range g.Binary() {
+	for _, bc := range run.gr.Binary() {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -281,9 +201,8 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 		}
 	}
 
-	// Consistency maintenance + filtering. Each sentence settles after
-	// its first no-change round; the stream keeps running while any
-	// member still changes (or until the shared iteration bound).
+	// Consistency maintenance + filtering: rounds until one changes
+	// nothing, or until the iteration bound.
 	if filter {
 		for {
 			if err := ctx.Err(); err != nil {
@@ -292,9 +211,7 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 			if maxIters > 0 && run.roundsRun >= maxIters {
 				break
 			}
-			any := run.consistencyRound()
-			run.settleConverged()
-			if !any {
+			if !run.consistencyRound() {
 				break
 			}
 		}
@@ -304,78 +221,43 @@ func runMasParGang(ctx context.Context, sps []*cdg.Space, m *maspar.Machine, con
 		// maintenance after propagation).
 		run.consistencyRound()
 	}
-	run.finish()
-
-	nws := make([]*cn.Network, B)
-	for b := range nws {
-		nws[b] = run.readBack(b)
-	}
-	return run, nws, nil
+	return run, run.readBack(), nil
 }
 
-// newMasParRun sets the machine up for a gang of same-length sentences
-// sharing one grammar and loads the plural program's fixed state: the
-// layout's masks, the ACU's table-T broadcast, and zeroed plural
-// vectors, which the run owns along with its round scratch.
-// Propagation starts with initAlive.
-func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masparRun, error) {
-	if len(sps) == 0 {
-		return nil, fmt.Errorf("core: a gang needs at least one sentence")
+// newMasParRun sets the machine up for one sentence and loads the
+// plural program's fixed state: the layout's masks, the ACU's table-T
+// broadcast, and zeroed plural vectors, which the run owns along with
+// its round scratch. Propagation starts with initAlive.
+func newMasParRun(sp *cdg.Space, m *maspar.Machine, attr *Attribution) (*masparRun, error) {
+	if sp.NumRoles() < 2 {
+		return nil, fmt.Errorf("core: the MasPar layout needs at least two roles in the network (got %d)", sp.NumRoles())
 	}
-	g := sps[0].Grammar()
-	n := sps[0].N()
-	for _, sp := range sps[1:] {
-		if sp.Grammar() != g || sp.N() != n {
-			return nil, fmt.Errorf("core: gang members must share one grammar and sentence length (got n=%d vs n=%d)", sp.N(), n)
-		}
-	}
-	if sps[0].NumRoles() < 2 {
-		return nil, fmt.Errorf("core: the MasPar layout needs at least two roles in the network (got %d)", sps[0].NumRoles())
-	}
-	ly := layoutFor(sps[0])
-	if _, err := m.SetupGang(ly.V(), len(sps)); err != nil {
+	ly := layoutFor(sp)
+	if _, err := m.Setup(ly.V()); err != nil {
 		return nil, err
 	}
 	l := ly.L()
-	B := len(sps)
 	nw := m.WordLen()
 	run := &masparRun{
-		ly:         ly,
-		m:          m,
-		gr:         g,
-		sps:        sps,
-		sents:      make([]*cdg.Sentence, B),
-		segWords:   m.SegWords(),
-		stride:     m.SegStride(),
-		cks:        make([]cdg.Checker, B),
-		attr:       attr,
-		bitsV:      make([][]uint64, l*l),
-		aliveColV:  make([][]uint64, l),
-		aliveRowV:  make([][]uint64, l),
-		sets:       make([]uint64, B*l*ly.groupSetWords()),
-		setWords:   ly.groupSetWords(),
-		verdicts:   make([]bool, len(ly.refs)),
-		lists:      make([]liveList, B),
-		listed:     make([]bool, B),
-		marked:     make([]bool, B),
-		rounds:     make([]int, B),
-		done:       make([]bool, B),
-		snaps:      make([]metrics.Counters, B),
-		segChanged: make([]maspar.Bit, B),
-		tmp:        make([]uint64, nw),
-		perArc:     make([]uint64, nw),
-		blockSup:   make([]uint64, nw),
-		dist:       make([]uint64, nw),
-		heads:      make([]liveBlock, 0, B*ly.s),
-		ranges:     make([]maspar.WordRange, 0, B*ly.s),
+		ly:        ly,
+		m:         m,
+		gr:        sp.Grammar(),
+		sp:        sp,
+		sent:      sp.Sentence(),
+		attr:      attr,
+		bitsV:     make([][]uint64, l*l),
+		aliveColV: make([][]uint64, l),
+		aliveRowV: make([][]uint64, l),
+		sets:      make([]uint64, l*ly.groupSetWords()),
+		setWords:  ly.groupSetWords(),
+		verdicts:  make([]bool, len(ly.refs)),
+		tmp:       make([]uint64, nw),
+		perArc:    make([]uint64, nw),
+		blockSup:  make([]uint64, nw),
+		dist:      make([]uint64, nw),
+		heads:     make([]colHead, 0, len(ly.heads)),
+		ranges:    make([]maspar.WordRange, 0, len(ly.heads)),
 	}
-	for b, sp := range sps {
-		run.sents[b] = sp.Sentence()
-	}
-	run.baseMaskW = gangMaskW(ly.baseMaskW, run.segWords, B)
-	run.arcSegHeadW = gangMaskW(ly.arcSegHeadW, run.segWords, B)
-	run.blockFirstActiveW = gangMaskW(ly.blockFirstActiveW, run.segWords, B)
-	run.scanAndMaskW = gangMaskW(ly.scanAndMaskW, run.segWords, B)
 	for i := range run.bitsV {
 		run.bitsV[i] = make([]uint64, nw)
 	}
@@ -389,19 +271,19 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 	m.BroadcastData()
 
 	// Disable the role-to-itself blocks for the whole parse.
-	m.SetMaskWords(run.baseMaskW)
+	m.SetMaskWords(ly.baseMaskW)
 	return run, nil
 }
 
-// The propagation steps below evaluate per (member, group, label slot)
-// rather than per PE. A role value's verdict depends only on its group,
-// label slot and sentence, and every PE of its column block (and of its
-// row stripe) reaches that same verdict — the redundancy by which the
-// SIMD array avoids communication. The host therefore evaluates each
-// verdict once and writes the result into whole packed words (a binary
-// verdict, once per pair of values, into both mirrored PEs); the ACU
-// instruction each step issues, and so every cycle, check and counter,
-// is unchanged. The per-PE formulation is kept in hoist_test.go as the
+// The propagation steps below evaluate per (group, label slot) rather
+// than per PE. A role value's verdict depends only on its group, label
+// slot and sentence, and every PE of its column block (and of its row
+// stripe) reaches that same verdict — the redundancy by which the SIMD
+// array avoids communication. The host therefore evaluates each verdict
+// once and writes the result into whole packed words (a binary verdict,
+// once per pair of values, into both mirrored PEs); the ACU instruction
+// each step issues, and so every cycle, check and counter, is
+// unchanged. The per-PE formulation is kept in hoist_test.go as the
 // reference these steps are held bit-identical to.
 
 // initAlive fills aliveColV and aliveRowV: a value is live when its
@@ -410,24 +292,23 @@ func newMasParRun(sps []*cdg.Space, m *maspar.Machine, attr *Attribution) (*masp
 // sides locally from its id — no communication (design decision #2) —
 // in one elemental instruction.
 func (run *masparRun) initAlive() {
-	ly := run.ly
-	for b, sent := range run.sents {
-		run.markSets(b, func(i, ls int) bool {
-			cat, ok := sent.Cat(ly.refs[i].Pos)
-			return ok && ly.allowed[ly.refs[i].Role][cat][ls]
-		})
-	}
+	ly, sent := run.ly, run.sent
+	run.markSets(func(i, ls int) bool {
+		cat, ok := sent.Cat(ly.refs[i].Pos)
+		return ok && ly.allowed[ly.refs[i].Role][cat][ls]
+	})
 	run.extendSets()
 	run.m.AllWords(func(w int, active uint64) {
-		seg, a, off := run.wordSegment(w)
+		a := w << 6
+		off := a % ly.s
 		for ls := 0; ls < ly.l; ls++ {
-			set := run.groupSet(seg, ls)
+			set := run.groupSet(ls)
 			run.aliveColV[ls][w] = ly.colLanes(set, a) & active
 			run.aliveRowV[ls][w] = rowLanes(set, off) & active
 		}
 	})
 	clear(run.sets)
-	clear(run.listed)
+	run.listed = false
 }
 
 // initBits sets every arc element to aliveCol ∧ aliveRow — "initially,
@@ -480,22 +361,20 @@ func (run *masparRun) propagateUnary(ctx context.Context, perConstraint bool) er
 // applyUnary broadcasts one unary constraint: every PE checks its
 // column-side and row-side role values locally and zeroes the liveness
 // and arc elements of violators. The host evaluates each verdict once
-// per (member, group, slot) and only ORs the violators into the
-// members' group sets; sweepDead clears them from the plural state. A
-// unary verdict reads the role value and the sentence, never liveness,
-// so sweeping the union of a run's violators once leaves the same
-// liveness and arc elements as sweeping after each constraint. The
-// machine charges the constraint's instruction here, 2l checks per PE,
-// through ChargeAllChecks.
+// per (group, slot) and only ORs the violators into the group sets;
+// sweepDead clears them from the plural state. A unary verdict reads
+// the role value and the sentence, never liveness, so sweeping the
+// union of a run's violators once leaves the same liveness and arc
+// elements as sweeping after each constraint. The machine charges the
+// constraint's instruction here, 2l checks per PE, through
+// ChargeAllChecks.
 func (run *masparRun) applyUnary(c *cdg.Constraint) {
 	ly := run.ly
-	run.bindCheckers(c)
+	run.ck = c.Bind(run.sent)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
-	for b := range run.sents {
-		run.cks[b].Check1Span(ly.refs, run.verdicts)
-		run.markSets(b, func(i, _ int) bool { return !run.verdicts[i] })
-	}
+	run.ck.Check1Span(ly.refs, run.verdicts)
+	run.markSets(func(i, _ int) bool { return !run.verdicts[i] })
 	run.m.ChargeAllChecks(2 * ly.l)
 }
 
@@ -503,26 +382,22 @@ func (run *masparRun) applyUnary(c *cdg.Constraint) {
 // violators (applyUnary) or a round's unsupported values
 // (consistencyRound) — from both liveness sides, word-parallel, and
 // masks the arc elements to match, then empties the group sets. Only
-// live slots of segments whose member has a marked value are swept, and
-// a (lc, lr) word is re-masked only when its column or row slot lost a
-// lane. The activity mask is baseMaskW, which the machine holds
-// throughout propagation (consistencyRound restores it before it
-// sweeps). A member with a marked value needs its live values listed
-// again before the next binary pass. Host work only: the caller charges
-// the instructions the sweep stands for, and attributes its time.
+// live slots are swept, and a (lc, lr) word is re-masked only when its
+// column or row slot lost a lane. The activity mask is the layout's
+// baseMaskW, which the machine holds throughout propagation
+// (consistencyRound restores it before it sweeps). Once a value is
+// marked, the live values need listing again before the next binary
+// pass. Host work only: the caller charges the instructions the sweep
+// stands for, and attributes its time.
 func (run *masparRun) sweepDead() {
 	ly := run.ly
-	run.extendSets()
-	for b, marked := range run.marked {
-		if marked {
-			run.listed[b] = false
-		}
+	if !run.extendSets() {
+		return
 	}
-	for w, active := range run.baseMaskW {
-		seg, a, off := run.wordSegment(w)
-		if !run.marked[seg] {
-			continue
-		}
+	run.listed = false
+	for w, active := range ly.baseMaskW {
+		a := w << 6
+		off := a % ly.s
 		var rowLive, rowLost uint64
 		for lr := 0; lr < ly.l; lr++ {
 			ar := run.aliveRowV[lr][w]
@@ -530,7 +405,7 @@ func (run *masparRun) sweepDead() {
 				continue
 			}
 			rowLive |= slotBit(lr)
-			if lost := rowLanes(run.groupSet(seg, lr), off) & ar & active; lost != 0 {
+			if lost := rowLanes(run.groupSet(lr), off) & ar & active; lost != 0 {
 				run.aliveRowV[lr][w] = ar &^ lost
 				rowLost |= slotBit(lr)
 			}
@@ -540,7 +415,7 @@ func (run *masparRun) sweepDead() {
 			if ac == 0 {
 				continue
 			}
-			lost := ly.colLanes(run.groupSet(seg, lc), a) & ac & active
+			lost := ly.colLanes(run.groupSet(lc), a) & ac & active
 			remask := rowLost
 			if lost != 0 {
 				ac &^= lost
@@ -564,39 +439,52 @@ func (run *masparRun) sweepDead() {
 // PE tests its l×l surviving pairs in both variable orientations, so
 // each pair of role values is tested twice: at PE colGroup·S+rowGroup
 // and at its transpose mirror. The host evaluates each unordered pair
-// of live role values once instead, per member: it lists the member's
-// live values from column liveness at each block head and, per role
-// instance, tests its values against the later values of other role
-// instances in both orientations, each from a fixed side (see
-// binarySegment). A failing pair is cleared at its PE, element
-// (lc, lr), and at the mirror, element (lr, lc). This is exact: the
-// both-orientation test gives one verdict at both mirror positions; by
-// the live-slot invariant every set bit lies on a live×live pair; and
-// same-instance pairs sit only on masked PEs. A binary pass clears arc
-// elements, never liveness, so a member's list is kept until a sweep
-// changes its liveness: it is listed once for all the binary
-// constraints, or again after each round's sweep with per-constraint
-// rounds. The machine charges the constraint's instruction, 2l² checks
-// per PE as before, through ChargeAllChecks.
+// of live role values once instead: it lists the live values from
+// column liveness at each block head and, per role instance, tests its
+// values against the values of the other role instances in both
+// orientations, each from a fixed side, so a fixed value that fails
+// the constraint's antecedent fills its whole span at once: one
+// Check2Span per value x gives c(x, y) over the later values, and one
+// per value y gives c(y, x) over the earlier values, the reverse
+// orientation's verdicts in transposed order. A failing pair is
+// cleared at its PE, element (lc, lr), and at the mirror, element
+// (lr, lc); clearing is idempotent, so each orientation clears its own
+// failures. This is exact: the both-orientation test gives one verdict
+// at both mirror positions; by the live-slot invariant every set bit
+// lies on a live×live pair; and same-instance pairs sit only on masked
+// PEs. A binary pass clears arc elements, never liveness, so the list
+// is kept until a sweep changes liveness: it is made once for all the
+// binary constraints, or again after each round's sweep with
+// per-constraint rounds. The machine charges the constraint's
+// instruction, 2l² checks per PE as before, through ChargeAllChecks.
 func (run *masparRun) applyBinary(c *cdg.Constraint) {
-	run.bindCheckers(c)
+	run.ck = c.Bind(run.sent)
 	t0 := run.attr.start()
 	defer run.attr.eval(t0)
-	for b := range run.sents {
-		if !run.listed[b] {
-			run.listLive(b, &run.lists[b])
-			run.listed[b] = true
+	if !run.listed {
+		run.listLive(&run.list)
+		run.listed = true
+	}
+	ll, ck := &run.list, &run.ck
+	for k := 0; k+1 < len(ll.inst); k++ {
+		lo, hi := int(ll.inst[k]), int(ll.inst[k+1])
+		later, earlier := ll.refs[hi:], ll.refs[:lo]
+		fwd, rev := run.fwd[:len(later)], run.rev[:len(earlier)]
+		for i := lo; i < hi; i++ {
+			ck.Check2Span(ll.refs[i], later, fwd)
+			run.clearFailed(ll.at[i], ll.at[hi:], fwd)
+			ck.Check2Span(ll.refs[i], earlier, rev)
+			run.clearFailed(ll.at[i], ll.at[:lo], rev)
 		}
-		run.binarySegment(b)
 	}
 	run.m.ChargeAllChecks(2 * run.ly.l * run.ly.l)
 }
 
-// liveList holds one member's live role values for the binary pass.
-// refs lists them group-major, at[i] gives refs[i]'s group and label
-// slot, and inst[k] is the index of the first value of role instance k
-// or later (inst[q·n] == len(refs)). Liveness only shrinks, so a list
-// is rebuilt in place without allocating.
+// liveList holds the live role values for the binary pass. refs lists
+// them group-major, at[i] gives refs[i]'s group and label slot, and
+// inst[k] is the index of the first value of role instance k or later
+// (inst[q·n] == len(refs)). Liveness only shrinks, so a list is rebuilt
+// in place without allocating.
 type liveList struct {
 	refs []cdg.RVRef
 	at   []liveSlot
@@ -606,19 +494,19 @@ type liveList struct {
 // liveSlot locates a live role value: its group and label slot.
 type liveSlot struct{ g, ls int32 }
 
-// listLive fills ll with member b's live role values and grows the
-// verdict spans to hold them.
-func (run *masparRun) listLive(b int, ll *liveList) {
+// listLive fills ll with the live role values and grows the verdict
+// spans to hold them.
+func (run *masparRun) listLive(ll *liveList) {
 	ly := run.ly
 	count := 0
-	run.forLive(b, func(int, int) { count++ })
+	run.forLive(func(int, int) { count++ })
 	ll.refs = slices.Grow(ll.refs[:0], count)
 	ll.at = slices.Grow(ll.at[:0], count)
 	run.fwd = slices.Grow(run.fwd[:0], count)
 	run.rev = slices.Grow(run.rev[:0], count)
 	insts := ly.s / ly.n
 	ll.inst = slices.Grow(ll.inst[:0], insts+1)
-	run.forLive(b, func(g, i int) {
+	run.forLive(func(g, i int) {
 		for len(ll.inst) <= g/ly.n {
 			ll.inst = append(ll.inst, int32(len(ll.refs)))
 		}
@@ -630,16 +518,14 @@ func (run *masparRun) listLive(b int, ll *liveList) {
 	}
 }
 
-// forLive calls f(g, i) for each live role value of member b in group
-// order: g is the value's group and ly.refs[i] its evaluation view.
-// Liveness is read from column liveness at each block head, as
-// readBack reads domains.
-func (run *masparRun) forLive(b int, f func(g, i int)) {
+// forLive calls f(g, i) for each live role value in group order: g is
+// the value's group and ly.refs[i] its evaluation view. Liveness is
+// read from column liveness at each block head, as readBack reads
+// domains.
+func (run *masparRun) forLive(f func(g, i int)) {
 	ly := run.ly
-	base := b * run.stride
 	for _, h := range ly.heads {
-		pe := base + h.pe
-		w, bit := pe>>6, uint64(1)<<(uint(pe)&63)
+		w, bit := h.pe>>6, uint64(1)<<(uint(h.pe)&63)
 		lo := int(ly.refOff[h.g])
 		for i := lo; i < int(ly.refOff[h.g+1]); i++ {
 			if run.aliveColV[i-lo][w]&bit != 0 {
@@ -649,57 +535,22 @@ func (run *masparRun) forLive(b int, f func(g, i int)) {
 	}
 }
 
-// binarySegment is applyBinary's pass over member b's segment: it
-// evaluates every unordered cross-instance pair of the member's listed
-// live role values once in each orientation, and clears a pair that
-// fails either at both of its mirrored PEs. Each verdict is evaluated
-// from a fixed side, so a fixed value that fails the constraint's
-// antecedent fills its whole span at once: one Check2Span per value x
-// gives c(x, y) over the later values, and one per value y gives
-// c(y, x) over the earlier values, the reverse orientation's verdicts
-// in transposed order. Clearing is idempotent, so each orientation
-// clears its own failures.
-func (run *masparRun) binarySegment(b int) {
-	ll := &run.lists[b]
-	ck := &run.cks[b]
-	base := b * run.stride
-	for k := 0; k+1 < len(ll.inst); k++ {
-		lo, hi := int(ll.inst[k]), int(ll.inst[k+1])
-		later, earlier := ll.refs[hi:], ll.refs[:lo]
-		fwd, rev := run.fwd[:len(later)], run.rev[:len(earlier)]
-		for i := lo; i < hi; i++ {
-			ck.Check2Span(ll.refs[i], later, fwd)
-			run.clearFailed(base, ll.at[i], ll.at[hi:], fwd)
-			ck.Check2Span(ll.refs[i], earlier, rev)
-			run.clearFailed(base, ll.at[i], ll.at[:lo], rev)
-		}
-	}
-}
-
 // clearFailed clears, at both mirrored PEs, the pair of x with each
 // ys[t] whose verdict ok[t] is false.
-func (run *masparRun) clearFailed(base int, x liveSlot, ys []liveSlot, ok []bool) {
+func (run *masparRun) clearFailed(x liveSlot, ys []liveSlot, ok []bool) {
 	for t, v := range ok {
 		if !v {
-			run.clearElem(base, x, ys[t])
-			run.clearElem(base, ys[t], x)
+			run.clearElem(x, ys[t])
+			run.clearElem(ys[t], x)
 		}
 	}
 }
 
 // clearElem clears arc element (x.ls, y.ls) at the PE of column group
-// x.g and row group y.g, in the segment whose first lane is base.
-func (run *masparRun) clearElem(base int, x, y liveSlot) {
-	pe := base + int(x.g)*run.ly.s + int(y.g)
+// x.g and row group y.g.
+func (run *masparRun) clearElem(x, y liveSlot) {
+	pe := int(x.g)*run.ly.s + int(y.g)
 	run.bitsV[int(x.ls)*run.ly.l+int(y.ls)][pe>>6] &^= uint64(1) << (uint(pe) & 63)
-}
-
-// bindCheckers binds c's compiled form to every gang member's sentence,
-// reusing the run's checker scratch.
-func (run *masparRun) bindCheckers(c *cdg.Constraint) {
-	for b, sent := range run.sents {
-		run.cks[b] = c.Bind(sent)
-	}
 }
 
 // consistencyRound is Figure 12: for every role value, OR its arc
@@ -707,8 +558,8 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // AND the per-arc results (segmented scanAnd over the boundary PEs),
 // copy-scan the verdict back across the block, mirror it to the row
 // side through the router, and zero the arc elements of the dead. It
-// fills segChanged with each segment's "did any role value die" bit
-// and reports their OR.
+// records in changed whether any role value died, the ACU's global OR
+// reduce, and reports it.
 //
 // The instruction schedule is the cycle-accounting contract (PlanMasPar
 // counts 6l+1 elementals, 3l+1 scans, and l routers per round): every
@@ -718,20 +569,20 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 // slot's OR and its three scans over those blocks' words only, each
 // scan through a Ranges entry point that charges it once. It then reads
 // each live block's verdict at its head and marks the unsupported
-// values in the members' group sets, and one sweepDead clears them from
-// both liveness sides and re-masks only the words whose liveness
-// changed. The column update, the router mirror, the zeroing and the
-// change reduce are charged through charge-only calls. This is exact:
-// column liveness and the copied verdict are uniform across a block, so
-// a dead block has nothing to clear, and only live blocks' heads are
-// read. Every segment of the three scans starts inside its own column
-// block — arc segments at row groups divisible by n, the AND and copy
-// segments at the block's head — and the lanes between a block's end
-// and the next head are inactive self-arc lanes, which carry nothing.
-// So no lane of a live block reads a lane outside it, and the scratch
-// lanes outside the ranges, never read, may hold an earlier slot's
-// values. Each PE's row liveness is its row group's column liveness, so
-// the mirror of the new column side is the old row side minus the dead
+// values in the group sets, and one sweepDead clears them from both
+// liveness sides and re-masks only the words whose liveness changed.
+// The column update, the router mirror, the zeroing and the change
+// reduce are charged through charge-only calls. This is exact: column
+// liveness and the copied verdict are uniform across a block, so a dead
+// block has nothing to clear, and only live blocks' heads are read.
+// Every segment of the three scans starts inside its own column block —
+// arc segments at row groups divisible by n, the AND and copy segments
+// at the block's head — and the lanes between a block's end and the
+// next head are inactive self-arc lanes, which carry nothing. So no
+// lane of a live block reads a lane outside it, and the scratch lanes
+// outside the ranges, never read, may hold an earlier slot's values.
+// Each PE's row liveness is its row group's column liveness, so the
+// mirror of the new column side is the old row side minus the dead
 // values' row lanes; and a support reads arc elements and masks, never
 // another slot's liveness, so clearing every slot after the last scan
 // changes nothing. The scratch is the run's own, so a round allocates
@@ -739,8 +590,8 @@ func (run *masparRun) bindCheckers(c *cdg.Constraint) {
 func (run *masparRun) consistencyRound() bool {
 	ly, m := run.ly, run.m
 	run.roundsRun++
+	run.changed = false
 	tmp, perArc, blockSup, dist := run.tmp, run.perArc, run.blockSup, run.dist
-	clear(run.segChanged)
 
 	for lc := 0; lc < ly.l; lc++ {
 		run.liveBlocks(lc)
@@ -754,20 +605,20 @@ func (run *masparRun) consistencyRound() bool {
 				for _, bv := range elems {
 					t |= bv[w]
 				}
-				tmp[w] = t & run.baseMaskW[w]
+				tmp[w] = t & ly.baseMaskW[w]
 			}
 		}
 		// OR along each arc segment, result at the arc's first PE.
 		t0 := run.attr.start()
-		m.SegReduceOrToHeadRanges(perArc, tmp, run.arcSegHeadW, run.ranges)
+		m.SegReduceOrToHeadRanges(perArc, tmp, ly.arcSegHeadW, run.ranges)
 		// AND the per-arc results across the column block: only the
 		// boundary PEs participate (Figure 12's "PE disabled only
 		// during the scanAnd").
-		m.SetMaskWords(run.scanAndMaskW)
-		m.SegReduceAndToHeadRanges(blockSup, perArc, run.blockFirstActiveW, run.ranges)
+		m.SetMaskWords(ly.scanAndMaskW)
+		m.SegReduceAndToHeadRanges(blockSup, perArc, ly.blockFirstActiveW, run.ranges)
 		// Re-enable the block and distribute the verdict.
-		m.SetMaskWords(run.baseMaskW)
-		m.CopySegHeadRanges(dist, blockSup, run.blockFirstActiveW, run.ranges)
+		m.SetMaskWords(ly.baseMaskW)
+		m.CopySegHeadRanges(dist, blockSup, ly.blockFirstActiveW, run.ranges)
 		run.attr.scan(t0)
 		// A value stays alive only if it was alive and is supported.
 		m.ChargeAllWords()
@@ -789,106 +640,67 @@ func (run *masparRun) consistencyRound() bool {
 	run.sweepDead()
 	run.attr.router(t0)
 
-	// One segmented reduce tells the ACU which members still changed —
-	// the gang image of the solo round's global ReduceOr, charged
-	// identically (one scan).
-	m.ChargeSegmentOr()
-	return slices.Contains(run.segChanged, 1)
+	// One global OR reduce tells the ACU whether any value died.
+	m.ChargeReduceOr()
+	return run.changed
 }
 
-// liveBlock is a column block of one gang member, member b's group g,
-// with its head PE in the gang's lanes.
-type liveBlock struct {
-	pe   int
-	b, g int32
-}
-
-// liveBlocks fills heads with the column blocks, across all members,
-// whose head holds a live value of column slot lc, and ranges with the
-// words they span from their heads, merged where two share a word.
+// liveBlocks fills heads with the column blocks whose head holds a live
+// value of column slot lc, and ranges with the words they span from
+// their heads, merged where two share a word.
 func (run *masparRun) liveBlocks(lc int) {
 	ly, ac := run.ly, run.aliveColV[lc]
 	run.heads, run.ranges = run.heads[:0], run.ranges[:0]
-	for b := range run.sents {
-		base := b * run.stride
-		for _, h := range ly.heads {
-			pe := base + h.pe
-			if ac[pe>>6]>>(uint(pe)&63)&1 == 0 {
-				continue
-			}
-			run.heads = append(run.heads, liveBlock{pe, int32(b), int32(h.g)})
-			lo, hi := pe>>6, (base+(h.g+1)*ly.s-1)>>6+1
-			if k := len(run.ranges) - 1; k >= 0 && run.ranges[k].Hi > lo {
-				run.ranges[k].Hi = hi
-			} else {
-				run.ranges = append(run.ranges, maspar.WordRange{Lo: lo, Hi: hi})
-			}
+	for _, h := range ly.heads {
+		if ac[h.pe>>6]>>(uint(h.pe)&63)&1 == 0 {
+			continue
+		}
+		run.heads = append(run.heads, h)
+		lo, hi := h.pe>>6, ((h.g+1)*ly.s-1)>>6+1
+		if k := len(run.ranges) - 1; k >= 0 && run.ranges[k].Hi > lo {
+			run.ranges[k].Hi = hi
+		} else {
+			run.ranges = append(run.ranges, maspar.WordRange{Lo: lo, Hi: hi})
 		}
 	}
 }
 
-// markUnsupported marks, in each member's group set for column slot lc,
-// the live values whose support verdict dist reads 0 at their block
-// head, and records the member's change bit. It reads only the heads
-// liveBlocks listed.
+// markUnsupported marks, in the group set of column slot lc, the live
+// values whose support verdict dist reads 0 at their block head, and
+// records the change. It reads only the heads liveBlocks listed.
 func (run *masparRun) markUnsupported(lc int, dist []uint64) {
 	for _, h := range run.heads {
 		if dist[h.pe>>6]>>(uint(h.pe)&63)&1 == 0 {
-			run.groupSet(int(h.b), lc)[h.g>>6] |= uint64(1) << (uint(h.g) & 63)
-			run.segChanged[h.b] = 1
+			run.groupSet(lc)[h.g>>6] |= uint64(1) << (uint(h.g) & 63)
+			run.changed = true
 		}
 	}
 }
 
-// settleConverged settles every sentence whose segment reported no
-// change this round: its counters become the stream's charges so far —
-// exactly a solo run's final counters, since the prefix of the shared
-// stream IS the solo program (asserted by TestGangMatchesSolo) — and
-// later rounds, fixpoint no-ops for it, are not charged to it.
-func (run *masparRun) settleConverged() {
-	for b := range run.done {
-		if !run.done[b] && run.segChanged[b] == 0 {
-			run.settle(b)
-		}
-	}
-}
-
-// finish settles every member still outstanding (iteration bound hit,
-// filtering off, or per-constraint mode).
-func (run *masparRun) finish() {
-	for b := range run.done {
-		if !run.done[b] {
-			run.settle(b)
-		}
-	}
-}
-
-func (run *masparRun) settle(b int) {
-	run.done[b] = true
-	run.rounds[b] = run.roundsRun
-	run.snaps[b] = metrics.Counters{
-		Cycles:           run.m.Cycles,
-		ScanOps:          run.m.ScanOps,
-		RouterOps:        run.m.RouterOps,
-		Broadcasts:       run.m.Broadcasts,
-		ConstraintChecks: run.m.ConstraintChecks,
+// counters returns the run's work accounting, read from the machine.
+func (run *masparRun) counters() *metrics.Counters {
+	m := run.m
+	return &metrics.Counters{
+		Cycles:           m.Cycles,
+		ScanOps:          m.ScanOps,
+		RouterOps:        m.RouterOps,
+		Broadcasts:       m.Broadcasts,
+		ConstraintChecks: m.ConstraintChecks,
 		Processors:       uint64(run.ly.V()),
-		VirtualLayers:    uint64(run.m.Layers()),
+		VirtualLayers:    uint64(m.Layers()),
 		FilterIterations: uint64(run.roundsRun),
 	}
 }
 
-// readBack materializes gang member b's PE state as a cn.Network
-// (domains read at each column block's first active PE; matrix bits
-// read from the PE owning each (column, row) group pair — all offset
-// into segment b's lanes). Only pairs of live domain entries are read:
-// column liveness is uniform across a block, and each PE's row
-// liveness is its row group's (every sweepDead, after a unary run or
-// in a consistency round, clears both sides from the same group sets),
-// so by the live-slot invariant every other matrix bit is zero.
-func (run *masparRun) readBack(b int) *cn.Network {
-	ly, sp := run.ly, run.sps[b]
-	base := b * run.stride
+// readBack materializes the PE state as a cn.Network (domains read at
+// each column block's first active PE; matrix bits read from the PE
+// owning each (column, row) group pair). Only pairs of live domain
+// entries are read: column liveness is uniform across a block, and each
+// PE's row liveness is its row group's (every sweepDead, after a unary
+// run or in a consistency round, clears both sides from the same group
+// sets), so by the live-slot invariant every other matrix bit is zero.
+func (run *masparRun) readBack() *cn.Network {
+	ly, sp := run.ly, run.sp
 	nw := cn.NewShell(sp)
 	n := sp.N()
 
@@ -899,7 +711,7 @@ func (run *masparRun) readBack(b int) *cn.Network {
 		gr := sp.GlobalRole(pos, role)
 		labels := sp.Grammar().RoleLabels(role)
 		for ls := range labels {
-			if run.aliveColAt(base+h.pe, ls) == 1 {
+			if run.aliveColAt(h.pe, ls) == 1 {
 				nw.Domain(gr).SetBit(ls*(n+1) + mod)
 			}
 		}
@@ -912,7 +724,7 @@ func (run *masparRun) readBack(b int) *cn.Network {
 		posB, rb := sp.RoleAt(arc.B)
 		domB := nw.Domain(arc.B)
 		nw.Domain(arc.A).ForEach(func(i int) {
-			col := base + ly.GroupOf(posA, ra, i%(n+1))*ly.s
+			col := ly.GroupOf(posA, ra, i%(n+1)) * ly.s
 			domB.ForEach(func(j int) {
 				if run.bitAt(col+ly.GroupOf(posB, rb, j%(n+1)), i/(n+1), j/(n+1)) == 1 {
 					arc.M.SetBit(i, j)
@@ -921,11 +733,4 @@ func (run *masparRun) readBack(b int) *cn.Network {
 		})
 	}
 	return nw
-}
-
-// countersFor returns gang member b's attributed work accounting: the
-// snapshot taken when it settled.
-func (run *masparRun) countersFor(b int) *metrics.Counters {
-	c := run.snaps[b]
-	return &c
 }

@@ -22,7 +22,7 @@ func runDemo(t *testing.T, words []string) *masparRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := runMasParGang(context.Background(), []*cdg.Space{cdg.NewSpace(g, sent)}, m, false, true, 0, nil)
+	run, _, err := runMasPar(context.Background(), cdg.NewSpace(g, sent), m, false, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +110,9 @@ func TestAliveColUniformWithinBlock(t *testing.T) {
 // as FilterIterations.
 func TestRoundsMatchCounters(t *testing.T) {
 	run := runDemo(t, []string{"the", "program", "runs"})
-	c := run.countersFor(0)
-	if c.FilterIterations != uint64(run.rounds[0]) {
-		t.Errorf("FilterIterations = %d, rounds = %d", c.FilterIterations, run.rounds[0])
+	c := run.counters()
+	if c.FilterIterations != uint64(run.roundsRun) {
+		t.Errorf("FilterIterations = %d, rounds = %d", c.FilterIterations, run.roundsRun)
 	}
 	if c.Processors != uint64(run.ly.V()) {
 		t.Error("Processors mismatch")

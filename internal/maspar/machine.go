@@ -83,24 +83,14 @@ func DefaultCosts() CostModel {
 type Machine struct {
 	phys  int
 	v     int
-	nw    int // words per packed plural vector, segs·⌈vSeg/64⌉
+	nw    int // words per packed plural vector, ⌈v/64⌉
 	layer int
 	costs CostModel
 
-	// Gang geometry. A gang program packs segs independent copies of a
-	// vSeg-PE program side by side on one array, each segment padded to
-	// a word boundary so packed vectors stay word-aligned per segment:
-	// segment b owns lanes [b·64·segWords, b·64·segWords+vSeg). A plain
-	// Setup is a gang of one, so vSeg == v and segWords == nw there.
-	vSeg     int
-	segs     int
-	segWords int // words per segment, ⌈vSeg/64⌉
-
 	// mask is the packed activity mask: bit pe&63 of word pe>>6 is PE
-	// pe's activity bit. Bits of padding lanes (per-segment tails beyond
-	// vSeg) are always zero. valid is the all-real-lanes image the mask
-	// resets to; SetMask intersects with it so padding can never
-	// activate.
+	// pe's activity bit. Tail bits beyond v are always zero. valid is
+	// the all-real-lanes image the mask resets to; SetMask intersects
+	// with it so a tail bit can never activate.
 	mask  []uint64
 	valid []uint64
 
@@ -128,65 +118,31 @@ func New(phys int, costs CostModel) (*Machine, error) {
 // Setup sizes the virtual PE array for a program and enables every PE.
 // It returns the virtualization layer count ⌈v/phys⌉.
 func (m *Machine) Setup(v int) (layers int, err error) {
-	return m.SetupGang(v, 1)
-}
-
-// SetupGang sizes the array for a gang program: segs independent
-// copies of a vSeg-PE program packed side by side, each segment padded
-// to a 64-lane word boundary. One ACU instruction stream then serves
-// every segment at once — host-side batching of the paper's machine,
-// not a model change — so the cycle/scan/router counters are charged
-// per SEGMENT: the virtualization multiplier is ⌈vSeg/phys⌉ and
-// constraint checks count vSeg evaluations per broadcast, exactly what
-// a solo run of one segment would be charged. A gang run's counters
-// therefore read as "what one member cost", which keeps the paper's
-// per-sentence cost model intact while the host amortizes dispatch
-// across the gang.
-func (m *Machine) SetupGang(vSeg, segs int) (layers int, err error) {
-	if vSeg <= 0 {
-		return 0, fmt.Errorf("maspar: need a positive virtual PE count, got %d", vSeg)
+	if v <= 0 {
+		return 0, fmt.Errorf("maspar: need a positive virtual PE count, got %d", v)
 	}
-	if segs <= 0 {
-		return 0, fmt.Errorf("maspar: need a positive gang size, got %d", segs)
-	}
-	m.vSeg = vSeg
-	m.segs = segs
-	m.segWords = (vSeg + 63) / 64
-	m.nw = segs * m.segWords
-	// Lane space spans all segments; the last segment's tail needs no
-	// padding, so a gang of one has v == vSeg exactly as before.
-	m.v = (segs-1)*m.segWords*64 + vSeg
-	m.layer = (vSeg + m.phys - 1) / m.phys
+	m.v = v
+	m.nw = WordsFor(v)
+	m.layer = (v + m.phys - 1) / m.phys
 	m.valid = make([]uint64, m.nw)
 	for w := range m.valid {
 		m.valid[w] = ^uint64(0)
 	}
-	if tail := uint(vSeg & 63); tail != 0 {
-		for s := 0; s < segs; s++ {
-			m.valid[(s+1)*m.segWords-1] = (uint64(1) << tail) - 1
-		}
+	if tail := uint(v & 63); tail != 0 {
+		m.valid[m.nw-1] = (uint64(1) << tail) - 1
 	}
 	m.mask = make([]uint64, m.nw)
 	m.fillMask()
 	return m.layer, nil
 }
 
-// fillMask enables every real PE (padding bits stay zero).
+// fillMask enables every real PE (tail bits stay zero).
 func (m *Machine) fillMask() {
 	copy(m.mask, m.valid)
 }
 
-// V returns the virtual PE count of the current program: the full lane
-// space including any interior per-segment padding of a gang program
-// (padding lanes are never active).
+// V returns the virtual PE count of the current program.
 func (m *Machine) V() int { return m.v }
-
-// SegWords returns the packed-vector words per gang segment; segment b
-// owns words [b·SegWords, (b+1)·SegWords) of every plural vector.
-func (m *Machine) SegWords() int { return m.segWords }
-
-// SegStride returns the lane stride between gang segments (64·SegWords).
-func (m *Machine) SegStride() int { return m.segWords * 64 }
 
 // WordLen returns the length in uint64 words of a packed plural vector
 // covering the current program's V PEs.
@@ -213,9 +169,7 @@ func (m *Machine) chargeElemental() {
 
 //parsec:noalloc
 func (m *Machine) chargeChecks(perPE uint64) {
-	// Per-segment accounting: a gang's counters read as one member's
-	// cost (see SetupGang). For a solo program vSeg == v.
-	m.ConstraintChecks += perPE * uint64(m.vSeg)
+	m.ConstraintChecks += perPE * uint64(m.v)
 	m.Cycles += m.costs.ConstraintCheck * perPE * uint64(m.layer)
 }
 
@@ -241,20 +195,11 @@ func (m *Machine) BroadcastData() {
 // ModelTime converts the accumulated cycles to simulated wall-clock
 // seconds at the MP-1's clock rate.
 func (m *Machine) ModelTime() time.Duration {
-	return CyclesToModelTime(m.Cycles)
-}
-
-// CyclesToModelTime converts a cycle count to simulated wall-clock
-// seconds at the MP-1's clock rate (used for per-sentence attribution
-// of ganged runs, where each member's cycles are a snapshot rather
-// than the machine total).
-func CyclesToModelTime(cycles uint64) time.Duration {
-	return time.Duration(float64(cycles) / ClockHz * float64(time.Second))
+	return time.Duration(float64(m.Cycles) / ClockHz * float64(time.Second))
 }
 
 // SetMask recomputes the activity mask: PE i is active iff pred(i).
-// Charged as one elemental instruction (a plural comparison). Padding
-// lanes of a gang program stay inactive regardless of pred.
+// Charged as one elemental instruction (a plural comparison).
 func (m *Machine) SetMask(pred func(pe int) bool) {
 	m.chargeElemental()
 	for w := range m.mask {
@@ -274,8 +219,7 @@ func (m *Machine) SetMask(pred func(pe int) bool) {
 }
 
 // SetMaskWords loads a precomputed packed activity mask (len WordLen;
-// tail bits beyond V — and, on a gang program, every per-segment
-// padding bit — must be zero). Charged as one elemental instruction,
+// tail bits beyond V must be zero). Charged as one elemental instruction,
 // exactly like SetMask — precomputing the mask words is a host-side
 // shortcut for a plural comparison the ACU would broadcast.
 func (m *Machine) SetMaskWords(words []uint64) {
@@ -349,11 +293,10 @@ func (m *Machine) ChargeRouter() {
 	m.chargeRouter()
 }
 
-// ChargeSegmentOr charges one segmented OR reduce — each gang segment's
-// active lanes to one bit, at the price of the global ReduceOr it
-// generalizes (one scan) — and reduces nothing, like ChargeAllChecks.
+// ChargeReduceOr charges one global OR reduce (ReduceOr's price, one
+// scan) and reduces nothing, like ChargeAllChecks.
 //
 //parsec:noalloc
-func (m *Machine) ChargeSegmentOr() {
+func (m *Machine) ChargeReduceOr() {
 	m.chargeScan()
 }

@@ -4,28 +4,21 @@ import "testing"
 
 // TestAllChecksAccounting pins the absolute charge of one constraint
 // evaluation instruction: one elemental instruction plus checksPerPE
-// checks per layer in cycles, and checksPerPE checks per PE of one
-// segment in the check counter — solo (128 PEs on 64, 2 layers) and in
-// a gang of 5 (144 PEs per segment, 3 layers), whose counters read as
-// one member's.
+// checks per layer in cycles, and checksPerPE checks per PE in the
+// check counter — at 128 PEs on 64 (2 layers) and at 144 PEs, whose
+// last word is partial (3 layers).
 func TestAllChecksAccounting(t *testing.T) {
 	costs := DefaultCosts()
-	for _, tc := range []struct{ vSeg, segs, layers int }{{128, 1, 2}, {144, 5, 3}} {
-		m, err := New(64, costs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.SetupGang(tc.vSeg, tc.segs); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range []struct{ v, layers int }{{128, 2}, {144, 3}} {
+		m := newTestMachine(t, 64, tc.v)
 		m.ChargeAllChecks(6)
 		want := counters{
 			cycles: (costs.ConstraintCheck*6 + costs.Elemental) * uint64(tc.layers),
 			instr:  1,
-			checks: 6 * uint64(tc.vSeg),
+			checks: 6 * uint64(tc.v),
 		}
 		if got := countersOf(m); got != want {
-			t.Errorf("gang of %d: ChargeAllChecks(6) charged %+v, want %+v", tc.segs, got, want)
+			t.Errorf("%d PEs: ChargeAllChecks(6) charged %+v, want %+v", tc.v, got, want)
 		}
 	}
 }
@@ -40,28 +33,15 @@ func countersOf(m *Machine) counters {
 }
 
 // checkChargesLike holds a charge-only call to the instruction it stands
-// for: on a solo program and in a gang of 5, charge must leave every
-// counter equal to what one issue of instr leaves. Each segment is a
-// 12×12 grid of 144 PEs on 64 physical PEs, so 3 layers.
+// for: charge must leave every counter equal to what one issue of instr
+// leaves, on a 12×12 grid of 144 PEs on 64 physical PEs (3 layers).
 func checkChargesLike(t *testing.T, name string, instr, charge func(m *Machine)) {
 	t.Helper()
-	for _, segs := range []int{1, 5} {
-		gang := func() *Machine {
-			m, err := New(64, DefaultCosts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.SetupGang(144, segs); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		ran, charged := gang(), gang()
-		instr(ran)
-		charge(charged)
-		if got, want := countersOf(charged), countersOf(ran); got != want {
-			t.Errorf("gang of %d: %s charged %+v, the instruction %+v", segs, name, got, want)
-		}
+	ran, charged := newTestMachine(t, 64, 144), newTestMachine(t, 64, 144)
+	instr(ran)
+	charge(charged)
+	if got, want := countersOf(charged), countersOf(ran); got != want {
+		t.Errorf("%s charged %+v, the instruction %+v", name, got, want)
 	}
 }
 
@@ -77,10 +57,10 @@ func TestChargeRouterChargesLikeRouterFetch(t *testing.T) {
 		(*Machine).ChargeRouter)
 }
 
-func TestChargeSegmentOrChargesLikeReduceOr(t *testing.T) {
-	checkChargesLike(t, "ChargeSegmentOr",
+func TestChargeReduceOrChargesLikeReduceOr(t *testing.T) {
+	checkChargesLike(t, "ChargeReduceOr",
 		func(m *Machine) { m.ReduceOr(make([]Bit, m.V())) },
-		(*Machine).ChargeSegmentOr)
+		(*Machine).ChargeReduceOr)
 }
 
 func TestBroadcastAccounting(t *testing.T) {

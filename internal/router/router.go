@@ -453,7 +453,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	// Partition the batch by each request's top-ranked shard, so every
 	// sub-batch keeps its members' cache affinity and reaches the
-	// shard's pool as one unit it can gang.
+	// shard's pool as one unit, admitted whole.
 	groups := make(map[string][]int)
 	orders := make(map[string][]string) // failover order per group, from its first member's key
 	for i, preq := range breq.Requests {

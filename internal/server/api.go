@@ -1,8 +1,8 @@
 // Package server implements parsecd's HTTP/JSON parse service over the
 // PARSEC backends: a compiled-grammar cache, a bounded worker pool with
-// per-backend queues whose free MasPar workers gang the queued
-// same-configuration jobs into one simulator run, and Prometheus text
-// metrics. cmd/parsecd wires it to a listener and signals;
+// per-backend queues, whose free MasPar workers take the queued jobs of
+// one configuration and sentence length and parse them back to back,
+// and Prometheus text metrics. cmd/parsecd wires it to a listener and signals;
 // cmd/parsec reuses the wire types so CLI and service output are
 // diffable.
 package server

@@ -31,8 +31,6 @@ type serverMetrics struct {
 	rejected  atomic.Uint64 // queue-full rejections
 	panics    atomic.Uint64 // panics recovered from parse workers
 	coalesced atomic.Uint64 // jobs that shared a batch with at least one other
-	gangRuns  atomic.Uint64 // ganged simulator runs (≥2 sentences on one PE array)
-	gangJobs  atomic.Uint64 // jobs served by a ganged run
 
 	latticeRequests    atomic.Uint64 // lattice decodes completed (batch + final stream)
 	latticePaths       atomic.Uint64 // candidate paths expanded across lattice decodes
@@ -72,13 +70,16 @@ func (m *serverMetrics) addWork(c *metrics.Counters) {
 // Stats is a point-in-time snapshot of the service counters, exposed
 // for tests and for parsecload's end-of-run report.
 type Stats struct {
-	Batches       uint64
-	Parses        uint64
-	Timeouts      uint64
-	Rejected      uint64
-	Panics        uint64
-	Coalesced     uint64
-	GangRuns      uint64
+	Batches   uint64
+	Parses    uint64
+	Timeouts  uint64
+	Rejected  uint64
+	Panics    uint64
+	Coalesced uint64
+	// GangJobs is always 0: every parse runs one sentence on one
+	// machine.
+	//
+	// Deprecated: read Coalesced for the jobs that shared a batch.
 	GangJobs      uint64
 	MeanBatchSize float64
 	CacheHits     uint64
@@ -109,8 +110,6 @@ func (m *serverMetrics) snapshot(cache *Cache, rc *resultCache, ls latticeserve.
 		Rejected:      m.rejected.Load(),
 		Panics:        m.panics.Load(),
 		Coalesced:     m.coalesced.Load(),
-		GangRuns:      m.gangRuns.Load(),
-		GangJobs:      m.gangJobs.Load(),
 		MeanBatchSize: m.batchSize.Mean(),
 		CacheHits:     hits,
 		CacheMisses:   misses,
@@ -159,8 +158,6 @@ func (m *serverMetrics) writePrometheus(out io.Writer, cache *Cache, rc *resultC
 	w.Counter("parsecd_parses_total", "parses executed by the worker pool", m.parses.Load())
 	w.Counter("parsecd_batches_total", "coalesced batches executed", m.batches.Load())
 	w.Counter("parsecd_coalesced_jobs_total", "jobs that shared a batch with another request", m.coalesced.Load())
-	w.Counter("parsecd_gang_runs_total", "ganged simulator runs (several sentences on one PE array)", m.gangRuns.Load())
-	w.Counter("parsecd_gang_jobs_total", "jobs served by a ganged simulator run", m.gangJobs.Load())
 	w.Counter("parsecd_timeouts_total", "requests that exceeded their deadline", m.timeouts.Load())
 	w.Counter("parsecd_queue_rejections_total", "requests rejected because a backend queue was full", m.rejected.Load())
 	w.Counter("parsecd_panics_total", "panics recovered during parsing", m.panics.Load())

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cdg"
@@ -181,11 +180,11 @@ func (p *Pool) Submit(unit []*job, bulk bool) error {
 
 // take removes what one free worker runs next: the FIFO head and, on
 // MasPar, every queued job sharing its cfgKey and its sentence length
-// up to maxBatch, in queue order — one gang program, which shares one
-// PE layout, serves them all. Jobs of other lengths stay queued for the
-// next free worker. On every other backend a shared batch would only
-// run parses back to back on one worker while another idles, so the
-// worker takes the head alone.
+// up to maxBatch, in queue order. The worker parses them back to back
+// with one compiled parser, even while another worker idles (DESIGN.md
+// §9 says why MasPar still groups). Jobs of other lengths or
+// configurations stay queued for the next free worker. On every other
+// backend the worker takes the head alone.
 func (q *backendQueue) take(maxBatch int) []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -225,133 +224,62 @@ func (p *Pool) worker(q *backendQueue) {
 	}
 }
 
-// run executes one taken batch with one compiled parser: jobs whose
-// deadline already expired in the queue answer 504 without occupying
-// the simulator, and the rest run as one gang.
+// run answers the jobs of one taken batch in queue order with one
+// compiled parser. A job whose deadline passed before its turn answers
+// 504 without occupying the simulator; every other job parses under
+// its own context, after the jobs before it.
 func (p *Pool) run(jobs []*job) {
 	p.m.batches.Add(1)
 	p.m.batchSize.Observe(float64(len(jobs)))
 	if len(jobs) > 1 {
 		p.m.coalesced.Add(uint64(len(jobs)))
 	}
-	live := jobs[:0]
+	taken := time.Now()
+	parser := core.NewParser(jobs[0].g, jobs[0].opts...)
 	for _, j := range jobs {
-		if j.ctx.Err() != nil {
-			wait := time.Since(j.enq)
-			p.m.queueWait.Observe(wait.Seconds())
-			j.deliver(j.failed(http.StatusGatewayTimeout, "deadline exceeded while queued"), wait, len(jobs))
-			continue
-		}
-		live = append(live, j)
-	}
-	if len(live) > 0 {
-		p.runGang(core.NewParser(live[0].g, live[0].opts...), live, len(jobs))
-	}
-}
-
-// gangContext derives the context a gang of two or more executes
-// under: it is cancelled only when EVERY member's context is done, so
-// one request hitting its deadline mid-gang cannot poison the
-// simulation the others are still waiting on (its own result is
-// dropped at delivery instead). Each member's context.AfterFunc counts
-// it down, so nothing waits on a goroutine; the returned stop func
-// unregisters the ones that have not fired.
-func gangContext(jobs []*job) (context.Context, func()) {
-	gctx, cancel := context.WithCancel(context.Background())
-	var remaining atomic.Int64
-	remaining.Store(int64(len(jobs)))
-	stops := make([]func() bool, len(jobs))
-	for i, j := range jobs {
-		stops[i] = context.AfterFunc(j.ctx, func() {
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-		})
-	}
-	return gctx, func() {
-		for _, stop := range stops {
-			stop()
-		}
-		cancel()
-	}
-}
-
-// runGang executes live same-length jobs as one gang program — a
-// single instruction stream over one packed PE array on MasPar — and
-// delivers each member. A solo job is a gang of one. When a gang of two
-// or more fails as a whole (every deadline expired, a panic, or an
-// error), each live member reruns as a gang of one and gets its own
-// outcome rather than the gang's error.
-func (p *Pool) runGang(parser *core.Parser, jobs []*job, batchSize int) {
-	waits := make([]time.Duration, len(jobs))
-	for i, j := range jobs {
-		waits[i] = time.Since(j.enq)
-		p.m.queueWait.Observe(waits[i].Seconds())
-	}
-	results, err := p.parse(parser, jobs)
-	if err == nil && len(jobs) > 1 {
-		p.m.gangRuns.Add(1)
-		p.m.gangJobs.Add(uint64(len(jobs)))
-	}
-	for i, j := range jobs {
+		wait := taken.Sub(j.enq)
+		p.m.queueWait.Observe(wait.Seconds())
 		var jr jobResult
-		if err != nil && len(jobs) > 1 && j.ctx.Err() == nil {
-			solo, soloErr := p.parse(parser, jobs[i:i+1])
-			jr = p.answer(j, solo, 0, soloErr)
+		if j.ctx.Err() != nil {
+			jr = j.failed(http.StatusGatewayTimeout, "deadline exceeded while queued")
 		} else {
-			jr = p.answer(j, results, i, err)
+			res, err := p.parse(parser, j)
+			jr = p.answer(j, res, err)
 		}
-		j.deliver(jr, waits[i], batchSize)
+		j.deliver(jr, wait, len(jobs))
 	}
 }
 
-// parse runs jobs as one gang with panic isolation, so one poisoned
-// request cannot take the worker (or the daemon) down: a solo job
-// under its own context, a gang of two or more under gangContext.
-// Each parse a member gets counts once in parsecd_parses_total: a gang
-// of one whatever its outcome, a larger gang only when it succeeds,
-// since a failed one reruns its members.
-func (p *Pool) parse(parser *core.Parser, jobs []*job) (results []*core.Result, err error) {
-	ctx, stop := jobs[0].ctx, func() {}
-	if len(jobs) > 1 {
-		ctx, stop = gangContext(jobs)
-	}
-	defer stop()
+// parse runs j's parse with panic isolation, so one poisoned request
+// cannot take the worker (or the daemon) down. A parse that returns
+// counts once in parsecd_parses_total, whatever its outcome.
+func (p *Pool) parse(parser *core.Parser, j *job) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.m.panics.Add(1)
 			err = fmt.Errorf("panic during parse: %v", r)
 		}
 	}()
-	sents := make([]*cdg.Sentence, len(jobs))
-	for i, j := range jobs {
-		sents[i] = j.sent
-	}
 	start := time.Now()
-	results, err = parser.ParseGangContext(ctx, sents)
-	if err == nil || len(jobs) == 1 {
-		per := time.Since(start) / time.Duration(len(jobs))
-		for range jobs {
-			p.m.parses.Add(1)
-			p.m.parseLatency.Observe(per.Seconds())
-		}
-	}
-	return results, err
+	res, err = parser.ParseSentenceContext(j.ctx, j.sent)
+	p.m.parses.Add(1)
+	p.m.parseLatency.Observe(time.Since(start).Seconds())
+	return res, err
 }
 
-// answer classifies member i's outcome of its gang: 504 when its
-// deadline has ended, during the parse or while its gang ran, with the
-// text of the handler's own timeout answer; 500 for any other error, a
-// panic included; else 200 with its parse.
-func (p *Pool) answer(j *job, results []*core.Result, i int, err error) jobResult {
+// answer classifies j's outcome: 504 when its deadline has ended,
+// during the parse or before it, with the text of the handler's own
+// timeout answer; 500 for any other error, a panic included; else 200
+// with its parse.
+func (p *Pool) answer(j *job, res *core.Result, err error) jobResult {
 	if cerr := j.ctx.Err(); cerr != nil {
 		return j.failed(http.StatusGatewayTimeout, cerr.Error())
 	}
 	if err != nil {
 		return j.failed(http.StatusInternalServerError, err.Error())
 	}
-	p.m.addWork(results[i].Counters)
-	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), results[i], j.maxParses)}
+	p.m.addWork(res.Counters)
+	return jobResult{status: http.StatusOK, resp: NewResult(j.words, j.gkey, j.backend.String(), res, j.maxParses)}
 }
 
 // Close drains the pool: no new submits are accepted, queued jobs

@@ -13,8 +13,8 @@ import (
 	"repro/internal/grammars"
 )
 
-// gangTestJob builds a resolved job bound to ctx with a buffered
-// result channel, the shape a worker takes from its queue.
+// gangTestJob builds a resolved MasPar job bound to ctx with a
+// buffered result channel, the shape a worker takes from its queue.
 func gangTestJob(t *testing.T, g *cdg.Grammar, ctx context.Context, sentence string) *job {
 	t.Helper()
 	words := strings.Fields(sentence)
@@ -46,37 +46,35 @@ func normalizeVolatile(r ParseResult) ParseResult {
 	return r
 }
 
-// TestGangMemberDeadlineDoesNotPoisonBatch is the gang-deadline
-// regression test: when one member of a ganged batch has hit its
-// deadline, it must be answered 504 while every other member still
-// gets a 200 whose payload is identical to a solo parse of the same
-// sentence — the gang is not torn down, re-run, or contaminated.
-func TestGangMemberDeadlineDoesNotPoisonBatch(t *testing.T) {
+// TestBatchExpiredJobAnswers504Alone: when one job of a taken batch has
+// hit its deadline, it answers 504 while every other job still gets a
+// 200 whose payload is identical to a solo parse of the same sentence.
+func TestBatchExpiredJobAnswers504Alone(t *testing.T) {
 	g := grammars.English()
 	m := newServerMetrics()
 	p := &Pool{m: m}
-	parser := core.NewParser(g, core.WithBackend(core.MasPar))
 
 	expiredCtx, cancel := context.WithCancel(context.Background())
-	cancel() // deadline hit "mid-gang": live when partitioned, dead at delivery
+	cancel()
 
 	live1 := gangTestJob(t, g, context.Background(), "the dog walked")
 	dead := gangTestJob(t, g, expiredCtx, "fido took rex")
 	live2 := gangTestJob(t, g, context.Background(), "rex caught fido")
 
-	p.runGang(parser, []*job{live1, dead, live2}, 3)
+	p.run([]*job{live1, dead, live2})
 
 	dr := <-dead.result
 	if dr.status != http.StatusGatewayTimeout || !dr.resp.TimedOut {
-		t.Fatalf("expired member: status=%d timedOut=%v, want 504/true", dr.status, dr.resp.TimedOut)
+		t.Fatalf("expired job: status=%d timedOut=%v, want 504/true", dr.status, dr.resp.TimedOut)
 	}
 
+	parser := core.NewParser(g, core.WithBackend(core.MasPar))
 	for _, j := range []*job{live1, live2} {
 		jr := <-j.result
 		if jr.status != http.StatusOK {
-			t.Fatalf("live member %v: status=%d (err=%q), want 200", j.words, jr.status, jr.resp.Error)
+			t.Fatalf("live job %v: status=%d (err=%q), want 200", j.words, jr.status, jr.resp.Error)
 		}
-		// The live member's payload must be byte-identical to a solo
+		// The live job's payload must be byte-identical to a solo
 		// parse (modulo wall-clock fields).
 		res, err := parser.ParseSentenceContext(context.Background(), j.sent)
 		if err != nil {
@@ -86,112 +84,65 @@ func TestGangMemberDeadlineDoesNotPoisonBatch(t *testing.T) {
 		got, _ := json.Marshal(normalizeVolatile(jr.resp))
 		want, _ := json.Marshal(normalizeVolatile(solo))
 		if string(got) != string(want) {
-			t.Errorf("live member %v: ganged payload differs from solo\n got: %s\nwant: %s", j.words, got, want)
+			t.Errorf("live job %v: batched payload differs from solo\n got: %s\nwant: %s", j.words, got, want)
 		}
 	}
 
-	if m.gangRuns.Load() != 1 || m.gangJobs.Load() != 3 {
-		t.Errorf("gang metrics: runs=%d jobs=%d, want 1/3", m.gangRuns.Load(), m.gangJobs.Load())
-	}
-	if m.panics.Load() != 0 {
-		t.Errorf("gang run recorded %d panics", m.panics.Load())
+	if parses, panics := m.parses.Load(), m.panics.Load(); parses != 2 || panics != 0 {
+		t.Errorf("parses=%d panics=%d, want 2 and 0: the expired job must not parse", parses, panics)
 	}
 }
 
-// TestGangAllMembersExpired: a gang whose members have all hit their
-// deadlines answers 504 everywhere and never wedges (the gang context
-// cancels once every member is done, and the solo fallback classifies
-// each job).
-func TestGangAllMembersExpired(t *testing.T) {
+// TestBatchAllJobsExpired: a batch whose jobs have all hit their
+// deadlines answers 504 everywhere and never wedges.
+func TestBatchAllJobsExpired(t *testing.T) {
 	g := grammars.English()
 	p := &Pool{m: newServerMetrics()}
-	parser := core.NewParser(g, core.WithBackend(core.MasPar))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := gangTestJob(t, g, ctx, "the dog walked")
 	b := gangTestJob(t, g, ctx, "fido took rex")
 
-	p.runGang(parser, []*job{a, b}, 2)
+	p.run([]*job{a, b})
 	for _, j := range []*job{a, b} {
 		jr := <-j.result
 		if jr.status != http.StatusGatewayTimeout || !jr.resp.TimedOut {
-			t.Fatalf("expired member %v: status=%d timedOut=%v, want 504/true", j.words, jr.status, jr.resp.TimedOut)
+			t.Fatalf("expired job %v: status=%d timedOut=%v, want 504/true", j.words, jr.status, jr.resp.TimedOut)
 		}
 	}
 }
 
-// TestGangPanicFallsBackToSolo: a panic inside the ganged run must not
-// kill the worker; each member re-runs solo and still gets an answer.
-func TestGangPanicFallsBackToSolo(t *testing.T) {
+// TestBatchPanicAnswers500ForItsJobOnly: a parse that panics answers 500
+// for its own job; the worker recovers and the next job of its batch
+// still gets its 200.
+func TestBatchPanicAnswers500ForItsJobOnly(t *testing.T) {
 	g := grammars.English()
 	m := newServerMetrics()
 	p := &Pool{m: m}
-	// A nil parser makes ParseGangContext panic before any parse; the
-	// fallback then builds per-job results with the real parser — but
-	// here we exercise the recover path end to end with a healthy
-	// parser and a doctored gang: mixed sentence lengths make
-	// ParseGangContext return an error, which takes the same fallback.
-	parser := core.NewParser(g, core.WithBackend(core.MasPar))
-	a := gangTestJob(t, g, context.Background(), "the dog walked")
-	b := gangTestJob(t, g, context.Background(), "rex caught the ball")
+	poisoned := gangTestJob(t, g, context.Background(), "the dog walked")
+	poisoned.sent = nil // the MasPar run dereferences it
+	healthy := gangTestJob(t, g, context.Background(), "fido took rex")
 
-	p.runGang(parser, []*job{a, b}, 2)
-	for _, j := range []*job{a, b} {
-		jr := <-j.result
-		if jr.status != http.StatusOK {
-			t.Fatalf("fallback member %v: status=%d (err=%q), want 200", j.words, jr.status, jr.resp.Error)
-		}
+	p.run([]*job{poisoned, healthy})
+	if jr := <-poisoned.result; jr.status != http.StatusInternalServerError || !strings.Contains(jr.resp.Error, "panic") {
+		t.Errorf("poisoned job: status=%d err=%q, want 500 and a panic message", jr.status, jr.resp.Error)
 	}
-	if m.gangRuns.Load() != 0 {
-		t.Errorf("failed gang must not count as a gang run")
+	if jr := <-healthy.result; jr.status != http.StatusOK {
+		t.Errorf("healthy job: status=%d (err=%q), want 200", jr.status, jr.resp.Error)
+	}
+	if m.panics.Load() != 1 {
+		t.Errorf("panics=%d, want 1", m.panics.Load())
 	}
 }
 
-// TestWorkerGangsSameLengthJobs: end to end through the HTTP surface —
-// a /v1/batch of same-length maspar sentences is served by ganged runs,
-// visible on the gang counters, and every result matches its solo
-// parse.
-func TestWorkerGangsSameLengthJobs(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 64, MaxBatch: 8,
-	})
-
-	breq := BatchRequest{}
-	for _, text := range []string{"the dog walked", "fido took rex", "rex caught fido", "the cat slept"} {
-		breq.Requests = append(breq.Requests, ParseRequest{
-			Grammar: "english", Backend: "maspar", Text: text,
-		})
-	}
-	status, data := postJSON(t, ts.URL+"/v1/batch", breq)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, data)
-	}
-	var out BatchResult
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 4 {
-		t.Fatalf("got %d results, want 4", len(out.Results))
-	}
-	for _, r := range out.Results {
-		if r.Error != "" {
-			t.Errorf("sentence %v: error %q", r.Sentence, r.Error)
-		}
-	}
-	st := s.Stats()
-	if st.GangJobs < 2 {
-		t.Errorf("expected ≥2 ganged jobs after a coalesced same-length batch, got runs=%d jobs=%d",
-			st.GangRuns, st.GangJobs)
-	}
-}
-
-// TestBatchRunsAsOneGang: a /v1/batch is one submitted unit, so with
-// two workers and the result cache on, its 8 distinct uncached
-// same-length maspar sentences still run as exactly one gang. The
-// batch also carries a duplicate entry, which follows its twin's
+// TestBatchOfSameLengthJobsIsOneTake: a /v1/batch is one submitted unit,
+// so with two workers and the result cache on, its 8 distinct uncached
+// same-length maspar sentences are taken by one worker at once: one
+// more parsecd_batches_total and one parsecd_batch_size sample of 8.
+// The batch also carries a duplicate entry, which follows its twin's
 // flight, and an entry already cached, which never reaches the pool.
-func TestBatchRunsAsOneGang(t *testing.T) {
+func TestBatchOfSameLengthJobsIsOneTake(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	var texts []string
 	for _, det := range []string{"the", "a", "every"} {
@@ -206,6 +157,7 @@ func TestBatchRunsAsOneGang(t *testing.T) {
 	if status, data := postJSON(t, ts.URL+"/v1/parse", req(cached)); status != http.StatusOK {
 		t.Fatalf("priming %q: status %d: %s", cached, status, data)
 	}
+	_, _, sum0, count0 := s.m.batchSize.Snapshot()
 	before := s.Stats()
 
 	var breq BatchRequest
@@ -239,15 +191,16 @@ func TestBatchRunsAsOneGang(t *testing.T) {
 	}
 
 	after := s.Stats()
-	if runs, jobs := after.GangRuns-before.GangRuns, after.GangJobs-before.GangJobs; runs != 1 || jobs != 8 {
-		t.Errorf("gang runs +%d, jobs +%d; want +1, +8", runs, jobs)
+	_, _, sum1, count1 := s.m.batchSize.Snapshot()
+	if batches := after.Batches - before.Batches; batches != 1 || count1-count0 != 1 || sum1-sum0 != 8 {
+		t.Errorf("batches +%d, batch_size samples +%d summing to %v; want +1, one sample of 8", batches, count1-count0, sum1-sum0)
 	}
 }
 
 // TestTakeGroupsByConfigAndLength: a MasPar worker takes the head with
 // the queued jobs of its cfgKey and sentence length only, in queue
-// order, so every taken batch is one gang; jobs of another length or
-// configuration stay queued, in order, for the next free worker.
+// order; jobs of another length or configuration stay queued, in order,
+// for the next free worker.
 func TestTakeGroupsByConfigAndLength(t *testing.T) {
 	g := grammars.English()
 	ctx := context.Background()

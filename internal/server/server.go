@@ -26,8 +26,9 @@ type Config struct {
 	// QueueDepth bounds jobs accepted but not yet executing, per
 	// backend; beyond it requests get 429 (default 256).
 	QueueDepth int
-	// MaxBatch caps the same-configuration MasPar jobs a free worker
-	// takes from its queue to run as one gang (default 16).
+	// MaxBatch caps the MasPar jobs of one configuration and sentence
+	// length taken by one worker from its queue, to parse back to back
+	// (default 16).
 	MaxBatch int
 	// DefaultTimeout is the per-request deadline when the request sets
 	// none (default 30s).
